@@ -5,12 +5,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qpinn_autodiff::Graph;
-use qpinn_core::task::{TdseTask, TdseTaskConfig};
+use qpinn_bench::{seeded_task, wave_config, wave_net};
 use qpinn_core::trainer::PinnTask;
 use qpinn_dual::Complex64;
 use qpinn_fft::FftPlan;
-use qpinn_nn::{GraphCtx, ParamSet};
-use qpinn_problems::TdseProblem;
+use qpinn_nn::GraphCtx;
+use qpinn_problems::lookup;
 use qpinn_qcircuit::{Ansatz, InputScaling, QuantumLayer};
 use qpinn_solvers::{split_step_evolve, Grid1d, Nonlinearity};
 use qpinn_tensor::Tensor;
@@ -110,14 +110,9 @@ fn bench_statevector(c: &mut Criterion) {
 }
 
 fn bench_training_epoch(c: &mut Criterion) {
-    let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 24, 3);
-    cfg.n_collocation = 512;
-    cfg.reference = (128, 100, 8);
-    cfg.eval_grid = (16, 4);
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(3);
-    let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let problem = lookup("tdse-free").expect("registered problem");
+    let net = wave_net(problem.as_ref(), 24, 3);
+    let (mut task, params) = seeded_task(problem, &net, &wave_config(512), 3);
     c.bench_function("tdse_epoch_512pts_24x3", |bch| {
         bch.iter(|| {
             let mut g = Graph::new();

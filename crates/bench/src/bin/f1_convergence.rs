@@ -2,29 +2,20 @@
 //! versus epoch on the NLS benchmark — the series behind the convergence
 //! figure.
 
-use qpinn_bench::{banner, save, RunOpts};
+use qpinn_bench::{banner, nls_raissi, save, seeded_task, wave_config, wave_net, RunOpts};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{NlsTask, NlsTaskConfig};
 use qpinn_core::trainer::Trainer;
 use qpinn_core::TrainConfig;
-use qpinn_nn::ParamSet;
 use qpinn_optim::LrSchedule;
-use qpinn_problems::NlsProblem;
-use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
     let opts = RunOpts::from_args();
     banner("F1", "convergence trajectories (NLS benchmark)", &opts);
 
-    let problem = NlsProblem::raissi_benchmark();
     let epochs = opts.pick_epochs(800, 8000);
-    let mut cfg = NlsTaskConfig::standard(&problem, opts.pick(24, 64), opts.pick(3, 4));
-    cfg.n_collocation = opts.pick(384, 4096);
-    cfg.reference = (256, opts.pick(600, 2000), 32);
-    cfg.eval_grid = (48, 16);
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(100);
-    let mut task = NlsTask::new(problem, &cfg, &mut params, &mut rng);
+    let net = wave_net(nls_raissi().as_ref(), opts.pick(24, 64), opts.pick(3, 4));
+    let cfg = wave_config(opts.pick(384, 4096));
+    let (mut task, mut params) = seeded_task(nls_raissi(), &net, &cfg, 100);
 
     let log = Trainer::new(TrainConfig {
         epochs,

@@ -2,33 +2,26 @@
 //! the spectral reference at three time slices (the classic PINN figure:
 //! t = 0.59, 0.79, 0.98 on the Raissi benchmark).
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{
+    banner, nls_raissi, save, seeded_task, standard_train, wave_config, wave_net, RunOpts,
+};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{NlsTask, NlsTaskConfig};
 use qpinn_core::trainer::Trainer;
-use qpinn_nn::ParamSet;
-use qpinn_problems::NlsProblem;
-use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
     let opts = RunOpts::from_args();
     banner("F2", "field slices |h(x,t)| vs reference (NLS)", &opts);
 
-    let problem = NlsProblem::raissi_benchmark();
-    let mut cfg = NlsTaskConfig::standard(&problem, opts.pick(24, 64), opts.pick(3, 4));
-    cfg.n_collocation = opts.pick(448, 4096);
-    cfg.reference = (256, opts.pick(600, 2000), 64);
-    cfg.eval_grid = (48, 16);
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(100);
-    let mut task = NlsTask::new(problem.clone(), &cfg, &mut params, &mut rng);
-    let log = Trainer::new(standard_train(opts.pick(1200, 8000))).train(&mut task, &mut params);
+    let net = wave_net(nls_raissi().as_ref(), opts.pick(24, 64), opts.pick(3, 4));
+    let cfg = wave_config(opts.pick(448, 4096));
+    let (mut task, mut params) = seeded_task(nls_raissi(), &net, &cfg, 100);
+    let epochs = opts.pick_epochs(1200, 8000);
+    let log = Trainer::new(standard_train(epochs)).train(&mut task, &mut params);
     println!("trained: rel-L2 {:.3e} in {:.1}s\n", log.final_error, log.wall_s);
 
     let slice_times = [0.59, 0.79, 0.98];
-    let xs: Vec<f64> = (0..25)
-        .map(|i| problem.x0 + problem.length() * i as f64 / 24.0)
-        .collect();
+    let xc = &task.problem().coords()[0];
+    let xs: Vec<f64> = (0..25).map(|i| xc.lo + xc.span() * i as f64 / 24.0).collect();
     let mut series = Vec::new();
     for &t in &slice_times {
         let mut table = TextTable::new(&[&format!("x (t={t})"), "|h| PINN", "|h| reference"]);
@@ -38,7 +31,8 @@ fn main() {
         let mut ref_vals = Vec::new();
         for (i, &x) in xs.iter().enumerate() {
             let pm = (pred.get(&[i, 0]).powi(2) + pred.get(&[i, 1]).powi(2)).sqrt();
-            let rm = task.reference().sample(x, t).abs();
+            let r = task.reference().sample(&[x, t]);
+            let rm = r[0].hypot(r[1]);
             pinn_vals.push(pm);
             ref_vals.push(rm);
             table.row(&[format!("{x:+.2}"), format!("{pm:.4}"), format!("{rm:.4}")]);

@@ -1,19 +1,17 @@
 //! **F3 — collocation sweep.** Accuracy and wall time versus the number of
 //! collocation points on the free-packet TDSE (with a fixed epoch budget).
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{banner, save, seeded_task, standard_train, wave_config, wave_net, RunOpts};
 use qpinn_core::experiment::{aggregate, run_seeds};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{TdseTask, TdseTaskConfig};
-use qpinn_nn::ParamSet;
-use qpinn_problems::TdseProblem;
-use rand::{rngs::StdRng, SeedableRng};
+use qpinn_problems::lookup;
 
 fn main() {
     let opts = RunOpts::from_args();
     banner("F3", "error & wall time vs collocation count", &opts);
 
-    let problem = TdseProblem::free_packet();
+    let problem = || lookup("tdse-free").expect("registered problem");
+    let net = wave_net(problem().as_ref(), opts.pick(24, 64), 3);
     let counts: Vec<usize> = if opts.full {
         vec![512, 1024, 2048, 4096, 8192, 16384]
     } else {
@@ -27,15 +25,9 @@ fn main() {
     let mut errs = Vec::new();
     let mut times = Vec::new();
     for &n in &counts {
+        let cfg = wave_config(n);
         let runs = run_seeds(&opts.seeds(), &cfg_train, |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut cfg = TdseTaskConfig::standard(&problem, opts.pick(24, 64), 3);
-            cfg.n_collocation = n;
-            cfg.reference = (256, opts.pick(400, 1500), 32);
-            cfg.eval_grid = (64, 24);
-            let mut params = ParamSet::new();
-            let task = TdseTask::new(problem.clone(), &cfg, &mut params, &mut rng);
-            (task, params)
+            seeded_task(problem(), &net, &cfg, seed)
         });
         let agg = aggregate(&runs);
         table.row(&[

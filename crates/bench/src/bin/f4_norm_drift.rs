@@ -4,30 +4,24 @@
 //! when it is off. The quantum analogue of the energy-conservation
 //! regularizer for conservative-PDE PINNs.
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{banner, save, seeded_task, standard_train, wave_config, wave_net, RunOpts};
+use qpinn_core::metrics::norm_series;
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{TdseTask, TdseTaskConfig};
 use qpinn_core::trainer::Trainer;
-use qpinn_nn::ParamSet;
-use qpinn_problems::TdseProblem;
-use rand::{rngs::StdRng, SeedableRng};
+use qpinn_problems::lookup;
 
-fn run(problem: &TdseProblem, conservation: bool, opts: &RunOpts) -> (Vec<f64>, Vec<f64>, f64) {
-    let mut cfg = TdseTaskConfig::standard(problem, opts.pick(24, 64), 3);
-    cfg.n_collocation = opts.pick(384, 4096);
-    cfg.reference = (256, opts.pick(400, 1500), 32);
-    cfg.eval_grid = (64, 24);
-    if !conservation {
-        cfg.weights.conservation = 0.0;
-    }
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(100);
-    let mut task = TdseTask::new(problem.clone(), &cfg, &mut params, &mut rng);
-    let log = Trainer::new(standard_train(opts.pick(800, 5000))).train(&mut task, &mut params);
-    let times: Vec<f64> = (0..=10)
-        .map(|k| problem.t_end * k as f64 / 10.0)
-        .collect();
-    let norms = task.norm_series(&params, &times);
+fn run(conservation: bool, opts: &RunOpts) -> (Vec<f64>, Vec<f64>, f64) {
+    let problem = lookup("tdse-harmonic").expect("registered problem");
+    let net = wave_net(problem.as_ref(), opts.pick(24, 64), 3);
+    let mut cfg = wave_config(opts.pick(384, 4096));
+    cfg.conservation = conservation;
+    let (mut task, mut params) = seeded_task(problem, &net, &cfg, 100);
+    let epochs = opts.pick_epochs(800, 5000);
+    let log = Trainer::new(standard_train(epochs)).train(&mut task, &mut params);
+    let coords = task.problem().coords();
+    let (x, t_end) = (&coords[0], coords[1].hi);
+    let times: Vec<f64> = (0..=10).map(|k| t_end * k as f64 / 10.0).collect();
+    let norms = norm_series(task.net(), &params, x.lo, x.hi, 256, &times);
     (times, norms, log.final_error)
 }
 
@@ -35,9 +29,8 @@ fn main() {
     let opts = RunOpts::from_args();
     banner("F4", "norm drift with/without conservation loss", &opts);
 
-    let problem = TdseProblem::harmonic_packet();
-    let (times, with_norms, with_err) = run(&problem, true, &opts);
-    let (_, without_norms, without_err) = run(&problem, false, &opts);
+    let (times, with_norms, with_err) = run(true, &opts);
+    let (_, without_norms, without_err) = run(false, &opts);
 
     let mut table = TextTable::new(&["t", "∫|ψ|² (with cons.)", "∫|ψ|² (without)"]);
     for i in 0..times.len() {

@@ -17,12 +17,11 @@
 //! (see `tests/parallel_determinism.rs`), so the scheduler can only move
 //! the clock, never the numbers.
 
-use qpinn_bench::{banner, save, RunOpts};
+use qpinn_bench::{banner, save, seeded_task, wave_config, wave_net, RunOpts};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{TdseTask, TdseTaskConfig};
 use qpinn_core::trainer::PinnTask;
-use qpinn_nn::{GraphCtx, ParamSet};
-use qpinn_problems::TdseProblem;
+use qpinn_nn::GraphCtx;
+use qpinn_problems::lookup;
 use qpinn_qcircuit::{Ansatz, InputScaling, QuantumLayer};
 use qpinn_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
@@ -38,14 +37,10 @@ fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 
 fn epoch_time_with_threads(threads: usize, opts: &RunOpts) -> f64 {
     in_pool(threads, || {
-        let problem = TdseProblem::free_packet();
-        let mut cfg = TdseTaskConfig::standard(&problem, opts.pick(32, 64), 3);
-        cfg.n_collocation = opts.pick(2048, 8192);
-        cfg.reference = (128, 100, 8); // cheap; not what we time
-        cfg.eval_grid = (16, 4);
-        let mut params = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+        let problem = lookup("tdse-free").expect("registered problem");
+        let net = wave_net(problem.as_ref(), opts.pick(32, 64), 3);
+        let cfg = wave_config(opts.pick(2048, 8192));
+        let (mut task, params) = seeded_task(problem, &net, &cfg, 5);
         // warm-up epoch + timed epochs (backward included)
         let reps = opts.pick(3, 10);
         let mut run_epoch = || {

@@ -3,48 +3,57 @@
 //! square) and print a density slice against the 2D spectral reference —
 //! the multi-dimensional unsteady extension.
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{banner, save, seeded_task, standard_train, RunOpts};
+use qpinn_core::model::RffSpec;
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{Tdse2dTask, Tdse2dTaskConfig};
+use qpinn_core::task::net_config_for;
 use qpinn_core::trainer::Trainer;
-use qpinn_nn::ParamSet;
-use qpinn_problems::Tdse2dProblem;
-use rand::{rngs::StdRng, SeedableRng};
+use qpinn_core::ZooTaskConfig;
+use qpinn_problems::lookup;
 
 fn main() {
     let opts = RunOpts::from_args();
     banner("F6", "2D TDSE extension (free packet)", &opts);
 
-    let problem = Tdse2dProblem::free_packet_2d();
-    let mut cfg = Tdse2dTaskConfig::standard(opts.pick(24, 64), 3);
-    cfg.n_collocation = opts.pick(768, 6144);
-    cfg.rff_features = opts.pick(24, 64);
-    cfg.n_ic_side = opts.pick(12, 24);
-    cfg.conservation_grid = (3, opts.pick(10, 20));
-    cfg.reference = (64, opts.pick(150, 600), 8);
-    cfg.eval_grid = (opts.pick(16, 32), opts.pick(5, 9));
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(100);
-    let mut task = Tdse2dTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+    let problem = lookup("tdse2d-free").expect("registered problem");
+    // Conservation on, no causal curriculum; the IC lattice is 12² (24²)
+    // points.
+    let cfg = ZooTaskConfig {
+        width: opts.pick(24, 64),
+        depth: 3,
+        n_collocation: opts.pick(768, 6144),
+        n_condition: opts.pick(144, 576),
+        conservation: true,
+        ..ZooTaskConfig::standard()
+    };
+    let mut net = net_config_for(problem.as_ref(), &cfg);
+    net.rff = Some(RffSpec {
+        n_features: opts.pick(24, 64),
+        sigma: 1.0,
+    });
+    let (mut task, mut params) = seeded_task(problem, &net, &cfg, 100);
     println!("trainable parameters: {}", params.n_scalars());
 
-    let log = Trainer::new(standard_train(opts.pick(600, 5000))).train(&mut task, &mut params);
+    let epochs = opts.pick_epochs(600, 5000);
+    let log = Trainer::new(standard_train(epochs)).train(&mut task, &mut params);
     println!(
         "final rel-L2 vs 2D spectral reference: {:.3e} ({:.1}s)\n",
         log.final_error, log.wall_s
     );
 
     // density slice along y = 0 at final time
-    let t = problem.t_end;
+    let coords = task.problem().coords();
+    let (xc, t) = (&coords[0], coords[2].hi);
     let mut table = TextTable::new(&["x (y=0, t=end)", "|ψ|² PINN", "|ψ|² reference"]);
     let mut xs = Vec::new();
     let mut pinn = Vec::new();
     let mut refs = Vec::new();
     for i in 0..17 {
-        let x = problem.x.0 + (problem.x.1 - problem.x.0) * i as f64 / 16.0;
+        let x = xc.lo + xc.span() * i as f64 / 16.0;
         let pred = task.net().predict(&params, &[vec![x, 0.0, t]]);
         let pd = pred.get(&[0, 0]).powi(2) + pred.get(&[0, 1]).powi(2);
-        let rd = task.reference().sample(x, 0.0, t).norm_sqr();
+        let r = task.reference().sample(&[x, 0.0, t]);
+        let rd = r[0] * r[0] + r[1] * r[1];
         table.row(&[format!("{x:+.2}"), format!("{pd:.4}"), format!("{rd:.4}")]);
         xs.push(x);
         pinn.push(pd);

@@ -2,28 +2,18 @@
 //! for the headline number in EXPERIMENTS.md (not part of the standard
 //! harness sweep).
 
-use qpinn_bench::{banner, save, RunOpts};
+use qpinn_bench::{banner, nls_raissi, save, seeded_task, wave_config, wave_net, RunOpts};
 use qpinn_core::report::Json;
-use qpinn_core::task::{NlsTask, NlsTaskConfig};
 use qpinn_core::trainer::{CheckpointConfig, Trainer};
 use qpinn_core::TrainConfig;
-use qpinn_nn::ParamSet;
 use qpinn_optim::LrSchedule;
 use qpinn_persist::SnapshotStore;
-use qpinn_problems::NlsProblem;
-use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
     let opts = RunOpts::from_args();
     banner("FLAGSHIP", "long NLS training run", &opts);
-    let problem = NlsProblem::raissi_benchmark();
-    let mut cfg = NlsTaskConfig::standard(&problem, 32, 3);
-    cfg.n_collocation = 1024;
-    cfg.reference = (256, 1000, 32);
-    cfg.eval_grid = (64, 24);
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(100);
-    let mut task = NlsTask::new(problem, &cfg, &mut params, &mut rng);
+    let net = wave_net(nls_raissi().as_ref(), 32, 3);
+    let (mut task, mut params) = seeded_task(nls_raissi(), &net, &wave_config(1024), 100);
     let epochs = opts.pick_epochs(5000, 20000);
     let ckpt_dir = opts.ckpt.as_ref().map(|root| root.join("flagship_nls"));
     let trainer = Trainer::new(TrainConfig {

@@ -2,14 +2,38 @@
 //! the high-fidelity reference for each benchmark problem, mean ± std over
 //! seeds, with parameter counts and wall time.
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{
+    banner, nls_raissi, save, seeded_task, standard_train, wave_config, wave_net, ProblemFactory,
+    RunOpts,
+};
 use qpinn_core::experiment::{aggregate, run_seeds_with};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{NlsTask, NlsTaskConfig, TdseTask, TdseTaskConfig};
 use qpinn_core::trainer::CheckpointConfig;
-use qpinn_nn::ParamSet;
-use qpinn_problems::{NlsProblem, TdseProblem};
-use rand::{rngs::StdRng, SeedableRng};
+use qpinn_problems::{lookup, zoo, TdseProblem};
+
+/// The table rows: report label and problem. The barrier and the Raissi
+/// benchmark have no registry key.
+const ROWS: [(&str, ProblemFactory); 5] = [
+    ("free-packet", || {
+        lookup("tdse-free").expect("registered problem")
+    }),
+    ("harmonic-packet", || {
+        lookup("tdse-harmonic").expect("registered problem")
+    }),
+    ("barrier-scattering", || {
+        zoo::tdse(
+            "tdse-barrier",
+            "1D TDSE, moving packet scattering off a smooth barrier",
+            TdseProblem::barrier_scattering(),
+        )
+    }),
+    // The integrable single soliton (stable) and the Raissi 2-soliton
+    // bound state (modulationally unstable — the known hard case).
+    ("nls-soliton(a=1)", || {
+        lookup("nls-soliton").expect("registered problem")
+    }),
+    ("nls-raissi", nls_raissi),
+];
 
 fn main() {
     let opts = RunOpts::from_args();
@@ -56,30 +80,16 @@ fn main() {
     ]);
     let mut records = Vec::new();
 
-    // TDSE problems
-    for problem in [
-        TdseProblem::free_packet(),
-        TdseProblem::harmonic_packet(),
-        TdseProblem::barrier_scattering(),
-    ] {
-        let name = problem.name.clone();
+    for (name, problem) in ROWS {
+        let net = wave_net(problem().as_ref(), w, d);
         let runs = run_seeds_with(
             &opts.seeds(),
-            |seed| cfg_for(&name, seed),
-            |seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut cfg = TdseTaskConfig::standard(&problem, w, d);
-                cfg.n_collocation = n_coll;
-                cfg.reference = (256, opts.pick(400, 1500), 32);
-                cfg.eval_grid = (opts.pick(64, 128), opts.pick(24, 64));
-                let mut params = ParamSet::new();
-                let task = TdseTask::new(problem.clone(), &cfg, &mut params, &mut rng);
-                (task, params)
-            },
+            |seed| cfg_for(name, seed),
+            |seed| seeded_task(problem(), &net, &wave_config(n_coll), seed),
         );
         let agg = aggregate(&runs);
         table.row(&[
-            name.clone(),
+            name.to_string(),
             qpinn_core::report::mean_std(agg.mean_error, agg.std_error),
             format!("{:.3e}", agg.best_error),
             format!("{}", runs[0].n_params),
@@ -87,48 +97,7 @@ fn main() {
             format!("{:.1}", agg.mean_wall_s),
         ]);
         records.push(Json::obj(vec![
-            ("problem", Json::Str(name)),
-            ("mean_error", Json::Num(agg.mean_error)),
-            ("std_error", Json::Num(agg.std_error)),
-            ("best_error", Json::Num(agg.best_error)),
-            ("n_params", Json::Num(runs[0].n_params as f64)),
-            ("wall_s", Json::Num(agg.mean_wall_s)),
-        ]));
-    }
-
-    // NLS benchmarks: the integrable single soliton (stable) and the
-    // Raissi 2-soliton bound state (modulationally unstable — the known
-    // hard case).
-    for problem in [
-        NlsProblem::bright_soliton(1.0),
-        NlsProblem::raissi_benchmark(),
-    ] {
-        let name = problem.name.clone();
-        let runs = run_seeds_with(
-            &opts.seeds(),
-            |seed| cfg_for(&name, seed),
-            |seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut cfg = NlsTaskConfig::standard(&problem, w, d);
-                cfg.n_collocation = n_coll;
-                cfg.reference = (256, opts.pick(600, 2000), 32);
-                cfg.eval_grid = (opts.pick(64, 128), opts.pick(24, 64));
-                let mut params = ParamSet::new();
-                let task = NlsTask::new(problem.clone(), &cfg, &mut params, &mut rng);
-                (task, params)
-            },
-        );
-        let agg = aggregate(&runs);
-        table.row(&[
-            name.clone(),
-            qpinn_core::report::mean_std(agg.mean_error, agg.std_error),
-            format!("{:.3e}", agg.best_error),
-            format!("{}", runs[0].n_params),
-            format!("{epochs}"),
-            format!("{:.1}", agg.mean_wall_s),
-        ]);
-        records.push(Json::obj(vec![
-            ("problem", Json::Str(name)),
+            ("problem", Json::Str(name.to_string())),
             ("mean_error", Json::Num(agg.mean_error)),
             ("std_error", Json::Num(agg.std_error)),
             ("best_error", Json::Num(agg.best_error)),

@@ -1,13 +1,10 @@
 //! **T3 — architecture/parameter ablation.** Width × depth sweep on the
 //! free-packet TDSE: error versus trainable-parameter count.
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{banner, save, seeded_task, standard_train, wave_config, wave_net, RunOpts};
 use qpinn_core::experiment::{aggregate, run_seeds};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{TdseTask, TdseTaskConfig};
-use qpinn_nn::ParamSet;
-use qpinn_problems::TdseProblem;
-use rand::{rngs::StdRng, SeedableRng};
+use qpinn_problems::lookup;
 
 fn main() {
     let opts = RunOpts::from_args();
@@ -21,21 +18,16 @@ fn main() {
     let depths = if opts.full { vec![2usize, 4, 6] } else { vec![2, 3] };
     let epochs = opts.pick_epochs(400, 4000);
     let cfg_train = standard_train(epochs);
-    let problem = TdseProblem::free_packet();
+    let problem = || lookup("tdse-free").expect("registered problem");
+    let cfg = wave_config(opts.pick(384, 4096));
 
     let mut table = TextTable::new(&["width", "depth", "params", "rel-L2 (mean±std)", "s/run"]);
     let mut records = Vec::new();
     for &w in &widths {
         for &d in &depths {
+            let net = wave_net(problem().as_ref(), w, d);
             let runs = run_seeds(&opts.seeds(), &cfg_train, |seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut cfg = TdseTaskConfig::standard(&problem, w, d);
-                cfg.n_collocation = opts.pick(384, 4096);
-                cfg.reference = (256, opts.pick(400, 1500), 32);
-                cfg.eval_grid = (64, 24);
-                let mut params = ParamSet::new();
-                let task = TdseTask::new(problem.clone(), &cfg, &mut params, &mut rng);
-                (task, params)
+                seeded_task(problem(), &net, &cfg, seed)
             });
             let agg = aggregate(&runs);
             table.row(&[

@@ -3,14 +3,15 @@
 //! Fourier features, exact periodic embedding, causal time weighting, and
 //! the norm-conservation loss.
 
-use qpinn_bench::{banner, save, standard_train, RunOpts};
+use qpinn_bench::{
+    banner, nls_raissi, save, seeded_task, standard_train, wave_config, wave_net, ProblemFactory,
+    RunOpts,
+};
 use qpinn_core::experiment::{aggregate, run_seeds};
 use qpinn_core::model::{CoordSpec, FieldNetConfig};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{NlsTask, NlsTaskConfig, TdseTask, TdseTaskConfig};
-use qpinn_nn::ParamSet;
-use qpinn_problems::{NlsProblem, TdseProblem};
-use rand::{rngs::StdRng, SeedableRng};
+use qpinn_core::ZooTaskConfig;
+use qpinn_problems::lookup;
 
 #[derive(Clone, Copy, Debug)]
 enum Variant {
@@ -32,14 +33,16 @@ impl Variant {
         }
     }
 
-    fn apply_net(&self, net: &mut FieldNetConfig) {
+    fn apply(&self, net: &mut FieldNetConfig, cfg: &mut ZooTaskConfig) {
         match self {
+            Variant::Standard => {}
             Variant::NoRff => net.rff = None,
             Variant::NoPeriodic => {
                 // replace the periodic x-embedding with a raw coordinate
                 net.coords[0] = CoordSpec::Raw;
             }
-            _ => {}
+            Variant::NoCausal => cfg.causal = false,
+            Variant::NoConservation => cfg.conservation = false,
         }
     }
 }
@@ -63,70 +66,33 @@ fn main() {
     let mut table = TextTable::new(&["problem", "variant", "rel-L2 (mean±std)"]);
     let mut records = Vec::new();
 
-    let tdse = TdseProblem::free_packet();
-    for variant in VARIANTS {
-        let runs = run_seeds(&opts.seeds(), &cfg_train, |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut cfg = TdseTaskConfig::standard(&tdse, w, d);
-            cfg.n_collocation = opts.pick(384, 4096);
-            cfg.reference = (256, opts.pick(400, 1500), 32);
-            cfg.eval_grid = (64, 24);
-            variant.apply_net(&mut cfg.net);
-            if matches!(variant, Variant::NoCausal) {
-                cfg.causal = None;
-            }
-            if matches!(variant, Variant::NoConservation) {
-                cfg.weights.conservation = 0.0;
-            }
-            let mut params = ParamSet::new();
-            let task = TdseTask::new(tdse.clone(), &cfg, &mut params, &mut rng);
-            (task, params)
-        });
-        let agg = aggregate(&runs);
-        table.row(&[
-            tdse.name.clone(),
-            variant.name().into(),
-            qpinn_core::report::mean_std(agg.mean_error, agg.std_error),
-        ]);
-        records.push(Json::obj(vec![
-            ("problem", Json::Str(tdse.name.clone())),
-            ("variant", Json::Str(variant.name().into())),
-            ("mean_error", Json::Num(agg.mean_error)),
-            ("std_error", Json::Num(agg.std_error)),
-        ]));
-    }
-
-    let nls = NlsProblem::raissi_benchmark();
-    for variant in VARIANTS {
-        let runs = run_seeds(&opts.seeds(), &cfg_train, |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut cfg = NlsTaskConfig::standard(&nls, w, d);
-            cfg.n_collocation = opts.pick(384, 4096);
-            cfg.reference = (256, opts.pick(600, 2000), 32);
-            cfg.eval_grid = (64, 24);
-            variant.apply_net(&mut cfg.net);
-            if matches!(variant, Variant::NoCausal) {
-                cfg.causal = None;
-            }
-            if matches!(variant, Variant::NoConservation) {
-                cfg.weights.conservation = 0.0;
-            }
-            let mut params = ParamSet::new();
-            let task = NlsTask::new(nls.clone(), &cfg, &mut params, &mut rng);
-            (task, params)
-        });
-        let agg = aggregate(&runs);
-        table.row(&[
-            nls.name.clone(),
-            variant.name().into(),
-            qpinn_core::report::mean_std(agg.mean_error, agg.std_error),
-        ]);
-        records.push(Json::obj(vec![
-            ("problem", Json::Str(nls.name.clone())),
-            ("variant", Json::Str(variant.name().into())),
-            ("mean_error", Json::Num(agg.mean_error)),
-            ("std_error", Json::Num(agg.std_error)),
-        ]));
+    let problems: [(&str, ProblemFactory); 2] = [
+        ("free-packet", || {
+            lookup("tdse-free").expect("registered problem")
+        }),
+        ("nls-raissi", nls_raissi),
+    ];
+    for (name, problem) in problems {
+        for variant in VARIANTS {
+            let mut net = wave_net(problem().as_ref(), w, d);
+            let mut cfg = wave_config(opts.pick(384, 4096));
+            variant.apply(&mut net, &mut cfg);
+            let runs = run_seeds(&opts.seeds(), &cfg_train, |seed| {
+                seeded_task(problem(), &net, &cfg, seed)
+            });
+            let agg = aggregate(&runs);
+            table.row(&[
+                name.to_string(),
+                variant.name().into(),
+                qpinn_core::report::mean_std(agg.mean_error, agg.std_error),
+            ]);
+            records.push(Json::obj(vec![
+                ("problem", Json::Str(name.to_string())),
+                ("variant", Json::Str(variant.name().into())),
+                ("mean_error", Json::Num(agg.mean_error)),
+                ("std_error", Json::Num(agg.std_error)),
+            ]));
+        }
     }
 
     println!("\n{}", table.render());

@@ -11,7 +11,11 @@
 #![deny(missing_docs)]
 
 use qpinn_core::report::Json;
+use qpinn_core::{FieldNetConfig, ZooTask, ZooTaskConfig};
+use qpinn_nn::ParamSet;
+use qpinn_problems::{zoo, NlsProblem, PdeProblem};
 use qpinn_telemetry as telemetry;
+use rand::{rngs::StdRng, SeedableRng};
 
 /// Harness-wide run options parsed from the command line.
 #[derive(Clone, Debug)]
@@ -351,6 +355,55 @@ pub fn standard_train(epochs: usize) -> qpinn_core::TrainConfig {
         progress: None,
         run: None,
     }
+}
+
+/// Builds a table row's problem afresh for each seeded run (a boxed
+/// problem is not `Clone`).
+pub type ProblemFactory = fn() -> Box<dyn PdeProblem>;
+
+/// The training setup the Schrödinger tables and figures share:
+/// [`ZooTaskConfig::standard`] with `n_collocation` interior points and
+/// both the causal curriculum and the norm-conservation loss on.
+pub fn wave_config(n_collocation: usize) -> ZooTaskConfig {
+    ZooTaskConfig {
+        n_collocation,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::standard()
+    }
+}
+
+/// The standard wave architecture for an `(x, t)` problem
+/// ([`FieldNetConfig::standard_wave`]: periodic `x`, learned-period `t`,
+/// 64 random Fourier features, a `width × depth` tanh trunk).
+pub fn wave_net(problem: &dyn PdeProblem, width: usize, depth: usize) -> FieldNetConfig {
+    let c = problem.coords();
+    FieldNetConfig::standard_wave(c[0].span(), c[1].span(), width, depth)
+}
+
+/// A [`ZooTask`] and its parameters, built from `seed` — the shape the
+/// multi-seed runners take.
+pub fn seeded_task(
+    problem: Box<dyn PdeProblem>,
+    net: &FieldNetConfig,
+    cfg: &ZooTaskConfig,
+    seed: u64,
+) -> (ZooTask, ParamSet) {
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let task = ZooTask::new(problem, net, cfg, &mut params, &mut rng);
+    (task, params)
+}
+
+/// The Raissi et al. NLS benchmark (`h(0, x) = 2 sech x`). It has no
+/// registry key: the registry requires a closed form or an independent
+/// solver for every family, and this bound state has neither.
+pub fn nls_raissi() -> Box<dyn PdeProblem> {
+    zoo::nls(
+        "nls-raissi",
+        "focusing cubic NLS, Raissi 2-soliton bound state",
+        NlsProblem::raissi_benchmark(),
+    )
 }
 
 /// The value following `--NAME` in an argument list, if any. The shared

@@ -5,16 +5,17 @@
 //! * [`model`] — the [`model::FieldNet`] architecture (periodic/learned
 //!   embeddings → optional random Fourier features → jet-propagating MLP)
 //!   and the hybrid variant with a quantum-circuit layer;
-//! * [`residual`] — PDE residual assembly for the time-dependent
-//!   Schrödinger equation, the cubic NLS, and stationary eigenproblems;
+//! * [`residual`] — per-field jet splitting for registry residuals and the
+//!   stationary eigenproblem residual;
 //! * [`loss`] — initial-condition, boundary, and **norm-conservation**
 //!   losses plus the weighted total;
 //! * [`causal`] — adaptive time weighting (causal training);
 //! * [`trainer`] — the Adam(+schedule) training loop with loss/error/
 //!   gradient trajectories, and L-BFGS polishing;
-//! * [`task`] — ready-to-train task objects for each benchmark problem;
-//! * [`metrics`] — relative L2 errors against reference fields, norm-drift
-//!   series;
+//! * [`task`] — [`ZooTask`], which trains any registry problem (with the
+//!   causal curriculum and norm-conservation loss as options), plus the
+//!   eigenvalue and inverse tasks;
+//! * [`metrics`] — norm-drift series and sign-invariant profile errors;
 //! * [`report`] — aligned text tables and a small JSON writer for the
 //!   experiment harness;
 //! * [`experiment`] — multi-seed sweep running with mean/std aggregation;

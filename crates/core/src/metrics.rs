@@ -1,44 +1,8 @@
-//! Evaluation metrics: relative L2 error against reference fields, norm
-//! drift, eigenvalue error.
+//! Evaluation metrics: norm drift and sign-invariant profile error. The
+//! field error of a trained surrogate is [`crate::trainer::PinnTask::eval_error`].
 
 use crate::model::FieldNet;
 use qpinn_nn::ParamSet;
-use qpinn_solvers::Field1d;
-
-/// Relative L2 error of the network's complex field against a reference
-/// [`Field1d`], over a dense `nx × nt` space-time evaluation grid:
-///
-/// `‖ψ_net − ψ_ref‖₂ / ‖ψ_ref‖₂` (both parts pooled).
-pub fn rel_l2_error_field(
-    net: &FieldNet,
-    params: &ParamSet,
-    reference: &Field1d,
-    nx: usize,
-    nt: usize,
-) -> f64 {
-    let grid = reference.grid();
-    let t_end = *reference.times().last().unwrap();
-    let mut points = Vec::with_capacity(nx * nt);
-    let mut refs = Vec::with_capacity(nx * nt);
-    for k in 0..nt {
-        let t = t_end * k as f64 / (nt - 1).max(1) as f64;
-        for i in 0..nx {
-            let x = grid.x0 + (grid.x1 - grid.x0) * i as f64 / nx as f64;
-            points.push(vec![x, t]);
-            refs.push(reference.sample(x, t));
-        }
-    }
-    let pred = net.predict(params, &points);
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for (i, r) in refs.iter().enumerate() {
-        let du = pred.get(&[i, 0]) - r.re;
-        let dv = pred.get(&[i, 1]) - r.im;
-        num += du * du + dv * dv;
-        den += r.norm_sqr();
-    }
-    (num / den).sqrt()
-}
 
 /// The network's `∫|ψ|²dx` at each requested time (uniform spatial
 /// quadrature over the periodic domain).
@@ -87,8 +51,6 @@ pub fn rel_l2_error_profile(pred: &[f64], reference: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::model::{FieldNet, FieldNetConfig};
-    use qpinn_dual::Complex64;
-    use qpinn_solvers::Grid1d;
     use rand::{rngs::StdRng, SeedableRng};
 
     /// A network forced to output exactly `(re, im)` everywhere: all
@@ -117,47 +79,6 @@ mod tests {
             .data_mut()
             .copy_from_slice(&[re, im]);
         (net, params)
-    }
-
-    /// A reference field equal to the constant `(re, im)` everywhere.
-    fn constant_field(re: f64, im: f64, x0: f64, x1: f64) -> Field1d {
-        let grid = Grid1d::periodic(x0, x1, 16);
-        let times = vec![0.0, 0.5, 1.0];
-        let data = times
-            .iter()
-            .map(|_| vec![Complex64::new(re, im); grid.n])
-            .collect();
-        Field1d::new(grid, times, data)
-    }
-
-    #[test]
-    fn field_error_is_zero_on_exact_reference() {
-        let (net, params) = constant_net(3.0, 4.0);
-        let reference = constant_field(3.0, 4.0, -1.0, 1.0);
-        let err = rel_l2_error_field(&net, &params, &reference, 32, 8);
-        assert!(err < 1e-12, "exact match must give ~0 error, got {err}");
-    }
-
-    #[test]
-    fn field_error_matches_analytic_value_for_constant_offset() {
-        // net ≡ 3 + 4i, reference ≡ 0 + 4i ⇒ pointwise error 3, so
-        // rel-L2 = ‖3‖/‖(0,4)‖ = 3/4 at every grid size.
-        let (net, params) = constant_net(3.0, 4.0);
-        let reference = constant_field(0.0, 4.0, -1.0, 1.0);
-        for (nx, nt) in [(8, 3), (32, 8)] {
-            let err = rel_l2_error_field(&net, &params, &reference, nx, nt);
-            assert!((err - 0.75).abs() < 1e-12, "nx={nx} nt={nt}: {err}");
-        }
-    }
-
-    #[test]
-    fn field_error_handles_single_time_slice() {
-        // nt == 1 must not divide by zero: the lone slice sits at t = 0.
-        let (net, params) = constant_net(3.0, 4.0);
-        let reference = constant_field(3.0, 4.0, -1.0, 1.0);
-        let err = rel_l2_error_field(&net, &params, &reference, 16, 1);
-        assert!(err.is_finite());
-        assert!(err < 1e-12, "constant field at t=0 must match: {err}");
     }
 
     #[test]

@@ -5,10 +5,11 @@
 
 use crate::loss;
 use crate::model::{FieldNet, FieldNetConfig};
-use crate::residual::split_complex;
+use crate::residual::split_fields;
 use crate::trainer::PinnTask;
 use qpinn_autodiff::Var;
 use qpinn_nn::{GraphCtx, ParamId, ParamSet};
+use qpinn_problems::zoo::schrodinger_residuals;
 use qpinn_problems::{Potential, TdseProblem};
 use qpinn_sampling::{latin_hypercube, uniform_points, Domain};
 use qpinn_tensor::Tensor;
@@ -173,16 +174,16 @@ impl PinnTask for InverseTdseTask {
         let xcol = ctx.g.constant(Tensor::column(&self.xs));
         let tcol = ctx.g.constant(Tensor::column(&self.ts));
         let out = self.net.forward_jet(ctx, &[xcol, tcol]);
-        let psi = split_complex(ctx.g, &out);
+        let psi = split_fields(ctx.g, &out, 2);
         let omega = ctx.param(self.omega);
         let omega_sq = ctx.g.square(omega);
         let x2 = ctx.g.constant(self.x2_col.clone());
         let vraw = ctx.g.matmul(x2, omega_sq);
         let vpot = ctx.g.scale(vraw, 0.5);
-        let (ru, rv) = crate::residual::tdse_residuals(ctx.g, &psi, vpot);
-        let lu = ctx.g.mse(ru);
-        let lv = ctx.g.mse(rv);
-        let lpde = ctx.g.add(lu, lv);
+        let r = schrodinger_residuals(ctx.g, &psi, vpot, 0.0, 1);
+        let lre = ctx.g.mse(r[0]);
+        let lim = ctx.g.mse(r[1]);
+        let lpde = ctx.g.add(lre, lim);
 
         // data fit on the observations
         let ox = ctx.g.constant(self.obs_cols.0.clone());

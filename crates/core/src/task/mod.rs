@@ -1,36 +1,13 @@
-//! Ready-to-train task objects, one per benchmark family. Each task owns
-//! its collocation points, curriculum state, loss weights, and reference
-//! solution, and implements [`crate::trainer::PinnTask`].
+//! Ready-to-train task objects implementing [`crate::trainer::PinnTask`].
+//! [`ZooTask`] trains every registry problem, and any Schrödinger preset
+//! wrapped by `qpinn_problems::zoo`. The eigenvalue and inverse tasks
+//! train extra parameters (a trainable energy, a trainable trap
+//! frequency) that the registry does not describe yet.
 
 pub mod eigen;
 pub mod inverse;
-pub mod nls;
-pub mod tdse;
-pub mod tdse2d;
 pub mod zoo;
 
 pub use eigen::{EigenTask, EigenTaskConfig};
 pub use inverse::{InverseTaskConfig, InverseTdseTask};
-pub use nls::{NlsTask, NlsTaskConfig};
-pub use tdse::{TdseTask, TdseTaskConfig};
-pub use tdse2d::{Tdse2dTask, Tdse2dTaskConfig};
 pub use zoo::{net_config_for, ZooTask, ZooTaskConfig};
-
-/// Loss-term weights shared by the wave tasks (the `λ` multipliers of the
-/// total loss `L = L_pde + λ_ic·L_ic + λ_cons·L_cons`).
-#[derive(Clone, Copy, Debug)]
-pub struct LossWeights {
-    /// Initial-condition weight.
-    pub ic: f64,
-    /// Norm-conservation weight (0 disables the term).
-    pub conservation: f64,
-}
-
-impl Default for LossWeights {
-    fn default() -> Self {
-        LossWeights {
-            ic: 10.0,
-            conservation: 10.0,
-        }
-    }
-}

@@ -3,26 +3,42 @@
 //! registry — vector-valued outputs, derivative-valued conditions, and
 //! arbitrary coordinate counts included. This is what makes a new PDE
 //! family trainable by registering data instead of writing a task.
+//!
+//! Two options serve the time-dependent Schrödinger families: the causal
+//! time curriculum and the norm-conservation loss. Both are off in the
+//! presets, so a plain registry run builds the same tape either way.
 
+use crate::causal::CausalWeights;
 use crate::loss;
 use crate::model::{CoordSpec, FieldNet, FieldNetConfig, RffSpec};
 use crate::residual::split_fields;
 use crate::trainer::PinnTask;
 use qpinn_autodiff::Var;
 use qpinn_nn::{Activation, GraphCtx, ParamSet};
-use qpinn_problems::zoo::{lookup, CoordKind, Fidelity, PdeProblem, RefSolution, UnknownProblem};
+use qpinn_problems::zoo::{
+    lookup, CoordDef, CoordKind, Fidelity, PdeProblem, RefSolution, UnknownProblem,
+};
 use qpinn_sampling::{latin_hypercube, Domain};
 use qpinn_tensor::Tensor;
 use rand::rngs::StdRng;
 
+/// Causal weighting: time bins and the steepness ε of
+/// `w(t) = exp(−ε Σ_{t′<t} L(t′))`.
+const CAUSAL_BINS: usize = 5;
+const CAUSAL_EPSILON: f64 = 1.0;
+/// Weight of the norm-conservation term relative to the PDE residual.
+const CONSERVATION_WEIGHT: f64 = 10.0;
+/// Time slices of the conservation grid, at `t_k = t_end·(k+1)/8`.
+const CONSERVATION_SLICES: usize = 8;
+
 /// Configuration of a [`ZooTask`].
 #[derive(Clone, Debug)]
 pub struct ZooTaskConfig {
-    /// Hidden width of the MLP trunk.
+    /// Hidden width of the MLP trunk (read by [`net_config_for`]).
     pub width: usize,
-    /// Hidden depth.
+    /// Hidden depth (read by [`net_config_for`]).
     pub depth: usize,
-    /// Random-Fourier-feature layer on/off.
+    /// Random-Fourier-feature layer on/off (read by [`net_config_for`]).
     pub rff: bool,
     /// Number of interior collocation points (Latin hypercube).
     pub n_collocation: usize,
@@ -35,6 +51,12 @@ pub struct ZooTaskConfig {
     /// Budget of reference-evaluation points for the L2 metric
     /// (distributed as a tensor grid over the coordinates).
     pub eval_budget: usize,
+    /// Causal time weighting of the residual points (Wang, Sankaran &
+    /// Perdikaris): 5 time bins, ε = 1. Needs a time coordinate.
+    pub causal: bool,
+    /// Norm-conservation loss with weight 10 on a grid of 8 time slices.
+    /// Needs [`PdeProblem::conserved_norm`].
+    pub conservation: bool,
 }
 
 impl ZooTaskConfig {
@@ -49,6 +71,8 @@ impl ZooTaskConfig {
             cond_weight: 10.0,
             fidelity: Fidelity::Full,
             eval_budget: 4096,
+            causal: false,
+            conservation: false,
         }
     }
 
@@ -63,6 +87,8 @@ impl ZooTaskConfig {
             cond_weight: 10.0,
             fidelity: Fidelity::Quick,
             eval_budget: 512,
+            causal: false,
+            conservation: false,
         }
     }
 }
@@ -99,6 +125,58 @@ struct PreparedCondition {
     target: Tensor,
 }
 
+/// The norm-conservation grid: time-major rows, `per_slice` spatial
+/// points per slice, so `mean_groups` averages the density per slice.
+struct Conservation {
+    cols: Vec<Tensor>,
+    per_slice: usize,
+    measure: f64,
+    target: f64,
+}
+
+impl Conservation {
+    /// Uniform periodic lattice over the spatial axes at each slice time:
+    /// 64 points on a line, 16 per axis on a plane.
+    fn new(problem: &dyn PdeProblem, coords: &[CoordDef], t_idx: usize) -> Self {
+        let target = problem.conserved_norm().unwrap_or_else(|| {
+            panic!(
+                "conservation loss: `{}` declares no conserved norm",
+                problem.key()
+            )
+        });
+        let spatial: Vec<&CoordDef> = coords
+            .iter()
+            .filter(|c| c.kind != CoordKind::Time)
+            .collect();
+        let side = if spatial.len() == 1 { 64 } else { 16 };
+        let axes: Vec<Vec<f64>> = spatial
+            .iter()
+            .map(|c| {
+                (0..side)
+                    .map(|i| c.lo + c.span() * i as f64 / side as f64)
+                    .collect()
+            })
+            .collect();
+        let lattice = tensor_grid(&axes);
+        let t = &coords[t_idx];
+        let mut points = Vec::with_capacity(CONSERVATION_SLICES * lattice.len());
+        for k in 0..CONSERVATION_SLICES {
+            let tk = t.lo + t.span() * (k + 1) as f64 / CONSERVATION_SLICES as f64;
+            for p in &lattice {
+                let mut q = p.clone();
+                q.insert(t_idx, tk);
+                points.push(q);
+            }
+        }
+        Conservation {
+            cols: columns_of(&points, coords.len()),
+            per_slice: lattice.len(),
+            measure: spatial.iter().map(|c| c.span()).product(),
+            target,
+        }
+    }
+}
+
 /// A registry problem assembled into a trainable task.
 pub struct ZooTask {
     problem: Box<dyn PdeProblem>,
@@ -107,33 +185,44 @@ pub struct ZooTask {
     point_cols: Vec<Tensor>,
     conditions: Vec<PreparedCondition>,
     cond_weight: f64,
+    causal: Option<CausalWeights>,
+    conservation: Option<Conservation>,
     reference: Box<dyn RefSolution>,
     eval_points: Vec<Vec<f64>>,
     eval_ref: Vec<f64>,
 }
 
 impl ZooTask {
-    /// Assemble a task straight from a registry key.
+    /// Assemble a task straight from a registry key, with the network
+    /// [`net_config_for`] derives from the problem and `cfg`.
     pub fn from_key(
         key: &str,
         cfg: &ZooTaskConfig,
         params: &mut ParamSet,
         rng: &mut StdRng,
     ) -> Result<Self, UnknownProblem> {
-        Ok(ZooTask::new(lookup(key)?, cfg, params, rng))
+        let problem = lookup(key)?;
+        let net = net_config_for(problem.as_ref(), cfg);
+        Ok(ZooTask::new(problem, &net, cfg, params, rng))
     }
 
-    /// Assemble a task from a boxed problem definition. Network parameters
-    /// are registered into `params` under the problem key, so a serve-side
-    /// spec rebuild with `name = key` replays the construction bit-exactly.
+    /// Assemble a task from a boxed problem definition and an explicit
+    /// network architecture (`cfg.width`, `depth` and `rff` are not read).
+    /// Network parameters are registered into `params` under the problem
+    /// key, so a serve-side spec rebuild with `name = key` replays the
+    /// construction bit-exactly.
+    ///
+    /// # Panics
+    /// If `cfg.causal` is set for a problem without a time coordinate, or
+    /// `cfg.conservation` for one without a conserved norm.
     pub fn new(
         problem: Box<dyn PdeProblem>,
+        net: &FieldNetConfig,
         cfg: &ZooTaskConfig,
         params: &mut ParamSet,
         rng: &mut StdRng,
     ) -> Self {
-        let net_cfg = net_config_for(problem.as_ref(), cfg);
-        let net = FieldNet::new(params, rng, &net_cfg, problem.key());
+        let net = FieldNet::new(params, rng, net, problem.key());
 
         let coords = problem.coords();
         let ranges: Vec<(f64, f64)> = coords.iter().map(|c| (c.lo, c.hi)).collect();
@@ -156,31 +245,39 @@ impl ZooTask {
             })
             .collect();
 
+        let t_idx = coords.iter().position(|c| c.kind == CoordKind::Time);
+        let needs_time = |what: &str| {
+            t_idx.unwrap_or_else(|| panic!("{what}: `{}` has no time coordinate", problem.key()))
+        };
+        let causal = cfg.causal.then(|| {
+            let t = needs_time("causal weighting");
+            let times: Vec<f64> = points.iter().map(|p| p[t]).collect();
+            let (lo, hi) = (coords[t].lo, coords[t].hi);
+            CausalWeights::new(lo, hi, CAUSAL_BINS, CAUSAL_EPSILON, &times)
+        });
+        let conservation = cfg.conservation.then(|| {
+            let t = needs_time("conservation loss");
+            Conservation::new(problem.as_ref(), &coords, t)
+        });
+
         let reference = problem.reference(cfg.fidelity);
         // Tensor evaluation grid: spread the budget evenly over the axes.
         let per_axis = (cfg.eval_budget as f64)
             .powf(1.0 / coords.len() as f64)
             .round()
             .max(5.0) as usize;
-        let mut eval_points = vec![Vec::new()];
-        for c in &coords {
-            let n = per_axis;
-            let denom = match c.kind {
-                CoordKind::Periodic => n as f64,
-                _ => (n - 1) as f64,
-            };
-            let axis: Vec<f64> = (0..n).map(|i| c.lo + c.span() * i as f64 / denom).collect();
-            eval_points = eval_points
-                .into_iter()
-                .flat_map(|p| {
-                    axis.iter().map(move |&v| {
-                        let mut q = p.clone();
-                        q.push(v);
-                        q
-                    })
-                })
-                .collect();
-        }
+        let axes: Vec<Vec<f64>> = coords
+            .iter()
+            .map(|c| {
+                let n = per_axis;
+                let denom = match c.kind {
+                    CoordKind::Periodic => n as f64,
+                    _ => (n - 1) as f64,
+                };
+                (0..n).map(|i| c.lo + c.span() * i as f64 / denom).collect()
+            })
+            .collect();
+        let eval_points = tensor_grid(&axes);
         let eval_ref: Vec<f64> = eval_points
             .iter()
             .flat_map(|p| reference.sample(p))
@@ -193,6 +290,8 @@ impl ZooTask {
             point_cols,
             conditions,
             cond_weight: cfg.cond_weight,
+            causal,
+            conservation,
             reference,
             eval_points,
             eval_ref,
@@ -213,6 +312,40 @@ impl ZooTask {
     pub fn reference(&self) -> &dyn RefSolution {
         self.reference.as_ref()
     }
+
+    /// The unweighted norm-conservation term
+    /// `mean_k (∫|ψ|²(t_k) − N₀)²`, when the task has one.
+    fn conservation_loss(&self, ctx: &mut GraphCtx<'_>) -> Option<Var> {
+        let cons = self.conservation.as_ref()?;
+        let cols: Vec<Var> = cons
+            .cols
+            .iter()
+            .map(|t| ctx.g.constant(t.clone()))
+            .collect();
+        Some(loss::norm_conservation_loss(
+            ctx,
+            &self.net,
+            &cols,
+            cons.per_slice,
+            cons.measure,
+            cons.target,
+        ))
+    }
+}
+
+/// Every combination of one value per axis, first axis outermost.
+fn tensor_grid(axes: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    axes.iter().fold(vec![Vec::new()], |grid, axis| {
+        grid.into_iter()
+            .flat_map(|p| {
+                axis.iter().map(move |&v| {
+                    let mut q = p.clone();
+                    q.push(v);
+                    q
+                })
+            })
+            .collect()
+    })
 }
 
 fn columns_of(points: &[Vec<f64>], n_coords: usize) -> Vec<Tensor> {
@@ -240,9 +373,30 @@ impl PinnTask for ZooTask {
         let residuals = self
             .problem
             .residuals(ctx.g, &fields, &self.points);
-        let mut lpde = loss::residual_mse(ctx.g, residuals[0], None);
+        // Causal weights follow the current squared residual, summed over
+        // the residual columns, before they weight this epoch's loss.
+        let weights = match &mut self.causal {
+            Some(cw) => {
+                let mut r2: Vec<f64> = ctx
+                    .g
+                    .value(residuals[0])
+                    .data()
+                    .iter()
+                    .map(|r| r * r)
+                    .collect();
+                for &r in &residuals[1..] {
+                    for (acc, v) in r2.iter_mut().zip(ctx.g.value(r).data()) {
+                        *acc += v * v;
+                    }
+                }
+                cw.update(&r2);
+                Some(ctx.g.constant(Tensor::column(&cw.point_weights())))
+            }
+            None => None,
+        };
+        let mut lpde = loss::residual_mse(ctx.g, residuals[0], weights);
         for &r in &residuals[1..] {
-            let l = loss::residual_mse(ctx.g, r, None);
+            let l = loss::residual_mse(ctx.g, r, weights);
             lpde = ctx.g.add(lpde, l);
         }
         drop(residual_span);
@@ -268,6 +422,10 @@ impl PinnTask for ZooTask {
             };
             terms.push((self.cond_weight, l));
             components.push((cond.name, l));
+        }
+        if let Some(l) = self.conservation_loss(ctx) {
+            terms.push((CONSERVATION_WEIGHT, l));
+            components.push(("conservation", l));
         }
         loss::publish_components(ctx.g, &components);
         loss::total_loss(ctx.g, &terms)
@@ -335,5 +493,205 @@ mod tests {
             ZooTask::from_key("not-a-pde", &ZooTaskConfig::quick(), &mut params, &mut rng)
                 .is_err()
         );
+    }
+
+    fn built_loss(task: &mut ZooTask, params: &ParamSet) -> (usize, f64) {
+        let mut g = qpinn_autodiff::Graph::new();
+        let mut ctx = GraphCtx::new(&mut g, params);
+        let l = task.build_loss(&mut ctx);
+        (g.len(), g.value(l).item())
+    }
+
+    fn wave_task(key: &str, cfg: &ZooTaskConfig, seed: u64) -> (ZooTask, ParamSet) {
+        let problem = lookup(key).unwrap();
+        let c = problem.coords();
+        let net = FieldNetConfig::standard_wave(c[0].span(), c[1].span(), 12, 2);
+        let mut params = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let task = ZooTask::new(problem, &net, cfg, &mut params, &mut rng);
+        (task, params)
+    }
+
+    #[test]
+    fn options_off_build_the_same_tape_as_before_they_existed() {
+        // Tape length and initial loss of every registered family at the
+        // quick preset, recorded before the causal and conservation
+        // options were added to the task.
+        let want: [(&str, usize, f64); 10] = [
+            ("convection-diffusion", 197, 7.0623103909851785e0),
+            ("eigen-harmonic", 86, 1.4480852970212817e2),
+            ("gray-scott", 213, 5.992387866678013e0),
+            ("helmholtz", 91, 7.076041602447565e3),
+            ("klein-gordon", 338, 7.270294203833001e0),
+            ("nls-soliton", 219, 1.824416357202369e0),
+            ("tdse-free", 210, 1.7982944924454842e0),
+            ("tdse-harmonic", 210, 1.710612480006614e2),
+            ("tdse2d-free", 332, 1.416744698626946e0),
+            ("wave", 337, 7.0768810159815585e0),
+        ];
+        assert_eq!(qpinn_problems::keys().len(), want.len());
+        for (key, len, loss) in want {
+            let mut params = ParamSet::new();
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut task =
+                ZooTask::from_key(key, &ZooTaskConfig::quick(), &mut params, &mut rng).unwrap();
+            let (n, l) = built_loss(&mut task, &params);
+            assert_eq!(n, len, "{key}: tape length");
+            assert_eq!(l.to_bits(), loss.to_bits(), "{key}: loss {l:e}");
+        }
+    }
+
+    #[test]
+    fn options_add_terms_to_the_tape() {
+        let (mut task, params) = wave_task("tdse-free", &ZooTaskConfig::quick(), 1);
+        let (base_len, _) = built_loss(&mut task, &params);
+        for (causal, conservation) in [(true, false), (false, true), (true, true)] {
+            let cfg = ZooTaskConfig {
+                causal,
+                conservation,
+                ..ZooTaskConfig::quick()
+            };
+            let (mut task, params) = wave_task("tdse-free", &cfg, 1);
+            let (n, l) = built_loss(&mut task, &params);
+            assert!(
+                n > base_len,
+                "causal={causal} conservation={conservation}: {n}"
+            );
+            assert!(l.is_finite());
+        }
+    }
+
+    #[test]
+    fn causal_weights_lie_in_unit_interval_and_do_not_increase_in_time() {
+        let cfg = ZooTaskConfig {
+            causal: true,
+            ..ZooTaskConfig::quick()
+        };
+        let (mut task, params) = wave_task("tdse-free", &cfg, 2);
+        // Construction starts fully open; one loss build updates the
+        // weights from the untrained net's residuals.
+        let cw = task.causal.as_ref().unwrap();
+        assert!(cw.point_weights().iter().all(|&w| w == 1.0));
+        built_loss(&mut task, &params);
+        let w = task.causal.as_ref().unwrap().point_weights();
+        let mut by_time: Vec<(f64, f64)> = task.points.iter().map(|p| p[1]).zip(w).collect();
+        by_time.sort_by(|a, b| a.0.total_cmp(&b.0));
+        assert!(
+            by_time.iter().all(|&(_, w)| w > 0.0 && w <= 1.0),
+            "{by_time:?}"
+        );
+        assert!(
+            by_time.windows(2).all(|p| p[1].1 <= p[0].1),
+            "weights rise in time"
+        );
+        assert!(by_time.last().unwrap().1 < 1.0, "late bins should be gated");
+    }
+
+    #[test]
+    fn conservation_grid_is_eight_slices_of_the_spatial_lattice() {
+        let cfg = ZooTaskConfig {
+            conservation: true,
+            ..ZooTaskConfig::quick()
+        };
+        let (task, _) = wave_task("tdse-free", &cfg, 3);
+        let cons = task.conservation.as_ref().unwrap();
+        assert_eq!((cons.per_slice, cons.cols[0].len()), (64, 8 * 64));
+        assert_eq!(cons.measure, 12.0);
+        let t = cons.cols[1].data();
+        assert_eq!((t[0], t[63], t[64], t[511]), (0.125, 0.125, 0.25, 1.0));
+
+        let mut params = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        let task = ZooTask::from_key("tdse2d-free", &cfg, &mut params, &mut rng).unwrap();
+        let cons = task.conservation.as_ref().unwrap();
+        assert_eq!(
+            (cons.per_slice, cons.measure, cons.target),
+            (256, 100.0, 1.0)
+        );
+    }
+
+    #[test]
+    fn conservation_term_vanishes_exactly_at_the_target_norm() {
+        // A constant-output net (raw coordinates, zero weights) predicts
+        // ψ ≡ a + 0i, so every slice integrates to a²·L.
+        let cfg = ZooTaskConfig {
+            conservation: true,
+            ..ZooTaskConfig::quick()
+        };
+        let term = |amplitude_scale: f64| {
+            let mut params = ParamSet::new();
+            let mut rng = StdRng::seed_from_u64(4);
+            let net = FieldNetConfig::plain(2, 8, 1, 2);
+            let problem = lookup("tdse-free").unwrap();
+            let task = ZooTask::new(problem, &net, &cfg, &mut params, &mut rng);
+            let cons = task.conservation.as_ref().unwrap();
+            let a = amplitude_scale * (cons.target / cons.measure).sqrt();
+            for t in params.tensors_mut() {
+                t.data_mut().fill(0.0);
+            }
+            let bias = params
+                .iter()
+                .position(|(_, n, _)| n == "tdse-free.out.b")
+                .unwrap();
+            params.tensors_mut()[bias]
+                .data_mut()
+                .copy_from_slice(&[a, 0.0]);
+            let mut g = qpinn_autodiff::Graph::new();
+            let mut ctx = GraphCtx::new(&mut g, &params);
+            let l = task.conservation_loss(&mut ctx).unwrap();
+            g.value(l).item()
+        };
+        assert!(term(1.0) < 1e-24, "{}", term(1.0));
+        assert!(term(2.0) > 1.0, "{}", term(2.0));
+        assert!(term(0.5) > 0.1, "{}", term(0.5));
+    }
+
+    #[test]
+    fn gradients_reach_every_parameter_with_both_options_on() {
+        let cfg = ZooTaskConfig {
+            causal: true,
+            conservation: true,
+            ..ZooTaskConfig::quick()
+        };
+        for key in ["tdse-free", "nls-soliton"] {
+            let (mut task, params) = wave_task(key, &cfg, 5);
+            let mut g = qpinn_autodiff::Graph::new();
+            let mut ctx = GraphCtx::new(&mut g, &params);
+            let l = task.build_loss(&mut ctx);
+            assert!(ctx.g.value(l).item().is_finite());
+            let mut grads = ctx.g.backward(l);
+            let collected = ctx.collect_grads(&mut grads);
+            assert!(collected.iter().all(|t| t.all_finite()));
+            let nonzero = collected.iter().filter(|t| t.max_abs() > 0.0).count();
+            assert!(
+                nonzero >= collected.len() - 1,
+                "{key}: {nonzero}/{}",
+                collected.len()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no time coordinate")]
+    fn causal_weighting_needs_a_time_coordinate() {
+        let cfg = ZooTaskConfig {
+            causal: true,
+            ..ZooTaskConfig::quick()
+        };
+        let mut params = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(6);
+        let _ = ZooTask::from_key("helmholtz", &cfg, &mut params, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "no conserved norm")]
+    fn conservation_needs_a_conserved_norm() {
+        let cfg = ZooTaskConfig {
+            conservation: true,
+            ..ZooTaskConfig::quick()
+        };
+        let mut params = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let _ = ZooTask::from_key("gray-scott", &cfg, &mut params, &mut rng);
     }
 }

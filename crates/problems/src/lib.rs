@@ -11,6 +11,8 @@
 //! sets, reference-solver factory) and a string-keyed registry —
 //! [`lookup`]`("helmholtz")` returns a boxed definition ready for the
 //! generic trainer task, and [`keys`] enumerates everything registered.
+//! Presets without a registry key wrap into the same shape through
+//! [`zoo::tdse`], [`zoo::nls`] and [`zoo::tdse2d`].
 //!
 //! All quantum problems use natural units `ħ = m = 1`.
 

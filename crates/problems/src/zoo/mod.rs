@@ -22,6 +22,8 @@ mod klein_gordon;
 mod ported;
 mod wave;
 
+pub use ported::{nls, schrodinger_residuals, tdse, tdse2d};
+
 /// How the surrogate should treat one input coordinate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoordKind {
@@ -126,6 +128,13 @@ pub trait PdeProblem: Send + Sync {
     /// exists to catch sign/term mistakes, which show up at `O(1)`).
     fn residual_tol(&self) -> f64 {
         0.05
+    }
+    /// The conserved `∫|ψ|²` over the spatial domain, for problems whose
+    /// two outputs are the real and imaginary parts of a wavefunction
+    /// with a time-independent norm. `None` (the default) for every
+    /// family without one; a norm-conservation loss needs `Some`.
+    fn conserved_norm(&self) -> Option<f64> {
+        None
     }
 }
 

@@ -3,6 +3,11 @@
 //! the harmonic stationary eigenproblem. The underlying structs
 //! ([`TdseProblem`], [`NlsProblem`], …) stay as-is; these adapters add
 //! the tape residual, condition sets, and reference factories.
+//!
+//! The Schrödinger adapters are public through [`tdse`], [`nls`] and
+//! [`tdse2d`], so presets without a registry key (the barrier, the mild
+//! trap, the Raissi 2-soliton, the 2D harmonic packet) train through the
+//! same generic task as the registered families.
 
 use super::{
     point_column, uniform, ComplexFieldRef, Condition, CoordDef,
@@ -16,9 +21,16 @@ use qpinn_solvers::{bound_states, crank_nicolson_tdse, Field2d, Grid1d};
 
 /// Schrödinger-type residuals for `ψ = u + iv` on coordinates
 /// `(x[, y], t)`: `i ψ_t = −½∇²ψ + Vψ − g|ψ|²ψ`, split into real and
-/// imaginary columns. `t_idx` names the time coordinate; all other
-/// coordinates contribute to the Laplacian.
-fn schrodinger_residuals(
+/// imaginary columns:
+///
+/// `Re = −v_t + ½∇²u − Vu + g|ψ|²u`,
+/// `Im =  u_t + ½∇²v − Vv + g|ψ|²v`.
+///
+/// `fields` holds the `u` and `v` jets, `v_col` is the `[n, 1]` potential
+/// column (a constant, or a trainable expression for inverse problems),
+/// and `t_idx` names the time coordinate; all other coordinates
+/// contribute to the Laplacian.
+pub fn schrodinger_residuals(
     g: &mut Graph,
     fields: &[Jet],
     v_col: Var,
@@ -90,31 +102,60 @@ struct TdseZoo {
     inner: TdseProblem,
 }
 
+/// Wrap any 1D TDSE preset as a [`PdeProblem`] under `key`. The key
+/// names the surrogate's parameters; it need not be registered.
+pub fn tdse(
+    key: &'static str,
+    describe: &'static str,
+    problem: TdseProblem,
+) -> Box<dyn PdeProblem> {
+    Box::new(TdseZoo {
+        key,
+        describe,
+        inner: problem,
+    })
+}
+
 /// `tdse-free`: spreading free Gaussian packet (closed form available).
 pub(super) fn tdse_free() -> Box<dyn PdeProblem> {
-    Box::new(TdseZoo {
-        key: "tdse-free",
-        describe: "1D free-particle TDSE, spreading Gaussian packet",
-        inner: TdseProblem::free_packet(),
-    })
+    tdse(
+        "tdse-free",
+        "1D free-particle TDSE, spreading Gaussian packet",
+        TdseProblem::free_packet(),
+    )
 }
 
 /// `tdse-harmonic`: coherent state sloshing in a harmonic trap.
 pub(super) fn tdse_harmonic() -> Box<dyn PdeProblem> {
-    Box::new(TdseZoo {
-        key: "tdse-harmonic",
-        describe: "1D TDSE, coherent state in a harmonic trap",
-        inner: TdseProblem::harmonic_packet(),
-    })
+    tdse(
+        "tdse-harmonic",
+        "1D TDSE, coherent state in a harmonic trap",
+        TdseProblem::harmonic_packet(),
+    )
 }
 
 impl TdseZoo {
-    fn omega(&self) -> Option<f64> {
+    /// The trap frequency when the packet is a coherent state of it (the
+    /// only harmonic case with a closed form).
+    fn coherent_omega(&self) -> Option<f64> {
         match self.inner.potential {
-            Potential::Harmonic { omega } => Some(omega),
+            Potential::Harmonic { omega }
+                if self.inner.packet == GaussianPacket::coherent(omega, self.inner.packet.x0) =>
+            {
+                Some(omega)
+            }
             _ => None,
         }
     }
+}
+
+/// `∫|ψ₀|²dx` by a uniform `n`-point periodic quadrature.
+fn quadrature_norm(x0: f64, length: f64, n: usize, psi0: impl Fn(f64) -> Complex64) -> f64 {
+    let dens_mean: f64 = (0..n)
+        .map(|i| psi0(x0 + length * i as f64 / n as f64).norm_sqr())
+        .sum::<f64>()
+        / n as f64;
+    dens_mean * length
 }
 
 impl PdeProblem for TdseZoo {
@@ -164,9 +205,9 @@ impl PdeProblem for TdseZoo {
     }
     fn analytic(&self, point: &[f64]) -> Option<Vec<f64>> {
         let (x, t) = (point[0], point[1]);
-        let c = match self.inner.potential {
-            Potential::Free => self.inner.packet.free_evolution(x, t),
-            Potential::Harmonic { omega } => self.inner.packet.coherent_evolution(omega, x, t),
+        let c = match (self.inner.potential, self.coherent_omega()) {
+            (Potential::Free, _) => self.inner.packet.free_evolution(x, t),
+            (_, Some(omega)) => self.inner.packet.coherent_evolution(omega, x, t),
             _ => return None,
         };
         Some(vec![c.re, c.im])
@@ -198,10 +239,19 @@ impl PdeProblem for TdseZoo {
         Some(Box::new(ComplexFieldRef { field }))
     }
     fn check_method(&self) -> &'static str {
-        match self.omega() {
-            None => "analytic packet vs split-step spectral",
-            Some(_) => "coherent-state closed form vs split-step + Crank-Nicolson",
+        match (self.inner.potential, self.coherent_omega()) {
+            (Potential::Free, _) => "analytic packet vs split-step spectral",
+            (_, Some(_)) => "coherent-state closed form vs split-step + Crank-Nicolson",
+            _ => "split-step spectral vs Crank-Nicolson",
         }
+    }
+    fn conserved_norm(&self) -> Option<f64> {
+        Some(quadrature_norm(
+            self.inner.x0,
+            self.inner.length(),
+            1024,
+            |x| self.inner.initial(x),
+        ))
     }
 }
 
@@ -209,22 +259,35 @@ impl PdeProblem for TdseZoo {
 // NLS bright soliton.
 
 struct NlsZoo {
+    key: &'static str,
+    describe: &'static str,
     inner: NlsProblem,
+}
+
+/// Wrap any cubic NLS preset as a [`PdeProblem`] under `key`.
+pub fn nls(key: &'static str, describe: &'static str, problem: NlsProblem) -> Box<dyn PdeProblem> {
+    Box::new(NlsZoo {
+        key,
+        describe,
+        inner: problem,
+    })
 }
 
 /// `nls-soliton`: focusing cubic NLS single bright soliton.
 pub(super) fn nls_soliton() -> Box<dyn PdeProblem> {
-    Box::new(NlsZoo {
-        inner: NlsProblem::bright_soliton(1.0),
-    })
+    nls(
+        "nls-soliton",
+        "focusing cubic NLS, single bright soliton",
+        NlsProblem::bright_soliton(1.0),
+    )
 }
 
 impl PdeProblem for NlsZoo {
     fn key(&self) -> &'static str {
-        "nls-soliton"
+        self.key
     }
     fn describe(&self) -> &'static str {
-        "focusing cubic NLS, single bright soliton"
+        self.describe
     }
     fn coords(&self) -> Vec<CoordDef> {
         vec![
@@ -278,7 +341,19 @@ impl PdeProblem for NlsZoo {
         })
     }
     fn check_method(&self) -> &'static str {
-        "soliton closed form vs split-step spectral"
+        if self.inner.analytic(0.0, 0.0).is_some() {
+            "soliton closed form vs split-step spectral"
+        } else {
+            "split-step spectral only"
+        }
+    }
+    fn conserved_norm(&self) -> Option<f64> {
+        Some(quadrature_norm(
+            self.inner.x0,
+            self.inner.length(),
+            2048,
+            |x| self.inner.initial(x),
+        ))
     }
 }
 
@@ -286,14 +361,31 @@ impl PdeProblem for NlsZoo {
 // 2D free packet.
 
 struct Tdse2dZoo {
+    key: &'static str,
+    describe: &'static str,
     inner: Tdse2dProblem,
+}
+
+/// Wrap any 2D TDSE preset as a [`PdeProblem`] under `key`.
+pub fn tdse2d(
+    key: &'static str,
+    describe: &'static str,
+    problem: Tdse2dProblem,
+) -> Box<dyn PdeProblem> {
+    Box::new(Tdse2dZoo {
+        key,
+        describe,
+        inner: problem,
+    })
 }
 
 /// `tdse2d-free`: separable free 2D Gaussian packet.
 pub(super) fn tdse2d_free() -> Box<dyn PdeProblem> {
-    Box::new(Tdse2dZoo {
-        inner: Tdse2dProblem::free_packet_2d(),
-    })
+    tdse2d(
+        "tdse2d-free",
+        "2D free-particle TDSE, separable spreading packet",
+        Tdse2dProblem::free_packet_2d(),
+    )
 }
 
 impl Tdse2dZoo {
@@ -326,10 +418,10 @@ impl RefSolution for Field2dRef {
 
 impl PdeProblem for Tdse2dZoo {
     fn key(&self) -> &'static str {
-        "tdse2d-free"
+        self.key
     }
     fn describe(&self) -> &'static str {
-        "2D free-particle TDSE, separable spreading packet"
+        self.describe
     }
     fn coords(&self) -> Vec<CoordDef> {
         vec![
@@ -403,7 +495,14 @@ impl PdeProblem for Tdse2dZoo {
         })
     }
     fn check_method(&self) -> &'static str {
-        "separable packet closed form vs 2D split-step"
+        match self.inner.potential {
+            crate::Potential2d::Free => "separable packet closed form vs 2D split-step",
+            _ => "2D split-step spectral only",
+        }
+    }
+    fn conserved_norm(&self) -> Option<f64> {
+        // The initial packet is normalized.
+        Some(1.0)
     }
 }
 
@@ -520,5 +619,166 @@ impl PdeProblem for EigenZoo {
     }
     fn residual_tol(&self) -> f64 {
         0.02
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qpinn_tensor::Tensor;
+
+    fn col(g: &mut Graph, v: &[f64]) -> Var {
+        g.constant(Tensor::column(v))
+    }
+
+    /// A jet over `(x, t)` from hand-computed value, first and second
+    /// x-derivative and t-derivative columns (`∂²/∂t²` is not used by the
+    /// residual and is left zero).
+    fn jet(g: &mut Graph, v: &[f64], dx: &[f64], dt: &[f64], dxx: &[f64]) -> Jet {
+        let zero = vec![0.0; v.len()];
+        Jet {
+            v: col(g, v),
+            d: vec![col(g, dx), col(g, dt)],
+            dd: vec![col(g, dxx), col(g, &zero)],
+        }
+    }
+
+    fn map(n: usize, f: impl Fn(usize) -> f64) -> Vec<f64> {
+        (0..n).map(f).collect()
+    }
+
+    #[test]
+    fn plane_wave_solves_free_tdse_when_dispersion_matches() {
+        // ψ = e^{i(kx − ωt)} with ω = k²/2 solves the free TDSE:
+        // u = cos(kx − ωt), v = sin(kx − ωt).
+        let k = 2.0f64;
+        let w = 0.5 * k * k;
+        let xs = [0.3, 1.0, -0.7];
+        let ts = [0.2, 0.6, 0.9];
+        let n = xs.len();
+        let ph: Vec<f64> = (0..n).map(|i| k * xs[i] - w * ts[i]).collect();
+        let mut g = Graph::new();
+        let u = jet(
+            &mut g,
+            &map(n, |i| ph[i].cos()),
+            &map(n, |i| -k * ph[i].sin()),
+            &map(n, |i| w * ph[i].sin()),
+            &map(n, |i| -k * k * ph[i].cos()),
+        );
+        let v = jet(
+            &mut g,
+            &map(n, |i| ph[i].sin()),
+            &map(n, |i| k * ph[i].cos()),
+            &map(n, |i| -w * ph[i].cos()),
+            &map(n, |i| -k * k * ph[i].sin()),
+        );
+        let v_col = col(&mut g, &vec![0.0; n]);
+        let r = schrodinger_residuals(&mut g, &[u, v], v_col, 0.0, 1);
+        assert_eq!(r.len(), 2);
+        for c in r {
+            assert!(g.value(c).max_abs() < 1e-12, "{:?}", g.value(c));
+        }
+    }
+
+    #[test]
+    fn standing_wave_residual_matches_hand_computation() {
+        // u = sin(kx)cos(ωt), v = cos(kx)sin(ωt), V = 0:
+        // Re = −v_t + ½u_xx = −ω cos kx cos ωt − ½k² sin kx cos ωt,
+        // Im =  u_t + ½v_xx = −ω sin kx sin ωt − ½k² cos kx sin ωt.
+        let (k, w) = (1.3f64, 0.9f64);
+        let xs = [0.4f64, -1.1];
+        let ts = [0.25f64, 0.8];
+        let n = xs.len();
+        let (s, c) = (|i: usize| (k * xs[i]).sin(), |i: usize| (k * xs[i]).cos());
+        let (st, ct) = (|i: usize| (w * ts[i]).sin(), |i: usize| (w * ts[i]).cos());
+        let mut g = Graph::new();
+        let u = jet(
+            &mut g,
+            &map(n, |i| s(i) * ct(i)),
+            &map(n, |i| k * c(i) * ct(i)),
+            &map(n, |i| -w * s(i) * st(i)),
+            &map(n, |i| -k * k * s(i) * ct(i)),
+        );
+        let v = jet(
+            &mut g,
+            &map(n, |i| c(i) * st(i)),
+            &map(n, |i| -k * s(i) * st(i)),
+            &map(n, |i| w * c(i) * ct(i)),
+            &map(n, |i| -k * k * c(i) * st(i)),
+        );
+        let v_col = col(&mut g, &[0.0; 2]);
+        let r = schrodinger_residuals(&mut g, &[u, v], v_col, 0.0, 1);
+        for i in 0..n {
+            let re = -w * c(i) * ct(i) - 0.5 * k * k * s(i) * ct(i);
+            let im = -w * s(i) * st(i) - 0.5 * k * k * c(i) * st(i);
+            assert!((g.value(r[0]).data()[i] - re).abs() < 1e-12, "Re[{i}]");
+            assert!((g.value(r[1]).data()[i] - im).abs() < 1e-12, "Im[{i}]");
+        }
+    }
+
+    #[test]
+    fn nls_soliton_residual_vanishes() {
+        // q = a sech(ax) e^{i a² t/2} solves i q_t + ½q_xx + |q|²q = 0:
+        // u = s cos φ, v = s sin φ with s = a sech(ax), φ = a²t/2, and
+        // s'' = a³(sech − 2 sech³)(ax).
+        let a = 1.4f64;
+        let xs = [0.0, 0.6, -1.2];
+        let ts = [0.1, 0.5, 0.9];
+        let n = xs.len();
+        let sech = |x: f64| 1.0 / (a * x).cosh();
+        let sv = map(n, |i| a * sech(xs[i]));
+        let sx = map(n, |i| -a * a * sech(xs[i]) * (a * xs[i]).tanh());
+        let sxx = map(n, |i| a * a * a * (sech(xs[i]) - 2.0 * sech(xs[i]).powi(3)));
+        let phi = map(n, |i| 0.5 * a * a * ts[i]);
+        let mut g = Graph::new();
+        let u = jet(
+            &mut g,
+            &map(n, |i| sv[i] * phi[i].cos()),
+            &map(n, |i| sx[i] * phi[i].cos()),
+            &map(n, |i| -0.5 * a * a * sv[i] * phi[i].sin()),
+            &map(n, |i| sxx[i] * phi[i].cos()),
+        );
+        let v = jet(
+            &mut g,
+            &map(n, |i| sv[i] * phi[i].sin()),
+            &map(n, |i| sx[i] * phi[i].sin()),
+            &map(n, |i| 0.5 * a * a * sv[i] * phi[i].cos()),
+            &map(n, |i| sxx[i] * phi[i].sin()),
+        );
+        let v_col = col(&mut g, &vec![0.0; n]);
+        let r = schrodinger_residuals(&mut g, &[u, v], v_col, 1.0, 1);
+        for c in r {
+            assert!(g.value(c).max_abs() < 1e-12, "{:?}", g.value(c));
+        }
+    }
+
+    #[test]
+    fn wrapped_presets_keep_their_keys_and_conserved_norms() {
+        let barrier = tdse("tdse-barrier", "barrier", TdseProblem::barrier_scattering());
+        assert_eq!(barrier.key(), "tdse-barrier");
+        // The normalized packet sits well inside the box: ∫|ψ₀|² ≈ 1.
+        let n0 = barrier.conserved_norm().unwrap();
+        assert!((n0 - 1.0).abs() < 1e-9, "{n0}");
+        // No closed form for the barrier, nor for a harmonic packet that
+        // is not a coherent state of its trap.
+        assert!(barrier.analytic(&[0.0, 0.5]).is_none());
+        let mild = tdse("tdse-mild", "mild", TdseProblem::mild_harmonic());
+        assert!(mild.analytic(&[0.0, 0.5]).is_none());
+        assert!(super::super::lookup("tdse-harmonic")
+            .unwrap()
+            .analytic(&[0.0, 0.5])
+            .is_some());
+        // The Raissi bound state carries ∫|2 sech x|² = 8 (to the box edge).
+        let raissi = nls("nls-raissi", "raissi", NlsProblem::raissi_benchmark());
+        assert_eq!(raissi.key(), "nls-raissi");
+        assert!(raissi.analytic(&[0.0, 0.5]).is_none());
+        assert!((raissi.conserved_norm().unwrap() - 8.0).abs() < 1e-3);
+        let trap2d = tdse2d(
+            "tdse2d-harmonic",
+            "trap",
+            Tdse2dProblem::harmonic_packet_2d(),
+        );
+        assert_eq!(trap2d.conserved_norm(), Some(1.0));
+        assert!(trap2d.analytic(&[0.0, 0.0, 0.5]).is_none());
     }
 }

@@ -14,12 +14,12 @@
 use crate::registry::{ModelRegistry, RegistryError};
 use crate::spec::ModelSpec;
 use qpinn_core::report::Json;
-use qpinn_core::task::{net_config_for, TdseTask, TdseTaskConfig, ZooTask, ZooTaskConfig};
+use qpinn_core::task::{net_config_for, ZooTask, ZooTaskConfig};
 use qpinn_core::trainer::{Progress, ProgressHook, TrainConfig, TrainLog, Trainer};
 use qpinn_nn::ParamSet;
 use qpinn_optim::LrSchedule;
 use qpinn_persist::TrainLogRecord;
-use qpinn_problems::TdseProblem;
+use qpinn_problems::{zoo, PdeProblem, TdseProblem};
 use qpinn_telemetry::{names, TraceCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,9 +32,9 @@ use std::sync::{Arc, Mutex};
 pub struct TrainRequest {
     /// Registry id to publish under (required).
     pub model_id: String,
-    /// Problem: a legacy TDSE preset (`free`, `harmonic`, `mild-harmonic`,
-    /// `barrier`) or any key from the `qpinn-problems` registry
-    /// (`helmholtz`, `gray-scott`, …).
+    /// Problem: a legacy TDSE preset name (`free`, `harmonic`,
+    /// `mild-harmonic`, `barrier`) or any key from the `qpinn-problems`
+    /// registry (`helmholtz`, `gray-scott`, …); see [`job_problem`].
     pub problem: String,
     /// Hidden-layer width.
     pub width: usize,
@@ -97,57 +97,45 @@ impl TrainRequest {
         if req.epochs > 100_000 || req.width > 512 || req.n_collocation > 65_536 {
             return Err("train request exceeds serving limits".into());
         }
-        job_kind(&req.problem)?;
+        if !(req.lr.is_finite() && req.lr > 0.0) {
+            return Err("field `lr` must be a positive finite number".into());
+        }
+        job_problem(&req.problem)?;
         Ok(req)
     }
 }
 
-/// What a train job will actually run: a legacy TDSE preset or a problem
-/// from the `qpinn-problems` registry.
-pub enum JobKind {
-    /// One of the original TDSE presets, trained through [`TdseTask`].
-    Legacy(TdseProblem),
-    /// A registry family, trained through the generic [`ZooTask`].
-    Zoo(Box<dyn qpinn_problems::PdeProblem>),
-}
-
-/// Resolve a problem name: legacy presets first, then the registry.
-pub fn job_kind(name: &str) -> Result<JobKind, String> {
-    match name {
-        "free" => Ok(JobKind::Legacy(TdseProblem::free_packet())),
-        "harmonic" => Ok(JobKind::Legacy(TdseProblem::harmonic_packet())),
-        "mild-harmonic" => Ok(JobKind::Legacy(TdseProblem::mild_harmonic())),
-        "barrier" => Ok(JobKind::Legacy(TdseProblem::barrier_scattering())),
-        other => qpinn_problems::lookup(other)
-            .map(JobKind::Zoo)
-            .map_err(|e| format!("{e} (or a legacy preset free|harmonic|mild-harmonic|barrier)")),
-    }
-}
-
-/// Build the task config a legacy serve job trains with: the standard
-/// architecture, scaled-down sampling/reference grids so submissions
-/// finish interactively. Public so tests can train the *identical*
-/// config in-process and compare bit-for-bit.
-pub fn job_task_config(req: &TrainRequest) -> Result<(TdseProblem, TdseTaskConfig), String> {
-    let problem = match job_kind(&req.problem)? {
-        JobKind::Legacy(p) => p,
-        JobKind::Zoo(p) => {
-            return Err(format!(
-                "`{}` is a registry problem; use job_zoo_config",
-                p.key()
+/// Resolve a problem name to what a job trains. The legacy TDSE preset
+/// names map onto the Schrödinger adapters: `free` and `harmonic` to the
+/// `tdse-free` and `tdse-harmonic` registry keys, `mild-harmonic` and
+/// `barrier` to unregistered presets. Any other name is a registry key.
+pub fn job_problem(name: &str) -> Result<Box<dyn PdeProblem>, String> {
+    let key = match name {
+        "free" => "tdse-free",
+        "harmonic" => "tdse-harmonic",
+        "mild-harmonic" => {
+            return Ok(zoo::tdse(
+                "tdse-mild-harmonic",
+                "1D TDSE, displaced packet in a soft harmonic trap",
+                TdseProblem::mild_harmonic(),
             ))
         }
+        "barrier" => {
+            return Ok(zoo::tdse(
+                "tdse-barrier",
+                "1D TDSE, moving packet scattering off a smooth barrier",
+                TdseProblem::barrier_scattering(),
+            ))
+        }
+        other => other,
     };
-    let mut cfg = TdseTaskConfig::standard(&problem, req.width, req.depth);
-    cfg.n_collocation = req.n_collocation;
-    cfg.reference = (128, 200, 16);
-    cfg.eval_grid = (32, 12);
-    Ok((problem, cfg))
+    qpinn_problems::lookup(key)
+        .map_err(|e| format!("{e} (or a legacy preset free|harmonic|mild-harmonic|barrier)"))
 }
 
-/// The [`ZooTaskConfig`] a registry-problem serve job trains with:
-/// quick-fidelity reference and the request's width/depth/collocation.
-/// Public for the in-process bit-exactness tests.
+/// The [`ZooTaskConfig`] every serve job trains with: quick-fidelity
+/// reference and the request's width/depth/collocation. Public for the
+/// in-process bit-exactness tests.
 pub fn job_zoo_config(req: &TrainRequest) -> ZooTaskConfig {
     let mut cfg = ZooTaskConfig::quick();
     cfg.width = req.width;
@@ -384,35 +372,20 @@ fn run_job(
         let mut rng = StdRng::seed_from_u64(req.seed);
         let mut train_cfg = job_train_config(&req, Some(hook));
         train_cfg.run = run;
-        let trainer = Trainer::new(train_cfg);
-        match job_kind(&req.problem)? {
-            JobKind::Legacy(problem) => {
-                let (_, cfg) = job_task_config(&req)?;
-                let spec = ModelSpec {
-                    name: "tdse".into(),
-                    seed: req.seed,
-                    net: cfg.net.clone(),
-                    problem: req.problem.clone(),
-                };
-                let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
-                let log = trainer.train(&mut task, &mut params);
-                Ok::<_, String>((spec, params, log))
-            }
-            JobKind::Zoo(problem) => {
-                let cfg = job_zoo_config(&req);
-                let spec = ModelSpec {
-                    // ZooTask registers parameters under the problem key,
-                    // so a spec rebuild with the same name replays it.
-                    name: problem.key().to_string(),
-                    seed: req.seed,
-                    net: net_config_for(problem.as_ref(), &cfg),
-                    problem: req.problem.clone(),
-                };
-                let mut task = ZooTask::new(problem, &cfg, &mut params, &mut rng);
-                let log = trainer.train(&mut task, &mut params);
-                Ok::<_, String>((spec, params, log))
-            }
-        }
+        let problem = job_problem(&req.problem)?;
+        let cfg = job_zoo_config(&req);
+        let net = net_config_for(problem.as_ref(), &cfg);
+        let spec = ModelSpec {
+            // ZooTask registers parameters under the problem key, so a
+            // spec rebuild with the same name replays it.
+            name: problem.key().to_string(),
+            seed: req.seed,
+            net: net.clone(),
+            problem: req.problem.clone(),
+        };
+        let mut task = ZooTask::new(problem, &net, &cfg, &mut params, &mut rng);
+        let log = Trainer::new(train_cfg).train(&mut task, &mut params);
+        Ok::<_, String>((spec, params, log))
     }));
     let (spec, params, log) = match trained {
         Ok(Ok(t)) => t,
@@ -500,6 +473,15 @@ mod tests {
             &Json::parse(r#"{"model_id":"m","width":1e9}"#).unwrap()
         )
         .is_err());
+        // A learning rate must be positive and finite (1e999 parses to +inf).
+        for lr in ["-1", "0", "1e999"] {
+            let body = format!(r#"{{"model_id":"m","lr":{lr}}}"#);
+            let err = TrainRequest::from_json(&Json::parse(&body).unwrap()).unwrap_err();
+            assert!(err.contains("lr"), "lr {lr}: {err}");
+        }
+        let req = TrainRequest::from_json(&Json::parse(r#"{"model_id":"m","lr":0.01}"#).unwrap())
+            .unwrap();
+        assert_eq!(req.lr, 0.01);
     }
 
     #[test]

@@ -7,30 +7,32 @@
 //! cargo run --release --example nls_soliton
 //! ```
 
-use qpinn::core::task::{NlsTask, NlsTaskConfig};
 use qpinn::core::trainer::Trainer;
-use qpinn::core::TrainConfig;
+use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::NlsProblem;
+use qpinn::problems::{lookup, NlsProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
-    let a = 1.0;
-    let problem = NlsProblem::bright_soliton(a);
+    // The registry's `nls-soliton` is the a = 1 soliton.
+    let problem = NlsProblem::bright_soliton(1.0);
     println!(
         "problem: {} on [{}, {}] × [0, {}]",
         problem.name, problem.x0, problem.x1, problem.t_end
     );
 
-    let mut cfg = NlsTaskConfig::standard(&problem, 24, 3);
-    cfg.n_collocation = 512;
-    cfg.reference = (256, 800, 32);
-    cfg.eval_grid = (64, 24);
-
+    let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, 24, 3);
+    let cfg = ZooTaskConfig {
+        n_collocation: 512,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::standard()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(7);
-    let mut task = NlsTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+    let registered = lookup("nls-soliton").expect("registered problem");
+    let mut task = ZooTask::new(registered, &net, &cfg, &mut params, &mut rng);
 
     let log = Trainer::new(TrainConfig {
         epochs: 500,

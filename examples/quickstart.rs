@@ -5,33 +5,40 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qpinn::core::task::{TdseTask, TdseTaskConfig};
 use qpinn::core::trainer::Trainer;
-use qpinn::core::TrainConfig;
+use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::TdseProblem;
+use qpinn::problems::lookup;
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
-    // 1. Pick a benchmark problem: a Gaussian packet spreading in a
-    //    periodic box under i ψ_t = −½ ψ_xx.
-    let problem = TdseProblem::free_packet();
+    // 1. Pick a benchmark problem from the registry: a Gaussian packet
+    //    spreading in a periodic box under i ψ_t = −½ ψ_xx.
+    let problem = lookup("tdse-free").expect("registered problem");
+    let coords = problem.coords();
+    let (x, t) = (&coords[0], &coords[1]);
     println!(
         "problem: {} on [{}, {}] × [0, {}]",
-        problem.name, problem.x0, problem.x1, problem.t_end
+        problem.key(),
+        x.lo,
+        x.hi,
+        t.hi
     );
 
-    // 2. Configure the task: network architecture, collocation budget,
-    //    loss weights (conservation + causal weighting on by default).
-    let mut cfg = TdseTaskConfig::standard(&problem, 24, 3);
-    cfg.n_collocation = 512;
-    cfg.reference = (256, 400, 32);
-    cfg.eval_grid = (64, 24);
-
+    // 2. Configure the task: network architecture (periodic x, learned-
+    //    period t, random Fourier features), collocation budget, and the
+    //    causal curriculum plus the norm-conservation loss.
+    let net = FieldNetConfig::standard_wave(x.span(), t.span(), 24, 3);
+    let cfg = ZooTaskConfig {
+        n_collocation: 512,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::standard()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(42);
-    let mut task = TdseTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+    let mut task = ZooTask::new(problem, &net, &cfg, &mut params, &mut rng);
     println!("trainable parameters: {}", params.n_scalars());
 
     // 3. Train with Adam (step-decayed learning rate).
@@ -67,13 +74,14 @@ fn main() {
     );
 
     // 5. Inspect the solution: |ψ| along x at the final time.
-    let t = problem.t_end;
+    let t = t.hi;
     println!("\n|ψ(x, t={t})|  (PINN vs reference)");
     for i in 0..13 {
-        let x = problem.x0 + problem.length() * i as f64 / 12.0;
+        let x = x.lo + x.span() * i as f64 / 12.0;
         let pred = task.net().predict(&params, &[vec![x, t]]);
         let pm = (pred.get(&[0, 0]).powi(2) + pred.get(&[0, 1]).powi(2)).sqrt();
-        let rm = task.reference().sample(x, t).abs();
+        let r = task.reference().sample(&[x, t]);
+        let rm = r[0].hypot(r[1]);
         let bar = "#".repeat((pm * 40.0) as usize);
         println!("x={x:+5.2}  pinn={pm:.4}  ref={rm:.4}  {bar}");
     }

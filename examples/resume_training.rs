@@ -6,13 +6,12 @@
 //! cargo run --release --example resume_training
 //! ```
 
-use qpinn::core::task::{TdseTask, TdseTaskConfig};
 use qpinn::core::trainer::{CheckpointConfig, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
 use qpinn::persist::SnapshotStore;
-use qpinn::problems::TdseProblem;
+use qpinn::problems::{lookup, TdseProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 const EPOCHS: usize = 300;
@@ -41,15 +40,25 @@ fn config(ckpt_dir: &std::path::Path) -> TrainConfig {
     }
 }
 
-fn fresh_task() -> (TdseTask, ParamSet) {
+fn fresh_task() -> (ZooTask, ParamSet) {
     let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 16, 2);
-    cfg.n_collocation = 256;
-    cfg.reference = (128, 200, 16);
-    cfg.eval_grid = (32, 12);
+    let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, 16, 2);
+    let cfg = ZooTaskConfig {
+        n_collocation: 256,
+        n_condition: 256,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(42);
-    let task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let task = ZooTask::new(
+        lookup("tdse-free").expect("registered problem"),
+        &net,
+        &cfg,
+        &mut params,
+        &mut rng,
+    );
     (task, params)
 }
 

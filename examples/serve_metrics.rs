@@ -12,13 +12,11 @@
 //! This example binds port 0 (a free port) so it can run unattended and
 //! scrapes itself at the end to show the responses.
 
-use qpinn::core::task::{TdseTask, TdseTaskConfig};
 use qpinn::core::trainer::Trainer;
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::obs::MetricsServer;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::TdseProblem;
 use rand::{rngs::StdRng, SeedableRng};
 use std::io::{Read, Write};
 
@@ -43,14 +41,13 @@ fn main() {
     // 2. A small training run. The explicit progress hook works even
     //    without any telemetry sinks and prints each update the server
     //    will also serve.
-    let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 16, 2);
-    cfg.n_collocation = 256;
-    cfg.reference = (128, 200, 16);
-    cfg.eval_grid = (32, 12);
+    let cfg = ZooTaskConfig {
+        n_collocation: 256,
+        ..ZooTaskConfig::quick()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(42);
-    let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let mut task = ZooTask::from_key("tdse-free", &cfg, &mut params, &mut rng).unwrap();
 
     let trainer = Trainer::new(TrainConfig {
         epochs: 200,

@@ -6,13 +6,14 @@
 //! cargo run --release --example tdse_2d
 //! ```
 
+use qpinn::core::model::RffSpec;
 use qpinn::core::report::sparkline_log;
-use qpinn::core::task::{Tdse2dTask, Tdse2dTaskConfig};
+use qpinn::core::task::net_config_for;
 use qpinn::core::trainer::Trainer;
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::Tdse2dProblem;
+use qpinn::problems::{lookup, Tdse2dProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
@@ -22,16 +23,25 @@ fn main() {
         problem.name, problem.x.0, problem.x.1, problem.t_end
     );
 
-    let mut cfg = Tdse2dTaskConfig::standard(20, 3);
-    cfg.rff_features = 20;
-    cfg.n_collocation = 512;
-    cfg.n_ic_side = 12;
-    cfg.conservation_grid = (3, 10);
-    cfg.reference = (64, 150, 8);
-    cfg.eval_grid = (16, 5);
+    // Periodic x and y, learned-period t, a 12 × 12 initial-condition
+    // lattice, and the norm-conservation loss.
+    let registered = lookup("tdse2d-free").expect("registered problem");
+    let cfg = ZooTaskConfig {
+        width: 20,
+        depth: 3,
+        n_collocation: 512,
+        n_condition: 144,
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
+    let mut net = net_config_for(registered.as_ref(), &cfg);
+    net.rff = Some(RffSpec {
+        n_features: 20,
+        sigma: 1.0,
+    });
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(5);
-    let mut task = Tdse2dTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+    let mut task = ZooTask::new(registered, &net, &cfg, &mut params, &mut rng);
     println!("trainable parameters: {}", params.n_scalars());
 
     let log = Trainer::new(TrainConfig {

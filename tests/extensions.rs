@@ -1,29 +1,36 @@
-//! Integration smoke tests for the extension features: the 2D TDSE task,
+//! Integration smoke tests for the extension features: 2D TDSE training,
 //! the inverse-problem task, and the data-reuploading quantum layer — all
 //! driven through the facade crate.
 
-use qpinn::core::task::{InverseTaskConfig, InverseTdseTask, Tdse2dTask, Tdse2dTaskConfig};
+use qpinn::core::model::RffSpec;
+use qpinn::core::task::{net_config_for, InverseTaskConfig, InverseTdseTask};
 use qpinn::core::trainer::{PinnTask, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::{GraphCtx, ParamSet};
 use qpinn::optim::LrSchedule;
-use qpinn::problems::{Tdse2dProblem, TdseProblem};
+use qpinn::problems::{lookup, Tdse2dProblem, TdseProblem};
 use qpinn::qcircuit::{Ansatz, InputScaling, QuantumLayer};
 use rand::{rngs::StdRng, SeedableRng};
 
 #[test]
 fn tdse2d_trains_and_respects_double_periodicity() {
-    let problem = Tdse2dProblem::free_packet_2d();
-    let mut cfg = Tdse2dTaskConfig::standard(10, 2);
-    cfg.rff_features = 8;
-    cfg.n_collocation = 64;
-    cfg.n_ic_side = 5;
-    cfg.conservation_grid = (2, 5);
-    cfg.reference = (32, 40, 4);
-    cfg.eval_grid = (6, 3);
+    let problem = lookup("tdse2d-free").unwrap();
+    let cfg = ZooTaskConfig {
+        width: 10,
+        depth: 2,
+        n_collocation: 64,
+        n_condition: 25,
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
+    let mut net = net_config_for(problem.as_ref(), &cfg);
+    net.rff = Some(RffSpec {
+        n_features: 8,
+        sigma: 1.0,
+    });
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(0);
-    let mut task = Tdse2dTask::new(problem, &cfg, &mut params, &mut rng);
+    let mut task = ZooTask::new(problem, &net, &cfg, &mut params, &mut rng);
     let log = Trainer::new(TrainConfig {
         epochs: 25,
         schedule: LrSchedule::Constant { lr: 3e-3 },
@@ -39,7 +46,7 @@ fn tdse2d_trains_and_respects_double_periodicity() {
     .train(&mut task, &mut params);
     assert!(log.final_loss < log.loss[0], "2D loss did not drop");
     // double periodicity survives training
-    let (lx, ly) = task.problem().lengths();
+    let (lx, ly) = Tdse2dProblem::free_packet_2d().lengths();
     let a = task.net().predict(&params, &[vec![0.3, -0.8, 0.2]]);
     let b = task
         .net()

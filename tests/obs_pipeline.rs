@@ -7,12 +7,11 @@
 //! and a finite loss, with gauges published for live scraping.
 
 use qpinn::core::report::Json;
-use qpinn::core::task::{NlsTask, NlsTaskConfig};
 use qpinn::core::trainer::{ProgressHook, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::NlsProblem;
+use qpinn::problems::{lookup, NlsProblem};
 use qpinn::telemetry;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -21,16 +20,20 @@ use std::sync::{Arc, Mutex};
 /// overlap with each other.
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
-fn tiny_nls(epochs: usize) -> (NlsTask, ParamSet, TrainConfig) {
+fn tiny_nls(epochs: usize) -> (ZooTask, ParamSet, TrainConfig) {
     let problem = NlsProblem::bright_soliton(1.0);
-    let mut cfg = NlsTaskConfig::standard(&problem, 8, 2);
-    cfg.n_collocation = 48;
-    cfg.n_ic = 16;
-    cfg.reference = (64, 100, 8);
-    cfg.eval_grid = (16, 6);
+    let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, 8, 2);
+    let cfg = ZooTaskConfig {
+        n_collocation: 48,
+        n_condition: 16,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
     let mut rng = StdRng::seed_from_u64(11);
     let mut params = ParamSet::new();
-    let task = NlsTask::new(problem, &cfg, &mut params, &mut rng);
+    let soliton = lookup("nls-soliton").unwrap();
+    let task = ZooTask::new(soliton, &net, &cfg, &mut params, &mut rng);
     let train = TrainConfig {
         epochs,
         schedule: LrSchedule::Constant { lr: 2e-3 },
@@ -106,6 +109,9 @@ fn real_training_stream_feeds_the_whole_obs_pipeline() {
 
 #[test]
 fn progress_hook_sees_monotonic_epochs_and_publishes_gauges() {
+    // Training emits spans into whatever sink is installed, so this run
+    // must not overlap the pipeline test's JSONL capture.
+    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (mut task, mut params, mut train) = tiny_nls(8);
     let seen: Arc<Mutex<Vec<(usize, f64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
     let sink = seen.clone();

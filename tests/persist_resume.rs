@@ -4,13 +4,12 @@
 //! Also exercises corruption fallback and retention through the facade.
 
 use qpinn::autodiff::Var;
-use qpinn::core::task::{TdseTask, TdseTaskConfig};
 use qpinn::core::trainer::{CheckpointConfig, PinnTask, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::{GraphCtx, ParamSet};
 use qpinn::optim::LrSchedule;
 use qpinn::persist::{RetentionPolicy, SnapshotStore};
-use qpinn::problems::TdseProblem;
+use qpinn::problems::{lookup, TdseProblem};
 use qpinn::tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::path::PathBuf;
@@ -21,17 +20,25 @@ fn test_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn tdse_fixture() -> (TdseTask, ParamSet) {
+fn tdse_fixture() -> (ZooTask, ParamSet) {
     let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 12, 2);
-    cfg.n_collocation = 96;
-    cfg.n_ic = 24;
-    cfg.conservation_grid = (2, 12);
-    cfg.reference = (128, 100, 8);
-    cfg.eval_grid = (16, 4);
+    let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, 12, 2);
+    let cfg = ZooTaskConfig {
+        n_collocation: 96,
+        n_condition: 24,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(99);
-    let task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let task = ZooTask::new(
+        lookup("tdse-free").unwrap(),
+        &net,
+        &cfg,
+        &mut params,
+        &mut rng,
+    );
     (task, params)
 }
 

@@ -6,13 +6,12 @@
 //! fails the regression gate.
 
 use qpinn::core::runs::{list_runs, load_run, RunConfig, RunRecord};
-use qpinn::core::task::{TdseTask, TdseTaskConfig};
 use qpinn::core::trainer::Trainer;
-use qpinn::core::TrainConfig;
+use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::obs::runs::{diff, regress};
 use qpinn::optim::LrSchedule;
-use qpinn::problems::TdseProblem;
+use qpinn::problems::{lookup, TdseProblem};
 use rand::{rngs::StdRng, SeedableRng};
 use std::path::{Path, PathBuf};
 
@@ -28,15 +27,18 @@ fn tmp_store(tag: &str) -> PathBuf {
 /// at a fixed thread count.
 fn train_recorded(store: &Path, seed: u64, lr: f64, epochs: usize) -> String {
     let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 12, 2);
-    cfg.n_collocation = 96;
-    cfg.n_ic = 24;
-    cfg.conservation_grid = (2, 12);
-    cfg.reference = (128, 100, 8);
-    cfg.eval_grid = (16, 4);
+    let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, 12, 2);
+    let cfg = ZooTaskConfig {
+        n_collocation: 96,
+        n_condition: 24,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let free = lookup("tdse-free").unwrap();
+    let mut task = ZooTask::new(free, &net, &cfg, &mut params, &mut rng);
     let train = TrainConfig {
         epochs,
         schedule: LrSchedule::Constant { lr },

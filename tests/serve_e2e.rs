@@ -6,8 +6,9 @@
 //! failure injection degrade the way the design promises.
 
 use qpinn::core::report::Json;
-use qpinn::core::task::TdseTask;
+use qpinn::core::task::net_config_for;
 use qpinn::core::trainer::Trainer;
+use qpinn::core::ZooTask;
 use qpinn::nn::ParamSet;
 use qpinn::serve::{BatchConfig, ServeConfig, ServeServer, TrainRequest};
 use qpinn::telemetry;
@@ -78,6 +79,19 @@ fn poll_to_completion(addr: SocketAddr, job_id: &str) -> Json {
 const TRAIN_BODY: &str = r#"{"model_id":"e2e","problem":"harmonic","width":8,"depth":1,
     "epochs":8,"seed":33,"n_collocation":48}"#;
 
+/// The training a `POST /v1/train` job with `body` runs, done in-process.
+fn train_in_process(body: &str) -> (ZooTask, ParamSet) {
+    let req = TrainRequest::from_json(&Json::parse(body).unwrap()).unwrap();
+    let problem = qpinn::serve::jobs::job_problem(&req.problem).unwrap();
+    let cfg = qpinn::serve::jobs::job_zoo_config(&req);
+    let net = net_config_for(problem.as_ref(), &cfg);
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(req.seed);
+    let mut task = ZooTask::new(problem, &net, &cfg, &mut params, &mut rng);
+    Trainer::new(qpinn::serve::jobs::job_train_config(&req, None)).train(&mut task, &mut params);
+    (task, params)
+}
+
 /// The tentpole acceptance path: train via the server, poll progress to
 /// completion, evaluate >1000 points over HTTP, and compare every f64
 /// bit-for-bit against the same trainer run in-process.
@@ -112,12 +126,7 @@ fn train_poll_eval_matches_in_process_training_bitwise() {
     // Reference: the identical training run, entirely in-process. The
     // stack is bit-deterministic at any pool width, so equality here is
     // exact, not approximate.
-    let req = TrainRequest::from_json(&Json::parse(TRAIN_BODY).unwrap()).unwrap();
-    let (problem, cfg) = qpinn::serve::jobs::job_task_config(&req).unwrap();
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(req.seed);
-    let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
-    Trainer::new(qpinn::serve::jobs::job_train_config(&req, None)).train(&mut task, &mut params);
+    let (task, params) = train_in_process(TRAIN_BODY);
 
     // 1050 points on a grid over the domain.
     let pts: Vec<(f64, f64)> = (0..1050)
@@ -398,13 +407,7 @@ fn gray_scott_trains_persists_and_serves_bit_exactly() {
     let addr = server.local_addr();
 
     // Reference: identical training entirely in-process.
-    let req = TrainRequest::from_json(&Json::parse(GS_TRAIN_BODY).unwrap()).unwrap();
-    let cfg = qpinn::serve::jobs::job_zoo_config(&req);
-    let problem = qpinn::problems::lookup(&req.problem).unwrap();
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(req.seed);
-    let mut task = qpinn::core::ZooTask::new(problem, &cfg, &mut params, &mut rng);
-    Trainer::new(qpinn::serve::jobs::job_train_config(&req, None)).train(&mut task, &mut params);
+    let (task, params) = train_in_process(GS_TRAIN_BODY);
     assert_eq!(task.net().n_fields(), 2, "gray-scott must be 2-component");
 
     // A 40×10 grid over the periodic x interval and the time horizon.

@@ -5,12 +5,11 @@
 //! whose learning rate makes the loss explode.
 
 use qpinn::core::report::Json;
-use qpinn::core::task::{NlsTask, NlsTaskConfig};
 use qpinn::core::trainer::{CheckpointConfig, DivergenceGuard, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::NlsProblem;
+use qpinn::problems::{lookup, NlsProblem};
 use qpinn::telemetry;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Mutex;
@@ -27,16 +26,20 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// A tiny NLS task + config that trains in well under a second.
-fn tiny_nls(epochs: usize) -> (NlsTask, ParamSet, TrainConfig) {
+fn tiny_nls(epochs: usize) -> (ZooTask, ParamSet, TrainConfig) {
     let problem = NlsProblem::bright_soliton(1.0);
-    let mut cfg = NlsTaskConfig::standard(&problem, 8, 2);
-    cfg.n_collocation = 48;
-    cfg.n_ic = 16;
-    cfg.reference = (64, 100, 8);
-    cfg.eval_grid = (16, 6);
+    let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, 8, 2);
+    let cfg = ZooTaskConfig {
+        n_collocation: 48,
+        n_condition: 16,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
     let mut rng = StdRng::seed_from_u64(7);
     let mut params = ParamSet::new();
-    let task = NlsTask::new(problem, &cfg, &mut params, &mut rng);
+    let soliton = lookup("nls-soliton").unwrap();
+    let task = ZooTask::new(soliton, &net, &cfg, &mut params, &mut rng);
     let train = TrainConfig {
         epochs,
         schedule: LrSchedule::Constant { lr: 2e-3 },

@@ -1,12 +1,11 @@
 //! Cross-crate integration: assemble tasks through the facade and verify
 //! that short end-to-end training genuinely improves the solution.
 
-use qpinn::core::task::{NlsTask, NlsTaskConfig, TdseTask, TdseTaskConfig};
 use qpinn::core::trainer::{PinnTask, Trainer};
-use qpinn::core::TrainConfig;
+use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::optim::LrSchedule;
-use qpinn::problems::{NlsProblem, TdseProblem};
+use qpinn::problems::{lookup, TdseProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn quick_train(epochs: usize) -> TrainConfig {
@@ -24,18 +23,33 @@ fn quick_train(epochs: usize) -> TrainConfig {
     }
 }
 
+/// A registry Schrödinger problem on the standard wave net, with the
+/// causal curriculum and the norm-conservation loss on.
+fn wave_task(
+    key: &str,
+    width: usize,
+    (n_collocation, n_condition): (usize, usize),
+    seed: u64,
+) -> (ZooTask, ParamSet) {
+    let problem = lookup(key).unwrap();
+    let c = problem.coords();
+    let net = FieldNetConfig::standard_wave(c[0].span(), c[1].span(), width, 2);
+    let cfg = ZooTaskConfig {
+        n_collocation,
+        n_condition,
+        causal: true,
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let task = ZooTask::new(problem, &net, &cfg, &mut params, &mut rng);
+    (task, params)
+}
+
 #[test]
 fn tdse_training_improves_l2_error() {
-    let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 16, 2);
-    cfg.n_collocation = 160;
-    cfg.n_ic = 48;
-    cfg.conservation_grid = (3, 16);
-    cfg.reference = (128, 200, 16);
-    cfg.eval_grid = (32, 8);
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+    let (mut task, mut params) = wave_task("tdse-free", 16, (160, 48), 11);
     let e0 = task.eval_error(&params);
     let log = Trainer::new(quick_train(150)).train(&mut task, &mut params);
     assert!(
@@ -48,16 +62,7 @@ fn tdse_training_improves_l2_error() {
 
 #[test]
 fn nls_training_improves_l2_error() {
-    let problem = NlsProblem::bright_soliton(1.0);
-    let mut cfg = NlsTaskConfig::standard(&problem, 16, 2);
-    cfg.n_collocation = 160;
-    cfg.n_ic = 48;
-    cfg.conservation_grid = (3, 16);
-    cfg.reference = (128, 400, 16);
-    cfg.eval_grid = (32, 8);
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(13);
-    let mut task = NlsTask::new(problem, &cfg, &mut params, &mut rng);
+    let (mut task, mut params) = wave_task("nls-soliton", 16, (160, 48), 13);
     let e0 = task.eval_error(&params);
     let log = Trainer::new(quick_train(150)).train(&mut task, &mut params);
     assert!(
@@ -70,16 +75,7 @@ fn nls_training_improves_l2_error() {
 #[test]
 fn training_is_deterministic_given_a_seed() {
     let run = || {
-        let problem = TdseProblem::free_packet();
-        let mut cfg = TdseTaskConfig::standard(&problem, 12, 2);
-        cfg.n_collocation = 96;
-        cfg.n_ic = 24;
-        cfg.conservation_grid = (2, 12);
-        cfg.reference = (128, 100, 8);
-        cfg.eval_grid = (16, 4);
-        let mut params = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut task = TdseTask::new(problem, &cfg, &mut params, &mut rng);
+        let (mut task, mut params) = wave_task("tdse-free", 12, (96, 24), 99);
         let log = Trainer::new(quick_train(30)).train(&mut task, &mut params);
         (log.final_loss, params.flatten())
     };
@@ -94,17 +90,9 @@ fn ic_fit_dominates_early_training() {
     // After a short run the network must already match the initial
     // condition far better than a random net does.
     let problem = TdseProblem::free_packet();
-    let mut cfg = TdseTaskConfig::standard(&problem, 16, 2);
-    cfg.n_collocation = 128;
-    cfg.n_ic = 64;
-    cfg.conservation_grid = (2, 16);
-    cfg.reference = (128, 100, 8);
-    cfg.eval_grid = (16, 4);
-    let mut params = ParamSet::new();
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut task = TdseTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+    let (mut task, mut params) = wave_task("tdse-free", 16, (128, 64), 5);
 
-    let ic_mse = |params: &ParamSet, task: &TdseTask| -> f64 {
+    let ic_mse = |params: &ParamSet, task: &ZooTask| -> f64 {
         let mut s = 0.0;
         let n = 32;
         for i in 0..n {
