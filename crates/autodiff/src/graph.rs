@@ -1,6 +1,6 @@
 //! The tape: eagerly evaluated ops, reverse-mode gradient accumulation.
 
-use qpinn_tensor::{pool, FusedAct, Tensor};
+use qpinn_tensor::{pool, Tensor};
 
 /// Handle to a node on a [`Graph`]. Cheap to copy; only meaningful for the
 /// graph that created it.
@@ -39,15 +39,34 @@ enum Op {
     AddBias(usize, usize),
     Tanh(usize),
     OneMinusSquare(usize),
-    Affine {
+    /// Dense layer over a jet stack of `blocks` row blocks, the bias on
+    /// the value block only.
+    JetAffine {
         x: usize,
         w: usize,
-        b: usize,
+        b: Option<usize>,
+        blocks: usize,
     },
-    AffineTanh {
+    /// Tanh over a jet stack with `k` coordinates.
+    JetTanh {
         x: usize,
-        w: usize,
-        b: usize,
+        k: usize,
+    },
+    /// Sine over a jet stack, with `cos` of its value block saved.
+    JetSin {
+        x: usize,
+        k: usize,
+        cos: Tensor,
+    },
+    /// Sine and cosine jets of a stack, side by side.
+    JetSinCos {
+        x: usize,
+        k: usize,
+    },
+    /// Rows `[r0, r0 + rows)` of a rank-2 node.
+    RowBlock {
+        a: usize,
+        r0: usize,
     },
     Sin(usize),
     Cos(usize),
@@ -77,9 +96,24 @@ struct Node {
 
 /// A define-by-run tape. Values are computed eagerly as ops are recorded;
 /// [`Graph::backward`] produces gradients in one reverse sweep.
+///
+/// Dropping a tape hands every node value (and any tensor an op saved for
+/// its backward pass) back to the buffer pool, so the next tape built on
+/// this thread — the next training epoch — reuses the storage.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+}
+
+impl Drop for Graph {
+    fn drop(&mut self) {
+        for node in self.nodes.drain(..) {
+            if let Op::JetSin { cos, .. } = node.op {
+                pool::recycle(cos);
+            }
+            pool::recycle(node.value);
+        }
+    }
 }
 
 /// Gradients produced by [`Graph::backward`], indexed by [`Var`].
@@ -150,6 +184,13 @@ impl Graph {
     /// The forward value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
+    }
+
+    /// Consume the tape and keep one node's value; the rest of the tape
+    /// returns to the buffer pool. Moving the value out, rather than
+    /// cloning it, keeps a pooled buffer from leaving with the result.
+    pub fn into_value(mut self, v: Var) -> Tensor {
+        std::mem::replace(&mut self.nodes[v.0].value, Tensor::from_vec([0], Vec::new()))
     }
 
     // ----- arithmetic -----
@@ -226,55 +267,6 @@ impl Graph {
         self.push(Op::Tanh(a.0), v, ng)
     }
 
-    /// `tanh a` and `1 − tanh²a` as two nodes sharing one fused forward
-    /// sweep ([`Tensor::tanh_with_deriv`]). The derivative node is recorded
-    /// as `OneMinusSquare` of the tanh node, so second-order (gradient of
-    /// gradient) flows through the tape unchanged.
-    pub fn tanh_with_deriv(&mut self, a: Var) -> (Var, Var) {
-        let (t, d) = self.value(a).tanh_with_deriv();
-        let ng = self.ng(a.0);
-        let tv = self.push(Op::Tanh(a.0), t, ng);
-        let dv = self.push(Op::OneMinusSquare(tv.0), d, ng);
-        (tv, dv)
-    }
-
-    /// Fused affine layer `x · w + b` (bias broadcast over rows), one kernel
-    /// and one output allocation instead of the `matmul` → `add_bias` pair.
-    pub fn affine(&mut self, x: Var, w: Var, b: Var) -> Var {
-        let v = self
-            .value(x)
-            .affine_act(self.value(w), self.value(b), FusedAct::Identity);
-        let ng = self.ng(x.0) || self.ng(w.0) || self.ng(b.0);
-        self.push(
-            Op::Affine {
-                x: x.0,
-                w: w.0,
-                b: b.0,
-            },
-            v,
-            ng,
-        )
-    }
-
-    /// Fused dense layer `tanh(x · w + b)`: the pre-activation matrix is
-    /// never materialized; backward reconstructs its gradient from the
-    /// stored activation via the fused [`Tensor::grad_tanh`] kernel.
-    pub fn affine_tanh(&mut self, x: Var, w: Var, b: Var) -> Var {
-        let v = self
-            .value(x)
-            .affine_act(self.value(w), self.value(b), FusedAct::Tanh);
-        let ng = self.ng(x.0) || self.ng(w.0) || self.ng(b.0);
-        self.push(
-            Op::AffineTanh {
-                x: x.0,
-                w: w.0,
-                b: b.0,
-            },
-            v,
-            ng,
-        )
-    }
-
     /// Elementwise sine.
     pub fn sin(&mut self, a: Var) -> Var {
         let v = self.value(a).sin();
@@ -322,6 +314,56 @@ impl Graph {
         let v = self.value(a).powi(n);
         let ng = self.ng(a.0);
         self.push(Op::Powi(a.0, n), v, ng)
+    }
+
+    // ----- jet stacks -----
+
+    /// Dense layer over a jet stack of `blocks` row blocks: one matmul
+    /// `x · w` over every row, with the bias `b` (when given) seeded into
+    /// the value block — the first `rows / blocks` rows — only.
+    pub fn jet_affine(&mut self, x: Var, w: Var, b: Option<Var>, blocks: usize) -> Var {
+        let xv = self.value(x);
+        let value_rows = xv.shape().nrows() / blocks;
+        let v = xv.jet_affine(self.value(w), b.map(|b| self.value(b)), value_rows);
+        let ng = self.ng(x.0) || self.ng(w.0) || b.is_some_and(|b| self.ng(b.0));
+        let op = Op::JetAffine {
+            x: x.0,
+            w: w.0,
+            b: b.map(|b| b.0),
+            blocks,
+        };
+        self.push(op, v, ng)
+    }
+
+    /// Tanh over a jet stack with `k` coordinates (value, first and
+    /// second derivative blocks by the chain rule), one node for all.
+    pub fn jet_tanh(&mut self, x: Var, k: usize) -> Var {
+        let v = self.value(x).jet_tanh(k);
+        let ng = self.ng(x.0);
+        self.push(Op::JetTanh { x: x.0, k }, v, ng)
+    }
+
+    /// Sine over a jet stack with `k` coordinates.
+    pub fn jet_sin(&mut self, x: Var, k: usize) -> Var {
+        let (v, cos) = self.value(x).jet_sin(k);
+        let ng = self.ng(x.0);
+        self.push(Op::JetSin { x: x.0, k, cos }, v, ng)
+    }
+
+    /// Sine and cosine jets of a `[rows, w]` stack with `k` coordinates,
+    /// as one `[rows, 2w]` stack whose rows read `[sin | cos]`.
+    pub fn jet_sin_cos(&mut self, x: Var, k: usize) -> Var {
+        let v = self.value(x).jet_sin_cos(k);
+        let ng = self.ng(x.0);
+        self.push(Op::JetSinCos { x: x.0, k }, v, ng)
+    }
+
+    /// Rows `[r0, r0 + rows)` of a rank-2 node. Its gradient lands in
+    /// those rows of the source; rows no block node reads get zeros.
+    pub fn row_block(&mut self, a: Var, r0: usize, rows: usize) -> Var {
+        let v = self.value(a).rows(r0, rows);
+        let ng = self.ng(a.0);
+        self.push(Op::RowBlock { a: a.0, r0 }, v, ng)
     }
 
     // ----- reductions -----
@@ -373,10 +415,8 @@ impl Graph {
     /// Panics when `col` is out of range.
     pub fn col(&mut self, a: Var, col: usize) -> Var {
         let av = self.value(a);
-        let (m, n) = (av.shape().nrows(), av.shape().ncols());
-        assert!(col < n, "column {col} out of range for {}", av.shape());
-        let data: Vec<f64> = (0..m).map(|i| av.data()[i * n + col]).collect();
-        let v = Tensor::from_vec([m, 1], data);
+        assert!(col < av.shape().ncols(), "column {col} out of range for {}", av.shape());
+        let v = Tensor::column(&av.col(col));
         let ng = self.ng(a.0);
         self.push(Op::ColSlice(a.0, col), v, ng)
     }
@@ -393,15 +433,10 @@ impl Graph {
         assert_eq!(av.shape().ncols(), 1, "mean_groups expects a column");
         assert!(group_size > 0 && m.is_multiple_of(group_size), "group size {group_size} vs {m} rows");
         let k = m / group_size;
-        let data: Vec<f64> = (0..k)
-            .map(|g| {
-                av.data()[g * group_size..(g + 1) * group_size]
-                    .iter()
-                    .sum::<f64>()
-                    / group_size as f64
-            })
-            .collect();
-        let v = Tensor::from_vec([k, 1], data);
+        let mut v = Tensor::zeros([k, 1]);
+        for (o, grp) in v.data_mut().iter_mut().zip(av.data().chunks_exact(group_size)) {
+            *o = grp.iter().sum::<f64>() / group_size as f64;
+        }
         let ng = self.ng(a.0);
         self.push(Op::MeanGroups(a.0, group_size), v, ng)
     }
@@ -460,6 +495,8 @@ impl Graph {
 
     /// Run the reverse sweep from `loss` (which must hold exactly one
     /// element) and return gradients for all reachable differentiable nodes.
+    /// Each node's incoming gradient goes back to the buffer pool as soon
+    /// as its op has consumed it.
     ///
     /// # Panics
     /// Panics when `loss` is not a single-element tensor.
@@ -472,23 +509,26 @@ impl Graph {
         );
         let n = self.nodes.len();
         let mut g: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-        g[loss.0] = Some(Tensor::from_vec(
-            self.value(loss).shape().clone(),
-            vec![1.0],
-        ));
+        g[loss.0] = Some(Tensor::full(self.value(loss).shape().clone(), 1.0));
 
         for id in (0..=loss.0).rev() {
             if !self.nodes[id].needs_grad {
-                g[id] = None;
+                if let Some(t) = g[id].take() {
+                    pool::recycle(t);
+                }
                 continue;
             }
             let Some(out_grad) = g[id].take() else {
                 continue;
             };
             let node = &self.nodes[id];
-            match &node.op {
+            let val = |i: usize| &self.nodes[i].value;
+            // Arms that keep `out_grad` return it for recycling; arms that
+            // move it into a gradient slot return `None`.
+            let spent: Option<Tensor> = match &node.op {
                 Op::Input | Op::Constant => {
                     g[id] = Some(out_grad);
+                    None
                 }
                 Op::Add(a, b) => {
                     if self.ng(*a) {
@@ -496,6 +536,9 @@ impl Graph {
                     }
                     if self.ng(*b) {
                         Self::accumulate(&mut g[*b], out_grad);
+                        None
+                    } else {
+                        Some(out_grad)
                     }
                 }
                 Op::Sub(a, b) => {
@@ -505,17 +548,19 @@ impl Graph {
                     if self.ng(*b) {
                         Self::accumulate(&mut g[*b], out_grad.neg());
                     }
+                    Some(out_grad)
                 }
                 Op::Mul(a, b) => {
                     if self.ng(*a) {
-                        Self::accumulate(&mut g[*a], out_grad.mul(&self.nodes[*b].value));
+                        Self::accumulate(&mut g[*a], out_grad.mul(val(*b)));
                     }
                     if self.ng(*b) {
-                        Self::accumulate(&mut g[*b], out_grad.mul(&self.nodes[*a].value));
+                        Self::accumulate(&mut g[*b], out_grad.mul(val(*a)));
                     }
+                    Some(out_grad)
                 }
                 Op::Div(a, b) => {
-                    let bv = &self.nodes[*b].value;
+                    let bv = val(*b);
                     if self.ng(*a) {
                         Self::accumulate(&mut g[*a], out_grad.div(bv));
                     }
@@ -524,164 +569,214 @@ impl Graph {
                         let d = out_grad.mul(&node.value).div(bv).neg();
                         Self::accumulate(&mut g[*b], d);
                     }
+                    Some(out_grad)
                 }
                 Op::Neg(a) => {
                     Self::accumulate(&mut g[*a], out_grad.neg());
+                    Some(out_grad)
                 }
                 Op::Scale(a, c) => {
                     Self::accumulate(&mut g[*a], out_grad.scale(*c));
+                    Some(out_grad)
                 }
                 Op::AddScalar(a, _) => {
                     Self::accumulate(&mut g[*a], out_grad);
+                    None
                 }
                 Op::Matmul(a, b) => {
                     if self.ng(*a) {
-                        Self::accumulate(&mut g[*a], out_grad.matmul_nt(&self.nodes[*b].value));
+                        Self::accumulate(&mut g[*a], out_grad.matmul_nt(val(*b)));
                     }
                     if self.ng(*b) {
-                        Self::accumulate(&mut g[*b], self.nodes[*a].value.matmul_tn(&out_grad));
+                        Self::accumulate(&mut g[*b], val(*a).matmul_tn(&out_grad));
                     }
+                    Some(out_grad)
                 }
                 Op::AddBias(x, b) => {
-                    if self.ng(*x) {
-                        Self::accumulate(&mut g[*x], out_grad.clone());
-                    }
                     if self.ng(*b) {
                         Self::accumulate(&mut g[*b], out_grad.sum_rows());
+                    }
+                    if self.ng(*x) {
+                        Self::accumulate(&mut g[*x], out_grad);
+                        None
+                    } else {
+                        Some(out_grad)
                     }
                 }
                 Op::Tanh(a) => {
                     // g · (1 − tanh²), one fused sweep over the stored
                     // output — no derivative temporary.
                     Self::accumulate(&mut g[*a], out_grad.grad_tanh(&node.value));
-                    pool::recycle(out_grad);
+                    Some(out_grad)
                 }
                 Op::OneMinusSquare(a) => {
                     // d(1 − a²)/da = −2a.
-                    let d = out_grad.mul(&self.nodes[*a].value).scale(-2.0);
+                    let d = out_grad.mul(val(*a)).scale(-2.0);
                     Self::accumulate(&mut g[*a], d);
-                    pool::recycle(out_grad);
+                    Some(out_grad)
                 }
-                Op::Affine { x, w, b } | Op::AffineTanh { x, w, b } => {
-                    // For the tanh variant, first pull the gradient back
-                    // through the activation using the stored output.
-                    let dz = if matches!(node.op, Op::AffineTanh { .. }) {
-                        let dz = out_grad.grad_tanh(&node.value);
-                        pool::recycle(out_grad);
-                        dz
-                    } else {
-                        out_grad
-                    };
-                    if self.ng(*x) {
-                        Self::accumulate(&mut g[*x], dz.matmul_nt(&self.nodes[*w].value));
+                Op::JetAffine { x, w, b, blocks } => {
+                    let want = (self.ng(*x), self.ng(*w), b.is_some_and(|b| self.ng(b)));
+                    let grads = val(*x).jet_affine_backward(val(*w), &out_grad, *blocks, want);
+                    // One weight contribution per block, added in the
+                    // order the per-block matmul nodes would have added.
+                    for d in grads.w {
+                        Self::accumulate(&mut g[*w], d);
                     }
-                    if self.ng(*w) {
-                        Self::accumulate(&mut g[*w], self.nodes[*x].value.matmul_tn(&dz));
+                    for (slot, d) in [(Some(*x), grads.x), (*b, grads.b)] {
+                        if let (Some(slot), Some(d)) = (slot, d) {
+                            Self::accumulate(&mut g[slot], d);
+                        }
                     }
-                    if self.ng(*b) {
-                        Self::accumulate(&mut g[*b], dz.sum_rows());
+                    Some(out_grad)
+                }
+                Op::JetTanh { x, k } => {
+                    let d = val(*x).jet_tanh_backward(&node.value, &out_grad, *k);
+                    Self::accumulate(&mut g[*x], d);
+                    Some(out_grad)
+                }
+                Op::JetSin { x, k, cos } => {
+                    let d = val(*x).jet_sin_backward(&node.value, cos, &out_grad, *k);
+                    Self::accumulate(&mut g[*x], d);
+                    Some(out_grad)
+                }
+                Op::JetSinCos { x, k } => {
+                    let d = val(*x).jet_sin_cos_backward(&node.value, &out_grad, *k);
+                    Self::accumulate(&mut g[*x], d);
+                    Some(out_grad)
+                }
+                Op::RowBlock { a, r0 } => {
+                    // The first block to arrive is copied into a zero
+                    // stack; later ones land in their own (still zero)
+                    // rows of it.
+                    match &mut g[*a] {
+                        Some(full) => full.add_rows(*r0, &out_grad),
+                        slot @ None => {
+                            let mut full = Tensor::zeros(val(*a).shape().clone());
+                            let w = full.shape().ncols();
+                            full.data_mut()[r0 * w..r0 * w + out_grad.len()]
+                                .copy_from_slice(out_grad.data());
+                            *slot = Some(full);
+                        }
                     }
-                    pool::recycle(dz);
+                    Some(out_grad)
                 }
                 Op::Sin(a) => {
-                    let d = self.nodes[*a].value.cos();
+                    let d = val(*a).cos();
                     Self::accumulate(&mut g[*a], out_grad.mul(&d));
+                    pool::recycle(d);
+                    Some(out_grad)
                 }
                 Op::Cos(a) => {
-                    let d = self.nodes[*a].value.sin().neg();
+                    let s = val(*a).sin();
+                    let d = s.neg();
+                    pool::recycle(s);
                     Self::accumulate(&mut g[*a], out_grad.mul(&d));
+                    pool::recycle(d);
+                    Some(out_grad)
                 }
                 Op::Exp(a) => {
                     Self::accumulate(&mut g[*a], out_grad.mul(&node.value));
+                    Some(out_grad)
                 }
                 Op::Sqrt(a) => {
                     // d√x = 1/(2√x), using the stored output.
                     let d = node.value.map(|s| 0.5 / s);
                     Self::accumulate(&mut g[*a], out_grad.mul(&d));
+                    pool::recycle(d);
+                    Some(out_grad)
                 }
                 Op::Square(a) => {
-                    let d = self.nodes[*a].value.scale(2.0);
+                    let d = val(*a).scale(2.0);
                     Self::accumulate(&mut g[*a], out_grad.mul(&d));
+                    pool::recycle(d);
+                    Some(out_grad)
                 }
                 Op::Recip(a) => {
                     // d(1/x) = -1/x² = -value².
-                    let d = node.value.square().neg();
+                    let sq = node.value.square();
+                    let d = sq.neg();
+                    pool::recycle(sq);
                     Self::accumulate(&mut g[*a], out_grad.mul(&d));
+                    pool::recycle(d);
+                    Some(out_grad)
                 }
                 Op::Powi(a, k) => {
                     let kk = *k;
-                    let d = self.nodes[*a].value.map(move |x| kk as f64 * x.powi(kk - 1));
+                    let d = val(*a).map(move |x| kk as f64 * x.powi(kk - 1));
                     Self::accumulate(&mut g[*a], out_grad.mul(&d));
+                    pool::recycle(d);
+                    Some(out_grad)
                 }
                 Op::Sum(a) => {
                     let s = out_grad.item();
-                    Self::accumulate(
-                        &mut g[*a],
-                        Tensor::full(self.nodes[*a].value.shape().clone(), s),
-                    );
+                    Self::accumulate(&mut g[*a], Tensor::full(val(*a).shape().clone(), s));
+                    Some(out_grad)
                 }
                 Op::Mean(a) => {
-                    let len = self.nodes[*a].value.len().max(1);
+                    let len = val(*a).len().max(1);
                     let s = out_grad.item() / len as f64;
-                    Self::accumulate(
-                        &mut g[*a],
-                        Tensor::full(self.nodes[*a].value.shape().clone(), s),
-                    );
+                    Self::accumulate(&mut g[*a], Tensor::full(val(*a).shape().clone(), s));
+                    Some(out_grad)
                 }
                 Op::Mse(a) => {
-                    let len = self.nodes[*a].value.len().max(1);
+                    let len = val(*a).len().max(1);
                     let c = 2.0 * out_grad.item() / len as f64;
-                    Self::accumulate(&mut g[*a], self.nodes[*a].value.scale(c));
+                    Self::accumulate(&mut g[*a], val(*a).scale(c));
+                    Some(out_grad)
                 }
                 Op::WeightedMse(a, w) => {
-                    let len = self.nodes[*a].value.len().max(1);
+                    let len = val(*a).len().max(1);
                     let c = 2.0 * out_grad.item() / len as f64;
-                    let d = self.nodes[*a].value.mul(&self.nodes[*w].value).scale(c);
+                    let aw = val(*a).mul(val(*w));
+                    let d = aw.scale(c);
+                    pool::recycle(aw);
                     Self::accumulate(&mut g[*a], d);
+                    Some(out_grad)
                 }
                 Op::Hstack(parts) => {
                     let m = node.value.shape().nrows();
                     let mut col0 = 0usize;
                     let total = node.value.shape().ncols();
                     for &p in parts {
-                        let nc = self.nodes[p].value.shape().ncols();
+                        let nc = val(p).shape().ncols();
                         if self.ng(p) {
-                            let mut part = vec![0.0; m * nc];
+                            let mut part = Tensor::zeros([m, nc]);
                             let gd = out_grad.data();
-                            for i in 0..m {
-                                part[i * nc..(i + 1) * nc].copy_from_slice(
-                                    &gd[i * total + col0..i * total + col0 + nc],
-                                );
+                            for (i, row) in part.data_mut().chunks_exact_mut(nc.max(1)).enumerate() {
+                                row.copy_from_slice(&gd[i * total + col0..i * total + col0 + nc]);
                             }
-                            Self::accumulate(&mut g[p], Tensor::from_vec([m, nc], part));
+                            Self::accumulate(&mut g[p], part);
                         }
                         col0 += nc;
                     }
+                    Some(out_grad)
                 }
                 Op::ColSlice(a, col) => {
-                    let src = &self.nodes[*a].value;
+                    let src = val(*a);
                     let (m, n) = (src.shape().nrows(), src.shape().ncols());
-                    let mut full = vec![0.0; m * n];
+                    let mut full = Tensor::zeros([m, n]);
+                    let fd = full.data_mut();
                     for i in 0..m {
-                        full[i * n + col] = out_grad.data()[i];
+                        fd[i * n + col] = out_grad.data()[i];
                     }
-                    Self::accumulate(&mut g[*a], Tensor::from_vec([m, n], full));
+                    Self::accumulate(&mut g[*a], full);
+                    Some(out_grad)
                 }
                 Op::MeanGroups(a, gs) => {
-                    let m = self.nodes[*a].value.shape().nrows();
+                    let m = val(*a).shape().nrows();
                     let k = m / gs;
-                    let mut full = vec![0.0; m];
+                    let mut full = Tensor::zeros([m, 1]);
+                    let fd = full.data_mut();
                     for gi in 0..k {
                         let s = out_grad.data()[gi] / *gs as f64;
-                        for v in full[gi * gs..(gi + 1) * gs].iter_mut() {
-                            *v = s;
-                        }
+                        fd[gi * gs..(gi + 1) * gs].fill(s);
                     }
-                    Self::accumulate(&mut g[*a], Tensor::from_vec([m, 1], full));
+                    Self::accumulate(&mut g[*a], full);
+                    Some(out_grad)
                 }
                 Op::Custom { op, inputs } => {
-                    let in_vals: Vec<&Tensor> =
-                        inputs.iter().map(|&i| &self.nodes[i].value).collect();
+                    let in_vals: Vec<&Tensor> = inputs.iter().map(|&i| val(i)).collect();
                     let cotangents = op.backward(&in_vals, &node.value, &out_grad);
                     assert_eq!(
                         cotangents.len(),
@@ -698,7 +793,11 @@ impl Graph {
                             }
                         }
                     }
+                    Some(out_grad)
                 }
+            };
+            if let Some(t) = spent {
+                pool::recycle(t);
             }
         }
         Grads { g }
@@ -802,7 +901,9 @@ mod tests {
     }
 
     #[test]
-    fn fused_affine_tanh_matches_unfused_gradients() {
+    fn jet_affine_tanh_matches_unfused_gradients() {
+        // A one-block stack (no coordinates) through the stacked dense and
+        // tanh ops must reproduce matmul → add_bias → tanh.
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
         let xs = Tensor::randn([5, 3], 1.0, &mut rng);
@@ -822,28 +923,29 @@ mod tests {
         let l1 = g1.mse(y1);
         let r1 = g1.backward(l1);
 
-        // Fused path.
+        // Stacked path.
         let mut g2 = Graph::new();
         let (x2, w2, b2) = (
             g2.input(xs.clone()),
             g2.input(ws.clone()),
             g2.input(bs.clone()),
         );
-        let y2 = g2.affine_tanh(x2, w2, b2);
+        let z2 = g2.jet_affine(x2, w2, Some(b2), 1);
+        let y2 = g2.jet_tanh(z2, 0);
         let l2 = g2.mse(y2);
         assert!(g2.value(y2).approx_eq(g1.value(y1), 1e-12));
         let r2 = g2.backward(l2);
         for (u, f) in [(x1, x2), (w1, w2), (b1, b2)] {
             assert!(
                 r2.get(f).unwrap().approx_eq(r1.get(u).unwrap(), 1e-12),
-                "fused affine_tanh gradient diverged"
+                "stacked affine + tanh gradient diverged"
             );
         }
 
-        // Identity affine as well.
+        // The dense op alone as well.
         let mut g3 = Graph::new();
         let (x3, w3, b3) = (g3.input(xs), g3.input(ws), g3.input(bs));
-        let y3 = g3.affine(x3, w3, b3);
+        let y3 = g3.jet_affine(x3, w3, Some(b3), 1);
         let l3 = g3.mse(y3);
         let r3 = g3.backward(l3);
         let mm3 = g1.matmul(x1, w1);
@@ -853,31 +955,72 @@ mod tests {
         for (u, f) in [(x1, x3), (w1, w3), (b1, b3)] {
             assert!(
                 r3.get(f).unwrap().approx_eq(r1b.get(u).unwrap(), 1e-12),
-                "fused affine gradient diverged"
+                "stacked affine gradient diverged"
             );
         }
     }
 
     #[test]
-    fn tanh_with_deriv_nodes_match_composites() {
-        let xs = Tensor::from_slice(&[-1.2, -0.3, 0.0, 0.4, 2.5]);
+    fn jet_tanh_derivative_block_matches_composites() {
+        // With a unit first-derivative seed, the d block of a tanh jet is
+        // exactly 1 − tanh²x: the same bits as the tanh → one_minus_square
+        // composite, and d(sum)/dx = −2·tanh·(1 − tanh²).
+        let xs = [-1.2, -0.3, 0.0, 0.4, 2.5];
+        let n = xs.len();
+        let mut stack = xs.to_vec();
+        stack.extend([1.0; 5]);
+        stack.extend([0.0; 5]);
         let mut g = Graph::new();
-        let x = g.input(xs.clone());
-        let (t, d) = g.tanh_with_deriv(x);
-        let tr = g.tanh(x);
+        let x = g.input(Tensor::from_vec([3 * n, 1], stack));
+        let y = g.jet_tanh(x, 1);
+        let u = g.row_block(y, 0, n);
+        let d = g.row_block(y, n, n);
+        let xc = g.constant(Tensor::column(&xs));
+        let tr = g.tanh(xc);
         let dr = g.one_minus_square(tr);
-        assert!(g.value(t).approx_eq(g.value(tr), 0.0));
+        assert!(g.value(u).approx_eq(g.value(tr), 0.0));
         assert!(g.value(d).approx_eq(g.value(dr), 0.0));
-        // Gradients through the derivative node: loss = sum(1 − tanh²x),
-        // dloss/dx = −2·tanh·(1 − tanh²).
         let loss = g.sum(d);
         let grads = g.backward(loss);
         let gx = grads.get(x).unwrap();
-        for (gi, &xi) in gx.data().iter().zip(xs.data()) {
+        for (gi, &xi) in gx.data()[..n].iter().zip(&xs) {
             let t = xi.tanh();
             let manual = -2.0 * t * (1.0 - t * t);
             assert!((gi - manual).abs() < 1e-12);
         }
+        // The seed rows: ∂/∂z′ = σ' = 1 − t², ∂/∂z″ = 0 (dd block unread).
+        for (i, &xi) in xs.iter().enumerate() {
+            let t = xi.tanh();
+            assert!((gx.data()[n + i] - (1.0 - t * t)).abs() < 1e-12);
+            assert_eq!(gx.data()[2 * n + i], 0.0);
+        }
+    }
+
+    #[test]
+    fn row_blocks_route_gradients_and_zero_unread_rows() {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::column(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
+        let top = g.row_block(x, 0, 2);
+        let mid = g.row_block(x, 2, 2);
+        assert_eq!(g.value(mid).data(), &[3.0, 4.0]);
+        let a = g.square(top);
+        let b = g.scale(mid, 3.0);
+        let s = g.sum(a);
+        let t = g.sum(b);
+        let loss = g.add(s, t);
+        let grads = g.backward(loss);
+        assert_eq!(grads.get(x).unwrap().data(), &[2.0, 4.0, 3.0, 3.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn dropped_tape_returns_its_values_to_the_pool() {
+        let mut g = Graph::new();
+        let x = g.constant(Tensor::zeros([64, 8]));
+        let y = g.tanh(x);
+        let _ = g.scale(y, 2.0);
+        let before = pool::stats().recycled;
+        drop(g);
+        assert!(pool::stats().recycled - before >= 3, "every node value recycled");
     }
 
     #[test]

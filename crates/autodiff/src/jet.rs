@@ -1,12 +1,16 @@
 //! Taylor-mode jets: propagate `(value, ∂/∂cᵢ, ∂²/∂cᵢ²)` per coordinate
 //! through a computation as ordinary tape ops.
 //!
-//! A [`Jet`] bundles the batched value of a quantity together with its first
-//! and (diagonal) second derivatives with respect to each of `k` input
-//! coordinates. Every component is itself a differentiable [`Var`], so
-//! after assembling a PDE residual from jet components, a single
-//! [`Graph::backward`] pass yields exact parameter gradients of the
-//! residual loss.
+//! A network carries a jet as a [`JetStack`]: **one** tape node holding
+//! the batched value, the `k` first-derivative blocks and the `k`
+//! diagonal second-derivative blocks stacked by rows into a
+//! `[(1 + 2k)·n, w]` tensor. Each layer is then one fused node — a dense
+//! layer is a single matmul over all rows, an activation a single chain-
+//! rule sweep — instead of one node per block and per chain-rule term.
+//! PDE residuals read a [`Jet`]: the same quantity cut into one node per
+//! block ([`JetStack::unstack`]). Because every block is a differentiable
+//! [`Var`], a single [`Graph::backward`] pass yields exact parameter
+//! gradients of a residual loss.
 //!
 //! Only diagonal second derivatives are tracked — exactly what
 //! Laplacian-type operators (∂²/∂x², ∂²/∂y²) need. Mixed spatial
@@ -15,7 +19,8 @@
 
 use crate::{Graph, Var};
 
-/// A batched quantity with per-coordinate first and second derivatives.
+/// A batched quantity with per-coordinate first and second derivatives,
+/// one tape node per component — the view residual builders read.
 ///
 /// All component tensors share the shape `[batch, width]`.
 #[derive(Clone, Debug)]
@@ -34,193 +39,6 @@ impl Jet {
         self.d.len()
     }
 
-    /// Seed a jet for input coordinate `coord` out of `n_coords`: the value
-    /// column itself, unit first derivative along its own coordinate, zero
-    /// elsewhere, zero second derivatives.
-    pub fn seed_coordinate(g: &mut Graph, column: Var, coord: usize, n_coords: usize) -> Jet {
-        let shape = g.value(column).shape().clone();
-        let ones = g.constant(qpinn_tensor::Tensor::ones(shape.clone()));
-        let zeros = g.constant(qpinn_tensor::Tensor::zeros(shape));
-        let d = (0..n_coords)
-            .map(|i| if i == coord { ones } else { zeros })
-            .collect();
-        let dd = vec![zeros; n_coords];
-        Jet {
-            v: column,
-            d,
-            dd,
-        }
-    }
-
-    /// A jet that is constant with respect to all tracked coordinates.
-    pub fn constant(g: &mut Graph, value: Var, n_coords: usize) -> Jet {
-        let shape = g.value(value).shape().clone();
-        let zeros = g.constant(qpinn_tensor::Tensor::zeros(shape));
-        Jet {
-            v: value,
-            d: vec![zeros; n_coords],
-            dd: vec![zeros; n_coords],
-        }
-    }
-
-    /// Apply a linear map slot-wise: `f` must be linear for the result to be
-    /// a valid jet (used by dense layers: matmul and bias are linear).
-    pub fn map_linear(&self, g: &mut Graph, mut f: impl FnMut(&mut Graph, Var) -> Var) -> Jet {
-        Jet {
-            v: f(g, self.v),
-            d: self.d.iter().map(|&x| f(g, x)).collect(),
-            dd: self.dd.iter().map(|&x| f(g, x)).collect(),
-        }
-    }
-
-    /// Jet sum.
-    pub fn add(&self, g: &mut Graph, other: &Jet) -> Jet {
-        assert_eq!(self.n_coords(), other.n_coords());
-        Jet {
-            v: g.add(self.v, other.v),
-            d: self
-                .d
-                .iter()
-                .zip(&other.d)
-                .map(|(&a, &b)| g.add(a, b))
-                .collect(),
-            dd: self
-                .dd
-                .iter()
-                .zip(&other.dd)
-                .map(|(&a, &b)| g.add(a, b))
-                .collect(),
-        }
-    }
-
-    /// Jet difference.
-    pub fn sub(&self, g: &mut Graph, other: &Jet) -> Jet {
-        assert_eq!(self.n_coords(), other.n_coords());
-        Jet {
-            v: g.sub(self.v, other.v),
-            d: self
-                .d
-                .iter()
-                .zip(&other.d)
-                .map(|(&a, &b)| g.sub(a, b))
-                .collect(),
-            dd: self
-                .dd
-                .iter()
-                .zip(&other.dd)
-                .map(|(&a, &b)| g.sub(a, b))
-                .collect(),
-        }
-    }
-
-    /// Jet product (Leibniz to second order):
-    /// `(fg)' = f'g + fg'`, `(fg)'' = f''g + 2f'g' + fg''`.
-    pub fn mul(&self, g: &mut Graph, other: &Jet) -> Jet {
-        assert_eq!(self.n_coords(), other.n_coords());
-        let v = g.mul(self.v, other.v);
-        let mut d = Vec::with_capacity(self.n_coords());
-        let mut dd = Vec::with_capacity(self.n_coords());
-        for i in 0..self.n_coords() {
-            let fg_p = g.mul(self.d[i], other.v);
-            let f_gp = g.mul(self.v, other.d[i]);
-            d.push(g.add(fg_p, f_gp));
-            let fpp_g = g.mul(self.dd[i], other.v);
-            let fp_gp = g.mul(self.d[i], other.d[i]);
-            let two_fp_gp = g.scale(fp_gp, 2.0);
-            let f_gpp = g.mul(self.v, other.dd[i]);
-            let s1 = g.add(fpp_g, two_fp_gp);
-            dd.push(g.add(s1, f_gpp));
-        }
-        Jet { v, d, dd }
-    }
-
-    /// Scale by a constant.
-    pub fn scale(&self, g: &mut Graph, c: f64) -> Jet {
-        self.map_linear(g, |g, x| g.scale(x, c))
-    }
-
-    /// Apply a smooth elementwise nonlinearity given its first and second
-    /// derivative (expressed as tape functions of the *pre-activation*):
-    ///
-    /// `u = σ(z)`, `u' = σ'(z)·z'`, `u'' = σ''(z)·(z')² + σ'(z)·z''`.
-    pub fn apply_nonlinearity(
-        &self,
-        g: &mut Graph,
-        sigma: impl Fn(&mut Graph, Var) -> Var,
-        sigma_p: impl Fn(&mut Graph, Var) -> Var,
-        sigma_pp: impl Fn(&mut Graph, Var) -> Var,
-    ) -> Jet {
-        let u = sigma(g, self.v);
-        let sp = sigma_p(g, self.v);
-        let spp = sigma_pp(g, self.v);
-        let mut d = Vec::with_capacity(self.n_coords());
-        let mut dd = Vec::with_capacity(self.n_coords());
-        for i in 0..self.n_coords() {
-            d.push(g.mul(sp, self.d[i]));
-            let zp_sq = g.square(self.d[i]);
-            let t1 = g.mul(spp, zp_sq);
-            let t2 = g.mul(sp, self.dd[i]);
-            dd.push(g.add(t1, t2));
-        }
-        Jet { v: u, d, dd }
-    }
-
-    /// Tanh nonlinearity with derivatives expressed through the output:
-    /// `σ' = 1 − u²`, `σ'' = −2u(1 − u²)`.
-    ///
-    /// The value and `σ'` come from the fused
-    /// [`Graph::tanh_with_deriv`] — one sweep instead of the four-node
-    /// `tanh → square → neg → add_scalar` chain.
-    pub fn tanh(&self, g: &mut Graph) -> Jet {
-        let (u, sp) = g.tanh_with_deriv(self.v);
-        let minus_two_u = g.scale(u, -2.0);
-        let spp = g.mul(minus_two_u, sp);
-        let mut d = Vec::with_capacity(self.n_coords());
-        let mut dd = Vec::with_capacity(self.n_coords());
-        for i in 0..self.n_coords() {
-            d.push(g.mul(sp, self.d[i]));
-            let zp_sq = g.square(self.d[i]);
-            let t1 = g.mul(spp, zp_sq);
-            let t2 = g.mul(sp, self.dd[i]);
-            dd.push(g.add(t1, t2));
-        }
-        Jet { v: u, d, dd }
-    }
-
-    /// Sine nonlinearity: `σ' = cos`, `σ'' = −sin`.
-    pub fn sin(&self, g: &mut Graph) -> Jet {
-        self.apply_nonlinearity(
-            g,
-            |g, z| g.sin(z),
-            |g, z| g.cos(z),
-            |g, z| {
-                let s = g.sin(z);
-                g.neg(s)
-            },
-        )
-    }
-
-    /// Cosine nonlinearity: `σ' = −sin`, `σ'' = −cos`.
-    pub fn cos(&self, g: &mut Graph) -> Jet {
-        self.apply_nonlinearity(
-            g,
-            |g, z| g.cos(z),
-            |g, z| {
-                let s = g.sin(z);
-                g.neg(s)
-            },
-            |g, z| {
-                let c = g.cos(z);
-                g.neg(c)
-            },
-        )
-    }
-
-    /// Square: `u = v²` via the product rule.
-    pub fn square(&self, g: &mut Graph) -> Jet {
-        self.mul(g, &self.clone())
-    }
-
     /// Slice one column out of every slot: the jet of a single output
     /// field from a multi-field network head.
     pub fn col(&self, g: &mut Graph, col: usize) -> Jet {
@@ -230,29 +48,107 @@ impl Jet {
             dd: self.dd.iter().map(|&s| g.col(s, col)).collect(),
         }
     }
+}
 
-    /// Horizontally stack jets slot-wise (all parts must track the same
-    /// coordinates and have equal row counts).
+/// A jet carried as one tape node: rows `[0, n)` of `stack` hold the
+/// value, then come `d_0 … d_{k−1}`, then `dd_0 … dd_{k−1}` (the slot
+/// order of [`Jet`]). `n_coords = 0` is a plain value batch, so the
+/// value-only path runs through the same ops.
+#[derive(Clone, Copy, Debug)]
+pub struct JetStack {
+    /// The `[(1 + 2k)·n, w]` node.
+    pub stack: Var,
+    /// Number of tracked coordinates `k`.
+    pub n_coords: usize,
+}
+
+impl JetStack {
+    /// Seed the stack of input coordinate `coord` out of `n_coords` from
+    /// its `[n, 1]` column: the values, a unit first derivative along its
+    /// own coordinate, zero elsewhere. With derivatives the seed is a new
+    /// constant (coordinates are data, not parameters); without, it is the
+    /// column itself.
+    pub fn seed(g: &mut Graph, column: Var, coord: usize, n_coords: usize) -> JetStack {
+        if n_coords == 0 {
+            return JetStack {
+                stack: column,
+                n_coords,
+            };
+        }
+        let t = g.value(column).jet_seed(coord, n_coords);
+        JetStack {
+            stack: g.constant(t),
+            n_coords,
+        }
+    }
+
+    /// Number of row blocks, `1 + 2k`.
+    pub fn blocks(&self) -> usize {
+        1 + 2 * self.n_coords
+    }
+
+    /// Rows per block (the batch size `n`).
+    pub fn rows(&self, g: &Graph) -> usize {
+        g.value(self.stack).shape().nrows() / self.blocks()
+    }
+
+    fn with(self, stack: Var) -> JetStack {
+        JetStack { stack, ..self }
+    }
+
+    /// Dense layer `x·w (+ b)`: linear, so every block goes through the
+    /// same matmul and only the value block gets the bias.
+    pub fn affine(self, g: &mut Graph, w: Var, b: Option<Var>) -> JetStack {
+        self.with(g.jet_affine(self.stack, w, b, self.blocks()))
+    }
+
+    /// Multiply every block by a constant.
+    pub fn scale(self, g: &mut Graph, c: f64) -> JetStack {
+        self.with(g.scale(self.stack, c))
+    }
+
+    /// Tanh: `σ' = 1 − u²`, `σ'' = −2u(1 − u²)`.
+    pub fn tanh(self, g: &mut Graph) -> JetStack {
+        self.with(g.jet_tanh(self.stack, self.n_coords))
+    }
+
+    /// Sine: `σ' = cos`, `σ'' = −sin`.
+    pub fn sin(self, g: &mut Graph) -> JetStack {
+        self.with(g.jet_sin(self.stack, self.n_coords))
+    }
+
+    /// The sine and cosine jets side by side, `[sin | cos]` per row.
+    pub fn sin_cos(self, g: &mut Graph) -> JetStack {
+        self.with(g.jet_sin_cos(self.stack, self.n_coords))
+    }
+
+    /// Concatenate stacks column-wise (equal coordinates and rows); a
+    /// single part is returned as is.
     ///
     /// # Panics
     /// Panics when `parts` is empty or coordinate counts disagree.
-    pub fn hstack(g: &mut Graph, parts: &[&Jet]) -> Jet {
+    pub fn hstack(g: &mut Graph, parts: &[JetStack]) -> JetStack {
         assert!(!parts.is_empty(), "hstack of no jets");
-        let k = parts[0].n_coords();
+        let k = parts[0].n_coords;
         assert!(
-            parts.iter().all(|p| p.n_coords() == k),
+            parts.iter().all(|p| p.n_coords == k),
             "jet hstack coordinate mismatch"
         );
-        let vs: Vec<Var> = parts.iter().map(|p| p.v).collect();
-        let v = g.hstack(&vs);
-        let mut d = Vec::with_capacity(k);
-        let mut dd = Vec::with_capacity(k);
-        for i in 0..k {
-            let di: Vec<Var> = parts.iter().map(|p| p.d[i]).collect();
-            d.push(g.hstack(&di));
-            let ddi: Vec<Var> = parts.iter().map(|p| p.dd[i]).collect();
-            dd.push(g.hstack(&ddi));
+        if parts.len() == 1 {
+            return parts[0];
         }
+        let vars: Vec<Var> = parts.iter().map(|p| p.stack).collect();
+        parts[0].with(g.hstack(&vars))
+    }
+
+    /// Cut the stack into one node per block: the per-slot [`Jet`] view.
+    pub fn unstack(self, g: &mut Graph) -> Jet {
+        let (n, k) = (self.rows(g), self.n_coords);
+        let v = g.row_block(self.stack, 0, n);
+        let d = (0..k).map(|i| g.row_block(self.stack, (1 + i) * n, n)).collect();
+        let dd = (0..k)
+            .map(|i| g.row_block(self.stack, (1 + k + i) * n, n))
+            .collect();
         Jet { v, d, dd }
     }
 }
@@ -264,15 +160,15 @@ mod tests {
 
     /// Check the jet of f(x) against finite differences on a scalar batch.
     fn check_jet(
-        build: impl Fn(&mut Graph, &Jet) -> Jet,
+        build: impl Fn(&mut Graph, JetStack) -> JetStack,
         f: impl Fn(f64) -> f64,
         xs: &[f64],
         tol: f64,
     ) {
         let mut g = Graph::new();
         let col = g.constant(Tensor::column(xs));
-        let jet = Jet::seed_coordinate(&mut g, col, 0, 1);
-        let out = build(&mut g, &jet);
+        let jet = JetStack::seed(&mut g, col, 0, 1);
+        let out = build(&mut g, jet).unstack(&mut g);
         let h = 1e-5;
         for (i, &x) in xs.iter().enumerate() {
             let v = g.value(out.v).data()[i];
@@ -302,15 +198,16 @@ mod tests {
     }
 
     #[test]
-    fn product_rule_second_order() {
-        // f(x) = x²·sin(x) assembled as jet product.
+    fn affine_of_sin_cos_second_order() {
+        // f(x) = 2·sin(3x) − 0.5·cos(3x) + 0.25, assembled from the sin|cos
+        // pair and a dense layer: both columns' jets and the linear map.
         check_jet(
             |g, j| {
-                let sq = j.square(g);
-                let s = j.sin(g);
-                sq.mul(g, &s)
+                let w = g.constant(Tensor::from_vec([2, 1], vec![2.0, -0.5]));
+                let b = g.constant(Tensor::from_slice(&[0.25]));
+                j.scale(g, 3.0).sin_cos(g).affine(g, w, Some(b))
             },
-            |x| x * x * x.sin(),
+            |x| 2.0 * (3.0 * x).sin() - 0.5 * (3.0 * x).cos() + 0.25,
             &[-1.5, 0.2, 0.9],
             1e-5,
         );
@@ -330,7 +227,8 @@ mod tests {
     fn seed_has_unit_first_derivative() {
         let mut g = Graph::new();
         let col = g.constant(Tensor::column(&[0.5, 1.5]));
-        let jet = Jet::seed_coordinate(&mut g, col, 1, 3);
+        let jet = JetStack::seed(&mut g, col, 1, 3).unstack(&mut g);
+        assert_eq!(g.value(jet.v).data(), &[0.5, 1.5]);
         assert_eq!(g.value(jet.d[1]).data(), &[1.0, 1.0]);
         assert_eq!(g.value(jet.d[0]).data(), &[0.0, 0.0]);
         assert_eq!(g.value(jet.dd[1]).data(), &[0.0, 0.0]);
@@ -343,8 +241,8 @@ mod tests {
         let mut g = Graph::new();
         let w = g.input(Tensor::from_vec([1, 1], vec![3.0]));
         let x = g.constant(Tensor::column(&[0.1, 0.2, 0.3]));
-        let jet = Jet::seed_coordinate(&mut g, x, 0, 1);
-        let out = jet.map_linear(&mut g, |g, s| g.matmul(s, w));
+        let jet = JetStack::seed(&mut g, x, 0, 1);
+        let out = jet.affine(&mut g, w, None).unstack(&mut g);
         let loss = g.mse(out.d[0]);
         assert!((g.value(loss).item() - 9.0).abs() < 1e-12);
         let grads = g.backward(loss);

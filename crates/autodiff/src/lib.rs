@@ -27,8 +27,9 @@
 //! respect to its inputs*, and then gradients of those with respect to the
 //! parameters. Instead of differentiating the tape twice, the [`jet`]
 //! module propagates truncated Taylor series (value, first, second
-//! derivative per coordinate) through the network as ordinary tape ops, so
-//! a single reverse pass differentiates the whole residual. This is the
+//! derivative per coordinate) through the network as ordinary tape ops —
+//! all of them stacked by rows into one node per layer — so a single
+//! reverse pass differentiates the whole residual. This is the
 //! standard "Taylor-mode forward composed with reverse" construction and
 //! avoids the nested-autodiff clunkiness called out in the reproduction
 //! notes.

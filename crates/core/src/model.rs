@@ -1,7 +1,12 @@
 //! The PINN field network: coordinate embeddings, optional random Fourier
 //! features, and a jet-propagating MLP trunk.
+//!
+//! The whole network runs on [`JetStack`]s: one tape node per layer
+//! carries the value and every first and second coordinate derivative,
+//! stacked by rows, and the output stack is cut into a per-slot [`Jet`]
+//! only at the end, for the residual builders.
 
-use qpinn_autodiff::jet::Jet;
+use qpinn_autodiff::jet::{Jet, JetStack};
 use qpinn_autodiff::{Graph, Var};
 use qpinn_nn::{
     Activation, GraphCtx, Mlp, MlpConfig, ParamSet, PeriodicEmbedding, RandomFourierFeatures,
@@ -166,55 +171,46 @@ impl FieldNet {
         self.embeds.len()
     }
 
-    /// Embed seeded coordinate jets into the trunk input jet.
-    fn embed(&self, ctx: &mut GraphCtx<'_>, coord_jets: &[Jet]) -> Jet {
-        assert_eq!(coord_jets.len(), self.embeds.len(), "coordinate arity");
-        let parts: Vec<Jet> = self
+    /// The network over coordinate stacks tracking `k` coordinates (0 for
+    /// values only): seeds, embeddings, RFF and trunk.
+    fn forward_stack(&self, ctx: &mut GraphCtx<'_>, columns: &[Var], k: usize) -> JetStack {
+        assert_eq!(columns.len(), self.embeds.len(), "coordinate arity");
+        let seeds: Vec<JetStack> = columns
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| JetStack::seed(ctx.g, c, i, k))
+            .collect();
+        let parts: Vec<JetStack> = self
             .embeds
             .iter()
-            .zip(coord_jets)
-            .map(|(e, j)| match e {
-                Embed::Raw => j.clone(),
-                Embed::Periodic(p) => p.forward_jet(ctx, j),
-                Embed::Learned(l) => l.forward_jet(ctx, j),
+            .zip(seeds)
+            .map(|(e, s)| match e {
+                Embed::Raw => s,
+                Embed::Periodic(p) => p.forward_stack(ctx, s),
+                Embed::Learned(l) => l.forward_stack(ctx, s),
             })
             .collect();
-        let refs: Vec<&Jet> = parts.iter().collect();
-        let features = Jet::hstack(ctx.g, &refs);
-        match &self.rff {
-            Some(rff) => rff.forward_jet(ctx, &features),
+        let features = JetStack::hstack(ctx.g, &parts);
+        let x = match &self.rff {
+            Some(rff) => rff.forward_stack(ctx, features),
             None => features,
-        }
+        };
+        self.mlp.forward_stack(ctx, x)
     }
 
     /// Full jet forward pass: `columns[i]` is the `[batch, 1]` tensor of
     /// coordinate `i`; returns the `[batch, n_fields]` output jet tracking
-    /// first and second derivatives with respect to every coordinate.
+    /// first and second derivatives with respect to every coordinate,
+    /// one node per slot cut from the output stack.
     pub fn forward_jet(&self, ctx: &mut GraphCtx<'_>, columns: &[Var]) -> Jet {
-        let k = columns.len();
-        let coord_jets: Vec<Jet> = columns
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| Jet::seed_coordinate(ctx.g, c, i, k))
-            .collect();
-        let x = self.embed(ctx, &coord_jets);
-        self.mlp.forward_jet(ctx, &x)
+        self.forward_stack(ctx, columns, columns.len()).unstack(ctx.g)
     }
 
     /// Value-only forward pass (no derivative tracking) — used for
-    /// evaluation and for loss terms that need field values only. Works by
-    /// propagating zero-coordinate jets, so it shares the jet code path.
+    /// evaluation and for loss terms that need field values only. It runs
+    /// the same stacked ops on stacks with no derivative blocks.
     pub fn forward_values(&self, ctx: &mut GraphCtx<'_>, columns: &[Var]) -> Var {
-        let coord_jets: Vec<Jet> = columns
-            .iter()
-            .map(|&c| Jet {
-                v: c,
-                d: Vec::new(),
-                dd: Vec::new(),
-            })
-            .collect();
-        let x = self.embed(ctx, &coord_jets);
-        self.mlp.forward_jet(ctx, &x).v
+        self.forward_stack(ctx, columns, 0).stack
     }
 
     /// Evaluate the fields at a list of points (no gradients, fresh
@@ -259,7 +255,7 @@ impl FieldNet {
             })
             .collect();
         let out = self.forward_values(&mut ctx, &columns);
-        g.value(out).clone()
+        g.into_value(out)
     }
 }
 

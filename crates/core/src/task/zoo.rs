@@ -514,20 +514,23 @@ mod tests {
 
     #[test]
     fn options_off_build_the_same_tape_as_before_they_existed() {
-        // Tape length and initial loss of every registered family at the
-        // quick preset, recorded before the causal and conservation
-        // options were added to the task.
+        // Initial loss of every registered family at the quick preset,
+        // recorded before the causal and conservation options were added
+        // to the task, and the tape length since the network carries each
+        // jet as one stacked node per layer (the per-slot tapes were 197,
+        // 86, 213, 91, 338, 219, 210, 210, 332 and 337 nodes long, with
+        // the same loss bits).
         let want: [(&str, usize, f64); 10] = [
-            ("convection-diffusion", 197, 7.0623103909851785e0),
-            ("eigen-harmonic", 86, 1.4480852970212817e2),
-            ("gray-scott", 213, 5.992387866678013e0),
-            ("helmholtz", 91, 7.076041602447565e3),
-            ("klein-gordon", 338, 7.270294203833001e0),
-            ("nls-soliton", 219, 1.824416357202369e0),
-            ("tdse-free", 210, 1.7982944924454842e0),
-            ("tdse-harmonic", 210, 1.710612480006614e2),
-            ("tdse2d-free", 332, 1.416744698626946e0),
-            ("wave", 337, 7.0768810159815585e0),
+            ("convection-diffusion", 56, 7.0623103909851785e0),
+            ("eigen-harmonic", 49, 1.4480852970212817e2),
+            ("gray-scott", 72, 5.992387866678013e0),
+            ("helmholtz", 46, 7.076041602447565e3),
+            ("klein-gordon", 80, 7.270294203833001e0),
+            ("nls-soliton", 78, 1.824416357202369e0),
+            ("tdse-free", 69, 1.7982944924454842e0),
+            ("tdse-harmonic", 69, 1.710612480006614e2),
+            ("tdse2d-free", 84, 1.416744698626946e0),
+            ("wave", 79, 7.0768810159815585e0),
         ];
         assert_eq!(qpinn_problems::keys().len(), want.len());
         for (key, len, loss) in want {

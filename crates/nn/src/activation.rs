@@ -1,8 +1,7 @@
-//! Activation functions with jet propagation.
+//! Activation functions over jet stacks.
 
 use crate::params::GraphCtx;
-use qpinn_autodiff::jet::Jet;
-use qpinn_autodiff::Var;
+use qpinn_autodiff::jet::JetStack;
 
 /// Smooth activations usable in PINNs (must be C² for second-order
 /// residuals).
@@ -15,16 +14,9 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Plain elementwise application.
-    pub fn forward(&self, ctx: &mut GraphCtx<'_>, x: Var) -> Var {
-        match self {
-            Activation::Tanh => ctx.g.tanh(x),
-            Activation::Sin => ctx.g.sin(x),
-        }
-    }
-
-    /// Jet application (value + first + second derivative propagation).
-    pub fn forward_jet(&self, ctx: &mut GraphCtx<'_>, x: &Jet) -> Jet {
+    /// Apply to a jet stack: value, first and second derivative blocks in
+    /// one fused node.
+    pub fn forward_stack(&self, ctx: &mut GraphCtx<'_>, x: JetStack) -> JetStack {
         match self {
             Activation::Tanh => x.tanh(ctx.g),
             Activation::Sin => x.sin(ctx.g),
@@ -52,11 +44,12 @@ mod tests {
         let params = ParamSet::new();
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
-        let x = ctx.g.constant(Tensor::from_slice(&[-0.5, 0.0, 1.2]));
-        let t = Activation::Tanh.forward(&mut ctx, x);
-        let s = Activation::Sin.forward(&mut ctx, x);
-        assert!((g.value(t).data()[2] - 1.2f64.tanh()).abs() < 1e-15);
-        assert!((g.value(s).data()[0] - (-0.5f64).sin()).abs() < 1e-15);
+        let x = ctx.g.constant(Tensor::column(&[-0.5, 0.0, 1.2]));
+        let x = JetStack { stack: x, n_coords: 0 };
+        let t = Activation::Tanh.forward_stack(&mut ctx, x);
+        let s = Activation::Sin.forward_stack(&mut ctx, x);
+        assert!((g.value(t.stack).data()[2] - 1.2f64.tanh()).abs() < 1e-15);
+        assert!((g.value(s.stack).data()[0] - (-0.5f64).sin()).abs() < 1e-15);
     }
 
     #[test]
@@ -65,8 +58,8 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::column(&[0.3]));
-        let jet = Jet::seed_coordinate(ctx.g, x, 0, 1);
-        let out = Activation::Sin.forward_jet(&mut ctx, &jet);
+        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let out = Activation::Sin.forward_stack(&mut ctx, jet).unstack(ctx.g);
         assert!((g.value(out.dd[0]).item() + 0.3f64.sin()).abs() < 1e-14);
     }
 }

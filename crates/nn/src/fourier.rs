@@ -8,8 +8,7 @@
 //! trainable.
 
 use crate::params::GraphCtx;
-use qpinn_autodiff::jet::Jet;
-use qpinn_autodiff::Var;
+use qpinn_autodiff::jet::JetStack;
 use qpinn_tensor::Tensor;
 use rand::rngs::StdRng;
 
@@ -44,23 +43,12 @@ impl RandomFourierFeatures {
         self.omega.shape().nrows()
     }
 
-    /// Plain forward pass on a `[batch, input_dim]` node.
-    pub fn forward(&self, ctx: &mut GraphCtx<'_>, x: Var) -> Var {
+    /// Forward pass over a jet stack: the projection is linear (one
+    /// bias-free matmul over every block), and sin/cos propagate by the
+    /// chain rule into `[sin | cos]` feature rows.
+    pub fn forward_stack(&self, ctx: &mut GraphCtx<'_>, x: JetStack) -> JetStack {
         let omega = ctx.g.constant(self.omega.clone());
-        let z = ctx.g.matmul(x, omega);
-        let s = ctx.g.sin(z);
-        let c = ctx.g.cos(z);
-        ctx.g.hstack(&[s, c])
-    }
-
-    /// Jet forward pass: the projection is linear, sin/cos propagate by the
-    /// chain rule, and the two feature blocks are stacked slot-wise.
-    pub fn forward_jet(&self, ctx: &mut GraphCtx<'_>, x: &Jet) -> Jet {
-        let omega = ctx.g.constant(self.omega.clone());
-        let z = x.map_linear(ctx.g, |g, s| g.matmul(s, omega));
-        let s = z.sin(ctx.g);
-        let c = z.cos(ctx.g);
-        Jet::hstack(ctx.g, &[&s, &c])
+        x.affine(ctx.g, omega, None).sin_cos(ctx.g)
     }
 }
 
@@ -81,9 +69,9 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::from_rows(&[&[0.3, 0.8]]));
-        let y = rff.forward(&mut ctx, x);
+        let y = rff.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0 });
         let z: f64 = 0.3 * 2.0 + 0.8 * 0.5;
-        let out = g.value(y);
+        let out = g.value(y.stack);
         assert!((out.get(&[0, 0]) - z.sin()).abs() < 1e-14);
         assert!((out.get(&[0, 1]) - z.cos()).abs() < 1e-14);
     }
@@ -99,8 +87,8 @@ mod tests {
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x0 = 0.4;
         let x = ctx.g.constant(Tensor::column(&[x0]));
-        let jet = Jet::seed_coordinate(ctx.g, x, 0, 1);
-        let out = rff.forward_jet(&mut ctx, &jet);
+        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let out = rff.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let d = g.value(out.d[0]);
         assert!((d.get(&[0, 0]) - w * (w * x0).cos()).abs() < 1e-13);
         assert!((d.get(&[0, 1]) + w * (w * x0).sin()).abs() < 1e-13);

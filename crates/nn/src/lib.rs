@@ -6,10 +6,10 @@
 //! * [`ParamSet`] / [`GraphCtx`] — an external parameter store that is
 //!   injected into a fresh tape every training step, so optimizers own the
 //!   persistent state and graphs stay cheap;
-//! * [`Dense`] and [`Mlp`] — fully connected layers with **jet-aware**
-//!   forward passes: [`Dense::forward_jet`] propagates
-//!   `(value, ∂/∂cᵢ, ∂²/∂cᵢ²)` per coordinate, giving PDE residual
-//!   derivatives as first-class differentiable tape nodes;
+//! * [`Dense`] and [`Mlp`] — fully connected layers over **jet stacks**:
+//!   [`Dense::forward_stack`] pushes `(value, ∂/∂cᵢ, ∂²/∂cᵢ²)` for every
+//!   coordinate through one matmul, giving PDE residual derivatives as
+//!   first-class differentiable tape nodes, one fused node per layer;
 //! * [`RandomFourierFeatures`] — the multiscale input embedding of Tancik
 //!   et al. used to combat spectral bias in PINNs;
 //! * [`PeriodicEmbedding`] — exact sin/cos periodization of spatial

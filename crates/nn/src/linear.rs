@@ -1,9 +1,8 @@
-//! Fully connected (dense) layers with jet-aware forward passes.
+//! Fully connected (dense) layers over jet stacks.
 
 use crate::init;
 use crate::params::{GraphCtx, ParamId, ParamSet};
-use qpinn_autodiff::jet::Jet;
-use qpinn_autodiff::Var;
+use qpinn_autodiff::jet::JetStack;
 use rand::rngs::StdRng;
 
 /// A dense layer `y = x·W + b` with `W: [in, out]`, `b: [out]`.
@@ -49,32 +48,13 @@ impl Dense {
         (self.w, self.b)
     }
 
-    /// Plain forward pass, via the fused affine kernel (one sweep, no
-    /// intermediate `x·W` tensor).
-    pub fn forward(&self, ctx: &mut GraphCtx<'_>, x: Var) -> Var {
+    /// Forward pass over a jet stack: one matmul over every block, the
+    /// bias on the value block only (the affine map is linear, so the
+    /// derivative blocks pass through the weights alone).
+    pub fn forward_stack(&self, ctx: &mut GraphCtx<'_>, x: JetStack) -> JetStack {
         let w = ctx.param(self.w);
         let b = ctx.param(self.b);
-        ctx.g.affine(x, w, b)
-    }
-
-    /// Fused forward pass `tanh(x·W + b)` — the dense-plus-activation step
-    /// of every hidden MLP layer collapsed into a single tape node.
-    pub fn forward_tanh(&self, ctx: &mut GraphCtx<'_>, x: Var) -> Var {
-        let w = ctx.param(self.w);
-        let b = ctx.param(self.b);
-        ctx.g.affine_tanh(x, w, b)
-    }
-
-    /// Jet forward pass: the affine map is linear, so derivative slots pass
-    /// through the weight matrix and the bias touches only the value slot
-    /// (which uses the fused affine kernel).
-    pub fn forward_jet(&self, ctx: &mut GraphCtx<'_>, x: &Jet) -> Jet {
-        let w = ctx.param(self.w);
-        let b = ctx.param(self.b);
-        let v = ctx.g.affine(x.v, w, b);
-        let d = x.d.iter().map(|&s| ctx.g.matmul(s, w)).collect();
-        let dd = x.dd.iter().map(|&s| ctx.g.matmul(s, w)).collect();
-        Jet { v, d, dd }
+        x.affine(ctx.g, w, Some(b))
     }
 }
 
@@ -102,9 +82,9 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::from_rows(&[&[1.0, 1.0]]));
-        let y = layer.forward(&mut ctx, x);
+        let y = layer.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0 });
         // [1,1]·[[1,2,3],[4,5,6]] + [0.1,0.2,0.3] = [5.1, 7.2, 9.3]
-        let out = g.value(y);
+        let out = g.value(y.stack);
         assert!(out.approx_eq(&Tensor::from_rows(&[&[5.1, 7.2, 9.3]]), 1e-12));
     }
 
@@ -118,8 +98,8 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::column(&[0.5, -1.5]));
-        let jet = Jet::seed_coordinate(ctx.g, x, 0, 1);
-        let out = layer.forward_jet(&mut ctx, &jet);
+        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let out = layer.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let d = g.value(out.d[0]);
         for i in 0..2 {
             assert!((d.get(&[i, 0]) - wvals.get(&[0, 0])).abs() < 1e-14);

@@ -1,10 +1,9 @@
-//! Multi-layer perceptron with jet-aware forward passes.
+//! Multi-layer perceptron over jet stacks.
 
 use crate::activation::Activation;
 use crate::linear::Dense;
 use crate::params::{GraphCtx, ParamSet};
-use qpinn_autodiff::jet::Jet;
-use qpinn_autodiff::Var;
+use qpinn_autodiff::jet::JetStack;
 use rand::rngs::StdRng;
 
 /// Architecture description for an [`Mlp`].
@@ -67,58 +66,18 @@ impl Mlp {
         &self.layers
     }
 
-    /// Plain forward pass on `[batch, input_dim]`. Hidden tanh layers run
-    /// through the fused `affine_tanh` kernel (one node per layer instead
-    /// of matmul → bias → tanh).
-    pub fn forward(&self, ctx: &mut GraphCtx<'_>, x: Var) -> Var {
+    /// Forward pass over a jet stack: two fused nodes per hidden layer
+    /// (dense, activation) and one for the linear output layer, each
+    /// carrying the value and every derivative block at once. A stack
+    /// with no coordinates is the plain value forward pass.
+    pub fn forward_stack(&self, ctx: &mut GraphCtx<'_>, x: JetStack) -> JetStack {
+        let (hidden, out) = self.layers.split_at(self.layers.len() - 1);
         let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            if i < last {
-                h = match self.activation {
-                    Activation::Tanh => layer.forward_tanh(ctx, h),
-                    _ => {
-                        let z = layer.forward(ctx, h);
-                        self.activation.forward(ctx, z)
-                    }
-                };
-            } else {
-                h = layer.forward(ctx, h);
-            }
+        for layer in hidden {
+            h = layer.forward_stack(ctx, h);
+            h = self.activation.forward_stack(ctx, h);
         }
-        h
-    }
-
-    /// Jet forward pass, propagating first and second coordinate
-    /// derivatives through every layer.
-    pub fn forward_jet(&self, ctx: &mut GraphCtx<'_>, x: &Jet) -> Jet {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward_jet(ctx, &h);
-            if i < last {
-                h = self.activation.forward_jet(ctx, &h);
-            }
-        }
-        h
-    }
-
-    /// Forward pass that stops just before the final linear layer,
-    /// returning the last hidden activation (used to splice in a quantum
-    /// layer as the second-to-last stage).
-    pub fn forward_jet_hidden(&self, ctx: &mut GraphCtx<'_>, x: &Jet) -> Jet {
-        let mut h = x.clone();
-        for layer in &self.layers[..self.layers.len() - 1] {
-            h = layer.forward_jet(ctx, &h);
-            h = self.activation.forward_jet(ctx, &h);
-        }
-        h
-    }
-
-    /// Apply only the final linear layer (the companion of
-    /// [`Mlp::forward_jet_hidden`]).
-    pub fn output_layer_jet(&self, ctx: &mut GraphCtx<'_>, h: &Jet) -> Jet {
-        self.layers[self.layers.len() - 1].forward_jet(ctx, h)
+        out[0].forward_stack(ctx, h)
     }
 }
 
@@ -137,22 +96,26 @@ mod tests {
         (params, mlp)
     }
 
+    /// The value-only forward pass at `x`.
+    fn eval(mlp: &Mlp, params: &ParamSet, xs: &[f64]) -> Tensor {
+        let mut g = Graph::new();
+        let mut ctx = GraphCtx::new(&mut g, params);
+        let x = ctx.g.constant(Tensor::column(xs));
+        let y = mlp.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0 });
+        g.value(y.stack).clone()
+    }
+
     #[test]
     fn forward_and_jet_values_agree() {
         let (params, mlp) = tiny_mlp();
-        let xs = Tensor::column(&[0.1, -0.4, 0.9]);
-
-        let mut g1 = Graph::new();
-        let mut ctx1 = GraphCtx::new(&mut g1, &params);
-        let x1 = ctx1.g.constant(xs.clone());
-        let y_plain = mlp.forward(&mut ctx1, x1);
-        let y_plain = g1.value(y_plain).clone();
+        let xs = [0.1, -0.4, 0.9];
+        let y_plain = eval(&mlp, &params, &xs);
 
         let mut g2 = Graph::new();
         let mut ctx2 = GraphCtx::new(&mut g2, &params);
-        let x2 = ctx2.g.constant(xs);
-        let jet = Jet::seed_coordinate(ctx2.g, x2, 0, 1);
-        let out = mlp.forward_jet(&mut ctx2, &jet);
+        let x2 = ctx2.g.constant(Tensor::column(&xs));
+        let jet = JetStack::seed(ctx2.g, x2, 0, 1);
+        let out = mlp.forward_stack(&mut ctx2, jet).unstack(ctx2.g);
         assert!(g2.value(out.v).approx_eq(&y_plain, 1e-13));
     }
 
@@ -161,23 +124,16 @@ mod tests {
         let (params, mlp) = tiny_mlp();
         let x0 = 0.35;
         let h = 1e-4;
-
-        let eval = |x: f64| -> f64 {
-            let mut g = Graph::new();
-            let mut ctx = GraphCtx::new(&mut g, &params);
-            let xc = ctx.g.constant(Tensor::column(&[x]));
-            let y = mlp.forward(&mut ctx, xc);
-            g.value(y).item()
-        };
+        let f = |x: f64| eval(&mlp, &params, &[x]).item();
 
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let xc = ctx.g.constant(Tensor::column(&[x0]));
-        let jet = Jet::seed_coordinate(ctx.g, xc, 0, 1);
-        let out = mlp.forward_jet(&mut ctx, &jet);
+        let jet = JetStack::seed(ctx.g, xc, 0, 1);
+        let out = mlp.forward_stack(&mut ctx, jet).unstack(ctx.g);
 
-        let fd1 = (eval(x0 + h) - eval(x0 - h)) / (2.0 * h);
-        let fd2 = (eval(x0 + h) - 2.0 * eval(x0) + eval(x0 - h)) / (h * h);
+        let fd1 = (f(x0 + h) - f(x0 - h)) / (2.0 * h);
+        let fd2 = (f(x0 + h) - 2.0 * f(x0) + f(x0 - h)) / (h * h);
         let d1 = g.value(out.d[0]).item();
         let d2 = g.value(out.dd[0]).item();
         assert!((d1 - fd1).abs() < 1e-6, "d1 {d1} vs {fd1}");
@@ -196,22 +152,16 @@ mod tests {
                 // Wire manually through the tape vars: layers alternate
                 // (w, b) in registration order.
                 let xc = g.constant(Tensor::column(&[0.2, -0.6, 0.7]));
-                let jet = Jet::seed_coordinate(g, xc, 0, 1);
-                let mut h = jet;
+                let mut h = JetStack::seed(g, xc, 0, 1);
                 let n_layers = vars.len() / 2;
                 for li in 0..n_layers {
-                    let w = vars[2 * li];
-                    let b = vars[2 * li + 1];
-                    let v = g.matmul(h.v, w);
-                    let v = g.add_bias(v, b);
-                    let d: Vec<_> = h.d.iter().map(|&s| g.matmul(s, w)).collect();
-                    let dd: Vec<_> = h.dd.iter().map(|&s| g.matmul(s, w)).collect();
-                    h = Jet { v, d, dd };
+                    h = h.affine(g, vars[2 * li], Some(vars[2 * li + 1]));
                     if li < n_layers - 1 {
                         h = h.tanh(g);
                     }
                 }
-                g.mse(h.dd[0])
+                let out = h.unstack(g);
+                g.mse(out.dd[0])
             },
             &tensors,
             2e-4,

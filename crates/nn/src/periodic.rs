@@ -7,7 +7,7 @@
 //! natural period is unknown a priori.
 
 use crate::params::{GraphCtx, ParamId, ParamSet};
-use qpinn_autodiff::jet::Jet;
+use qpinn_autodiff::jet::JetStack;
 use qpinn_tensor::Tensor;
 use std::f64::consts::TAU;
 
@@ -25,14 +25,10 @@ impl PeriodicEmbedding {
         PeriodicEmbedding { length }
     }
 
-    /// Map a coordinate jet to a 2-column feature jet
+    /// Map a coordinate jet stack to a 2-column feature stack
     /// `[sin(2πx/L), cos(2πx/L)]` with exact derivative propagation.
-    pub fn forward_jet(&self, ctx: &mut GraphCtx<'_>, x: &Jet) -> Jet {
-        let c = TAU / self.length;
-        let z = x.scale(ctx.g, c);
-        let s = z.sin(ctx.g);
-        let co = z.cos(ctx.g);
-        Jet::hstack(ctx.g, &[&s, &co])
+    pub fn forward_stack(&self, ctx: &mut GraphCtx<'_>, x: JetStack) -> JetStack {
+        x.scale(ctx.g, TAU / self.length).sin_cos(ctx.g)
     }
 }
 
@@ -59,20 +55,14 @@ impl LearnedPeriodEmbedding {
         self.inv_period
     }
 
-    /// Map a coordinate jet to `[sin(2πx/P), cos(2πx/P)]` where `1/P` is the
-    /// trainable parameter. Gradients flow into the period through the
-    /// `[batch,1]·[1,1]` matmul on each jet slot.
-    pub fn forward_jet(&self, ctx: &mut GraphCtx<'_>, x: &Jet) -> Jet {
+    /// Map a coordinate jet stack to `[sin(2πx/P), cos(2πx/P)]` where `1/P`
+    /// is the trainable parameter. Gradients flow into the period through
+    /// the bias-free `[rows,1]·[1,1]` matmul over the stack.
+    pub fn forward_stack(&self, ctx: &mut GraphCtx<'_>, x: JetStack) -> JetStack {
         let inv = ctx.param(self.inv_period);
-        // z = 2π · x · (1/P); the map is linear in x, so every slot goes
+        // z = 2π · x · (1/P); the map is linear in x, so every block goes
         // through the same matmul-then-scale.
-        let z = x.map_linear(ctx.g, |g, s| {
-            let m = g.matmul(s, inv);
-            g.scale(m, TAU)
-        });
-        let s = z.sin(ctx.g);
-        let c = z.cos(ctx.g);
-        Jet::hstack(ctx.g, &[&s, &c])
+        x.affine(ctx.g, inv, None).scale(ctx.g, TAU).sin_cos(ctx.g)
     }
 }
 
@@ -88,8 +78,8 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::column(&[0.3, 0.3 + 2.0, 0.3 - 4.0]));
-        let jet = Jet::seed_coordinate(ctx.g, x, 0, 1);
-        let out = emb.forward_jet(&mut ctx, &jet);
+        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let v = g.value(out.v);
         for col in 0..2 {
             let base = v.get(&[0, col]);
@@ -106,8 +96,8 @@ mod tests {
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x0 = 0.7;
         let x = ctx.g.constant(Tensor::column(&[x0]));
-        let jet = Jet::seed_coordinate(ctx.g, x, 0, 1);
-        let out = emb.forward_jet(&mut ctx, &jet);
+        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let c = TAU / 2.0;
         let d = g.value(out.d[0]);
         assert!((d.get(&[0, 0]) - c * (c * x0).cos()).abs() < 1e-13);
@@ -123,8 +113,8 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let t = ctx.g.constant(Tensor::column(&[0.4, 0.9]));
-        let jet = Jet::seed_coordinate(ctx.g, t, 0, 1);
-        let out = emb.forward_jet(&mut ctx, &jet);
+        let jet = JetStack::seed(ctx.g, t, 0, 1);
+        let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
         // mse(out.v) is identically 0.5 (sin²+cos²), so use the derivative
         // features, whose magnitude scales with 2π/P.
         let loss = ctx.g.mse(out.d[0]);
@@ -142,8 +132,8 @@ mod tests {
             let mut g = Graph::new();
             let mut ctx = GraphCtx::new(&mut g, &params);
             let t = ctx.g.constant(Tensor::column(&[0.4, 0.9]));
-            let jet = Jet::seed_coordinate(ctx.g, t, 0, 1);
-            let out = emb.forward_jet(&mut ctx, &jet);
+            let jet = JetStack::seed(ctx.g, t, 0, 1);
+            let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
             let loss = ctx.g.mse(out.d[0]);
             let v = ctx.g.value(loss).item();
             let _ = emb;
@@ -158,8 +148,8 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let t = ctx.g.constant(Tensor::column(&[0.4, 0.9]));
-        let jet = Jet::seed_coordinate(ctx.g, t, 0, 1);
-        let out = emb.forward_jet(&mut ctx, &jet);
+        let jet = JetStack::seed(ctx.g, t, 0, 1);
+        let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let loss = ctx.g.mse(out.d[0]);
         let mut grads = ctx.g.backward(loss);
         let collected = ctx.collect_grads(&mut grads);

@@ -35,7 +35,8 @@ USAGE:
 
     qpinn-obs check --baseline BASE.json --current CUR.json [--threshold PCT]
         Compare benchmark records; exit 1 if any perf metric regressed
-        beyond the threshold (default 10%).
+        beyond the threshold (default 10%), exit 2 (refuse) when both
+        records carry host_cpus or simd_width and they differ.
 
     qpinn-obs snapshots DIR [--recursive]
         List the .qps snapshots in a checkpoint or model-registry
@@ -288,6 +289,14 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let current = current.ok_or("check needs --current CUR.json")?;
     let base = Json::parse(&read_file(baseline)?).map_err(|e| format!("parsing {baseline}: {e}"))?;
     let cur = Json::parse(&read_file(current)?).map_err(|e| format!("parsing {current}: {e}"))?;
+    let mismatch = qpinn_obs::check::provenance_mismatch(&base, &cur);
+    if !mismatch.is_empty() {
+        eprintln!("refusing to compare: the records were measured on different set-ups");
+        for m in mismatch {
+            eprintln!("  {m}");
+        }
+        return Ok(ExitCode::from(2));
+    }
     let report = qpinn_obs::check::compare(&base, &cur, threshold);
     print!("{}", report.render());
     Ok(if report.passed() {

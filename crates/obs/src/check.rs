@@ -21,8 +21,31 @@
 //! honest when records grow new fields: a new perf series is guarded the
 //! first time it appears in both files, and a new config knob never
 //! trips it.
+//!
+//! Two records from different hosts are not comparable at all: when both
+//! carry a provenance field ([`PROVENANCE_KEYS`]: the host's CPU count and
+//! the SIMD dispatch width) and the values differ, [`provenance_mismatch`]
+//! names the field and `qpinn-obs check` refuses with exit 2, as
+//! `perfbench compare` does.
 
 use qpinn_core::report::{Json, TextTable};
+
+/// Top-level record fields that describe the measuring host. Records
+/// that disagree on any of them were measured on different set-ups.
+pub const PROVENANCE_KEYS: [&str; 2] = ["host_cpus", "simd_width"];
+
+/// The provenance fields both records carry with different values, as
+/// `field: baseline vs current` lines; empty when the records are
+/// comparable.
+pub fn provenance_mismatch(baseline: &Json, current: &Json) -> Vec<String> {
+    PROVENANCE_KEYS
+        .iter()
+        .filter_map(|&k| {
+            let (b, c) = (baseline.get(k)?.as_num()?, current.get(k)?.as_num()?);
+            (b != c).then(|| format!("{k}: baseline {b} vs current {c}"))
+        })
+        .collect()
+}
 
 /// Which way a metric is allowed to move.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

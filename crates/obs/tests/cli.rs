@@ -177,6 +177,40 @@ fn check_usage_errors_exit_two() {
 }
 
 #[test]
+fn check_refuses_records_from_different_hosts() {
+    // Same perf numbers, different provenance: no delta is meaningful, so
+    // the gate refuses with exit 2 and names the field instead of printing
+    // a table.
+    let base = tmp("base-host.json", &BASELINE.replace(r#""host_cpus":4"#, r#""host_cpus":1,"simd_width":8"#));
+    for (name, field, cur) in [
+        ("cpus", "host_cpus", BASELINE.replace(r#""host_cpus":4"#, r#""host_cpus":2,"simd_width":8"#)),
+        ("simd", "simd_width", BASELINE.replace(r#""host_cpus":4"#, r#""host_cpus":1,"simd_width":4"#)),
+    ] {
+        let cur = tmp(&format!("cur-host-{name}.json"), &cur);
+        let out = bin()
+            .args(["check", "--baseline"])
+            .arg(&base)
+            .arg("--current")
+            .arg(&cur)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("refusing to compare") && err.contains(field), "{err}");
+        assert!(!stdout(&out).contains("PASS"), "{}", stdout(&out));
+    }
+    // A field only one record carries is not a mismatch.
+    let out = bin()
+        .args(["check", "--baseline"])
+        .arg(&base)
+        .arg("--current")
+        .arg(tmp("cur-host-bare.json", &BASELINE.replace(r#""host_cpus":4,"#, "")))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
+}
+
+#[test]
 fn trace_flame_pool_run_over_one_stream() {
     let jsonl = concat!(
         r#"{"v":1,"ts_ns":5000,"kind":"span","name":"forward","thread":"main","fields":{"path":"epoch/loss/forward","dur_ns":3000}}"#,

@@ -299,6 +299,9 @@ impl Batcher {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.model.net.predict_batch(&self.model.params, &coords)
         }));
+        // Batch sizes vary from flush to flush, so a kept buffer free list
+        // would pin the largest batch's tape; hand it back instead.
+        qpinn_tensor::pool::release();
         let compute_end_ns = now_ns();
         if qpinn_telemetry::enabled() {
             // One span event per flush, naming every traced request it

@@ -64,7 +64,7 @@ impl Tensor {
     /// Run a SIMD-dispatched unary kernel (`c` is the op's scalar operand)
     /// into a pooled output buffer.
     pub(crate) fn map_simd<O: simd::MapOp>(&self, c: f64) -> Tensor {
-        let mut out = pool::take(self.len());
+        let mut out = pool::take_uninit(self.len());
         let src = self.data();
         if src.len() >= PAR_THRESHOLD {
             out.par_chunks_mut(CHUNK)
@@ -79,7 +79,7 @@ impl Tensor {
     /// Run a SIMD-dispatched binary kernel into a pooled output buffer.
     pub(crate) fn zip_simd<O: simd::BinOp>(&self, other: &Tensor, op: &str) -> Tensor {
         self.assert_same_shape(other, op);
-        let mut out = pool::take(self.len());
+        let mut out = pool::take_uninit(self.len());
         let (a, b) = (self.data(), other.data());
         if a.len() >= PAR_THRESHOLD {
             out.par_chunks_mut(CHUNK)
@@ -93,7 +93,7 @@ impl Tensor {
 
     /// Apply `f` to every element, producing a new tensor.
     pub fn map(&self, f: impl Fn(f64) -> f64 + Sync + Send) -> Tensor {
-        let mut out = pool::take(self.len());
+        let mut out = pool::take_uninit(self.len());
         map_into(self.data(), &mut out, f);
         Tensor::from_vec(self.shape().clone(), out)
     }
@@ -104,7 +104,7 @@ impl Tensor {
     /// Panics on shape mismatch.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64 + Sync + Send) -> Tensor {
         self.assert_same_shape(other, "zip");
-        let mut out = pool::take(self.len());
+        let mut out = pool::take_uninit(self.len());
         zip_into(self.data(), other.data(), &mut out, f);
         Tensor::from_vec(self.shape().clone(), out)
     }
@@ -222,7 +222,7 @@ impl Tensor {
             self.shape()
         );
         let b = bias.data();
-        let mut out = self.data().to_vec();
+        let mut out = self.clone().into_vec();
         if out.len() >= PAR_THRESHOLD {
             out.par_chunks_mut(n).for_each(|row| {
                 simd::vaxpy(1.0, b, row);
@@ -245,7 +245,7 @@ impl Tensor {
         let (m, n) = (self.shape().nrows(), self.shape().ncols());
         assert_eq!(w.len(), m, "weight length {} != nrows {m}", w.len());
         let wv = w.data();
-        let mut out = self.data().to_vec();
+        let mut out = self.clone().into_vec();
         for (i, row) in out.chunks_mut(n).enumerate() {
             simd::map_inplace_k::<simd::OpScale>(wv[i], row);
         }

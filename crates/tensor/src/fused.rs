@@ -1,23 +1,20 @@
-//! Fused single-pass kernels for the chains that dominate PINN residuals.
+//! Fused single-pass kernels for chains that would otherwise materialize
+//! intermediates:
 //!
-//! The reverse-mode tape historically materialized every link of
-//! `tanh → square → neg → add_scalar` and `matmul → add_bias → tanh` as a
-//! separate tensor. These kernels collapse the two hottest chains:
-//!
-//! * [`Tensor::tanh_with_deriv`] — `tanh x` and `1 − tanh²x` in one sweep
-//!   over the input (the forward value and the exact backward factor);
 //! * [`Tensor::affine_act`] — `act(X·W + b)` with the bias seeded into the
-//!   output accumulator and the activation applied in place per row block,
-//!   so the pre-activation matrix never exists.
+//!   output accumulator and the activation applied in place, so the
+//!   pre-activation matrix never exists;
+//! * [`Tensor::one_minus_square`] and [`Tensor::grad_tanh`] — the tanh
+//!   derivative and backward in one sweep each.
 //!
-//! Both draw their outputs from the buffer pool ([`crate::pool`]) and run
+//! All draw their outputs from the buffer pool ([`crate::pool`]) and run
 //! on the dispatched SIMD width ([`crate::simd`]). Accumulation order in
-//! `affine_act` is bias-first then ascending `k`, fixed by the blocking
-//! constants — bit-identical at any pool width, though (by design) not
-//! bit-identical to the unfused `matmul` + `add_row_broadcast` pair, whose
-//! rounding sequence differs.
+//! `affine_act` is bias-first then ascending `k` — bit-identical at any
+//! pool width, though (by design) not bit-identical to the unfused
+//! `matmul` + `add_row_broadcast` pair, whose rounding sequence differs.
 
-use crate::tune::{CHUNK, K_BLOCK, PAR_FLOPS, ROW_BLOCK};
+use crate::matmul::gemm_nn;
+use crate::tune::CHUNK;
 use crate::{pool, simd, Tensor, PAR_THRESHOLD};
 use rayon::prelude::*;
 
@@ -31,26 +28,6 @@ pub enum FusedAct {
 }
 
 impl Tensor {
-    /// `(tanh x, 1 − tanh²x)` in a single pass: the forward activation and
-    /// its derivative, sharing one traversal of the input.
-    pub fn tanh_with_deriv(&self) -> (Tensor, Tensor) {
-        let n = self.len();
-        let mut t = pool::take(n);
-        let mut d = pool::take(n);
-        let src = self.data();
-        if n >= PAR_THRESHOLD {
-            t.par_chunks_mut(CHUNK)
-                .zip(d.par_chunks_mut(CHUNK).zip(src.par_chunks(CHUNK)))
-                .for_each(|(tc, (dc, sc))| simd::vtanh_with_deriv(sc, tc, dc));
-        } else {
-            simd::vtanh_with_deriv(src, &mut t, &mut d);
-        }
-        (
-            Tensor::from_vec(self.shape().clone(), t),
-            Tensor::from_vec(self.shape().clone(), d),
-        )
-    }
-
     /// Elementwise `1 − x²` (the tanh derivative from a stored activation),
     /// fused into one kernel instead of `square → neg → add_scalar`.
     pub fn one_minus_square(&self) -> Tensor {
@@ -69,10 +46,10 @@ impl Tensor {
     /// Fused affine layer `act(self · w + bias)` for rank-2 `self[m,k]`,
     /// `w[k,n]` and rank-1 `bias[n]`.
     ///
-    /// The output block is seeded with the bias, the `X·W` contraction
+    /// The output is seeded with the bias, the `X·W` contraction
     /// accumulates on top in ascending `k`, and the activation is applied
-    /// in place per row block — one output allocation, no intermediate
-    /// pre-activation tensor.
+    /// in place — one output allocation, no intermediate pre-activation
+    /// tensor.
     ///
     /// # Panics
     /// Panics when shapes are incompatible.
@@ -87,40 +64,14 @@ impl Tensor {
             bias.shape(),
             w.shape()
         );
-        let a = self.data();
-        let wd = w.data();
-        let bd = bias.data();
-        let mut out = pool::take(m * n);
-        if out.is_empty() {
-            return Tensor::from_vec([m, n], out);
-        }
-        let body = |blk: usize, out_blk: &mut [f64]| {
-            let i0 = blk * ROW_BLOCK;
-            let rows = out_blk.len() / n;
-            for row in out_blk.chunks_mut(n) {
-                row.copy_from_slice(bd);
-            }
-            let mut kb0 = 0;
-            while kb0 < k {
-                let kb1 = (kb0 + K_BLOCK).min(k);
-                for r in 0..rows {
-                    let a_row = &a[(i0 + r) * k..(i0 + r) * k + k];
-                    let row_out = &mut out_blk[r * n..(r + 1) * n];
-                    simd::vaxpy_panel(&a_row[kb0..kb1], 1, kb1 - kb0, &wd[kb0 * n..kb1 * n], n, row_out);
-                }
-                kb0 = kb1;
-            }
-            if matches!(act, FusedAct::Tanh) {
-                simd::map_inplace_k::<simd::OpTanh>(0.0, out_blk);
-            }
-        };
-        if m * k.max(1) * n >= PAR_FLOPS && m > ROW_BLOCK {
-            out.par_chunks_mut(ROW_BLOCK * n)
-                .enumerate()
-                .for_each(|(blk, chunk)| body(blk, chunk));
-        } else {
-            for (blk, chunk) in out.chunks_mut(ROW_BLOCK * n).enumerate() {
-                body(blk, chunk);
+        let mut out = pool::take_uninit(m * n);
+        gemm_nn(self.data(), w.data(), (m, k, n), Some(bias.data()), m, &mut out);
+        if matches!(act, FusedAct::Tanh) {
+            if out.len() >= PAR_THRESHOLD {
+                out.par_chunks_mut(CHUNK)
+                    .for_each(|c| simd::map_inplace_k::<simd::OpTanh>(0.0, c));
+            } else {
+                simd::map_inplace_k::<simd::OpTanh>(0.0, &mut out);
             }
         }
         Tensor::from_vec([m, n], out)
@@ -130,17 +81,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tanh_with_deriv_matches_separate_ops() {
-        let x = Tensor::from_slice(&[-3.0, -0.5, 0.0, 0.3, 2.0, 25.0, -0.625]);
-        let (t, d) = x.tanh_with_deriv();
-        for (i, &xi) in x.data().iter().enumerate() {
-            assert!((t.data()[i] - xi.tanh()).abs() < 1e-14);
-            let want = 1.0 - xi.tanh() * xi.tanh();
-            assert!((d.data()[i] - want).abs() < 1e-14, "deriv at {xi}");
-        }
-    }
 
     #[test]
     fn one_minus_square_and_grad_tanh() {

@@ -20,9 +20,13 @@
 //!   width, and transcendentals share one branch-free polynomial kernel.
 //!   `unsafe` is confined to that module's intrinsic calls behind runtime
 //!   feature detection; everything above it is safe slice code;
-//! * fused kernels ([`Tensor::tanh_with_deriv`], [`Tensor::affine_act`])
-//!   collapse the hottest forward/backward chains into single sweeps, with
-//!   outputs drawn from a thread-local buffer [`pool`].
+//! * register-blocked matmul micro-kernels ([`Tensor::matmul`] and its
+//!   transposed layouts, with slice-level [`gemm_nn`]/[`gemm_tn`]/
+//!   [`gemm_nt`]) and the jet-stack kernels ([`Tensor::jet_affine`],
+//!   [`Tensor::jet_tanh`], [`Tensor::jet_sin`], [`Tensor::jet_sin_cos`]
+//!   and their backward passes), which push a whole second-order jet
+//!   through a layer in one sweep, with outputs drawn from a thread-local
+//!   buffer [`pool`].
 //!
 //! ```
 //! use qpinn_tensor::Tensor;
@@ -42,10 +46,13 @@ mod random;
 mod reduce;
 mod shape;
 pub mod simd;
+mod stack;
 mod tensor;
 
 pub use fused::FusedAct;
+pub use matmul::{gemm_nn, gemm_nt, gemm_tn};
 pub use shape::Shape;
+pub use stack::JetAffineGrads;
 pub use tensor::Tensor;
 
 /// Serial/parallel cutoffs and blocking factors for every tensor kernel,
@@ -84,11 +91,6 @@ pub(crate) mod tune {
     /// (`256·n` doubles) stay hot in L1/L2 while the task's `ROW_BLOCK`
     /// output rows accumulate against them.
     pub const K_BLOCK: usize = 256;
-
-    /// B-row panel width in `matmul_nt`: the row-dot kernel walks
-    /// `J_BLOCK` rows of B against each A row so the panel is reused from
-    /// cache across the task's row block.
-    pub const J_BLOCK: usize = 64;
 }
 
 pub(crate) use tune::PAR_THRESHOLD;

@@ -26,6 +26,36 @@ fn assert_width_invariant(f: impl Fn() -> Vec<f64>) {
     }
 }
 
+/// Strategy: operand pairs that fill and overhang the register tiles —
+/// 17–70 rows, widths 1–72 (every other case a multiple of 8), and
+/// contraction depths either up to 72 or past one 256-deep panel.
+fn tile_pair() -> impl Strategy<Value = (Tensor, Tensor)> {
+    (17usize..=70, 0usize..4, 1usize..=72, 1usize..=9, 1usize..=72, 257usize..=300).prop_flat_map(
+        |(m, kind, k_small, n8, n_any, k_deep)| {
+            let n = if kind % 2 == 0 { 8 * n8 } else { n_any };
+            let k = if kind < 2 { k_small } else { k_deep };
+            let a = proptest::collection::vec(-5.0..5.0f64, m * k)
+                .prop_map(move |v| Tensor::from_vec([m, k], v));
+            let b = proptest::collection::vec(-5.0..5.0f64, k * n)
+                .prop_map(move |v| Tensor::from_vec([k, n], v));
+            (a, b)
+        },
+    )
+}
+
+/// Strategy: a jet stack with `k` of 0–3 coordinates, 1–40 rows per block
+/// and width 1–72, plus a gradient stack of the same shape.
+fn jet_stack() -> impl Strategy<Value = (usize, Tensor, Tensor)> {
+    (0usize..=3, 1usize..=40, 1usize..=72).prop_flat_map(|(k, n, w)| {
+        let rows = (1 + 2 * k) * n;
+        let z = proptest::collection::vec(-3.0..3.0f64, rows * w)
+            .prop_map(move |v| Tensor::from_vec([rows, w], v));
+        let g = proptest::collection::vec(-2.0..2.0f64, 2 * rows * w)
+            .prop_map(move |v| Tensor::from_vec([rows, 2 * w], v));
+        (Just(k), z, g)
+    })
+}
+
 /// Strategy: a rank-2 tensor with bounded dims and moderate values.
 fn mat(max: usize) -> impl Strategy<Value = Tensor> {
     (1..=max, 1..=max).prop_flat_map(|(m, n)| {
@@ -182,13 +212,44 @@ proptest! {
             (0..b.shape().ncols()).map(|j| (j as f64) * 0.21 - 0.4).collect::<Vec<_>>(),
         );
         assert_width_invariant(|| {
-            let (t, d) = a.tanh_with_deriv();
             let mut out = Vec::new();
-            out.extend_from_slice(t.data());
-            out.extend_from_slice(d.data());
             out.extend_from_slice(a.one_minus_square().data());
             out.extend_from_slice(a.affine_act(&b, &bias, FusedAct::Identity).data());
             out.extend_from_slice(a.affine_act(&b, &bias, FusedAct::Tanh).data());
+            out
+        });
+    }
+
+    #[test]
+    fn simd_jet_kernels_width_invariant((k, z, g2) in jet_stack()) {
+        // Forward and backward of every jet-stack kernel, compared with
+        // the scalar path bit for bit. `g2` is twice as wide as `z`: the
+        // sin|cos pair's output gradient; its left half serves the others.
+        let (rows, w) = (z.shape().nrows(), z.shape().ncols());
+        let g = Tensor::from_vec(
+            [rows, w],
+            g2.data().chunks(2 * w).flat_map(|r| r[..w].to_vec()).collect::<Vec<_>>(),
+        );
+        let wt = Tensor::from_vec([w, 3], (0..3 * w).map(|i| (i as f64 * 0.37).sin()).collect::<Vec<_>>());
+        let bias = Tensor::from_slice(&[0.25, -0.5, 1.0]);
+        let g3 = Tensor::from_vec([rows, 3], g.data()[..rows * 3.min(w)].iter().cycle().take(rows * 3).copied().collect::<Vec<_>>());
+        assert_width_invariant(|| {
+            let mut out = Vec::new();
+            let t = z.jet_tanh(k);
+            out.extend_from_slice(t.data());
+            out.extend_from_slice(z.jet_tanh_backward(&t, &g, k).data());
+            let (s, c) = z.jet_sin(k);
+            out.extend_from_slice(s.data());
+            out.extend_from_slice(z.jet_sin_backward(&s, &c, &g, k).data());
+            let sc = z.jet_sin_cos(k);
+            out.extend_from_slice(sc.data());
+            out.extend_from_slice(z.jet_sin_cos_backward(&sc, &g2, k).data());
+            let n = rows / (1 + 2 * k);
+            out.extend_from_slice(z.jet_affine(&wt, Some(&bias), n).data());
+            let grads = z.jet_affine_backward(&wt, &g3, 1 + 2 * k, (true, true, true));
+            for t in grads.x.iter().chain(&grads.w).chain(&grads.b) {
+                out.extend_from_slice(t.data());
+            }
             out
         });
     }
@@ -223,5 +284,36 @@ proptest! {
                 prop_assert!((out.get(&[i, j]) - (t.get(&[i, j]) + bias.data()[j])).abs() < 1e-12);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn simd_matmul_tiles_width_invariant((a, b) in tile_pair()) {
+        assert_width_invariant(|| {
+            let c = a.matmul(&b);
+            let mut out = Vec::new();
+            out.extend_from_slice(c.data());
+            out.extend_from_slice(a.matmul_tn(&c).data());
+            out.extend_from_slice(c.matmul_nt(&b).data());
+            out
+        });
+    }
+
+    #[test]
+    fn simd_fused_tiles_width_invariant((a, b) in tile_pair()) {
+        let n = b.shape().ncols();
+        let bias = Tensor::from_vec([n], (0..n).map(|j| (j as f64) * 0.21 - 0.4).collect::<Vec<_>>());
+        let rows = a.shape().nrows();
+        assert_width_invariant(|| {
+            let mut out = Vec::new();
+            out.extend_from_slice(a.affine_act(&b, &bias, FusedAct::Identity).data());
+            out.extend_from_slice(a.affine_act(&b, &bias, FusedAct::Tanh).data());
+            // Bias on a ragged leading block of rows only.
+            out.extend_from_slice(a.jet_affine(&b, Some(&bias), rows / 3).data());
+            out
+        });
     }
 }

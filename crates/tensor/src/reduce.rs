@@ -86,7 +86,7 @@ impl Tensor {
     /// This is the reduction that backs bias gradients.
     pub fn sum_rows(&self) -> Tensor {
         let (m, n) = (self.shape().nrows(), self.shape().ncols());
-        let mut out = vec![0.0; n];
+        let mut out = crate::pool::take(n);
         for i in 0..m {
             simd::vaxpy(1.0, self.row(i), &mut out);
         }

@@ -35,6 +35,14 @@ use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 
+mod jet;
+mod tile;
+
+pub(crate) use jet::{
+    sin_jet_bwd, sin_jet_fwd, sincos_jet_bwd, sincos_jet_fwd, tanh_jet_bwd, tanh_jet_fwd,
+};
+pub(crate) use tile::{axpy_panel, dot_rows, PanelSeed};
+
 /// Cached dispatch width in f64 lanes (0 = not yet initialised).
 static WIDTH: AtomicU8 = AtomicU8::new(0);
 
@@ -121,6 +129,11 @@ pub(crate) trait Lanes: Copy {
     unsafe fn splat(v: f64) -> Self;
     unsafe fn load(s: &[f64]) -> Self;
     unsafe fn store(self, d: &mut [f64]);
+    /// Unaligned load of `W` lanes from a raw pointer (the register-tile
+    /// kernels check their extents once per call, not per load).
+    unsafe fn ld(p: *const f64) -> Self;
+    /// Unaligned store of `W` lanes to a raw pointer.
+    unsafe fn st(self, p: *mut f64);
     unsafe fn add(self, o: Self) -> Self;
     unsafe fn sub(self, o: Self) -> Self;
     unsafe fn mul(self, o: Self) -> Self;
@@ -159,6 +172,14 @@ impl Lanes for f64 {
     #[inline(always)]
     unsafe fn store(self, d: &mut [f64]) {
         d[0] = self;
+    }
+    #[inline(always)]
+    unsafe fn ld(p: *const f64) -> Self {
+        *p
+    }
+    #[inline(always)]
+    unsafe fn st(self, p: *mut f64) {
+        *p = self;
     }
     #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
@@ -263,6 +284,14 @@ impl Lanes for V4 {
         _mm256_storeu_pd(d.as_mut_ptr(), self.0);
     }
     #[inline(always)]
+    unsafe fn ld(p: *const f64) -> Self {
+        V4(_mm256_loadu_pd(p))
+    }
+    #[inline(always)]
+    unsafe fn st(self, p: *mut f64) {
+        _mm256_storeu_pd(p, self.0);
+    }
+    #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
         V4(_mm256_add_pd(self.0, o.0))
     }
@@ -358,6 +387,14 @@ impl Lanes for V8 {
     unsafe fn store(self, d: &mut [f64]) {
         debug_assert!(d.len() >= 8);
         _mm512_storeu_pd(d.as_mut_ptr(), self.0);
+    }
+    #[inline(always)]
+    unsafe fn ld(p: *const f64) -> Self {
+        V8(_mm512_loadu_pd(p))
+    }
+    #[inline(always)]
+    unsafe fn st(self, p: *mut f64) {
+        _mm512_storeu_pd(p, self.0);
     }
     #[inline(always)]
     unsafe fn add(self, o: Self) -> Self {
@@ -664,63 +701,6 @@ unsafe fn axpy_drive<L: Lanes>(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Panel of `nk` fused axpy sweeps: `out[j] += Σ_t coeffs[t·cstride] ·
-/// b[t·ldb + j]`, ascending `t`. Per element this is the identical
-/// mul-then-add chain a sequence of `nk` [`vaxpy`] calls produces — the
-/// register accumulator only replaces an exact store/reload round trip —
-/// so the result is bit-identical to the unfused sequence at every width.
-#[inline(always)]
-unsafe fn axpy_panel_drive<L: Lanes>(
-    coeffs: &[f64],
-    cstride: usize,
-    nk: usize,
-    b: &[f64],
-    ldb: usize,
-    out: &mut [f64],
-) {
-    let n = out.len();
-    let w = L::W;
-    let main = n - n % w;
-    let mut j = 0;
-    while j < main {
-        let mut acc = L::load(&out[j..]);
-        for t in 0..nk {
-            acc = acc.add(L::splat(coeffs[t * cstride]).mul(L::load(&b[t * ldb + j..])));
-        }
-        acc.store(&mut out[j..]);
-        j += w;
-    }
-    for j in main..n {
-        let mut acc = out[j];
-        for t in 0..nk {
-            acc += coeffs[t * cstride] * b[t * ldb + j];
-        }
-        out[j] = acc;
-    }
-}
-
-#[inline(always)]
-unsafe fn tanh_deriv_drive<L: Lanes>(src: &[f64], t_out: &mut [f64], d_out: &mut [f64]) {
-    let w = L::W;
-    let main = src.len() - src.len() % w;
-    let one = L::splat(1.0);
-    let (sm, st) = src.split_at(main);
-    let (tm, tt) = t_out.split_at_mut(main);
-    let (dm, dt) = d_out.split_at_mut(main);
-    for ((sc, tc), dc) in sm
-        .chunks_exact(w)
-        .zip(tm.chunks_exact_mut(w))
-        .zip(dm.chunks_exact_mut(w))
-    {
-        let t = tanh_l(L::load(sc));
-        t.store(tc);
-        one.sub(t.mul(t)).store(dc);
-    }
-    if L::W > 1 {
-        tanh_deriv_drive::<f64>(st, tt, dt);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Target-feature shims: the only unsafe boundary. Dispatch guarantees a
 // shim is entered only when its feature was detected.
@@ -774,30 +754,6 @@ unsafe fn axpy_w8(alpha: f64, x: &[f64], y: &mut [f64]) {
     axpy_drive::<V8>(alpha, x, y)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_panel_w4(c: &[f64], cs: usize, nk: usize, b: &[f64], ldb: usize, o: &mut [f64]) {
-    axpy_panel_drive::<V4>(c, cs, nk, b, ldb, o)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn axpy_panel_w8(c: &[f64], cs: usize, nk: usize, b: &[f64], ldb: usize, o: &mut [f64]) {
-    axpy_panel_drive::<V8>(c, cs, nk, b, ldb, o)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tanh_deriv_w4(s: &[f64], t: &mut [f64], d: &mut [f64]) {
-    tanh_deriv_drive::<V4>(s, t, d)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn tanh_deriv_w8(s: &[f64], t: &mut [f64], d: &mut [f64]) {
-    tanh_deriv_drive::<V8>(s, t, d)
-}
-
 // ---------------------------------------------------------------------------
 // Dispatched kernels (crate-internal API).
 // ---------------------------------------------------------------------------
@@ -847,82 +803,6 @@ pub(crate) fn vaxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         8 => unsafe { axpy_w8(alpha, x, y) },
         _ => unsafe { axpy_drive::<f64>(alpha, x, y) },
-    }
-}
-
-/// `out[j] += Σ_t coeffs[t·cstride] · b[t·ldb + j]` for `t` ascending —
-/// the matmul k-panel. Equivalent to `nk` successive [`vaxpy`] calls but
-/// pays the dispatch cost once per panel (the inner sweeps of a `[m,32]·
-/// [32,32]` product are far too short to amortize a per-sweep indirect
-/// call) and keeps the output row in registers across the whole panel.
-/// Bit-identical to the unfused sequence at every width.
-#[inline]
-pub(crate) fn vaxpy_panel(
-    coeffs: &[f64],
-    cstride: usize,
-    nk: usize,
-    b: &[f64],
-    ldb: usize,
-    out: &mut [f64],
-) {
-    if nk == 0 || out.is_empty() {
-        return;
-    }
-    debug_assert!(coeffs.len() > (nk - 1) * cstride);
-    debug_assert!(b.len() >= (nk - 1) * ldb + out.len());
-    match width() {
-        #[cfg(target_arch = "x86_64")]
-        4 => unsafe { axpy_panel_w4(coeffs, cstride, nk, b, ldb, out) },
-        #[cfg(target_arch = "x86_64")]
-        8 => unsafe { axpy_panel_w8(coeffs, cstride, nk, b, ldb, out) },
-        _ => unsafe { axpy_panel_drive::<f64>(coeffs, cstride, nk, b, ldb, out) },
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_panel_w4(a: &[f64], b: &[f64], ldb: usize, out: &mut [f64]) {
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = dot_w4(a, &b[j * ldb..j * ldb + a.len()]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn dot_panel_w8(a: &[f64], b: &[f64], ldb: usize, out: &mut [f64]) {
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = dot_w8(a, &b[j * ldb..j * ldb + a.len()]);
-    }
-}
-
-/// `out[j] = a · b[j·ldb ..][..a.len()]` — a panel of row dots sharing one
-/// dispatch. Each dot uses the same fixed eight-lane accumulation as
-/// [`vdot`], so results are bit-identical to per-call dispatch.
-#[inline]
-pub(crate) fn vdot_panel(a: &[f64], b: &[f64], ldb: usize, out: &mut [f64]) {
-    match width() {
-        #[cfg(target_arch = "x86_64")]
-        4 => unsafe { dot_panel_w4(a, b, ldb, out) },
-        #[cfg(target_arch = "x86_64")]
-        8 => unsafe { dot_panel_w8(a, b, ldb, out) },
-        _ => {
-            for (j, o) in out.iter_mut().enumerate() {
-                *o = dot_w1(a, &b[j * ldb..j * ldb + a.len()]);
-            }
-        }
-    }
-}
-
-/// `t[i] = tanh(s[i])`, `d[i] = 1 − t[i]²` in a single sweep.
-#[inline]
-pub(crate) fn vtanh_with_deriv(s: &[f64], t: &mut [f64], d: &mut [f64]) {
-    debug_assert!(s.len() == t.len() && s.len() == d.len());
-    match width() {
-        #[cfg(target_arch = "x86_64")]
-        4 => unsafe { tanh_deriv_w4(s, t, d) },
-        #[cfg(target_arch = "x86_64")]
-        8 => unsafe { tanh_deriv_w8(s, t, d) },
-        _ => unsafe { tanh_deriv_drive::<f64>(s, t, d) },
     }
 }
 
@@ -1241,10 +1121,10 @@ mod tests {
                 let mut a = y.clone();
                 vaxpy(0.77, &x, &mut a);
                 r.extend(a.iter().map(|v| v.to_bits()));
-                let mut t = vec![0.0; x.len()];
-                vtanh_with_deriv(&x, &mut t, &mut d);
-                r.extend(t.iter().map(|v| v.to_bits()));
-                r.extend(d.iter().map(|v| v.to_bits()));
+                // A one-coordinate tanh jet over (x, y, x) blocks.
+                let (mut u, mut du) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+                tanh_jet_fwd(&[&x, &y, &x], &mut [&mut u, &mut du, &mut d], 1);
+                r.extend(u.iter().chain(&du).chain(&d).map(|v| v.to_bits()));
                 r
             })
         };

@@ -1,17 +1,29 @@
 //! The dense [`Tensor`] type: storage, constructors, accessors.
 
-use crate::Shape;
+use crate::{pool, Shape};
 use std::fmt;
 
 /// A dense, row-major, `f64` tensor.
 ///
 /// Most tensors in the PINN stack are rank-2 (`[batch, features]` activations
 /// and `[in, out]` weights) or rank-1 (bias vectors, coordinate columns);
-/// scalars are rank-0.
-#[derive(Clone, PartialEq)]
+/// scalars are rank-0. Clones and the filled constructors draw their
+/// storage from the thread's buffer [`pool`].
+#[derive(PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f64>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        let mut data = pool::take_uninit(self.data.len());
+        data.copy_from_slice(&self.data);
+        Tensor {
+            shape: self.shape.clone(),
+            data,
+        }
+    }
 }
 
 impl Tensor {
@@ -45,7 +57,7 @@ impl Tensor {
         let n = shape.len();
         Tensor {
             shape,
-            data: vec![0.0; n],
+            data: pool::take(n),
         }
     }
 
@@ -57,11 +69,9 @@ impl Tensor {
     /// Constant-filled tensor.
     pub fn full(shape: impl Into<Shape>, v: f64) -> Self {
         let shape = shape.into();
-        let n = shape.len();
-        Tensor {
-            shape,
-            data: vec![v; n],
-        }
+        let mut data = pool::take_uninit(shape.len());
+        data.fill(v);
+        Tensor { shape, data }
     }
 
     /// Identity matrix of size `n`.
@@ -75,9 +85,11 @@ impl Tensor {
 
     /// Rank-1 tensor from a slice.
     pub fn from_slice(v: &[f64]) -> Self {
+        let mut data = pool::take_uninit(v.len());
+        data.copy_from_slice(v);
         Tensor {
             shape: Shape::new(&[v.len()]),
-            data: v.to_vec(),
+            data,
         }
     }
 
@@ -101,10 +113,7 @@ impl Tensor {
 
     /// A `[n, 1]` column tensor from a slice (the shape PINN coordinates use).
     pub fn column(v: &[f64]) -> Self {
-        Tensor {
-            shape: Shape::new(&[v.len(), 1]),
-            data: v.to_vec(),
-        }
+        Tensor::from_slice(v).reshape([v.len(), 1])
     }
 
     /// `n` evenly spaced points covering `[a, b]` inclusive, as a rank-1
@@ -191,7 +200,7 @@ impl Tensor {
     /// Matrix transpose of a rank-2 tensor.
     pub fn transpose(&self) -> Tensor {
         let (m, n) = (self.shape.nrows(), self.shape.ncols());
-        let mut out = vec![0.0; m * n];
+        let mut out = pool::take_uninit(m * n);
         for i in 0..m {
             for j in 0..n {
                 out[j * m + i] = self.data[i * n + j];
@@ -220,12 +229,15 @@ impl Tensor {
         assert!(!parts.is_empty(), "hstack of nothing");
         let m = parts[0].shape.nrows();
         let total: usize = parts.iter().map(|p| p.shape.ncols()).sum();
-        let mut data = Vec::with_capacity(m * total);
-        for i in 0..m {
-            for p in parts {
-                assert_eq!(p.shape.nrows(), m, "hstack row mismatch");
-                data.extend_from_slice(p.row(i));
+        assert!(parts.iter().all(|p| p.shape.nrows() == m), "hstack row mismatch");
+        let mut data = pool::take_uninit(m * total);
+        let mut col0 = 0;
+        for p in parts {
+            let nc = p.shape.ncols();
+            for (i, row) in data.chunks_exact_mut(total.max(1)).take(m).enumerate() {
+                row[col0..col0 + nc].copy_from_slice(p.row(i));
             }
+            col0 += nc;
         }
         Tensor::from_vec([m, total], data)
     }
