@@ -31,7 +31,7 @@ pub struct AccessEntry {
     pub batch: u64,
     /// Queue-wait nanoseconds.
     pub queue_ns: u64,
-    /// Batch-linger nanoseconds.
+    /// Batch-drain nanoseconds.
     pub batch_ns: u64,
     /// Forward-pass nanoseconds.
     pub compute_ns: u64,

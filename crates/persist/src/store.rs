@@ -45,6 +45,10 @@ impl SnapshotEntry {
 /// previous set of intact snapshots or the previous set plus one new intact
 /// snapshot — never a half-written file under a final name. Stale `*.tmp`
 /// files from a crashed writer are swept on [`SnapshotStore::open`].
+///
+/// The sweep cannot tell a crashed writer's debris from a save still in
+/// flight on another thread, so only the directory's one writer may call
+/// `open`; readers that run beside it use [`SnapshotStore::view`].
 #[derive(Clone, Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -63,6 +67,14 @@ impl SnapshotStore {
         Ok(store)
     }
 
+    /// The store at `dir` as it stands: neither creates the directory nor
+    /// sweeps temporary files, so reading through it never disturbs a
+    /// concurrent [`SnapshotStore::save`]. A missing directory lists as
+    /// empty.
+    pub fn view(dir: impl Into<PathBuf>) -> Self {
+        SnapshotStore { dir: dir.into() }
+    }
+
     /// The directory backing this store.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -78,7 +90,7 @@ impl SnapshotStore {
     fn parse_epoch(path: &Path) -> Option<u64> {
         let stem = path.file_name()?.to_str()?;
         let rest = stem.strip_prefix("snap-")?;
-        let digits = rest.strip_suffix(&format!(".{SNAPSHOT_EXT}"))?;
+        let digits = rest.strip_suffix(SNAPSHOT_EXT)?.strip_suffix('.')?;
         digits.parse().ok()
     }
 
@@ -338,6 +350,23 @@ mod tests {
         fs::write(&stale, b"half-written garbage from a crashed writer").unwrap();
         let _store = SnapshotStore::open(&dir).unwrap();
         assert!(!stale.exists(), "stale tmp must be swept on open");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn view_neither_creates_nor_sweeps() {
+        let dir = tmp_dir("view");
+        assert!(SnapshotStore::view(&dir).list().is_empty());
+        assert!(!dir.exists(), "view must not create the directory");
+        let store = SnapshotStore::open(&dir).unwrap();
+        store.save(&snap_at(3, 0.5), &RetentionPolicy::keep_all()).unwrap();
+        let in_flight = dir.join("snap-0000000004.tmp");
+        fs::write(&in_flight, b"a save still writing").unwrap();
+        let view = SnapshotStore::view(&dir);
+        assert_eq!(view.list().len(), 1);
+        assert!(view.entries()[0].intact());
+        assert_eq!(view.load_epoch(3).unwrap().0.meta.next_epoch, 3);
+        assert!(in_flight.exists(), "view must leave temp files alone");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,11 +3,13 @@
 //!
 //! One [`Batcher`] (and one dispatch thread) exists per resolved
 //! `(model id, version)`. Requests enqueue an [`EvalJob`] and block on a
-//! channel; the dispatch thread takes the first queued job, lingers up
-//! to [`BatchConfig::window`] for companions, drains the queue up to the
-//! request/point caps, runs a single [`FieldNet::predict_batch`] over
-//! the concatenated coordinates, and scatters each request's rows back
-//! through its channel.
+//! channel. The dispatcher is work-conserving: as soon as it is free it
+//! drains whatever is queued, up to the request/point caps, runs a
+//! single [`FieldNet::predict_batch`] over the concatenated coordinates,
+//! and scatters each request's rows back through its channel. Nothing
+//! is held back to wait for companions; requests that arrive while a
+//! flush computes coalesce into the next one, so batches grow exactly
+//! when the model is busy.
 //!
 //! Batching is *transparent*: `predict_batch` evaluates each row with
 //! the same fixed-order dot products regardless of what else shares the
@@ -23,14 +25,11 @@ use qpinn_telemetry::{names, Event, Kind, TraceCtx};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Micro-batch shaping knobs.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// How long the dispatcher lingers after the first job arrives,
-    /// waiting for more requests to coalesce.
-    pub window: Duration,
     /// Max requests folded into one forward pass.
     pub max_requests: usize,
     /// Max total points in one forward pass (a single oversized request
@@ -44,7 +43,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            window: Duration::from_millis(2),
             max_requests: 64,
             max_points: 16384,
             queue_cap: 256,
@@ -63,8 +61,12 @@ struct EvalJob {
     trace: String,
     /// [`now_ns`] when the job entered the queue; anchors `queue_ns`.
     enq_ns: u64,
-    tx: mpsc::Sender<Result<(Vec<f64>, EvalTiming), String>>,
+    tx: mpsc::Sender<JobResult>,
 }
+
+/// What comes back on an [`EvalJob`]'s channel: its rows and timing, or
+/// why the flush failed.
+type JobResult = Result<(Vec<f64>, EvalTiming), String>;
 
 /// Where one request's time went inside the batcher, in nanoseconds on
 /// the process telemetry clock ([`now_ns`]). `compute_ns` is the wall
@@ -72,9 +74,12 @@ struct EvalJob {
 /// in the batch (a request cannot finish before its batch does).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EvalTiming {
-    /// Wait from enqueue until the dispatcher began forming the batch.
+    /// Wait from enqueue until the dispatcher began draining the batch,
+    /// including any time spent behind a flush that was still running.
     pub queue_ns: u64,
-    /// Linger while the batch filled (0 for the job that opened it).
+    /// Forming and draining the batch: from the start of the drain to
+    /// the hand-off to the forward pass. The same for every request in
+    /// the batch.
     pub batch_ns: u64,
     /// Forward-pass wall time of the dispatched batch.
     pub compute_ns: u64,
@@ -172,6 +177,20 @@ impl Batcher {
         coords: Vec<f64>,
         trace: &TraceCtx,
     ) -> Result<EvalOutput, SubmitError> {
+        match self.submit(coords, trace)?.recv() {
+            Ok(Ok((rows, timing))) => Ok(EvalOutput { rows, timing }),
+            // An eval failure surfaces as a 500 on this request only.
+            Ok(Err(_msg)) => Err(SubmitError::Closed),
+            Err(_) => Err(SubmitError::Closed),
+        }
+    }
+
+    /// Queue `coords` and return the channel its result arrives on.
+    fn submit(
+        &self,
+        coords: Vec<f64>,
+        trace: &TraceCtx,
+    ) -> Result<mpsc::Receiver<JobResult>, SubmitError> {
         let arity = self.model.net.n_coords();
         if arity == 0 || coords.len() % arity != 0 || coords.is_empty() {
             return Err(SubmitError::BadShape {
@@ -199,12 +218,7 @@ impl Batcher {
             qpinn_telemetry::gauge(names::SERVE_QUEUE_DEPTH).set(q.jobs.len() as f64);
         }
         self.signal.notify_one();
-        match rx.recv() {
-            Ok(Ok((rows, timing))) => Ok(EvalOutput { rows, timing }),
-            // An eval failure surfaces as a 500 on this request only.
-            Ok(Err(_msg)) => Err(SubmitError::Closed),
-            Err(_) => Err(SubmitError::Closed),
-        }
+        Ok(rx)
     }
 
     /// Stop the dispatch thread once the queue drains. Pending jobs are
@@ -216,44 +230,21 @@ impl Batcher {
         self.signal.notify_all();
     }
 
-    /// Dispatch loop: collect → linger → drain → one forward pass →
-    /// scatter.
+    /// Dispatch loop: wait for work → drain → one forward pass →
+    /// scatter. Never waits while jobs are queued.
     fn run(&self) {
         loop {
-            let (batch, linger_start_ns, drain_ns) = {
+            let (batch, drain_start_ns, drain_ns) = {
                 let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-                // Wait for the first job (or shutdown).
                 while q.jobs.is_empty() {
                     if q.closed {
                         return;
                     }
                     q = self.signal.wait(q).unwrap_or_else(|e| e.into_inner());
                 }
-                // The batch starts forming now: everything a queued job
-                // waited before this point is its queue_ns.
-                let linger_start_ns = now_ns();
-                // Linger: give concurrent requests a window to coalesce.
-                let deadline = Instant::now() + self.cfg.window;
-                loop {
-                    let full = q.jobs.len() >= self.cfg.max_requests
-                        || q.jobs.iter().map(|j| j.n_points).sum::<usize>()
-                            >= self.cfg.max_points;
-                    if full || q.closed {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (nq, timeout) = self
-                        .signal
-                        .wait_timeout(q, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    q = nq;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
+                // Everything a queued job waited before this point, idle
+                // wake-up or a previous flush, is its queue_ns.
+                let drain_start_ns = now_ns();
                 // Drain up to the caps (first job always ships).
                 let mut batch: Vec<EvalJob> = Vec::new();
                 let mut points = 0usize;
@@ -268,13 +259,13 @@ impl Batcher {
                     batch.push(q.jobs.pop_front().unwrap());
                 }
                 qpinn_telemetry::gauge(names::SERVE_QUEUE_DEPTH).set(q.jobs.len() as f64);
-                (batch, linger_start_ns, now_ns())
+                (batch, drain_start_ns, now_ns())
             };
-            self.dispatch(batch, linger_start_ns, drain_ns);
+            self.dispatch(batch, drain_start_ns, drain_ns);
         }
     }
 
-    fn dispatch(&self, batch: Vec<EvalJob>, linger_start_ns: u64, drain_ns: u64) {
+    fn dispatch(&self, batch: Vec<EvalJob>, drain_start_ns: u64, drain_ns: u64) {
         if batch.is_empty() {
             return;
         }
@@ -308,7 +299,7 @@ impl Batcher {
             // served so a timeline can join flushes back to requests.
             let mut e = Event::new(Kind::Span, "serve_flush")
                 .field("path", "serve_flush")
-                .field("dur_ns", compute_end_ns.saturating_sub(linger_start_ns))
+                .field("dur_ns", compute_end_ns.saturating_sub(drain_start_ns))
                 .field("model", self.model.qualified_name())
                 .field("batch", batch.len() as u64)
                 .field("points", total_points as u64);
@@ -324,8 +315,8 @@ impl Batcher {
         }
         let batch_size = batch.len() as u64;
         let timing_for = move |job: &EvalJob| EvalTiming {
-            queue_ns: linger_start_ns.saturating_sub(job.enq_ns),
-            batch_ns: drain_ns.saturating_sub(job.enq_ns.max(linger_start_ns)),
+            queue_ns: drain_start_ns.saturating_sub(job.enq_ns),
+            batch_ns: drain_ns.saturating_sub(drain_start_ns),
             compute_ns: compute_end_ns.saturating_sub(compute_start_ns),
             batch_size,
             compute_end_ns,
@@ -394,11 +385,7 @@ mod tests {
     #[test]
     fn coalesced_results_are_bit_identical_to_solo() {
         let (model, dir) = resident_model("coalesce");
-        let cfg = BatchConfig {
-            window: Duration::from_millis(200),
-            ..BatchConfig::default()
-        };
-        let (batcher, join) = Batcher::spawn(model.clone(), cfg);
+        let (batcher, join) = Batcher::spawn(model.clone(), BatchConfig::default());
         // Solo reference for each request, straight through the net.
         let reqs: Vec<Vec<f64>> = (0..4)
             .map(|i| {
@@ -415,29 +402,30 @@ mod tests {
             .iter()
             .map(|c| model.net.predict_batch(&model.params, c).data().to_vec())
             .collect();
-        let flushes_before = qpinn_telemetry::counter(names::SERVE_BATCH_FLUSHES).get();
-        // Fire all four concurrently inside one linger window.
-        let handles: Vec<_> = reqs
+        // Keep the dispatcher busy: every flush stalls 25 ms with the
+        // queue unlocked. Once it has drained the first request, the
+        // four queued behind that flush coalesce into the next one.
+        let off = TraceCtx::disabled();
+        let _stall = qpinn_testkit::arm("serve.flush_stall", qpinn_testkit::Trigger::Always);
+        let first = batcher.submit(vec![0.0, 0.1], &off).unwrap();
+        while !batcher.queue.lock().unwrap().jobs.is_empty() {
+            std::thread::yield_now();
+        }
+        let replies: Vec<_> = reqs
             .iter()
-            .cloned()
-            .map(|c| {
-                let b = batcher.clone();
-                std::thread::spawn(move || b.eval(c).unwrap())
-            })
+            .map(|c| batcher.submit(c.clone(), &off).unwrap())
             .collect();
-        let got: Vec<Vec<f64>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for (g, s) in got.iter().zip(&solo) {
-            assert_eq!(g.len(), s.len());
-            for (a, b) in g.iter().zip(s) {
+        assert_eq!(first.recv().unwrap().unwrap().1.batch_size, 1);
+        let mut largest = 0;
+        for (reply, s) in replies.into_iter().zip(&solo) {
+            let (got, timing) = reply.recv().unwrap().unwrap();
+            largest = largest.max(timing.batch_size);
+            assert_eq!(got.len(), s.len());
+            for (a, b) in got.iter().zip(s) {
                 assert_eq!(a.to_bits(), b.to_bits(), "batched row differs from solo");
             }
         }
-        // All four landed while the dispatcher lingered ⇒ one flush.
-        let flushes = qpinn_telemetry::counter(names::SERVE_BATCH_FLUSHES).get() - flushes_before;
-        assert!(
-            flushes <= 2,
-            "4 concurrent requests took {flushes} flushes; expected coalescing"
-        );
+        assert!(largest >= 2, "4 requests queued behind a busy flush did not coalesce");
         batcher.close();
         join.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -448,7 +436,6 @@ mod tests {
         let (model, dir) = resident_model("shed");
         let cfg = BatchConfig {
             queue_cap: 1,
-            window: Duration::from_millis(50),
             ..BatchConfig::default()
         };
         let (batcher, join) = Batcher::spawn(model, cfg);

@@ -17,7 +17,9 @@
 //! * **Batching engine** ([`batch`]) — concurrent `POST /v1/eval`
 //!   requests for the same model version coalesce into one
 //!   `predict_batch` forward pass through the work-stealing pool
-//!   (time/size-bounded micro-batches), then scatter per request.
+//!   (size-bounded, work-conserving micro-batches: the dispatcher
+//!   drains whatever queued while it was busy), then scatter per
+//!   request.
 //!   Row-wise determinism makes batching invisible: responses are
 //!   bit-identical to solo evaluation.
 //! * **Admission control** ([`batch`], [`server`]) — bounded per-model

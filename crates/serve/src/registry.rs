@@ -14,12 +14,13 @@
 //!
 //! A model *version* is the epoch number in the snapshot file name;
 //! versions are assigned by [`ModelRegistry::publish`] as
-//! `max(existing) + 1`. Reusing the snapshot container buys the
-//! registry everything the checkpoint path already proved: CRC-verified
-//! loads, atomic tmp+fsync+rename publishes, and the `qpinn-testkit`
-//! failpoints threaded through [`SnapshotStore::save`] — so the chaos
-//! suite's `fs.enospc`/torn-rename scenarios cover model publishing
-//! with no extra wiring.
+//! `max(existing) + 1`, under a registry-wide publish lock that also
+//! covers the store's temp-file sweep. Reusing the snapshot container
+//! buys the registry everything the checkpoint path already proved:
+//! CRC-verified loads, atomic tmp+fsync+rename publishes, and the
+//! `qpinn-testkit` failpoints threaded through [`SnapshotStore::save`] —
+//! so the chaos suite's `fs.enospc`/torn-rename scenarios cover model
+//! publishing with no extra wiring.
 //!
 //! # Resolution and caching
 //!
@@ -28,9 +29,18 @@
 //! [`ModelSpec`] from the TASK section, and rebuild the [`FieldNet`]
 //! (see [`crate::spec`]); loaded models are cached keyed by
 //! `(id, version)` and evicted least-recently-used once the resident
-//! byte total would exceed the configured budget. `"id"`/`"id@latest"`
-//! re-checks the directory each call so a freshly published version is
-//! picked up without a restart.
+//! byte total would exceed the configured budget.
+//!
+//! `"id"`/`"id@latest"` lists the snapshot file names on every call, so
+//! a version published by another registry or process shows up at the
+//! next resolve, and walks them newest first. A resident version is
+//! returned at once: its bytes were CRC-verified when it loaded and live
+//! in memory, so it keeps serving even if its file later rots. A
+//! non-resident version counts only once it loads and verifies; a torn
+//! or corrupt one is skipped. Resolution never sweeps or writes the
+//! models directory, and a warm `latest` reads no snapshot at all.
+//! [`ModelRegistry::list`] still reads and CRC-checks every file, so it
+//! reports damage that resolution no longer looks at.
 
 use crate::spec::ModelSpec;
 use qpinn_core::model::FieldNet;
@@ -184,6 +194,10 @@ struct RegState {
 pub struct ModelRegistry {
     cfg: RegistryConfig,
     state: Mutex<RegState>,
+    /// Held for a whole publish: the temp-file sweep of
+    /// [`SnapshotStore::open`] would delete a concurrent publish's temp
+    /// file, and two publishes would otherwise both pick `max + 1`.
+    publish_lock: Mutex<()>,
 }
 
 impl ModelRegistry {
@@ -197,6 +211,7 @@ impl ModelRegistry {
                 lru: Vec::new(),
                 resident_bytes: 0,
             }),
+            publish_lock: Mutex::new(()),
         })
     }
 
@@ -205,33 +220,95 @@ impl ModelRegistry {
         &self.cfg.dir
     }
 
-    fn store(&self, id: &str) -> Result<SnapshotStore, RegistryError> {
-        SnapshotStore::open(self.cfg.dir.join(id))
-            .map_err(|e| RegistryError::Storage(e.to_string()))
+    fn lock_state(&self) -> std::sync::MutexGuard<'_, RegState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Read-only handle on `id`'s snapshot directory (never sweeps).
+    fn view(&self, id: &str) -> SnapshotStore {
+        SnapshotStore::view(self.cfg.dir.join(id))
     }
 
     /// Resolve `"id"`, `"id@latest"`, or `"id@N"` to a resident model,
     /// loading (and LRU-evicting) as needed.
     pub fn resolve(&self, model_ref: &str) -> Result<Arc<LoadedModel>, RegistryError> {
         let (id, version) = parse_ref(model_ref)?;
-        let version = match version {
-            Some(v) => v,
-            // `latest` floats: scan the directory for the newest version
-            // so publishes are visible without reloading anything.
-            None => self.latest_version(&id)?,
-        };
-        let key = (id.clone(), version);
-        {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(model) = st.loaded.get(&key).cloned() {
-                st.lru.retain(|k| k != &key);
-                st.lru.push(key);
-                qpinn_telemetry::counter(names::SERVE_REGISTRY_HITS).inc();
-                return Ok(model);
-            }
+        match version {
+            Some(v) => match self.resident(&id, v) {
+                Some(model) => Ok(model),
+                None => {
+                    let snap = self.view(&id).load_epoch(v).map_err(|e| match e {
+                        PersistError::Io(ref io) if io.kind() == std::io::ErrorKind::NotFound => {
+                            RegistryError::NotFound(format!("model `{id}` version {v}"))
+                        }
+                        other => RegistryError::Unserveable(format!(
+                            "model `{id}` version {v}: {other}"
+                        )),
+                    })?;
+                    self.admit(&id, v, snap)
+                }
+            },
+            None => self.newest(&id, |store, v| match self.resident(&id, v) {
+                Some(model) => Some(Ok(model)),
+                // Not resident: it counts once its snapshot verifies.
+                None => store.load_epoch(v).ok().map(|snap| self.admit(&id, v, snap)),
+            })?,
         }
-        let model = Arc::new(self.load(&id, version)?);
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+    }
+
+    /// Walk `id`'s versions newest first, by file name only, and return
+    /// the first that `pick` accepts.
+    fn newest<T>(
+        &self,
+        id: &str,
+        mut pick: impl FnMut(&SnapshotStore, u64) -> Option<T>,
+    ) -> Result<T, RegistryError> {
+        let store = self.view(id);
+        if let Some(found) = store.list().into_iter().rev().find_map(|(v, _)| pick(&store, v)) {
+            return Ok(found);
+        }
+        if store.dir().is_dir() {
+            Err(RegistryError::Unserveable(format!("model `{id}` has no intact version")))
+        } else {
+            Err(RegistryError::NotFound(format!("model `{id}`")))
+        }
+    }
+
+    /// The resident copy of `(id, version)`, marked most recently used.
+    fn resident(&self, id: &str, version: u64) -> Option<Arc<LoadedModel>> {
+        let key = (id.to_string(), version);
+        let mut st = self.lock_state();
+        let model = st.loaded.get(&key).cloned()?;
+        st.lru.retain(|k| k != &key);
+        st.lru.push(key);
+        qpinn_telemetry::counter(names::SERVE_REGISTRY_HITS).inc();
+        Some(model)
+    }
+
+    /// Rebuild a verified snapshot into a served model and make it
+    /// resident, evicting least-recently-used models past the budget.
+    fn admit(
+        &self,
+        id: &str,
+        version: u64,
+        (snap, path): (Snapshot, PathBuf),
+    ) -> Result<Arc<LoadedModel>, RegistryError> {
+        let unserveable =
+            |e: String| RegistryError::Unserveable(format!("model `{id}` version {version}: {e}"));
+        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let spec = ModelSpec::decode(&snap.task_state).map_err(|e| unserveable(e.to_string()))?;
+        let net = spec.rebuild(&snap.params).map_err(|e| unserveable(e.to_string()))?;
+        let model = Arc::new(LoadedModel {
+            id: id.to_string(),
+            version,
+            spec,
+            net,
+            params: snap.params,
+            bytes,
+            eval_error: snap.meta.eval_error,
+        });
+        let key = (id.to_string(), version);
+        let mut st = self.lock_state();
         // A racing loader may have beaten us; keep the first and drop ours.
         if let Some(existing) = st.loaded.get(&key).cloned() {
             st.lru.retain(|k| k != &key);
@@ -254,53 +331,6 @@ impl ModelRegistry {
         Ok(model)
     }
 
-    fn latest_version(&self, id: &str) -> Result<u64, RegistryError> {
-        let dir = self.cfg.dir.join(id);
-        if !dir.is_dir() {
-            return Err(RegistryError::NotFound(format!("model `{id}`")));
-        }
-        let store = self.store(id)?;
-        // Newest *intact* version: a torn publish of version N must not
-        // make `id@latest` unserveable while N-1 is still good.
-        store
-            .entries()
-            .iter()
-            .rev()
-            .find(|e| e.intact())
-            .map(|e| e.epoch)
-            .ok_or_else(|| {
-                RegistryError::Unserveable(format!("model `{id}` has no intact version"))
-            })
-    }
-
-    fn load(&self, id: &str, version: u64) -> Result<LoadedModel, RegistryError> {
-        let store = self.store(id)?;
-        let (snap, path) = store.load_epoch(version).map_err(|e| match e {
-            PersistError::Io(ref io) if io.kind() == std::io::ErrorKind::NotFound => {
-                RegistryError::NotFound(format!("model `{id}` version {version}"))
-            }
-            other => RegistryError::Unserveable(format!(
-                "model `{id}` version {version}: {other}"
-            )),
-        })?;
-        let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-        let spec = ModelSpec::decode(&snap.task_state).map_err(|e| {
-            RegistryError::Unserveable(format!("model `{id}` version {version}: {e}"))
-        })?;
-        let net = spec.rebuild(&snap.params).map_err(|e| {
-            RegistryError::Unserveable(format!("model `{id}` version {version}: {e}"))
-        })?;
-        Ok(LoadedModel {
-            id: id.to_string(),
-            version,
-            spec,
-            net,
-            params: snap.params,
-            bytes,
-            eval_error: snap.meta.eval_error,
-        })
-    }
-
     /// Publish trained parameters as the next version of `id`. Returns
     /// the assigned version. The write goes through
     /// [`SnapshotStore::save`] — atomic, CRC-sealed, failpoint-covered —
@@ -315,7 +345,9 @@ impl ModelRegistry {
         eval_error: f64,
     ) -> Result<u64, RegistryError> {
         check_id(id)?;
-        let store = self.store(id)?;
+        let _publishing = self.publish_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let store = SnapshotStore::open(self.cfg.dir.join(id))
+            .map_err(|e| RegistryError::Storage(e.to_string()))?;
         let version = store.list().last().map(|(e, _)| e + 1).unwrap_or(1);
         let snap = Snapshot {
             meta: RunMeta {
@@ -350,13 +382,18 @@ impl ModelRegistry {
             })
             .unwrap_or_default();
         ids.sort();
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        // Read and verify every file before taking the state lock, so a
+        // listing never holds up resolution.
+        let listed: Vec<(String, Vec<SnapshotEntry>)> = ids
+            .into_iter()
+            .map(|id| {
+                let entries = self.view(&id).entries();
+                (id, entries)
+            })
+            .collect();
+        let st = self.lock_state();
         let mut out = Vec::new();
-        for id in ids {
-            let entries: Vec<SnapshotEntry> = match SnapshotStore::open(self.cfg.dir.join(&id)) {
-                Ok(s) => s.entries(),
-                Err(_) => continue,
-            };
+        for (id, entries) in listed {
             for e in entries {
                 let resident = st.loaded.get(&(id.clone(), e.epoch));
                 out.push(ModelInfo {
@@ -376,15 +413,19 @@ impl ModelRegistry {
     }
 
     /// Drop a resident model from memory (the on-disk snapshot stays).
-    /// Returns true when it was resident.
+    /// Returns true when it was resident. `"id"` names the version
+    /// `latest` resolves to, by the same rule, without making it resident.
     pub fn evict(&self, model_ref: &str) -> Result<bool, RegistryError> {
         let (id, version) = parse_ref(model_ref)?;
         let version = match version {
             Some(v) => v,
-            None => self.latest_version(&id)?,
+            None => self.newest(&id, |store, v| {
+                let resident = self.lock_state().loaded.contains_key(&(id.clone(), v));
+                (resident || store.load_epoch(v).is_ok()).then_some(v)
+            })?,
         };
         let key = (id, version);
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.lock_state();
         st.lru.retain(|k| k != &key);
         match st.loaded.remove(&key) {
             Some(m) => {
@@ -399,7 +440,7 @@ impl ModelRegistry {
 
     /// Number of models currently resident in memory.
     pub fn resident_count(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).loaded.len()
+        self.lock_state().loaded.len()
     }
 }
 
@@ -529,6 +570,58 @@ mod tests {
         let infos = reg.list();
         assert_eq!(infos.len(), 2);
         assert!(infos.iter().any(|m| m.version == 2 && !m.intact));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn latest_follows_a_second_registry_on_the_same_directory() {
+        let dir = tmp_dir("second-writer");
+        let reg = ModelRegistry::open(RegistryConfig::new(&dir)).unwrap();
+        publish(&reg, "wave", 1);
+        assert_eq!(reg.resolve("wave").unwrap().version, 1);
+        let other = ModelRegistry::open(RegistryConfig::new(&dir)).unwrap();
+        assert_eq!(publish(&other, "wave", 2), 2);
+        let latest = reg.resolve("wave").unwrap();
+        assert_eq!((latest.version, latest.spec.seed), (2, 2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resident_latest_keeps_serving_after_its_file_rots() {
+        let dir = tmp_dir("rot-resident");
+        let reg = ModelRegistry::open(RegistryConfig::new(&dir)).unwrap();
+        publish(&reg, "wave", 1);
+        publish(&reg, "wave", 2);
+        let served = reg.resolve("wave").unwrap();
+        assert_eq!(served.version, 2);
+        let p = dir.join("wave").join(SnapshotStore::file_name(2));
+        let mut bytes = std::fs::read(&p).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&p, &bytes).unwrap();
+        // Version 2 was verified when it loaded and lives in memory.
+        assert!(Arc::ptr_eq(&served, &reg.resolve("wave").unwrap()));
+        // The listing re-reads every file and reports the damage.
+        let infos = reg.list();
+        assert!(infos.iter().any(|m| m.version == 2 && !m.intact && m.loaded));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn requests_leave_an_in_flight_publish_alone() {
+        let dir = tmp_dir("in-flight");
+        let reg = ModelRegistry::open(RegistryConfig::new(&dir)).unwrap();
+        publish(&reg, "wave", 1);
+        let in_flight = dir.join("wave").join("snap-0000000002.tmp");
+        std::fs::write(&in_flight, b"a publish still writing").unwrap();
+        assert_eq!(reg.resolve("wave").unwrap().version, 1);
+        assert_eq!(reg.resolve("wave@1").unwrap().version, 1);
+        assert_eq!(reg.list().len(), 1);
+        assert!(reg.evict("wave").unwrap());
+        assert!(in_flight.exists(), "a request deleted a publish's temp file");
+        // Publishing is the one place the sweep runs.
+        assert_eq!(publish(&reg, "wave", 2), 2);
+        assert!(!in_flight.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -31,7 +31,7 @@
 //! an `x-qpinn-trace` response header. The context rides through
 //! registry resolution, the batch queue, and the dispatcher flush; on
 //! completion the request's latency decomposition (queue wait, batch
-//! linger, compute, serialization) lands in the
+//! drain, compute, serialization) lands in the
 //! `serve.latency.{queue,batch,compute,total}_ns` histograms, in span
 //! events (per-request tracks in `qpinn-obs trace`), and in one
 //! `qpinn-access-v1` record in the bounded access ring that

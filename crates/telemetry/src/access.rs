@@ -4,7 +4,7 @@
 //! Every HTTP request the serve plane finishes (success, 429-shed, or
 //! error) becomes one [`AccessRecord`]: trace id, route, `model@version`,
 //! status, shed reason, batch size, and the decomposed latency —
-//! queue wait, batch linger, compute, serialization, total. Records land
+//! queue wait, batch drain, compute, serialization, total. Records land
 //! in a process-global ring bounded at a configured capacity (oldest
 //! dropped first, so memory is O(cap) no matter how long the server
 //! runs), which backs the server's `GET /v1/traces?n=K` endpoint; when a
@@ -67,9 +67,10 @@ pub struct AccessRecord {
     pub batch: u64,
     /// Evaluation points carried by this request (0 for non-eval routes).
     pub points: u64,
-    /// Time spent queued before the dispatcher began forming its batch.
+    /// Time spent queued before the dispatcher began draining its batch,
+    /// including any wait behind a flush that was still running.
     pub queue_ns: u64,
-    /// Time spent lingering while the batch filled.
+    /// Time the dispatcher spent forming and draining the batch.
     pub batch_ns: u64,
     /// Forward-pass wall time of the dispatched batch (shared by every
     /// request in it, attributed whole to each).

@@ -46,8 +46,8 @@ pub const SERVE_QUEUE_DEPTH: &str = "serve.queue.depth";
 /// [`route_key`] / [`model_key`]).
 pub const SERVE_LAT_QUEUE_NS: &str = "serve.latency.queue_ns";
 
-/// Histogram: nanoseconds a batched request spent lingering while the
-/// dispatcher filled its batch (0 for the job that opened the batch).
+/// Histogram: nanoseconds the dispatcher spent forming and draining the
+/// batch that served a request (it never waits for companions).
 pub const SERVE_LAT_BATCH_NS: &str = "serve.latency.batch_ns";
 
 /// Histogram: forward-pass wall time of the batch that served a request,

@@ -10,18 +10,21 @@ use qpinn::core::task::net_config_for;
 use qpinn::core::trainer::Trainer;
 use qpinn::core::ZooTask;
 use qpinn::nn::ParamSet;
-use qpinn::serve::{BatchConfig, ServeConfig, ServeServer, TrainRequest};
+use qpinn::serve::{BatchConfig, ModelSpec, ServeConfig, ServeServer, TrainRequest};
 use qpinn::telemetry;
+use qpinn::testkit::{self, Trigger};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// `ServeServer::start` installs a progress-tracker telemetry sink, and
-/// the coalescing assertions read process-global histograms; keep the
-/// tests that do either from overlapping.
+/// `ServeServer::start` installs a progress-tracker telemetry sink, the
+/// coalescing assertions read process-global histograms, and the fail
+/// plane is process-global too; keep the tests that touch any of them
+/// from overlapping.
 static SERVE_LOCK: Mutex<()> = Mutex::new(());
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -50,6 +53,21 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (Stri
     let (head, body) = buf.split_once("\r\n\r\n").expect("header/body split");
     let json = Json::parse(body).unwrap_or(Json::Null);
     (head.to_string(), json)
+}
+
+/// A small untrained surrogate, enough to publish and serve.
+fn small_model(seed: u64) -> (ModelSpec, ParamSet) {
+    use qpinn::core::model::{FieldNet, FieldNetConfig};
+    let spec = ModelSpec {
+        name: "tdse".into(),
+        seed,
+        problem: String::new(),
+        net: FieldNetConfig::standard_wave(12.0, 1.0, 8, 1),
+    };
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let _ = FieldNet::new(&mut params, &mut rng, &spec.net, &spec.name);
+    (spec, params)
 }
 
 fn poll_to_completion(addr: SocketAddr, job_id: &str) -> Json {
@@ -189,11 +207,6 @@ fn overlapping_clients_coalesce_and_stay_bit_identical() {
     let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp_dir("coalesce");
     let mut cfg = ServeConfig::new(&dir);
-    // A generous linger window makes coalescing deterministic under load.
-    cfg.batch = BatchConfig {
-        window: Duration::from_millis(250),
-        ..BatchConfig::default()
-    };
     cfg.workers = 8;
     let server = ServeServer::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr();
@@ -230,19 +243,33 @@ fn overlapping_clients_coalesce_and_stay_bit_identical() {
 
     let before = telemetry::histogram(telemetry::names::SERVE_BATCH_SIZE).snapshot();
 
-    // Now all six at once, inside one linger window.
-    let clients: Vec<_> = payloads
-        .iter()
-        .cloned()
-        .map(|p| {
-            std::thread::spawn(move || {
-                let (status, body) = http(addr, "POST", "/v1/eval", Some(&p));
-                assert!(status.contains("200 OK"), "{status}");
-                body.get("values").unwrap().to_string()
+    // Now all six at once, queued behind a busy dispatcher: every flush
+    // stalls 25 ms with the queue unlocked, a blocker request opens the
+    // first stalled flush, and the clients sent while it stalls drain
+    // together into the next one.
+    let concurrent: Vec<String> = {
+        let _stall = testkit::arm("serve.flush_stall", Trigger::Always);
+        let blocker = std::thread::spawn(move || {
+            http(addr, "POST", "/v1/eval", Some(r#"{"model":"cc","points":[[0.0,0.0]]}"#))
+        });
+        while testkit::hits("serve.flush_stall") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let clients: Vec<_> = payloads
+            .iter()
+            .cloned()
+            .map(|p| {
+                std::thread::spawn(move || {
+                    let (status, body) = http(addr, "POST", "/v1/eval", Some(&p));
+                    assert!(status.contains("200 OK"), "{status}");
+                    body.get("values").unwrap().to_string()
+                })
             })
-        })
-        .collect();
-    let concurrent: Vec<String> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+            .collect();
+        let (status, _) = blocker.join().unwrap();
+        assert!(status.contains("200 OK"), "{status}");
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    };
     for (got, want) in concurrent.iter().zip(&solo) {
         assert_eq!(got, want, "coalesced response differs from solo response");
     }
@@ -287,22 +314,11 @@ fn admission_and_error_mapping() {
 
     // Publish a model directly through the registry (no training needed
     // to exercise admission).
-    {
-        use qpinn::core::model::{FieldNet, FieldNetConfig};
-        let spec = qpinn::serve::ModelSpec {
-            name: "tdse".into(),
-            seed: 3,
-            problem: String::new(),
-            net: FieldNetConfig::standard_wave(12.0, 1.0, 8, 1),
-        };
-        let mut params = ParamSet::new();
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let _ = FieldNet::new(&mut params, &mut rng, &spec.net, &spec.name);
-        server
-            .registry()
-            .publish("full", &spec, &params, Default::default(), 1, 0.0)
-            .unwrap();
-    }
+    let (spec, params) = small_model(3);
+    server
+        .registry()
+        .publish("full", &spec, &params, Default::default(), 1, 0.0)
+        .unwrap();
     let (status, _) = http(addr, "POST", "/v1/eval", Some(r#"{"model":"full","points":[[0,0]]}"#));
     assert!(status.contains("429"), "{status}");
     assert!(status.contains("Retry-After:"), "missing Retry-After in:\n{status}");
@@ -377,6 +393,116 @@ fn enospc_during_publish_degrades_without_corrupting_served_models() {
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Publishes racing `latest` readers. One thread resolves `race` and
+/// lists the registry in a loop while another evaluates `race` over
+/// HTTP, and `publishers` threads publish new versions meanwhile. No
+/// request may disturb a publish in flight, and concurrent publishes
+/// must not pick the same version: every publish succeeds and the
+/// versions come out distinct and consecutive.
+///
+/// A `persist.rename_torn` schedule armed through `QPINN_FAILPOINTS`
+/// (CI arms `nth(2)`) may fail exactly the publishes it fires on. Each
+/// leaves a torn file under its version, which must never resolve as
+/// `latest`, and no eval may fail.
+fn publish_race(publishers: usize) {
+    const PER_PUBLISHER: usize = 20;
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir(&format!("publish-race-{publishers}"));
+    let server = ServeServer::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    let addr = server.local_addr();
+    let registry = server.registry();
+    let torn_before = testkit::fired("persist.rename_torn");
+    let (spec, params) = small_model(3);
+    registry
+        .publish("race", &spec, &params, Default::default(), 1, 0.0)
+        .expect("the first publish seeds `latest`");
+
+    let stop = AtomicBool::new(false);
+    let (outcomes, resolved, served) = std::thread::scope(|scope| {
+        let resolver = scope.spawn(|| {
+            let mut seen = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let model = registry.resolve("race").expect("`latest` must always resolve");
+                seen.push(model.version);
+                assert!(registry.list().iter().any(|m| m.id == "race"));
+            }
+            seen
+        });
+        let evaluator = scope.spawn(|| {
+            let mut seen = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
+                let (status, reply) =
+                    http(addr, "POST", "/v1/eval", Some(r#"{"model":"race","points":[[0.5,0.1]]}"#));
+                assert!(status.contains("200 OK"), "{status} {}", reply.to_string());
+                seen.push(reply.get("version").unwrap().as_num().unwrap() as u64);
+            }
+            seen
+        });
+        let writers: Vec<_> = (0..publishers)
+            .map(|_| {
+                scope.spawn(|| {
+                    (0..PER_PUBLISHER)
+                        .map(|_| {
+                            registry
+                                .publish("race", &spec, &params, Default::default(), 1, 0.0)
+                                .map_err(|e| e.to_string())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let outcomes: Vec<Result<u64, String>> =
+            writers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+        stop.store(true, Ordering::Relaxed);
+        (outcomes, resolver.join().unwrap(), evaluator.join().unwrap())
+    });
+
+    let torn = testkit::fired("persist.rename_torn") - torn_before;
+    let failed: Vec<&String> = outcomes.iter().filter_map(|r| r.as_ref().err()).collect();
+    assert_eq!(failed.len() as u64, torn, "only injected publishes may fail: {failed:?}");
+    let listed: Vec<(u64, bool)> = registry
+        .list()
+        .into_iter()
+        .filter(|m| m.id == "race")
+        .map(|m| (m.version, m.intact))
+        .collect();
+    let total = 1 + outcomes.len() as u64;
+    assert_eq!(
+        listed.iter().map(|m| m.0).collect::<Vec<_>>(),
+        (1..=total).collect::<Vec<_>>(),
+        "one version per publish, consecutive"
+    );
+    let mut published: Vec<u64> = outcomes.iter().filter_map(|r| r.as_ref().ok().copied()).collect();
+    published.insert(0, 1);
+    published.sort_unstable();
+    let intact: Vec<u64> = listed.iter().filter(|m| m.1).map(|m| m.0).collect();
+    assert_eq!(published, intact, "each successful publish owns one distinct intact version");
+    let torn_versions: Vec<u64> = listed.iter().filter(|m| !m.1).map(|m| m.0).collect();
+    assert_eq!(torn_versions.len() as u64, torn);
+    for seen in [&resolved, &served] {
+        assert!(!seen.is_empty());
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "`latest` went backwards");
+        assert!(
+            seen.iter().all(|v| !torn_versions.contains(v)),
+            "a torn version {torn_versions:?} resolved as `latest`"
+        );
+    }
+    assert_eq!(registry.resolve("race").unwrap().version, *intact.last().unwrap());
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn publish_race_one_publisher_against_latest_readers() {
+    publish_race(1);
+}
+
+#[test]
+fn publish_race_two_publishers_against_latest_readers() {
+    publish_race(2);
 }
 
 const GS_TRAIN_BODY: &str = r#"{"model_id":"gs-e2e","problem":"gray-scott","width":8,"depth":1,
