@@ -176,11 +176,6 @@ impl Graph {
         self.push(Op::Constant, t, false)
     }
 
-    /// Convenience: a scalar constant.
-    pub fn constant_scalar(&mut self, v: f64) -> Var {
-        self.constant(Tensor::scalar(v))
-    }
-
     /// The forward value of a node.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value

@@ -1,16 +1,19 @@
 //! **T2 — eigenvalue accuracy table.** The first `k` bound states of the
-//! infinite well and the harmonic oscillator, learned by the
-//! residual-formulation eigen-task with deflation; reports `|E − E_ref|`
+//! infinite well and the harmonic oscillator, each learned by a
+//! [`ZooTask`] with its energy as an unknown, normalised and held
+//! orthogonal to the states below it (deflation); reports `|E − E_ref|`
 //! and the wavefunction profile error per state.
 
 use qpinn_bench::{banner, save, RunOpts};
+use qpinn_core::metrics;
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{EigenTask, EigenTaskConfig};
+use qpinn_core::task::net_config_for;
 use qpinn_core::trainer::Trainer;
-use qpinn_core::TrainConfig;
+use qpinn_core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
 use qpinn_optim::LrSchedule;
-use qpinn_problems::EigenProblem;
+use qpinn_problems::zoo::{eigenstate, EigenRef};
+use qpinn_problems::{EigenProblem, Fidelity};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
@@ -35,6 +38,19 @@ fn main() {
         progress: None,
         run: None,
     };
+    // Boundary, normalisation and orthogonality all weigh 100.
+    let cfg = ZooTaskConfig {
+        width: opts.pick(24, 48),
+        depth: 2,
+        rff: false,
+        n_collocation: opts.pick(128, 256),
+        cond_weight: 100.0,
+        fidelity: opts.pick(Fidelity::Quick, Fidelity::Full),
+        conservation: true,
+        ..ZooTaskConfig::quick()
+    };
+    // The grid the eigenstate reference uses at this fidelity.
+    let reference_nx = opts.pick(601, 1201);
 
     let mut table = TextTable::new(&["problem", "state", "E_pinn", "E_ref", "|ΔE|", "ψ rel-L2"]);
     let mut records = Vec::new();
@@ -45,27 +61,20 @@ fn main() {
             Some(es) => es.iter().map(|e| 0.8 * e).collect::<Vec<_>>(),
             None => (0..n_states).map(|k| 0.5 + k as f64).collect(),
         };
-        let mut prev_states = Vec::new();
+        let states = problem.reference(reference_nx);
+        let xs = problem.grid(reference_nx).points();
+        let mut lower = Vec::new();
         for k in 0..n_states {
-            let mut cfg = EigenTaskConfig::standard(e0s[k]);
-            cfg.n_collocation = opts.pick(128, 256);
-            cfg.hidden = vec![opts.pick(24, 48); 2];
-            cfg.reference_nx = opts.pick(601, 1201);
+            let pde = eigenstate(problem.clone(), k, e0s[k], lower.clone());
+            let net = net_config_for(pde.as_ref(), &cfg);
             let mut params = ParamSet::new();
             let mut rng = StdRng::seed_from_u64(7 + k as u64);
-            let mut task = EigenTask::new(
-                problem.clone(),
-                &cfg,
-                k,
-                prev_states.clone(),
-                &mut params,
-                &mut rng,
-            );
+            let mut task = ZooTask::new(pde, &net, &cfg, &mut params, &mut rng);
             let _log = Trainer::new(train.clone()).train(&mut task, &mut params);
             // variational re-estimate from the learned ψ
-            let e_pinn = task.rayleigh_energy(&params);
-            let e_ref = task.reference_energy();
-            let perr = task.profile_error(&params);
+            let e_pinn = metrics::rayleigh_energy(task.net(), &params, &problem);
+            let e_ref = states[k].energy;
+            let perr = metrics::state_error(task.net(), &params, &xs, &states[k].psi);
             table.row(&[
                 problem.name.clone(),
                 format!("{k}"),
@@ -81,7 +90,10 @@ fn main() {
                 ("e_ref", Json::Num(e_ref)),
                 ("profile_error", Json::Num(perr)),
             ]));
-            prev_states.push(task.predictions_on_grid(&params));
+            lower.push(EigenRef {
+                psi: metrics::profile(task.net(), &params, &xs),
+                xs: xs.clone(),
+            });
         }
     }
 

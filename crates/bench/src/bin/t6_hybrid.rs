@@ -8,11 +8,11 @@
 use qpinn_bench::{banner, save, RunOpts};
 use qpinn_core::hybrid::{HybridEigenTask, HybridNet};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{EigenTask, EigenTaskConfig};
 use qpinn_core::trainer::Trainer;
-use qpinn_core::TrainConfig;
+use qpinn_core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
 use qpinn_optim::LrSchedule;
+use qpinn_problems::zoo::eigenstate;
 use qpinn_problems::EigenProblem;
 use qpinn_qcircuit::{Ansatz, InputScaling, QuantumLayer};
 use rand::{rngs::StdRng, SeedableRng};
@@ -103,21 +103,28 @@ fn main() {
     let mut table = TextTable::new(&["model", "ansatz", "scaling", "params", "E", "|ΔE|"]);
     let mut records = Vec::new();
 
-    // classical control: the residual-formulation eigen task with a
-    // comparably sized network
+    // classical control: the residual formulation (the energy an unknown
+    // of the eigenstate adapter) with a comparably sized network
     {
-        let mut cfg = EigenTaskConfig::standard(0.4);
-        cfg.n_collocation = n_coll;
-        cfg.hidden = vec![hidden, nq.max(4)];
-        cfg.reference_nx = 401;
+        let cfg = ZooTaskConfig {
+            n_collocation: n_coll,
+            cond_weight: 100.0,
+            conservation: true,
+            ..ZooTaskConfig::quick()
+        };
+        let net = FieldNetConfig {
+            hidden: vec![hidden, nq.max(4)],
+            ..FieldNetConfig::plain(1, hidden, 2, 1)
+        };
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(11);
-        let mut task = EigenTask::new(problem.clone(), &cfg, 0, Vec::new(), &mut params, &mut rng);
+        let pde = eigenstate(problem.clone(), 0, 0.4, Vec::new());
+        let mut task = ZooTask::new(pde, &net, &cfg, &mut params, &mut rng);
         let mut tcfg = train_cfg(opts.pick(1500, 4000));
         tcfg.lbfgs_polish = Some(60);
         let _ = Trainer::new(tcfg).train(&mut task, &mut params);
-        let e = task.energy(&params);
-        let de = (e - task.reference_energy()).abs();
+        let e = task.unknowns(&params)[0];
+        let de = (e - problem.reference(401)[0].energy).abs();
         table.row(&[
             "classical".into(),
             "—".into(),

@@ -1,15 +1,17 @@
 //! **T7 — inverse problem.** Identify the harmonic-trap frequency ω from
-//! sparse wavefunction observations (clean and noisy), reporting the
-//! recovered ω against ground truth for several initial guesses.
+//! sparse wavefunction observations (clean and noisy): a [`ZooTask`]
+//! trains the network and ω together, with ω an unknown of the
+//! trap-frequency adapter. Reports the recovered ω against ground truth
+//! for several initial guesses.
 
-use qpinn_bench::{banner, save, RunOpts};
+use qpinn_bench::{banner, save, wave_net, RunOpts};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_core::task::{InverseTaskConfig, InverseTdseTask};
 use qpinn_core::trainer::Trainer;
-use qpinn_core::TrainConfig;
+use qpinn_core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
 use qpinn_optim::LrSchedule;
-use qpinn_problems::TdseProblem;
+use qpinn_problems::zoo::trap_frequency;
+use qpinn_problems::{Fidelity, Potential, TdseProblem};
 use rand::{rngs::StdRng, SeedableRng};
 
 fn main() {
@@ -20,7 +22,10 @@ fn main() {
         &opts,
     );
 
-    let problem = TdseProblem::mild_harmonic(); // hidden truth: ω = 1
+    let problem = TdseProblem::mild_harmonic();
+    let Potential::Harmonic { omega: true_omega } = problem.potential else {
+        unreachable!("the mild trap is harmonic")
+    };
     let epochs = opts.pick_epochs(2000, 8000);
     let mut table = TextTable::new(&["ω₀ (init)", "noise", "ω recovered", "|Δω|", "s/run"]);
     let mut records = Vec::new();
@@ -37,18 +42,21 @@ fn main() {
     } else {
         vec![(0.6, 0.0), (1.5, 0.0), (0.6, 0.02)]
     };
+    // The initial condition and the observations both weigh 50.
+    let cfg = ZooTaskConfig {
+        n_collocation: opts.pick(512, 2048),
+        n_condition: 128,
+        cond_weight: 50.0,
+        fidelity: opts.pick(Fidelity::Quick, Fidelity::Full),
+        ..ZooTaskConfig::standard()
+    };
 
     for (omega0, noise) in cases {
-        let mut cfg = InverseTaskConfig::standard(&problem, opts.pick(24, 48), 3);
-        cfg.n_collocation = opts.pick(512, 2048);
-        cfg.n_observations = opts.pick(256, 1024);
-        cfg.omega0 = omega0;
-        cfg.noise = noise;
-        cfg.w_data = 50.0;
-        cfg.reference = (256, opts.pick(600, 1500), 64);
+        let pde = trap_frequency(problem.clone(), omega0, opts.pick(256, 1024), noise);
+        let net = wave_net(pde.as_ref(), opts.pick(24, 48), 3);
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(42);
-        let mut task = InverseTdseTask::new(problem.clone(), &cfg, &mut params, &mut rng);
+        let mut task = ZooTask::new(pde, &net, &cfg, &mut params, &mut rng);
         let log = Trainer::new(TrainConfig {
             epochs,
             schedule: LrSchedule::Step {
@@ -66,19 +74,20 @@ fn main() {
             run: None,
         })
         .train(&mut task, &mut params);
-        let omega = task.omega(&params);
+        // V = ½ω²x² fixes ω only up to its sign.
+        let omega = task.unknowns(&params)[0].abs();
         table.row(&[
             format!("{omega0:.2}"),
             format!("{noise:.2}"),
             format!("{omega:.4}"),
-            format!("{:.2e}", (omega - task.true_omega()).abs()),
+            format!("{:.2e}", (omega - true_omega).abs()),
             format!("{:.1}", log.wall_s),
         ]);
         records.push(Json::obj(vec![
             ("omega0", Json::Num(omega0)),
             ("noise", Json::Num(noise)),
             ("omega_recovered", Json::Num(omega)),
-            ("omega_true", Json::Num(task.true_omega())),
+            ("omega_true", Json::Num(true_omega)),
         ]));
     }
 

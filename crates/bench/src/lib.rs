@@ -1,8 +1,8 @@
 //! # qpinn-bench
 //!
-//! The experiment harness: one binary per reconstructed table (T1–T6) and
-//! figure (F1–F5) — see `DESIGN.md` §5 for the experiment index — plus
-//! criterion micro-benchmarks (`benches/micro.rs`).
+//! The experiment harness: one binary per reconstructed table (T1–T7) and
+//! figure (F1–F6) — see `DESIGN.md` §5 for the experiment index — plus the
+//! `kernels` tensor-kernel timings and the `sweep` front door.
 //!
 //! Each binary prints its table/series as aligned text and writes a JSON
 //! record to `target/experiments/<id>.json`. Default settings are sized

@@ -162,11 +162,6 @@ impl HybridNet {
         }
     }
 
-    /// Handle of the quantum parameter vector.
-    pub fn theta_id(&self) -> ParamId {
-        self.theta
-    }
-
     /// The quantum layer.
     pub fn quantum_layer(&self) -> &QuantumLayer {
         &self.qlayer
@@ -246,8 +241,9 @@ impl HybridNet {
 }
 
 /// The variational (Rayleigh quotient) eigenproblem task for a
-/// [`HybridNet`] — or, with `hybrid = None`-like classical control, see
-/// [`crate::task::EigenTask`] for the residual formulation.
+/// [`HybridNet`]. The classical residual formulation is the
+/// `qpinn_problems::zoo::eigenstate` adapter trained by
+/// [`crate::task::ZooTask`].
 pub struct HybridEigenTask {
     problem: EigenProblem,
     net: HybridNet,

@@ -5,17 +5,17 @@
 //! * [`model`] — the [`model::FieldNet`] architecture (periodic/learned
 //!   embeddings → optional random Fourier features → jet-propagating MLP)
 //!   and the hybrid variant with a quantum-circuit layer;
-//! * [`residual`] — per-field jet splitting for registry residuals and the
-//!   stationary eigenproblem residual;
-//! * [`loss`] — initial-condition, boundary, and **norm-conservation**
-//!   losses plus the weighted total;
+//! * [`residual`] — per-field jet splitting for registry residuals;
+//! * [`loss`] — initial-condition, **norm-conservation** and
+//!   orthogonality losses plus the weighted total;
 //! * [`causal`] — adaptive time weighting (causal training);
 //! * [`trainer`] — the Adam(+schedule) training loop with loss/error/
 //!   gradient trajectories, and L-BFGS polishing;
 //! * [`task`] — [`ZooTask`], which trains any registry problem (with the
-//!   causal curriculum and norm-conservation loss as options), plus the
-//!   eigenvalue and inverse tasks;
-//! * [`metrics`] — norm-drift series and sign-invariant profile errors;
+//!   causal curriculum and norm-conservation loss as options) and the
+//!   constants a problem declares as unknowns;
+//! * [`metrics`] — norm-drift series, sign-invariant profile errors and
+//!   the Rayleigh-quotient energy of a learned bound state;
 //! * [`report`] — aligned text tables and a small JSON writer for the
 //!   experiment harness;
 //! * [`experiment`] — multi-seed sweep running with mean/std aggregation;

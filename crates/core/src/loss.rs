@@ -1,9 +1,11 @@
 //! Loss terms: PDE residual MSE (optionally causally weighted),
-//! initial-condition fit, boundary decay, and the global
+//! initial/boundary-condition fit, and the global
 //! **norm-conservation** penalty that plays the role the energy-
 //! conservation regularizer plays in conservative-PDE PINNs: in a closed,
 //! lossless quantum system `∫|ψ|²dx` must stay exactly 1, and penalizing
 //! its drift suppresses the spurious global amplitude decay failure mode.
+//! The same lattice carries the orthogonality penalty that deflates an
+//! excited state against the states below it.
 
 use crate::model::FieldNet;
 use qpinn_autodiff::{Graph, Var};
@@ -27,39 +29,53 @@ pub fn ic_loss(ctx: &mut GraphCtx<'_>, net: &FieldNet, columns: &[Var], target: 
     ctx.g.mse(diff)
 }
 
-/// Boundary decay loss: predicted fields must vanish at the given points
-/// (Dirichlet problems).
-pub fn boundary_loss(ctx: &mut GraphCtx<'_>, net: &FieldNet, columns: &[Var]) -> Var {
-    let pred = net.forward_values(ctx, columns);
-    ctx.g.mse(pred)
-}
-
-/// Norm-conservation loss on a structured grid of `n_times` time slices ×
-/// `nx` spatial points (rows ordered time-major, i.e. all `x` for slice 0,
-/// then slice 1, …):
+/// Norm-conservation loss on a lattice of time slices × `per_slice`
+/// spatial points (rows ordered time-major, i.e. all points of slice 0,
+/// then slice 1, …; a stationary problem has one slice), from the field
+/// columns predicted at the rows:
 ///
-/// `L = mean_k ( L_dom·⟨u²+v²⟩_x(t_k) − N₀ )²`
+/// `L = mean_k ( measure·⟨Σ_c f_c²⟩(t_k) − N₀ )²`
 ///
-/// where `N₀` is the exact initial norm. Field values only — no extra
-/// derivative cost.
+/// where `N₀` is the exact norm and `measure` the spatial domain's size.
+/// Field values only — no extra derivative cost.
 pub fn norm_conservation_loss(
-    ctx: &mut GraphCtx<'_>,
-    net: &FieldNet,
-    columns: &[Var],
-    nx: usize,
-    domain_length: f64,
+    g: &mut Graph,
+    fields: &[Var],
+    per_slice: usize,
+    measure: f64,
     target_norm: f64,
 ) -> Var {
-    let pred = net.forward_values(ctx, columns);
-    let u = ctx.g.col(pred, 0);
-    let v = ctx.g.col(pred, 1);
-    let u2 = ctx.g.square(u);
-    let v2 = ctx.g.square(v);
-    let dens = ctx.g.add(u2, v2);
-    let per_slice = ctx.g.mean_groups(dens, nx);
-    let norm = ctx.g.scale(per_slice, domain_length);
-    let drift = ctx.g.add_scalar(norm, -target_norm);
-    ctx.g.mse(drift)
+    let squares: Vec<Var> = fields.iter().map(|&f| g.square(f)).collect();
+    let dens = sum_columns(g, &squares);
+    let norm = slice_integrals(g, dens, per_slice, measure);
+    let drift = g.add_scalar(norm, -target_norm);
+    g.mse(drift)
+}
+
+/// Orthogonality loss on the same lattice: the squared overlap
+/// `mean_k ( measure·⟨Σ_c f_c·φ_c⟩(t_k) )²` of the fields with a state φ
+/// given by its columns at the rows.
+pub fn overlap_loss(
+    g: &mut Graph,
+    fields: &[Var],
+    state: &[Var],
+    per_slice: usize,
+    measure: f64,
+) -> Var {
+    let products: Vec<Var> = fields.iter().zip(state).map(|(&f, &s)| g.mul(f, s)).collect();
+    let rows = sum_columns(g, &products);
+    let overlap = slice_integrals(g, rows, per_slice, measure);
+    g.mse(overlap)
+}
+
+fn sum_columns(g: &mut Graph, cols: &[Var]) -> Var {
+    cols[1..].iter().fold(cols[0], |acc, &c| g.add(acc, c))
+}
+
+/// `measure·⟨rows⟩` over each consecutive group of `per_slice` rows.
+fn slice_integrals(g: &mut Graph, rows: Var, per_slice: usize, measure: f64) -> Var {
+    let means = g.mean_groups(rows, per_slice);
+    g.scale(means, measure)
 }
 
 /// Weighted total loss: `Σ wᵢ·termᵢ`.
@@ -150,7 +166,9 @@ mod tests {
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::column(&xs));
         let t = ctx.g.constant(Tensor::column(&ts));
-        let l = norm_conservation_loss(&mut ctx, &net, &[x, t], nx, 2.0, 1.0);
+        let pred = net.forward_values(&mut ctx, &[x, t]);
+        let fields = [ctx.g.col(pred, 0), ctx.g.col(pred, 1)];
+        let l = norm_conservation_loss(ctx.g, &fields, nx, 2.0, 1.0);
         let val = ctx.g.value(l).item();
         assert!(val.is_finite() && val >= 0.0);
         // gradient flows to parameters

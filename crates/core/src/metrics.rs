@@ -1,8 +1,10 @@
-//! Evaluation metrics: norm drift and sign-invariant profile error. The
-//! field error of a trained surrogate is [`crate::trainer::PinnTask::eval_error`].
+//! Evaluation metrics: norm drift, sign-invariant profile error, and the
+//! energy and state error of a learned bound state. The field error of a
+//! trained surrogate is [`crate::trainer::PinnTask::eval_error`].
 
 use crate::model::FieldNet;
 use qpinn_nn::ParamSet;
+use qpinn_problems::EigenProblem;
 
 /// The network's `∫|ψ|²dx` at each requested time (uniform spatial
 /// quadrature over the periodic domain).
@@ -45,6 +47,60 @@ pub fn rel_l2_error_profile(pred: &[f64], reference: &[f64]) -> f64 {
             .sqrt()
     };
     err(1.0).min(err(-1.0)) / den
+}
+
+/// A one-field surrogate over one coordinate, sampled at `xs`.
+pub fn profile(net: &FieldNet, params: &ParamSet, xs: &[f64]) -> Vec<f64> {
+    let points: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x]).collect();
+    net.predict(params, &points).data().to_vec()
+}
+
+/// Trapezoid weight of sample `i` of `n` (half at both ends).
+fn trapezoid(i: usize, n: usize) -> f64 {
+    if i == 0 || i == n - 1 {
+        0.5
+    } else {
+        1.0
+    }
+}
+
+/// Rayleigh quotient `∫(½ψ′² + Vψ²) / ∫ψ²` of a one-field surrogate over
+/// the problem's box: trapezoid weights and central-difference `ψ′` on
+/// 1025 points. It is second order in the wavefunction error, so it
+/// estimates the energy better than a trained eigenvalue does.
+pub fn rayleigh_energy(net: &FieldNet, params: &ParamSet, problem: &EigenProblem) -> f64 {
+    let n = 1025;
+    let dx = (problem.x1 - problem.x0) / (n - 1) as f64;
+    let xs: Vec<f64> = (0..n).map(|i| problem.x0 + dx * i as f64).collect();
+    let psi = profile(net, params, &xs);
+    let mut num = 0.0;
+    let mut den = 0.0;
+    for i in 0..n {
+        let dpsi = if i == 0 {
+            (psi[1] - psi[0]) / dx
+        } else if i == n - 1 {
+            (psi[i] - psi[i - 1]) / dx
+        } else {
+            (psi[i + 1] - psi[i - 1]) / (2.0 * dx)
+        };
+        let w = trapezoid(i, n);
+        num += w * (0.5 * dpsi * dpsi + problem.potential.eval(xs[i]) * psi[i] * psi[i]);
+        den += w * psi[i] * psi[i];
+    }
+    num / den.max(1e-300)
+}
+
+/// [`rel_l2_error_profile`] of a one-field surrogate against a normalised
+/// `state` sampled on the uniform grid `xs`, after normalising the
+/// prediction with trapezoid weights.
+pub fn state_error(net: &FieldNet, params: &ParamSet, xs: &[f64], state: &[f64]) -> f64 {
+    let psi = profile(net, params, xs);
+    let n = xs.len();
+    let dx = (xs[n - 1] - xs[0]) / (n - 1) as f64;
+    let sq: f64 = (0..n).map(|i| trapezoid(i, n) * psi[i] * psi[i]).sum();
+    let norm = (sq * dx).sqrt().max(1e-300);
+    let scaled: Vec<f64> = psi.iter().map(|v| v / norm).collect();
+    rel_l2_error_profile(&scaled, state)
 }
 
 #[cfg(test)]

@@ -29,21 +29,6 @@ impl TextTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: append a row of displayable items.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        self.row(
-            &cells
-                .iter()
-                .map(|c| format!("{c}"))
-                .collect::<Vec<String>>(),
-        );
-    }
-
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let ncols = self.header.len();

@@ -1,13 +1,9 @@
 //! Ready-to-train task objects implementing [`crate::trainer::PinnTask`].
-//! [`ZooTask`] trains every registry problem, and any Schrödinger preset
-//! wrapped by `qpinn_problems::zoo`. The eigenvalue and inverse tasks
-//! train extra parameters (a trainable energy, a trainable trap
-//! frequency) that the registry does not describe yet.
+//! [`ZooTask`] trains every registry problem, any Schrödinger preset
+//! wrapped by `qpinn_problems::zoo`, and the unregistered adapters whose
+//! constants train alongside the network (a bound state's energy, a trap
+//! frequency).
 
-pub mod eigen;
-pub mod inverse;
 pub mod zoo;
 
-pub use eigen::{EigenTask, EigenTaskConfig};
-pub use inverse::{InverseTaskConfig, InverseTdseTask};
 pub use zoo::{net_config_for, ZooTask, ZooTaskConfig};

@@ -6,7 +6,10 @@
 //!
 //! Two options serve the time-dependent Schrödinger families: the causal
 //! time curriculum and the norm-conservation loss. Both are off in the
-//! presets, so a plain registry run builds the same tape either way.
+//! presets, so a plain registry run builds the same tape either way. The
+//! conservation term also carries a problem's orthogonality constraints,
+//! and the constants a problem declares as unknowns train alongside the
+//! network.
 
 use crate::causal::CausalWeights;
 use crate::loss;
@@ -14,7 +17,7 @@ use crate::model::{CoordSpec, FieldNet, FieldNetConfig, RffSpec};
 use crate::residual::split_fields;
 use crate::trainer::PinnTask;
 use qpinn_autodiff::Var;
-use qpinn_nn::{Activation, GraphCtx, ParamSet};
+use qpinn_nn::{Activation, GraphCtx, ParamId, ParamSet};
 use qpinn_problems::zoo::{
     lookup, CoordDef, CoordKind, Fidelity, PdeProblem, RefSolution, UnknownProblem,
 };
@@ -26,8 +29,6 @@ use rand::rngs::StdRng;
 /// `w(t) = exp(−ε Σ_{t′<t} L(t′))`.
 const CAUSAL_BINS: usize = 5;
 const CAUSAL_EPSILON: f64 = 1.0;
-/// Weight of the norm-conservation term relative to the PDE residual.
-const CONSERVATION_WEIGHT: f64 = 10.0;
 /// Time slices of the conservation grid, at `t_k = t_end·(k+1)/8`.
 const CONSERVATION_SLICES: usize = 8;
 
@@ -44,7 +45,8 @@ pub struct ZooTaskConfig {
     pub n_collocation: usize,
     /// Points per IC/BC condition set.
     pub n_condition: usize,
-    /// Weight of each condition term relative to the PDE residual.
+    /// Weight of each condition and conservation term relative to the
+    /// PDE residual.
     pub cond_weight: f64,
     /// Reference resolution.
     pub fidelity: Fidelity,
@@ -54,8 +56,9 @@ pub struct ZooTaskConfig {
     /// Causal time weighting of the residual points (Wang, Sankaran &
     /// Perdikaris): 5 time bins, ε = 1. Needs a time coordinate.
     pub causal: bool,
-    /// Norm-conservation loss with weight 10 on a grid of 8 time slices.
-    /// Needs [`PdeProblem::conserved_norm`].
+    /// Norm-conservation loss on a fixed lattice: 8 time slices, or one
+    /// for a problem without time. Also holds the solution orthogonal to
+    /// [`PdeProblem::orthogonal_to`]. Needs [`PdeProblem::conserved_norm`].
     pub conservation: bool,
 }
 
@@ -125,19 +128,24 @@ struct PreparedCondition {
     target: Tensor,
 }
 
-/// The norm-conservation grid: time-major rows, `per_slice` spatial
-/// points per slice, so `mean_groups` averages the density per slice.
+/// The conservation lattice: time-major rows, `per_slice` spatial points
+/// per slice (one slice without a time coordinate), so `mean_groups`
+/// averages the density and the overlaps per slice.
 struct Conservation {
     cols: Vec<Tensor>,
     per_slice: usize,
     measure: f64,
     target: f64,
+    /// Each of [`PdeProblem::orthogonal_to`] sampled at the rows, one
+    /// column per output.
+    lower: Vec<Vec<Tensor>>,
 }
 
 impl Conservation {
-    /// Uniform periodic lattice over the spatial axes at each slice time:
-    /// 64 points on a line, 16 per axis on a plane.
-    fn new(problem: &dyn PdeProblem, coords: &[CoordDef], t_idx: usize) -> Self {
+    /// Uniform periodic lattice over the spatial axes at each slice time
+    /// (or once, without a time coordinate): 64 points on a line, 16 per
+    /// axis on a plane.
+    fn new(problem: &dyn PdeProblem, coords: &[CoordDef], t_idx: Option<usize>) -> Self {
         let target = problem.conserved_norm().unwrap_or_else(|| {
             panic!(
                 "conservation loss: `{}` declares no conserved norm",
@@ -158,21 +166,36 @@ impl Conservation {
             })
             .collect();
         let lattice = tensor_grid(&axes);
-        let t = &coords[t_idx];
-        let mut points = Vec::with_capacity(CONSERVATION_SLICES * lattice.len());
-        for k in 0..CONSERVATION_SLICES {
-            let tk = t.lo + t.span() * (k + 1) as f64 / CONSERVATION_SLICES as f64;
-            for p in &lattice {
-                let mut q = p.clone();
-                q.insert(t_idx, tk);
-                points.push(q);
+        let points: Vec<Vec<f64>> = match t_idx {
+            None => lattice.clone(),
+            Some(t_idx) => {
+                let t = &coords[t_idx];
+                (1..=CONSERVATION_SLICES)
+                    .flat_map(|k| {
+                        let tk = t.lo + t.span() * k as f64 / CONSERVATION_SLICES as f64;
+                        lattice.iter().map(move |p| {
+                            let mut q = p.clone();
+                            q.insert(t_idx, tk);
+                            q
+                        })
+                    })
+                    .collect()
             }
-        }
+        };
+        let lower = problem
+            .orthogonal_to()
+            .iter()
+            .map(|state| {
+                let samples: Vec<Vec<f64>> = points.iter().map(|p| state.sample(p)).collect();
+                columns_of(&samples, problem.n_outputs())
+            })
+            .collect();
         Conservation {
             cols: columns_of(&points, coords.len()),
             per_slice: lattice.len(),
             measure: spatial.iter().map(|c| c.span()).product(),
             target,
+            lower,
         }
     }
 }
@@ -184,6 +207,7 @@ pub struct ZooTask {
     points: Vec<Vec<f64>>,
     point_cols: Vec<Tensor>,
     conditions: Vec<PreparedCondition>,
+    unknowns: Vec<ParamId>,
     cond_weight: f64,
     causal: Option<CausalWeights>,
     conservation: Option<Conservation>,
@@ -210,11 +234,14 @@ impl ZooTask {
     /// network architecture (`cfg.width`, `depth` and `rff` are not read).
     /// Network parameters are registered into `params` under the problem
     /// key, so a serve-side spec rebuild with `name = key` replays the
-    /// construction bit-exactly.
+    /// construction bit-exactly. Each of the problem's
+    /// [`PdeProblem::unknowns`] follows as a `[1, 1]` parameter
+    /// `<key>.<name>` holding its initial value.
     ///
     /// # Panics
-    /// If `cfg.causal` is set for a problem without a time coordinate, or
-    /// `cfg.conservation` for one without a conserved norm.
+    /// If `cfg.causal` is set for a problem without a time coordinate,
+    /// `cfg.conservation` for one without a conserved norm, or the problem
+    /// declares orthogonality constraints and `cfg.conservation` is off.
     pub fn new(
         problem: Box<dyn PdeProblem>,
         net: &FieldNetConfig,
@@ -223,6 +250,14 @@ impl ZooTask {
         rng: &mut StdRng,
     ) -> Self {
         let net = FieldNet::new(params, rng, net, problem.key());
+        let unknowns = problem
+            .unknowns()
+            .into_iter()
+            .map(|(name, v)| {
+                let name = format!("{}.{name}", problem.key());
+                params.add(name, Tensor::from_vec([1, 1], vec![v]))
+            })
+            .collect();
 
         let coords = problem.coords();
         let ranges: Vec<(f64, f64)> = coords.iter().map(|c| (c.lo, c.hi)).collect();
@@ -246,19 +281,22 @@ impl ZooTask {
             .collect();
 
         let t_idx = coords.iter().position(|c| c.kind == CoordKind::Time);
-        let needs_time = |what: &str| {
-            t_idx.unwrap_or_else(|| panic!("{what}: `{}` has no time coordinate", problem.key()))
-        };
         let causal = cfg.causal.then(|| {
-            let t = needs_time("causal weighting");
+            let t = t_idx.unwrap_or_else(|| {
+                panic!("causal weighting: `{}` has no time coordinate", problem.key())
+            });
             let times: Vec<f64> = points.iter().map(|p| p[t]).collect();
             let (lo, hi) = (coords[t].lo, coords[t].hi);
             CausalWeights::new(lo, hi, CAUSAL_BINS, CAUSAL_EPSILON, &times)
         });
-        let conservation = cfg.conservation.then(|| {
-            let t = needs_time("conservation loss");
-            Conservation::new(problem.as_ref(), &coords, t)
-        });
+        assert!(
+            cfg.conservation || problem.orthogonal_to().is_empty(),
+            "orthogonality constraints: `{}` needs the conservation term",
+            problem.key()
+        );
+        let conservation = cfg
+            .conservation
+            .then(|| Conservation::new(problem.as_ref(), &coords, t_idx));
 
         let reference = problem.reference(cfg.fidelity);
         // Tensor evaluation grid: spread the budget evenly over the axes.
@@ -289,6 +327,7 @@ impl ZooTask {
             points,
             point_cols,
             conditions,
+            unknowns,
             cond_weight: cfg.cond_weight,
             causal,
             conservation,
@@ -313,23 +352,45 @@ impl ZooTask {
         self.reference.as_ref()
     }
 
-    /// The unweighted norm-conservation term
-    /// `mean_k (∫|ψ|²(t_k) − N₀)²`, when the task has one.
-    fn conservation_loss(&self, ctx: &mut GraphCtx<'_>) -> Option<Var> {
-        let cons = self.conservation.as_ref()?;
+    /// The current values of the problem's unknowns, in the order
+    /// [`PdeProblem::unknowns`] lists them.
+    pub fn unknowns(&self, params: &ParamSet) -> Vec<f64> {
+        self.unknowns.iter().map(|&id| params.get(id).item()).collect()
+    }
+
+    /// The unweighted lattice terms, named: norm conservation
+    /// `mean_k (∫|ψ|²(t_k) − N₀)²`, then the summed squared overlaps with
+    /// the lower states when the problem declares any. Empty without the
+    /// conservation option.
+    fn conservation_losses(&self, ctx: &mut GraphCtx<'_>) -> Vec<(&'static str, Var)> {
+        let Some(cons) = self.conservation.as_ref() else {
+            return Vec::new();
+        };
         let cols: Vec<Var> = cons
             .cols
             .iter()
             .map(|t| ctx.g.constant(t.clone()))
             .collect();
-        Some(loss::norm_conservation_loss(
-            ctx,
-            &self.net,
-            &cols,
-            cons.per_slice,
-            cons.measure,
-            cons.target,
-        ))
+        let pred = self.net.forward_values(ctx, &cols);
+        let fields: Vec<Var> = (0..self.net.n_fields())
+            .map(|c| ctx.g.col(pred, c))
+            .collect();
+        let (per_slice, measure) = (cons.per_slice, cons.measure);
+        let norm = loss::norm_conservation_loss(ctx.g, &fields, per_slice, measure, cons.target);
+        let mut terms = vec![("conservation", norm)];
+        let overlaps: Vec<Var> = cons
+            .lower
+            .iter()
+            .map(|state| {
+                let state: Vec<Var> = state.iter().map(|t| ctx.g.constant(t.clone())).collect();
+                loss::overlap_loss(ctx.g, &fields, &state, per_slice, measure)
+            })
+            .collect();
+        if let Some((&first, rest)) = overlaps.split_first() {
+            let sum = rest.iter().fold(first, |acc, &o| ctx.g.add(acc, o));
+            terms.push(("orthogonality", sum));
+        }
+        terms
     }
 }
 
@@ -370,9 +431,10 @@ impl PinnTask for ZooTask {
             split_fields(ctx.g, &out, self.net.n_fields())
         };
         let residual_span = qpinn_telemetry::span("residual");
+        let unknowns: Vec<Var> = self.unknowns.iter().map(|&id| ctx.param(id)).collect();
         let residuals = self
             .problem
-            .residuals(ctx.g, &fields, &self.points);
+            .residuals_with(ctx.g, &fields, &self.points, &unknowns);
         // Causal weights follow the current squared residual, summed over
         // the residual columns, before they weight this epoch's loss.
         let weights = match &mut self.causal {
@@ -423,9 +485,9 @@ impl PinnTask for ZooTask {
             terms.push((self.cond_weight, l));
             components.push((cond.name, l));
         }
-        if let Some(l) = self.conservation_loss(ctx) {
-            terms.push((CONSERVATION_WEIGHT, l));
-            components.push(("conservation", l));
+        for (name, l) in self.conservation_losses(ctx) {
+            terms.push((self.cond_weight, l));
+            components.push((name, l));
         }
         loss::publish_components(ctx.g, &components);
         loss::total_loss(ctx.g, &terms)
@@ -450,6 +512,7 @@ impl PinnTask for ZooTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpinn_problems::zoo::{eigenstate, trap_frequency, EigenRef};
     use rand::SeedableRng;
 
     #[test]
@@ -641,7 +704,8 @@ mod tests {
                 .copy_from_slice(&[a, 0.0]);
             let mut g = qpinn_autodiff::Graph::new();
             let mut ctx = GraphCtx::new(&mut g, &params);
-            let l = task.conservation_loss(&mut ctx).unwrap();
+            let (name, l) = task.conservation_losses(&mut ctx)[0];
+            assert_eq!(name, "conservation");
             g.value(l).item()
         };
         assert!(term(1.0) < 1e-24, "{}", term(1.0));
@@ -696,5 +760,132 @@ mod tests {
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(7);
         let _ = ZooTask::from_key("gray-scott", &cfg, &mut params, &mut rng);
+    }
+
+    /// T2's quick eigenstate setup: boundary, norm and orthogonality at
+    /// weight 100.
+    fn eigen_cfg() -> ZooTaskConfig {
+        ZooTaskConfig {
+            width: 24,
+            cond_weight: 100.0,
+            conservation: true,
+            ..ZooTaskConfig::quick()
+        }
+    }
+
+    fn task_for(problem: Box<dyn PdeProblem>, cfg: &ZooTaskConfig, seed: u64) -> (ZooTask, ParamSet) {
+        let net = net_config_for(problem.as_ref(), cfg);
+        let mut params = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let task = ZooTask::new(problem, &net, cfg, &mut params, &mut rng);
+        (task, params)
+    }
+
+    #[test]
+    fn unknowns_register_after_the_net_and_receive_gradients() {
+        let well = qpinn_problems::EigenProblem::infinite_well();
+        let trap = qpinn_problems::TdseProblem::mild_harmonic();
+        let cases = [
+            (eigenstate(well, 0, 4.0, Vec::new()), eigen_cfg(), "eigenstate.E", 4.0),
+            (
+                trap_frequency(trap, 0.6, 24, 0.0),
+                ZooTaskConfig::quick(),
+                "trap-frequency.omega",
+                0.6,
+            ),
+        ];
+        for (problem, cfg, name, init) in cases {
+            let mut net_only = ParamSet::new();
+            let net = net_config_for(problem.as_ref(), &cfg);
+            FieldNet::new(&mut net_only, &mut StdRng::seed_from_u64(1), &net, problem.key());
+            let (mut task, params) = task_for(problem, &cfg, 1);
+            assert_eq!(params.len(), net_only.len() + 1, "{name}");
+            let (_, last, value) = params.iter().last().unwrap();
+            assert_eq!((last, value.shape().dims()), (name, &[1, 1][..]));
+            assert_eq!(task.unknowns(&params), [init]);
+            let mut g = qpinn_autodiff::Graph::new();
+            let mut ctx = GraphCtx::new(&mut g, &params);
+            let l = task.build_loss(&mut ctx);
+            let mut grads = ctx.g.backward(l);
+            let grad = ctx.collect_grads(&mut grads).pop().unwrap().item();
+            assert!(grad.is_finite() && grad != 0.0, "{name}: gradient {grad}");
+        }
+    }
+
+    #[test]
+    fn families_without_unknowns_register_no_extra_parameter() {
+        for key in qpinn_problems::keys() {
+            let cfg = ZooTaskConfig::quick();
+            let problem = lookup(key).unwrap();
+            assert!(problem.unknowns().is_empty(), "{key}");
+            let mut net_only = ParamSet::new();
+            let net = net_config_for(problem.as_ref(), &cfg);
+            FieldNet::new(&mut net_only, &mut StdRng::seed_from_u64(0), &net, key);
+            let (task, params) = task_for(problem, &cfg, 0);
+            assert_eq!(params.len(), net_only.len(), "{key}");
+            assert!(task.unknowns(&params).is_empty());
+        }
+    }
+
+    #[test]
+    fn zero_solution_costs_at_least_the_normalisation_weight() {
+        // With all-zero network output the normalization term alone is
+        // cond_weight·1, so the trivial solution is not a minimum.
+        let well = qpinn_problems::EigenProblem::infinite_well();
+        let cfg = eigen_cfg();
+        let (mut task, mut params) = task_for(eigenstate(well, 0, 4.0, Vec::new()), &cfg, 1);
+        for t in params.tensors_mut() {
+            t.data_mut().fill(0.0);
+        }
+        let (_, l) = built_loss(&mut task, &params);
+        assert!(l >= cfg.cond_weight * 0.99, "trivial solution must be expensive: {l}");
+    }
+
+    #[test]
+    fn orthogonality_term_reacts_to_overlap() {
+        // Deflating against a constant "state", which any nonzero ψ of
+        // one sign overlaps, must cost more than not deflating at all,
+        // with the same network and points.
+        let well = qpinn_problems::EigenProblem::infinite_well();
+        let flat = EigenRef {
+            xs: vec![0.0, 1.0],
+            psi: vec![1.0, 1.0],
+        };
+        let cfg = eigen_cfg();
+        let (mut with, params) = task_for(eigenstate(well.clone(), 1, 4.0, vec![flat]), &cfg, 2);
+        let (mut without, params2) = task_for(eigenstate(well, 1, 4.0, Vec::new()), &cfg, 2);
+        let (_, l_with) = built_loss(&mut with, &params);
+        let (_, l_without) = built_loss(&mut without, &params2);
+        assert!(l_with > l_without, "{l_with} vs {l_without}");
+        let mut g = qpinn_autodiff::Graph::new();
+        let mut ctx = GraphCtx::new(&mut g, &params);
+        let terms = with.conservation_losses(&mut ctx);
+        let names: Vec<&str> = terms.iter().map(|t| t.0).collect();
+        assert_eq!(names, ["conservation", "orthogonality"]);
+        assert!(g.value(terms[1].1).item() > 0.0);
+    }
+
+    #[test]
+    fn stationary_lattice_is_one_slice_over_the_box() {
+        let well = qpinn_problems::EigenProblem::infinite_well();
+        let (task, _) = task_for(eigenstate(well, 0, 4.0, Vec::new()), &eigen_cfg(), 3);
+        let cons = task.conservation.as_ref().unwrap();
+        assert_eq!((cons.per_slice, cons.cols[0].len()), (64, 64));
+        assert_eq!((cons.measure, cons.target), (1.0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the conservation term")]
+    fn orthogonality_needs_the_conservation_term() {
+        let well = qpinn_problems::EigenProblem::infinite_well();
+        let lower = EigenRef {
+            xs: vec![0.0, 1.0],
+            psi: vec![1.0, 1.0],
+        };
+        let cfg = ZooTaskConfig {
+            conservation: false,
+            ..eigen_cfg()
+        };
+        let _ = task_for(eigenstate(well, 1, 4.0, vec![lower]), &cfg, 4);
     }
 }

@@ -50,11 +50,6 @@ impl LearnedPeriodEmbedding {
         LearnedPeriodEmbedding { inv_period: inv }
     }
 
-    /// The parameter handle (for inspection).
-    pub fn param_id(&self) -> ParamId {
-        self.inv_period
-    }
-
     /// Map a coordinate jet stack to `[sin(2πx/P), cos(2πx/P)]` where `1/P`
     /// is the trainable parameter. Gradients flow into the period through
     /// the bias-free `[rows,1]·[1,1]` matmul over the stack.

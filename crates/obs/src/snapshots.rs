@@ -8,7 +8,9 @@
 //! listing is cheap even over gigabyte checkpoints. A model registry
 //! directory tree (`<root>/<id>/*.qps`, as written by `qpinn-serve`) is
 //! also accepted: pass `--recursive` to walk one level of
-//! subdirectories.
+//! subdirectories. Stores are read through [`SnapshotStore::view`], so a
+//! listing never creates a directory or sweeps the temp file of a
+//! publish in flight.
 
 use qpinn_core::report::TextTable;
 use qpinn_persist::SnapshotStore;
@@ -28,10 +30,12 @@ fn fmt_bytes(b: u64) -> String {
 
 /// Render the snapshot listing for one store directory. Returns the
 /// table text and the number of corrupt files found (so callers can
-/// choose an exit code).
+/// choose an exit code), or an error when `dir` is not a directory.
 pub fn report(dir: &std::path::Path) -> Result<(String, usize), String> {
-    let store = SnapshotStore::open(dir).map_err(|e| format!("opening {}: {e}", dir.display()))?;
-    let entries = store.entries();
+    if !dir.is_dir() {
+        return Err(format!("{}: no such directory", dir.display()));
+    }
+    let entries = SnapshotStore::view(dir).entries();
     let mut table = TextTable::new(&["version", "run id", "next epoch", "bytes", "eval error", "crc"]);
     let mut corrupt = 0usize;
     for e in &entries {

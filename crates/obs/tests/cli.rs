@@ -350,3 +350,29 @@ fn runs_regress_exit_codes_follow_the_check_contract() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn snapshots_listing_leaves_a_publish_in_flight_alone() {
+    // A `*.tmp` beside the snapshots belongs to a writer that has not
+    // renamed it yet; listing the directory must not sweep it.
+    let dir = std::env::temp_dir().join(format!("qpinn-obs-cli-{}-snaps", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let in_flight = dir.join("snap-0000000003.tmp");
+    std::fs::write(&in_flight, b"half-written by a live publisher").unwrap();
+    let out = bin().arg("snapshots").arg(&dir).output().unwrap();
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stdout(&out).contains("0 snapshot(s)"), "{}", stdout(&out));
+    assert!(in_flight.exists(), "the listing swept a live temp file");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn snapshots_of_a_missing_directory_is_an_error_not_a_new_directory() {
+    let dir = std::env::temp_dir().join(format!("qpinn-obs-cli-{}-no-such-dir", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = bin().arg("snapshots").arg(&dir).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no such directory"));
+    assert!(!dir.exists(), "the listing created the directory");
+}

@@ -49,11 +49,6 @@ impl Potential {
             Potential::DoubleWell { a, c } => format!("double-well(a={a},c={c})"),
         }
     }
-
-    /// A boxed closure view (the solver interface).
-    pub fn as_fn(&self) -> impl Fn(f64) -> f64 + '_ {
-        move |x| self.eval(x)
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,9 @@ mod klein_gordon;
 mod ported;
 mod wave;
 
-pub use ported::{nls, schrodinger_residuals, tdse, tdse2d};
+pub use ported::{
+    eigenstate, nls, schrodinger_residuals, tdse, tdse2d, trap_frequency, EigenRef,
+};
 
 /// How the surrogate should treat one input coordinate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,8 +106,27 @@ pub trait PdeProblem: Send + Sync {
     /// Build the residual columns on the tape. `fields` holds one [`Jet`]
     /// per output component (value + per-coordinate first/second
     /// derivatives at the collocation `points`); the returned `Var`s are
-    /// `[n, 1]` residual columns to be driven to zero.
+    /// `[n, 1]` residual columns to be driven to zero. A family with
+    /// [`PdeProblem::unknowns`] evaluates them at their initial values.
     fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var>;
+    /// Scalar constants the residual reads that training identifies (an
+    /// eigenvalue, a trap frequency), each named with its initial value.
+    /// Empty (the default) for every registered family.
+    fn unknowns(&self) -> Vec<(&'static str, f64)> {
+        Vec::new()
+    }
+    /// [`PdeProblem::residuals`] with the unknowns as `[1, 1]` tape nodes,
+    /// in the order [`PdeProblem::unknowns`] lists them. The default, for
+    /// families without unknowns, ignores the empty list.
+    fn residuals_with(
+        &self,
+        g: &mut Graph,
+        fields: &[Jet],
+        points: &[Vec<f64>],
+        _unknowns: &[Var],
+    ) -> Vec<Var> {
+        self.residuals(g, fields, points)
+    }
     /// IC/BC condition sets, each sampled at roughly `n` points.
     fn conditions(&self, n: usize) -> Vec<Condition>;
     /// Closed-form solution at a point, when one exists.
@@ -129,12 +150,19 @@ pub trait PdeProblem: Send + Sync {
     fn residual_tol(&self) -> f64 {
         0.05
     }
-    /// The conserved `∫|ψ|²` over the spatial domain, for problems whose
-    /// two outputs are the real and imaginary parts of a wavefunction
-    /// with a time-independent norm. `None` (the default) for every
-    /// family without one; a norm-conservation loss needs `Some`.
+    /// The conserved `∫|ψ|²` over the spatial domain (summed over the
+    /// outputs), for a wavefunction with a time-independent norm: the
+    /// real and imaginary parts of a Schrödinger state, or one real
+    /// stationary state. `None` (the default) for every family without
+    /// one; a norm-conservation loss needs `Some`.
     fn conserved_norm(&self) -> Option<f64> {
         None
+    }
+    /// States the solution must be orthogonal to over the spatial domain
+    /// (the lower states an excited state is deflated against). Empty by
+    /// default.
+    fn orthogonal_to(&self) -> Vec<&dyn RefSolution> {
+        Vec::new()
     }
 }
 

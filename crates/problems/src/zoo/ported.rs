@@ -7,7 +7,10 @@
 //! The Schrödinger adapters are public through [`tdse`], [`nls`] and
 //! [`tdse2d`], so presets without a registry key (the barrier, the mild
 //! trap, the Raissi 2-soliton, the 2D harmonic packet) train through the
-//! same generic task as the registered families.
+//! same generic task as the registered families. Two more unregistered
+//! adapters declare [`PdeProblem::unknowns`]: [`eigenstate`] learns a
+//! bound state with its energy, and [`trap_frequency`] identifies a trap
+//! frequency from observations.
 
 use super::{
     point_column, uniform, ComplexFieldRef, Condition, CoordDef,
@@ -18,6 +21,8 @@ use qpinn_autodiff::jet::Jet;
 use qpinn_autodiff::{Graph, Var};
 use qpinn_dual::Complex64;
 use qpinn_solvers::{bound_states, crank_nicolson_tdse, Field2d, Grid1d};
+use qpinn_tensor::Tensor;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Schrödinger-type residuals for `ψ = u + iv` on coordinates
 /// `(x[, y], t)`: `i ψ_t = −½∇²ψ + Vψ − g|ψ|²ψ`, split into real and
@@ -100,6 +105,9 @@ struct TdseZoo {
     key: &'static str,
     describe: &'static str,
     inner: TdseProblem,
+    /// Trap-frequency identification: ω's initial value and the
+    /// observations of the solution at the true ω.
+    observed: Option<(f64, Condition)>,
 }
 
 /// Wrap any 1D TDSE preset as a [`PdeProblem`] under `key`. The key
@@ -113,6 +121,52 @@ pub fn tdse(
         key,
         describe,
         inner: problem,
+        observed: None,
+    })
+}
+
+/// Identify the frequency ω of a harmonic-trap TDSE: ω is an unknown
+/// starting at `omega0`, and a `"data"` condition fits `n_observations`
+/// samples of the reference solution at the true ω, drawn uniformly over
+/// space-time with uniform noise of amplitude `noise` on each part. The
+/// draw is seeded, so the same inputs give the same observations.
+///
+/// # Panics
+/// If the potential is not harmonic.
+pub fn trap_frequency(
+    problem: TdseProblem,
+    omega0: f64,
+    n_observations: usize,
+    noise: f64,
+) -> Box<dyn PdeProblem> {
+    assert!(
+        matches!(problem.potential, Potential::Harmonic { .. }),
+        "trap-frequency identification needs a harmonic potential, not {}",
+        problem.potential.name()
+    );
+    let reference = problem.reference(256, 1500, 64);
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut points = Vec::with_capacity(n_observations);
+    let mut targets = Vec::with_capacity(n_observations);
+    for _ in 0..n_observations {
+        let x = rng.gen_range(problem.x0..problem.x1);
+        let t = rng.gen_range(0.0..problem.t_end);
+        let psi = reference.sample(x, t);
+        let mut jitter = || noise * rng.gen_range(-1.0..1.0f64);
+        targets.push(vec![psi.re + jitter(), psi.im + jitter()]);
+        points.push(vec![x, t]);
+    }
+    let data = Condition {
+        name: "data",
+        deriv: None,
+        points,
+        targets,
+    };
+    Box::new(TdseZoo {
+        key: "trap-frequency",
+        describe: "1D harmonic-trap TDSE with the trap frequency identified from observations",
+        inner: problem,
+        observed: Some((omega0, data)),
     })
 }
 
@@ -185,8 +239,32 @@ impl PdeProblem for TdseZoo {
         2
     }
     fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var> {
-        let pot = self.inner.potential;
-        let v_col = point_column(g, points, |p| pot.eval(p[0]));
+        let init = initial_values(g, self);
+        self.residuals_with(g, fields, points, &init)
+    }
+    fn unknowns(&self) -> Vec<(&'static str, f64)> {
+        self.observed.iter().map(|(omega0, _)| ("omega", *omega0)).collect()
+    }
+    fn residuals_with(
+        &self,
+        g: &mut Graph,
+        fields: &[Jet],
+        points: &[Vec<f64>],
+        unknowns: &[Var],
+    ) -> Vec<Var> {
+        let v_col = match unknowns.first() {
+            // V = ½ω²x² with ω on the tape.
+            Some(&omega) => {
+                let x2 = point_column(g, points, |p| p[0] * p[0]);
+                let omega2 = g.square(omega);
+                let v = g.matmul(x2, omega2);
+                g.scale(v, 0.5)
+            }
+            None => {
+                let pot = self.inner.potential;
+                point_column(g, points, |p| pot.eval(p[0]))
+            }
+        };
         schrodinger_residuals(g, fields, v_col, 0.0, 1)
     }
     fn conditions(&self, n: usize) -> Vec<Condition> {
@@ -196,12 +274,15 @@ impl PdeProblem for TdseZoo {
             &xs.iter().map(|&x| (x,)).collect::<Vec<_>>(),
             |x| self.inner.initial(x),
         );
-        vec![Condition {
+        let ic = Condition {
             name: "ic",
             deriv: None,
             points,
             targets,
-        }]
+        };
+        std::iter::once(ic)
+            .chain(self.observed.iter().map(|(_, data)| data.clone()))
+            .collect()
     }
     fn analytic(&self, point: &[f64]) -> Option<Vec<f64>> {
         let (x, t) = (point[0], point[1]);
@@ -507,7 +588,39 @@ impl PdeProblem for Tdse2dZoo {
 }
 
 // ---------------------------------------------------------------------------
-// Stationary harmonic eigenproblem (ground state, fixed E₀ = ω/2).
+// Stationary eigenproblems.
+
+/// The eigenvalue a stationary residual reads.
+#[derive(Clone, Copy)]
+enum Energy {
+    /// Pinned in the residual (`eigen-harmonic`'s E₀ = ω/2).
+    Known(f64),
+    /// An unknown's `[1, 1]` tape node.
+    Node(Var),
+}
+
+/// The stationary residual `−½ψ″ + Vψ − Eψ` for a real field jet over
+/// one coordinate, with the `[n, 1]` potential column `v_col`.
+fn stationary_residual(g: &mut Graph, psi: &Jet, v_col: Var, e: Energy) -> Var {
+    let mut r = g.scale(psi.dd[0], -0.5);
+    let vp = g.mul(v_col, psi.v);
+    r = g.add(r, vp);
+    let ep = match e {
+        Energy::Known(e) => g.scale(psi.v, e),
+        Energy::Node(e) => g.matmul(psi.v, e),
+    };
+    g.sub(r, ep)
+}
+
+/// The unknowns of `p` at their initial values, as constant `[1, 1]`
+/// nodes: what [`PdeProblem::residuals`] reads for a family with
+/// unknowns.
+fn initial_values(g: &mut Graph, p: &dyn PdeProblem) -> Vec<Var> {
+    p.unknowns()
+        .iter()
+        .map(|&(_, v)| g.constant(Tensor::from_vec([1, 1], vec![v])))
+        .collect()
+}
 
 struct EigenZoo {
     inner: EigenProblem,
@@ -530,9 +643,15 @@ impl EigenZoo {
     }
 }
 
-struct EigenRef {
-    xs: Vec<f64>,
-    psi: Vec<f64>,
+/// A real profile sampled on a uniform 1D grid, linearly interpolated
+/// between the samples: the reference of a stationary state, or a learned
+/// state that a higher one is held orthogonal to.
+#[derive(Clone, Debug)]
+pub struct EigenRef {
+    /// Uniformly spaced abscissae, ascending.
+    pub xs: Vec<f64>,
+    /// The profile at `xs`.
+    pub psi: Vec<f64>,
 }
 
 impl RefSolution for EigenRef {
@@ -549,6 +668,26 @@ impl RefSolution for EigenRef {
     }
 }
 
+/// The single bounded coordinate of a stationary problem.
+fn box_coord(p: &EigenProblem) -> Vec<CoordDef> {
+    vec![CoordDef {
+        name: "x",
+        lo: p.x0,
+        hi: p.x1,
+        kind: CoordKind::Bounded,
+    }]
+}
+
+/// Dirichlet edges `ψ(x0) = ψ(x1) = 0`.
+fn dirichlet_edges(p: &EigenProblem) -> Condition {
+    Condition {
+        name: "bc",
+        deriv: None,
+        points: vec![vec![p.x0], vec![p.x1]],
+        targets: vec![vec![0.0], vec![0.0]],
+    }
+}
+
 impl PdeProblem for EigenZoo {
     fn key(&self) -> &'static str {
         "eigen-harmonic"
@@ -557,39 +696,22 @@ impl PdeProblem for EigenZoo {
         "stationary Schrödinger ground state in a harmonic trap (E₀ = ω/2)"
     }
     fn coords(&self) -> Vec<CoordDef> {
-        vec![CoordDef {
-            name: "x",
-            lo: self.inner.x0,
-            hi: self.inner.x1,
-            kind: CoordKind::Bounded,
-        }]
+        box_coord(&self.inner)
     }
     fn n_outputs(&self) -> usize {
         1
     }
     fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var> {
-        let pot = self.inner.potential.clone();
+        let pot = self.inner.potential;
         let v_col = point_column(g, points, |p| pot.eval(p[0]));
-        let e0 = 0.5 * self.omega;
-        let psi = &fields[0];
-        // −½ψ″ + Vψ − E₀ψ
-        let mut r = g.scale(psi.dd[0], -0.5);
-        let vp = g.mul(v_col, psi.v);
-        r = g.add(r, vp);
-        let ep = g.scale(psi.v, e0);
-        vec![g.sub(r, ep)]
+        vec![stationary_residual(g, &fields[0], v_col, Energy::Known(0.5 * self.omega))]
     }
     fn conditions(&self, n: usize) -> Vec<Condition> {
         // Dirichlet edges plus amplitude anchors: without an amplitude
         // pin, ψ ≡ 0 solves residual + BC exactly.
         let anchors = uniform(-1.0, 1.0, n.max(3).min(9), false);
         vec![
-            Condition {
-                name: "bc",
-                deriv: None,
-                points: vec![vec![self.inner.x0], vec![self.inner.x1]],
-                targets: vec![vec![0.0], vec![0.0]],
-            },
+            dirichlet_edges(&self.inner),
             Condition {
                 name: "anchor",
                 deriv: None,
@@ -607,7 +729,7 @@ impl PdeProblem for EigenZoo {
             Fidelity::Full => 801,
         };
         let grid = Grid1d::dirichlet(self.inner.x0, self.inner.x1, n);
-        let pot = self.inner.potential.clone();
+        let pot = self.inner.potential;
         let state = bound_states(&grid, &move |x| pot.eval(x), 1).remove(0);
         Box::new(EigenRef {
             xs: grid.points(),
@@ -622,10 +744,98 @@ impl PdeProblem for EigenZoo {
     }
 }
 
+struct EigenstateZoo {
+    inner: EigenProblem,
+    state: usize,
+    e0: f64,
+    lower: Vec<EigenRef>,
+}
+
+/// Bound state `state` of `problem` (`−½ψ″ + Vψ = Eψ`, Dirichlet edges),
+/// with its energy `E` an unknown starting at `e0`. It declares
+/// `∫ψ² = 1` and orthogonality to each of the `lower` states, so a task
+/// fits them through its lattice constraints (deflation climbs the
+/// spectrum one state at a time). The reference is the finite-difference
+/// state of the same index, on 601 (`Quick`) or 1201 (`Full`) nodes.
+pub fn eigenstate(
+    problem: EigenProblem,
+    state: usize,
+    e0: f64,
+    lower: Vec<EigenRef>,
+) -> Box<dyn PdeProblem> {
+    Box::new(EigenstateZoo {
+        inner: problem,
+        state,
+        e0,
+        lower,
+    })
+}
+
+impl PdeProblem for EigenstateZoo {
+    fn key(&self) -> &'static str {
+        "eigenstate"
+    }
+    fn describe(&self) -> &'static str {
+        "stationary Schrödinger bound state with its energy as an unknown"
+    }
+    fn coords(&self) -> Vec<CoordDef> {
+        box_coord(&self.inner)
+    }
+    fn n_outputs(&self) -> usize {
+        1
+    }
+    fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var> {
+        let init = initial_values(g, self);
+        self.residuals_with(g, fields, points, &init)
+    }
+    fn unknowns(&self) -> Vec<(&'static str, f64)> {
+        vec![("E", self.e0)]
+    }
+    fn residuals_with(
+        &self,
+        g: &mut Graph,
+        fields: &[Jet],
+        points: &[Vec<f64>],
+        unknowns: &[Var],
+    ) -> Vec<Var> {
+        let pot = self.inner.potential;
+        let v_col = point_column(g, points, |p| pot.eval(p[0]));
+        let r = stationary_residual(g, &fields[0], v_col, Energy::Node(unknowns[0]));
+        // The residual grows with the energy: scale it by 1/√(1 + E₀²) so
+        // a high state's residual does not drown the unit-scale
+        // constraints.
+        vec![g.scale(r, 1.0 / (1.0 + self.e0 * self.e0).sqrt())]
+    }
+    fn conditions(&self, _n: usize) -> Vec<Condition> {
+        vec![dirichlet_edges(&self.inner)]
+    }
+    fn analytic(&self, _point: &[f64]) -> Option<Vec<f64>> {
+        None
+    }
+    fn reference(&self, fidelity: Fidelity) -> Box<dyn RefSolution> {
+        let nx = match fidelity {
+            Fidelity::Quick => 601,
+            Fidelity::Full => 1201,
+        };
+        Box::new(EigenRef {
+            xs: self.inner.grid(nx).points(),
+            psi: self.inner.reference(nx).swap_remove(self.state).psi,
+        })
+    }
+    fn check_method(&self) -> &'static str {
+        "FD eigensolver"
+    }
+    fn conserved_norm(&self) -> Option<f64> {
+        Some(1.0)
+    }
+    fn orthogonal_to(&self) -> Vec<&dyn RefSolution> {
+        self.lower.iter().map(|s| s as &dyn RefSolution).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qpinn_tensor::Tensor;
 
     fn col(g: &mut Graph, v: &[f64]) -> Var {
         g.constant(Tensor::column(v))
@@ -780,5 +990,52 @@ mod tests {
         );
         assert_eq!(trap2d.conserved_norm(), Some(1.0));
         assert!(trap2d.analytic(&[0.0, 0.0, 0.5]).is_none());
+    }
+
+    #[test]
+    fn stationary_residual_vanishes_for_exact_eigenpair() {
+        // Infinite well on [0, π]: ψ = sin(x), E = ½, known or on the tape.
+        let xs = [0.3, 1.2, 2.5];
+        let mut g = Graph::new();
+        let psi = Jet {
+            v: col(&mut g, &xs.map(f64::sin)),
+            d: vec![col(&mut g, &xs.map(f64::cos))],
+            dd: vec![col(&mut g, &xs.map(|x| -x.sin()))],
+        };
+        let v_col = col(&mut g, &[0.0; 3]);
+        let e = g.constant(Tensor::from_vec([1, 1], vec![0.5]));
+        for energy in [Energy::Known(0.5), Energy::Node(e)] {
+            let r = stationary_residual(&mut g, &psi, v_col, energy);
+            assert!(g.value(r).max_abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn trainable_trap_matches_the_fixed_trap_at_the_true_omega() {
+        // Same jets, same points: ω = 1 on the tape must reproduce the
+        // mild trap's own residual, and any other ω must not.
+        let (xs, ts) = ([0.4, -1.3, 2.2], [0.1, 0.5, 0.9]);
+        let points: Vec<Vec<f64>> = (0..3).map(|i| vec![xs[i], ts[i]]).collect();
+        let mut g = Graph::new();
+        let u = jet(&mut g, &[0.3, -0.2, 0.5], &[0.1, 0.4, -0.3], &[0.2, 0.0, 0.1], &[-0.5, 0.3, 0.2]);
+        let v = jet(&mut g, &[0.1, 0.6, -0.4], &[-0.2, 0.1, 0.3], &[0.0, 0.3, -0.1], &[0.4, -0.1, 0.6]);
+        let fields = [u, v];
+        let fixed = tdse("mild", "mild", TdseProblem::mild_harmonic());
+        let want = fixed.residuals(&mut g, &fields, &points);
+        let inverse = trap_frequency(TdseProblem::mild_harmonic(), 0.6, 4, 0.0);
+        for (omega, same) in [(1.0, true), (0.6, false)] {
+            let w = g.constant(Tensor::from_vec([1, 1], vec![omega]));
+            let got = inverse.residuals_with(&mut g, &fields, &points, &[w]);
+            for (a, b) in want.iter().zip(&got) {
+                let diff = g.value(*a).sub(g.value(*b)).max_abs();
+                assert_eq!(diff < 1e-12, same, "ω = {omega}: {diff}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a harmonic potential")]
+    fn trap_frequency_refuses_a_non_harmonic_potential() {
+        let _ = trap_frequency(TdseProblem::free_packet(), 1.0, 8, 0.0);
     }
 }

@@ -40,11 +40,6 @@ impl TimeBins {
         ((u * self.m as f64) as isize).clamp(0, self.m as isize - 1) as usize
     }
 
-    /// Per-point bin indices for a batch of times.
-    pub fn assign(&self, ts: &[f64]) -> Vec<usize> {
-        ts.iter().map(|&t| self.bin_of(t)).collect()
-    }
-
     /// Causal weights from per-bin mean losses:
     /// `w_i = exp(−ε Σ_{j<i} L_j)`, with `w_0 = 1`.
     pub fn causal_weights(&self, bin_losses: &[f64], epsilon: f64) -> Vec<f64> {

@@ -1,13 +1,14 @@
 //! Integration smoke tests for the extension features: 2D TDSE training,
-//! the inverse-problem task, and the data-reuploading quantum layer — all
-//! driven through the facade crate.
+//! the inverse problem (trap-frequency identification), and the
+//! data-reuploading quantum layer — all driven through the facade crate.
 
 use qpinn::core::model::RffSpec;
-use qpinn::core::task::{net_config_for, InverseTaskConfig, InverseTdseTask};
+use qpinn::core::task::net_config_for;
 use qpinn::core::trainer::{PinnTask, Trainer};
 use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::{GraphCtx, ParamSet};
 use qpinn::optim::LrSchedule;
+use qpinn::problems::zoo::trap_frequency;
 use qpinn::problems::{lookup, Tdse2dProblem, TdseProblem};
 use qpinn::qcircuit::{Ansatz, InputScaling, QuantumLayer};
 use rand::{rngs::StdRng, SeedableRng};
@@ -56,17 +57,25 @@ fn tdse2d_trains_and_respects_double_periodicity() {
 
 #[test]
 fn inverse_task_reports_consistent_metadata() {
-    let problem = TdseProblem::mild_harmonic();
-    let mut cfg = InverseTaskConfig::standard(&problem, 8, 1);
-    cfg.n_collocation = 64;
-    cfg.n_observations = 32;
-    cfg.omega0 = 0.7;
-    cfg.reference = (128, 100, 16);
+    let problem = trap_frequency(TdseProblem::mild_harmonic(), 0.7, 32, 0.0);
+    assert_eq!(problem.unknowns(), [("omega", 0.7)]);
+    let cfg = ZooTaskConfig {
+        width: 8,
+        depth: 1,
+        n_collocation: 64,
+        ..ZooTaskConfig::quick()
+    };
+    let net = net_config_for(problem.as_ref(), &cfg);
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(1);
-    let mut task = InverseTdseTask::new(problem, &cfg, &mut params, &mut rng);
-    assert_eq!(task.true_omega(), 1.0);
-    assert!((task.omega(&params) - 0.7).abs() < 1e-12);
+    let mut task = ZooTask::new(problem, &net, &cfg, &mut params, &mut rng);
+    assert_eq!(task.unknowns(&params), [0.7]);
+    let (_, name, _) = params.iter().last().unwrap();
+    assert_eq!(name, "trap-frequency.omega");
+    // the observations fit as a condition set beside the initial state
+    let conditions = task.problem().conditions(cfg.n_condition);
+    let sets: Vec<(&str, usize)> = conditions.iter().map(|c| (c.name, c.points.len())).collect();
+    assert_eq!(sets, [("ic", cfg.n_condition), ("data", 32)]);
     // one loss/grad cycle runs cleanly
     let mut g = qpinn::autodiff::Graph::new();
     let mut ctx = GraphCtx::new(&mut g, &params);
