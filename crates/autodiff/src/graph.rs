@@ -181,13 +181,6 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// Consume the tape and keep one node's value; the rest of the tape
-    /// returns to the buffer pool. Moving the value out, rather than
-    /// cloning it, keeps a pooled buffer from leaving with the result.
-    pub fn into_value(mut self, v: Var) -> Tensor {
-        std::mem::replace(&mut self.nodes[v.0].value, Tensor::from_vec([0], Vec::new()))
-    }
-
     // ----- arithmetic -----
 
     /// Elementwise sum.

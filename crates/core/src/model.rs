@@ -4,14 +4,16 @@
 //! The whole network runs on [`JetStack`]s: one tape node per layer
 //! carries the value and every first and second coordinate derivative,
 //! stacked by rows, and the output stack is cut into a per-slot [`Jet`]
-//! only at the end, for the residual builders.
+//! only at the end, for the residual builders. Inference
+//! ([`FieldNet::predict_batch`]) runs the same kernels on plain tensors,
+//! off the tape.
 
 use qpinn_autodiff::jet::{Jet, JetStack};
-use qpinn_autodiff::{Graph, Var};
+use qpinn_autodiff::Var;
 use qpinn_nn::{
     Activation, GraphCtx, Mlp, MlpConfig, ParamSet, PeriodicEmbedding, RandomFourierFeatures,
 };
-use qpinn_tensor::Tensor;
+use qpinn_tensor::{pool, Tensor};
 use rand::rngs::StdRng;
 
 /// How one input coordinate is embedded.
@@ -206,16 +208,16 @@ impl FieldNet {
         self.forward_stack(ctx, columns, columns.len()).unstack(ctx.g)
     }
 
-    /// Value-only forward pass (no derivative tracking) — used for
-    /// evaluation and for loss terms that need field values only. It runs
-    /// the same stacked ops on stacks with no derivative blocks.
+    /// Value-only forward pass (no derivative tracking) on the tape — for
+    /// loss terms that need field values and their parameter gradients.
+    /// It runs the same stacked ops on stacks with no derivative blocks.
     pub fn forward_values(&self, ctx: &mut GraphCtx<'_>, columns: &[Var]) -> Var {
         self.forward_stack(ctx, columns, 0).stack
     }
 
-    /// Evaluate the fields at a list of points (no gradients, fresh
-    /// throwaway graph). `points[i]` is one coordinate tuple; returns the
-    /// `[n_points, n_fields]` prediction tensor.
+    /// Evaluate the fields at a list of points (no gradients, no tape; see
+    /// [`FieldNet::predict_batch`]). `points[i]` is one coordinate tuple;
+    /// returns the `[n_points, n_fields]` prediction tensor.
     pub fn predict(&self, params: &ParamSet, points: &[Vec<f64>]) -> Tensor {
         let k = self.n_coords();
         let mut flat = Vec::with_capacity(points.len() * k);
@@ -231,13 +233,17 @@ impl FieldNet {
     /// coordinates (`[x0, t0, x1, t1, …]` for a 2-coordinate net).
     ///
     /// This is the path the `qpinn-serve` batching engine dispatches
-    /// coalesced requests through: one call builds one constant column
-    /// per coordinate and runs a single forward pass, whose matmuls go
-    /// through the work-stealing pool. Every output row depends only on
-    /// its own input row with a fixed-order dot product, so row `i` of a
-    /// coalesced batch is bit-identical to evaluating point `i` alone —
-    /// the invariant that makes request batching transparent (asserted
-    /// by `tests/serve_e2e.rs`).
+    /// coalesced requests through. It records no tape: one column per
+    /// coordinate runs through every layer's `forward_value`, the
+    /// zero-coordinate kernels of [`FieldNet::forward_values`] with the
+    /// parameters read by reference, and each layer's input goes back to
+    /// the buffer pool once its output exists. The result is bit-identical
+    /// to the taped forward (asserted by `tests/jet_stack_bitwise.rs`).
+    /// Every output row depends only on its own input row with a
+    /// fixed-order dot product, so row `i` of a coalesced batch is
+    /// bit-identical to evaluating point `i` alone — the invariant that
+    /// makes request batching transparent (asserted by
+    /// `tests/serve_e2e.rs`).
     pub fn predict_batch(&self, params: &ParamSet, coords: &[f64]) -> Tensor {
         let k = self.n_coords();
         assert!(
@@ -246,22 +252,44 @@ impl FieldNet {
             coords.len()
         );
         let n = coords.len() / k;
-        let mut g = Graph::new();
-        let mut ctx = GraphCtx::new(&mut g, params);
-        let columns: Vec<Var> = (0..k)
-            .map(|c| {
-                let col: Vec<f64> = (0..n).map(|i| coords[i * k + c]).collect();
-                ctx.g.constant(Tensor::column(&col))
+        let mut parts: Vec<Tensor> = self
+            .embeds
+            .iter()
+            .enumerate()
+            .map(|(c, e)| {
+                // A pooled column: a fresh buffer would join the free list
+                // when the first layer recycles it, and a caller that never
+                // releases the pool would accumulate one per call.
+                let mut col = Tensor::zeros([n, 1]);
+                for (x, point) in col.data_mut().iter_mut().zip(coords.chunks_exact(k)) {
+                    *x = point[c];
+                }
+                match e {
+                    Embed::Raw => col,
+                    Embed::Periodic(p) => p.forward_value(col),
+                    Embed::Learned(l) => l.forward_value(params, col),
+                }
             })
             .collect();
-        let out = self.forward_values(&mut ctx, &columns);
-        g.into_value(out)
+        let features = if parts.len() == 1 {
+            parts.remove(0)
+        } else {
+            let h = Tensor::hstack(&parts.iter().collect::<Vec<_>>());
+            parts.into_iter().for_each(pool::recycle);
+            h
+        };
+        let x = match &self.rff {
+            Some(rff) => rff.forward_value(features),
+            None => features,
+        };
+        self.mlp.forward_value(params, x)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpinn_autodiff::Graph;
     use rand::SeedableRng;
 
     fn net(cfg: &FieldNetConfig) -> (ParamSet, FieldNet) {

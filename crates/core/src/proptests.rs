@@ -1,9 +1,11 @@
 //! Property-based tests over the model machinery: for *random
 //! architectures*, the jet-propagated derivatives must agree with finite
 //! differences, and the structural invariants of the loss pipeline must
-//! hold.
+//! hold. Also the JSON number text round trip that the serve plane's
+//! bit-identical responses rest on.
 
 use crate::model::{CoordSpec, FieldNet, FieldNetConfig, RffSpec};
+use crate::report::Json;
 use proptest::prelude::*;
 use qpinn_autodiff::jet::Jet;
 use qpinn_autodiff::Graph;
@@ -179,5 +181,52 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&w));
         }
         prop_assert_eq!(cw.bin_weights()[0], 1.0);
+    }
+}
+
+/// `x` printed as a JSON number and parsed back, as bits.
+fn json_round_trip_bits(x: f64) -> Result<u64, String> {
+    let text = Json::Num(x).to_string();
+    match Json::parse(&text)? {
+        Json::Num(y) => Ok(y.to_bits()),
+        other => Err(format!("{text} parsed to {other:?}")),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn json_numbers_round_trip_bit_for_bit(bits in 0u64..u64::MAX, subnormal in any::<bool>()) {
+        // Half the cases clear the exponent: subnormals and ±0, which a
+        // uniform draw over the bits almost never reaches.
+        let bits = if subnormal { bits & 0x800f_ffff_ffff_ffff } else { bits };
+        let x = f64::from_bits(bits);
+        prop_assume!(x.is_finite());
+        prop_assert_eq!(json_round_trip_bits(x), Ok(bits), "{:e}", x);
+    }
+}
+
+#[test]
+fn json_numbers_round_trip_at_the_extremes() {
+    let extremes = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+        1.0 + f64::EPSILON,
+        0.1,
+        1e22,
+        1e23,
+        9_007_199_254_740_993.0,
+    ];
+    for x in extremes {
+        assert_eq!(json_round_trip_bits(x), Ok(x.to_bits()), "{x:e}");
     }
 }

@@ -2,7 +2,7 @@
 //! reconstructed paper tables contain) and a minimal JSON writer for
 //! machine-readable experiment records.
 
-use std::fmt::Write as _;
+use qpinn_telemetry::event::{write_json_num, write_json_str};
 
 /// An aligned, pipe-separated text table.
 #[derive(Clone, Debug, Default)]
@@ -90,16 +90,17 @@ impl Json {
     /// and `qpinn-telemetry` emit: null/true/false, f64 numbers, strings
     /// with `\"` `\\` `\/` `\n` `\t` `\r` `\b` `\f` and `\uXXXX` escapes
     /// (surrogate pairs included), arrays, and objects. Rejects trailing
-    /// garbage. Used by tests and CI to validate every emitted line.
+    /// garbage. It scans the input's bytes in place: a number parses from
+    /// its slice of the input and an unescaped run of a string is copied
+    /// whole, so only strings and containers allocate. Error offsets count
+    /// bytes. Used by the serve plane for request bodies, and by tests and
+    /// CI to validate every emitted line.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            chars: text.chars().collect(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.chars.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing characters at offset {}", p.pos));
         }
         Ok(v)
@@ -145,30 +146,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Num(x) => write_json_num(out, *x),
+            Json::Str(s) => write_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, it) in items.iter().enumerate() {
@@ -185,7 +164,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    write_json_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -195,38 +174,45 @@ impl Json {
     }
 }
 
-/// Recursive-descent state for [`Json::parse`].
-struct Parser {
-    chars: Vec<char>,
+/// Recursive-descent state for [`Json::parse`]: the input and a byte
+/// cursor that always sits on a character boundary.
+struct Parser<'a> {
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
+    /// Consume and return the character at the cursor.
     fn bump(&mut self) -> Result<char, String> {
-        let c = self
-            .peek()
+        let c = self.text[self.pos..]
+            .chars()
+            .next()
             .ok_or_else(|| format!("unexpected end of input at offset {}", self.pos))?;
-        self.pos += 1;
+        self.pos += c.len_utf8();
         Ok(c)
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, want: char) -> Result<(), String> {
+        let at = self.pos;
         let got = self.bump()?;
         if got != want {
-            return Err(format!(
-                "expected '{want}' at offset {}, found '{got}'",
-                self.pos - 1
-            ));
+            return Err(format!("expected '{want}' at offset {at}, found '{got}'"));
         }
         Ok(())
     }
@@ -240,42 +226,42 @@ impl Parser {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some('n') => self.literal("null", Json::Null),
-            Some('t') => self.literal("true", Json::Bool(true)),
-            Some('f') => self.literal("false", Json::Bool(false)),
-            Some('"') => Ok(Json::Str(self.string()?)),
-            Some('[') => self.array(),
-            Some('{') => self.object(),
-            Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected '{c}' at offset {}", self.pos)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'[') => self.array(),
+            Some(b'{') => self.object(),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(_) => {
+                let at = self.pos;
+                let c = self.bump()?;
+                Err(format!("unexpected '{c}' at offset {at}"))
+            }
             None => Err(format!("unexpected end of input at offset {}", self.pos)),
         }
     }
 
+    /// Scan `-? digits (. digits)? ([eE] [+-]? digits)?` and let `f64`'s
+    /// own parser judge the slice (it rejects `-`, `1e` and the like).
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some('-') {
+        if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+        self.skip_digits();
+        if self.peek() == Some(b'.') {
             self.pos += 1;
+            self.skip_digits();
         }
-        if self.peek() == Some('.') {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
+            self.skip_digits();
         }
-        if matches!(self.peek(), Some('e' | 'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some('+' | '-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("bad number '{text}' at offset {start}: {e}"))
@@ -284,10 +270,11 @@ impl Parser {
     fn hex4(&mut self) -> Result<u32, String> {
         let mut v = 0u32;
         for _ in 0..4 {
+            let at = self.pos;
             let c = self.bump()?;
             let d = c
                 .to_digit(16)
-                .ok_or_else(|| format!("bad hex digit '{c}' at offset {}", self.pos - 1))?;
+                .ok_or_else(|| format!("bad hex digit '{c}' at offset {at}"))?;
             v = v * 16 + d;
         }
         Ok(v)
@@ -297,48 +284,54 @@ impl Parser {
         self.expect('"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte whole; all three are ASCII, so the run ends on a
+            // character boundary.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
+            let at = self.pos;
             match self.bump()? {
                 '"' => return Ok(out),
-                '\\' => match self.bump()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    'b' => out.push('\u{8}'),
-                    'f' => out.push('\u{c}'),
-                    'u' => {
-                        let hi = self.hex4()?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: a second \uXXXX must follow.
-                            self.expect('\\')?;
-                            self.expect('u')?;
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(format!(
-                                    "bad low surrogate {lo:#x} at offset {}",
-                                    self.pos
-                                ));
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad code point {code:#x}"))?,
-                        );
+                '\\' => {
+                    let at = self.pos;
+                    match self.bump()? {
+                        '"' => out.push('"'),
+                        '\\' => out.push('\\'),
+                        '/' => out.push('/'),
+                        'n' => out.push('\n'),
+                        't' => out.push('\t'),
+                        'r' => out.push('\r'),
+                        'b' => out.push('\u{8}'),
+                        'f' => out.push('\u{c}'),
+                        'u' => {
+                            let hi = self.hex4()?;
+                            let code = if (0xD800..0xDC00).contains(&hi) {
+                                // Surrogate pair: a second \uXXXX must follow.
+                                self.expect('\\')?;
+                                self.expect('u')?;
+                                let lo = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(format!(
+                                        "bad low surrogate {lo:#x} at offset {}",
+                                        self.pos
+                                    ));
+                                }
+                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                            } else {
+                                hi
+                            };
+                            out.push(
+                                char::from_u32(code)
+                                    .ok_or_else(|| format!("bad code point {code:#x}"))?,
+                            );
+                        }
+                        c => return Err(format!("bad escape '\\{c}' at offset {at}")),
                     }
-                    c => return Err(format!("bad escape '\\{c}' at offset {}", self.pos - 1)),
-                },
-                c if (c as u32) < 0x20 => {
-                    return Err(format!(
-                        "unescaped control character at offset {}",
-                        self.pos - 1
-                    ))
                 }
-                c => out.push(c),
+                _ => return Err(format!("unescaped control character at offset {at}")),
             }
         }
     }
@@ -347,7 +340,7 @@ impl Parser {
         self.expect('[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(Json::Arr(items));
         }
@@ -355,10 +348,11 @@ impl Parser {
             self.skip_ws();
             items.push(self.value()?);
             self.skip_ws();
+            let at = self.pos;
             match self.bump()? {
                 ',' => continue,
                 ']' => return Ok(Json::Arr(items)),
-                c => return Err(format!("expected ',' or ']' at offset {}, found '{c}'", self.pos - 1)),
+                c => return Err(format!("expected ',' or ']' at offset {at}, found '{c}'")),
             }
         }
     }
@@ -367,7 +361,7 @@ impl Parser {
         self.expect('{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Json::Obj(pairs));
         }
@@ -380,10 +374,11 @@ impl Parser {
             let val = self.value()?;
             pairs.push((key, val));
             self.skip_ws();
+            let at = self.pos;
             match self.bump()? {
                 ',' => continue,
                 '}' => return Ok(Json::Obj(pairs)),
-                c => return Err(format!("expected ',' or '}}' at offset {}, found '{c}'", self.pos - 1)),
+                c => return Err(format!("expected ',' or '}}' at offset {at}, found '{c}'")),
             }
         }
     }
@@ -519,6 +514,35 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1.2.3").is_err());
         assert!(Json::parse("\"bad \\x escape\"").is_err());
+    }
+
+    #[test]
+    fn parse_keeps_multi_byte_text_and_surrogate_pairs_in_strings() {
+        assert_eq!(
+            Json::parse("[\"é😀 – ü\", \"a\\ud83d\\ude00b\\u00e9\"]").unwrap(),
+            Json::Arr(vec![Json::Str("é😀 – ü".into()), Json::Str("a😀bé".into())])
+        );
+        let j = Json::parse("{\"ключ\":\"значение\\n\",\"k\":\"\\ud834\\udd1e\"}").unwrap();
+        assert_eq!(j.get("ключ").and_then(Json::as_str), Some("значение\n"));
+        assert_eq!(j.get("k").and_then(Json::as_str), Some("𝄞"));
+        // Multi-byte text survives the writer and the parser unchanged.
+        let s = Json::Str("ψ(x,t) ≈ e^{iωt} 😀\u{1}".into());
+        assert_eq!(Json::parse(&s.to_string()).unwrap(), s);
+    }
+
+    #[test]
+    fn parse_rejects_malformed_numbers_strings_and_trailing_bytes() {
+        let err = |text: &str| Json::parse(text).unwrap_err();
+        assert_eq!(err("-"), "bad number '-' at offset 0: invalid float literal");
+        assert_eq!(err("+1"), "unexpected '+' at offset 0");
+        assert_eq!(err("1e"), "bad number '1e' at offset 0: invalid float literal");
+        assert_eq!(err("[-]"), "bad number '-' at offset 1: invalid float literal");
+        assert_eq!(err("\"abc"), "unexpected end of input at offset 4");
+        assert_eq!(err("{\"a\":1} x"), "trailing characters at offset 8");
+        assert_eq!(err("[1]]"), "trailing characters at offset 3");
+        assert_eq!(err("[1 2]"), "expected ',' or ']' at offset 3, found '2'");
+        assert_eq!(err("\"a\tb\""), "unescaped control character at offset 2");
+        assert_eq!(err("é"), "unexpected 'é' at offset 0");
     }
 
     #[test]

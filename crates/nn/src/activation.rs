@@ -2,6 +2,7 @@
 
 use crate::params::GraphCtx;
 use qpinn_autodiff::jet::JetStack;
+use qpinn_tensor::{pool, Tensor};
 
 /// Smooth activations usable in PINNs (must be C² for second-order
 /// residuals).
@@ -21,6 +22,23 @@ impl Activation {
             Activation::Tanh => x.tanh(ctx.g),
             Activation::Sin => x.sin(ctx.g),
         }
+    }
+
+    /// Value-only forward pass over a plain batch, off the tape: the
+    /// zero-coordinate kernel [`Activation::forward_stack`] runs. `x` (and
+    /// the cosine `jet_sin` keeps for a backward pass) go back to the
+    /// buffer pool.
+    pub fn forward_value(&self, x: Tensor) -> Tensor {
+        let y = match self {
+            Activation::Tanh => x.jet_tanh(0),
+            Activation::Sin => {
+                let (y, cos) = x.jet_sin(0);
+                pool::recycle(cos);
+                y
+            }
+        };
+        pool::recycle(x);
+        y
     }
 
     /// Short name for reports.

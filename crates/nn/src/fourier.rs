@@ -9,7 +9,7 @@
 
 use crate::params::GraphCtx;
 use qpinn_autodiff::jet::JetStack;
-use qpinn_tensor::Tensor;
+use qpinn_tensor::{pool, Tensor};
 use rand::rngs::StdRng;
 
 /// Fixed sinusoidal feature map `x ↦ [sin(xΩ), cos(xΩ)]`.
@@ -49,6 +49,17 @@ impl RandomFourierFeatures {
     pub fn forward_stack(&self, ctx: &mut GraphCtx<'_>, x: JetStack) -> JetStack {
         let omega = ctx.g.constant(self.omega.clone());
         x.affine(ctx.g, omega, None).sin_cos(ctx.g)
+    }
+
+    /// Value-only forward pass over a plain batch, off the tape: the
+    /// one-block kernels of [`RandomFourierFeatures::forward_stack`]. `x`
+    /// and `x·Ω` go back to the buffer pool.
+    pub fn forward_value(&self, x: Tensor) -> Tensor {
+        let z = x.jet_affine(&self.omega, None, x.shape().nrows());
+        pool::recycle(x);
+        let y = z.jet_sin_cos(0);
+        pool::recycle(z);
+        y
     }
 }
 

@@ -10,6 +10,8 @@
 //!   [`Dense::forward_stack`] pushes `(value, ∂/∂cᵢ, ∂²/∂cᵢ²)` for every
 //!   coordinate through one matmul, giving PDE residual derivatives as
 //!   first-class differentiable tape nodes, one fused node per layer;
+//!   beside it, every layer's `forward_value` runs the same zero-coordinate
+//!   kernels on plain tensors, off the tape, for inference;
 //! * [`RandomFourierFeatures`] — the multiscale input embedding of Tancik
 //!   et al. used to combat spectral bias in PINNs;
 //! * [`PeriodicEmbedding`] — exact sin/cos periodization of spatial

@@ -3,6 +3,7 @@
 use crate::init;
 use crate::params::{GraphCtx, ParamId, ParamSet};
 use qpinn_autodiff::jet::JetStack;
+use qpinn_tensor::{pool, Tensor};
 use rand::rngs::StdRng;
 
 /// A dense layer `y = x·W + b` with `W: [in, out]`, `b: [out]`.
@@ -55,6 +56,16 @@ impl Dense {
         let w = ctx.param(self.w);
         let b = ctx.param(self.b);
         x.affine(ctx.g, w, Some(b))
+    }
+
+    /// Value-only forward pass over a plain `[n, fan_in]` batch, off the
+    /// tape: the one-block kernel [`Dense::forward_stack`] runs, with the
+    /// parameters read by reference. `x` goes back to the buffer pool once
+    /// the output exists.
+    pub fn forward_value(&self, params: &ParamSet, x: Tensor) -> Tensor {
+        let y = x.jet_affine(params.get(self.w), Some(params.get(self.b)), x.shape().nrows());
+        pool::recycle(x);
+        y
     }
 }
 

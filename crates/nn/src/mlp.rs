@@ -4,6 +4,7 @@ use crate::activation::Activation;
 use crate::linear::Dense;
 use crate::params::{GraphCtx, ParamSet};
 use qpinn_autodiff::jet::JetStack;
+use qpinn_tensor::Tensor;
 use rand::rngs::StdRng;
 
 /// Architecture description for an [`Mlp`].
@@ -78,6 +79,20 @@ impl Mlp {
             h = self.activation.forward_stack(ctx, h);
         }
         out[0].forward_stack(ctx, h)
+    }
+
+    /// Value-only forward pass over a plain batch, off the tape: the layer
+    /// by layer counterpart of [`Mlp::forward_stack`] on a stack with no
+    /// coordinates, bit for bit. Each layer's input goes back to the
+    /// buffer pool once its output exists.
+    pub fn forward_value(&self, params: &ParamSet, x: Tensor) -> Tensor {
+        let (hidden, out) = self.layers.split_at(self.layers.len() - 1);
+        let mut h = x;
+        for layer in hidden {
+            h = layer.forward_value(params, h);
+            h = self.activation.forward_value(h);
+        }
+        out[0].forward_value(params, h)
     }
 }
 

@@ -8,7 +8,7 @@
 
 use crate::params::{GraphCtx, ParamId, ParamSet};
 use qpinn_autodiff::jet::JetStack;
-use qpinn_tensor::Tensor;
+use qpinn_tensor::{pool, Tensor};
 use std::f64::consts::TAU;
 
 /// Fixed-period sin/cos embedding of one coordinate.
@@ -29,6 +29,17 @@ impl PeriodicEmbedding {
     /// `[sin(2πx/L), cos(2πx/L)]` with exact derivative propagation.
     pub fn forward_stack(&self, ctx: &mut GraphCtx<'_>, x: JetStack) -> JetStack {
         x.scale(ctx.g, TAU / self.length).sin_cos(ctx.g)
+    }
+
+    /// Value-only forward pass over a plain `[n, 1]` column, off the tape:
+    /// the zero-coordinate kernels of [`PeriodicEmbedding::forward_stack`].
+    /// `x` and the scaled column go back to the buffer pool.
+    pub fn forward_value(&self, x: Tensor) -> Tensor {
+        let z = x.scale(TAU / self.length);
+        pool::recycle(x);
+        let y = z.jet_sin_cos(0);
+        pool::recycle(z);
+        y
     }
 }
 
@@ -58,6 +69,20 @@ impl LearnedPeriodEmbedding {
         // z = 2π · x · (1/P); the map is linear in x, so every block goes
         // through the same matmul-then-scale.
         x.affine(ctx.g, inv, None).scale(ctx.g, TAU).sin_cos(ctx.g)
+    }
+
+    /// Value-only forward pass over a plain `[n, 1]` column, off the tape:
+    /// the one-block kernels of [`LearnedPeriodEmbedding::forward_stack`],
+    /// the inverse period read by reference. `x` and every intermediate go
+    /// back to the buffer pool.
+    pub fn forward_value(&self, params: &ParamSet, x: Tensor) -> Tensor {
+        let m = x.jet_affine(params.get(self.inv_period), None, x.shape().nrows());
+        pool::recycle(x);
+        let z = m.scale(TAU);
+        pool::recycle(m);
+        let y = z.jet_sin_cos(0);
+        pool::recycle(z);
+        y
     }
 }
 

@@ -5,10 +5,11 @@
 //! Both servers follow the same shape — `std::net::TcpListener`, one
 //! response per connection, `Connection: close` — so the socket-level
 //! code lives here exactly once: request-line/header parsing (including
-//! `Content-Length`-bounded bodies for POSTs) and status-line/header
-//! formatting. Notably the `Content-Length` header is computed in a
-//! single place ([`Response::write_to`]); the two servers used to
-//! duplicate that formatting.
+//! `Content-Length`-bounded bodies for POSTs, and the `400`/`413` verdict
+//! on a head that cannot be served, [`ReadError::status`]) and
+//! status-line/header formatting. Notably the `Content-Length` header is
+//! computed in a single place ([`Response::write_to`]); the two servers
+//! used to duplicate that formatting.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -50,11 +51,70 @@ impl Request {
     }
 }
 
-/// Read and parse one request from `stream`, returning the request and
-/// the underlying stream (back out of the buffered reader) for the
-/// response. Malformed framing surfaces as `InvalidData`.
-pub fn read_request(stream: TcpStream) -> std::io::Result<(Request, TcpStream)> {
-    use std::io::{Error, ErrorKind};
+/// Why [`read_request`] returned no request.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The socket failed or the peer stopped sending (timeout, reset, a
+    /// body cut short): there is nobody left to answer.
+    Io(std::io::Error),
+    /// The head is malformed: a line that is not UTF-8, too many headers,
+    /// or a `Content-Length` that is not a number. Answer
+    /// `400 Bad Request`.
+    Malformed(String),
+    /// The declared body (bytes) exceeds [`MAX_BODY_BYTES`]. Answer
+    /// `413 Payload Too Large`.
+    TooLarge(usize),
+}
+
+impl ReadError {
+    /// The status line to answer with, or `None` when the socket itself
+    /// failed.
+    pub fn status(&self) -> Option<&'static str> {
+        match self {
+            ReadError::Io(_) => None,
+            ReadError::Malformed(_) => Some("400 Bad Request"),
+            ReadError::TooLarge(_) => Some("413 Payload Too Large"),
+        }
+    }
+}
+
+impl std::fmt::Display for ReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReadError::Io(e) => write!(f, "{e}"),
+            ReadError::Malformed(msg) => f.write_str(msg),
+            ReadError::TooLarge(n) => {
+                write!(f, "body of {n} bytes exceeds the {MAX_BODY_BYTES} byte limit")
+            }
+        }
+    }
+}
+
+impl From<std::io::Error> for ReadError {
+    /// A head that is not UTF-8 surfaces from `read_line` as
+    /// `InvalidData`; every other I/O error is the socket's.
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::InvalidData {
+            ReadError::Malformed(e.to_string())
+        } else {
+            ReadError::Io(e)
+        }
+    }
+}
+
+impl From<ReadError> for std::io::Error {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Io(e) => e,
+            other => std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string()),
+        }
+    }
+}
+
+/// Read and parse one request from `stream`. The caller keeps the stream
+/// to answer on, including when the head is refused (see
+/// [`ReadError::status`]).
+pub fn read_request(stream: &TcpStream) -> Result<Request, ReadError> {
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -77,7 +137,7 @@ pub fn read_request(stream: TcpStream) -> std::io::Result<(Request, TcpStream)> 
             break;
         }
         if headers.len() >= 100 {
-            return Err(Error::new(ErrorKind::InvalidData, "too many headers"));
+            return Err(ReadError::Malformed("too many headers".into()));
         }
         if let Some((name, value)) = line.split_once(':') {
             let name = name.trim().to_ascii_lowercase();
@@ -85,31 +145,25 @@ pub fn read_request(stream: TcpStream) -> std::io::Result<(Request, TcpStream)> 
             if name == "content-length" {
                 content_length = value
                     .parse()
-                    .map_err(|_| Error::new(ErrorKind::InvalidData, "bad Content-Length"))?;
+                    .map_err(|_| ReadError::Malformed("bad Content-Length".into()))?;
             }
             headers.push((name, value));
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Err(Error::new(
-            ErrorKind::InvalidData,
-            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES} byte limit"),
-        ));
+        return Err(ReadError::TooLarge(content_length));
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
         reader.read_exact(&mut body)?;
     }
-    Ok((
-        Request {
-            method,
-            path,
-            query,
-            headers,
-            body,
-        },
-        reader.into_inner(),
-    ))
+    Ok(Request {
+        method,
+        path,
+        query,
+        headers,
+        body,
+    })
 }
 
 /// A response ready to serialize: status line, content type, optional
@@ -202,10 +256,10 @@ mod tests {
             s.read_to_string(&mut buf).unwrap();
             buf
         });
-        let (conn, _) = listener.accept().unwrap();
-        let (req, mut stream) = read_request(conn).unwrap();
-        response.write_to(&mut stream).unwrap();
-        drop(stream);
+        let (mut conn, _) = listener.accept().unwrap();
+        let req = read_request(&conn).unwrap();
+        response.write_to(&mut conn).unwrap();
+        drop(conn);
         (req, client.join().unwrap())
     }
 
@@ -271,7 +325,10 @@ mod tests {
             let _ = s.read_to_string(&mut buf);
         });
         let (conn, _) = listener.accept().unwrap();
-        assert!(read_request(conn).is_err());
+        let err = read_request(&conn).unwrap_err();
+        assert!(matches!(err, ReadError::TooLarge(n) if n == MAX_BODY_BYTES + 1), "{err}");
+        assert_eq!(err.status(), Some("413 Payload Too Large"));
+        drop(conn);
         client.join().unwrap();
     }
 }

@@ -224,8 +224,16 @@ pub fn runs_routes(method: &str, path: &str, dir: &std::path::Path) -> Option<Re
     None
 }
 
-fn handle_connection(stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
-    let (req, mut stream) = read_request(stream)?;
+fn handle_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
+    let req = match read_request(&stream) {
+        Ok(req) => req,
+        Err(e) => {
+            return match e.status() {
+                Some(status) => Response::text(status, format!("{e}\n")).write_to(&mut stream),
+                None => Err(e.into()),
+            }
+        }
+    };
     let response = if req.method != "GET" {
         Response::text("405 Method Not Allowed", "method not allowed\n")
     } else {
@@ -315,6 +323,22 @@ mod tests {
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
 
+        server.stop();
+    }
+
+    #[test]
+    fn oversize_request_is_answered_413() {
+        let server = MetricsServer::start("127.0.0.1:0").unwrap();
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        write!(
+            s,
+            "POST /metrics HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            crate::http::MAX_BODY_BYTES + 1
+        )
+        .unwrap();
+        let mut buf = String::new();
+        s.read_to_string(&mut buf).unwrap();
+        assert!(buf.starts_with("HTTP/1.1 413 Payload Too Large\r\n"), "{buf}");
         server.stop();
     }
 

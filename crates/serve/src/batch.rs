@@ -291,7 +291,7 @@ impl Batcher {
             self.model.net.predict_batch(&self.model.params, &coords)
         }));
         // Batch sizes vary from flush to flush, so a kept buffer free list
-        // would pin the largest batch's tape; hand it back instead.
+        // would pin the largest batch's buffers; hand them back instead.
         qpinn_tensor::pool::release();
         let compute_end_ns = now_ns();
         if qpinn_telemetry::enabled() {

@@ -28,8 +28,9 @@
 //! With tracing on ([`TraceConfig::ring`] > 0, the default) every
 //! request is minted a [`TraceCtx`] — adopting a valid inbound
 //! `x-qpinn-trace` header, else generating a fresh id — echoed back as
-//! an `x-qpinn-trace` response header. The context rides through
-//! registry resolution, the batch queue, and the dispatcher flush; on
+//! an `x-qpinn-trace` response header. The context rides through body
+//! parsing and registry resolution (each a span event), the batch queue,
+//! and the dispatcher flush; on
 //! completion the request's latency decomposition (queue wait, batch
 //! drain, compute, serialization) lands in the
 //! `serve.latency.{queue,batch,compute,total}_ns` histograms, in span
@@ -42,10 +43,10 @@ use crate::batch::{BatchConfig, Batcher, SubmitError};
 use crate::jobs::{JobManager, TrainRequest};
 use crate::registry::{ModelRegistry, RegistryConfig, RegistryError};
 use qpinn_core::report::Json;
-use qpinn_obs::http::{read_request, Request, Response};
+use qpinn_obs::http::{read_request, ReadError, Request, Response};
 use qpinn_obs::progress::ProgressTracker;
 use qpinn_obs::server::metrics_routes;
-use qpinn_telemetry::event::now_ns;
+use qpinn_telemetry::event::{now_ns, write_json_num, write_json_str};
 use qpinn_telemetry::{access, names, AccessRecord, Event, Kind, TraceCtx};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -354,12 +355,12 @@ struct ReqMeta {
     compute_end_ns: u64,
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     let t0 = Instant::now();
     let start_ns = now_ns();
-    let (req, mut stream) = match read_request(stream) {
-        Ok(ok) => ok,
-        Err(e) => return Err(e),
+    let req = match read_request(&stream) {
+        Ok(req) => req,
+        Err(e) => return refuse(stream, e, start_ns),
     };
     qpinn_telemetry::counter(names::SERVE_REQUESTS).inc();
     let ctx = TraceCtx::mint(req.header("x-qpinn-trace"));
@@ -403,6 +404,33 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
             compute_ns: meta.compute_ns,
             serialize_ns,
             total_ns,
+        });
+    }
+    out
+}
+
+/// Answer a request whose head [`read_request`] refused (`413` for an
+/// oversize body, `400` for malformed framing) and record it the way an
+/// accept-queue shed is recorded: a fresh trace id and no route. A failed
+/// socket gets no answer.
+fn refuse(mut stream: TcpStream, e: ReadError, start_ns: u64) -> std::io::Result<()> {
+    let Some(status) = e.status() else {
+        return Err(e.into());
+    };
+    let ctx = TraceCtx::mint(None);
+    let mut resp = err_json(status, &e.to_string());
+    if ctx.on {
+        resp = resp.header("x-qpinn-trace", ctx.id.clone());
+    }
+    let out = resp.write_to(&mut stream);
+    if ctx.on {
+        let end_ns = now_ns();
+        access::record(AccessRecord {
+            trace: ctx.id,
+            ts_ns: end_ns,
+            status: status_code(status),
+            total_ns: end_ns.saturating_sub(start_ns),
+            ..AccessRecord::default()
         });
     }
     out
@@ -591,6 +619,21 @@ fn registry_error_response(e: RegistryError) -> Response {
     }
 }
 
+/// Emit the span event of a stage that runs before a request is queued
+/// (`request_parse`, `request_resolve`), ending now, under the request's
+/// trace id.
+fn emit_stage(ctx: &TraceCtx, name: &str, path: &str, dur_ns: u64, ok: bool) {
+    if ctx.on && qpinn_telemetry::enabled() {
+        let mut e = Event::new(Kind::Span, name)
+            .field("path", path)
+            .field("dur_ns", dur_ns)
+            .field("trace", ctx.id.clone())
+            .field("ok", ok);
+        e.ts_ns = now_ns();
+        qpinn_telemetry::emit(e);
+    }
+}
+
 /// Fetch (or lazily spawn) the batcher for a resolved model version.
 /// With tracing on, registry resolution gets its own span event tied
 /// to the request's trace id (cache hits and cold loads both).
@@ -601,15 +644,8 @@ fn batcher_for(
 ) -> Result<Arc<Batcher>, Response> {
     let resolve_start = now_ns();
     let resolved = shared.registry.resolve(model_ref);
-    if ctx.on && qpinn_telemetry::enabled() {
-        let mut e = Event::new(Kind::Span, "request_resolve")
-            .field("path", "request/resolve")
-            .field("dur_ns", now_ns().saturating_sub(resolve_start))
-            .field("trace", ctx.id.clone())
-            .field("ok", resolved.is_ok());
-        e.ts_ns = now_ns();
-        qpinn_telemetry::emit(e);
-    }
+    let resolve_ns = now_ns().saturating_sub(resolve_start);
+    emit_stage(ctx, "request_resolve", "request/resolve", resolve_ns, resolved.is_ok());
     let model = resolved.map_err(registry_error_response)?;
     let key = (model.id.clone(), model.version);
     let mut map = shared.batchers.lock().unwrap_or_else(|e| e.into_inner());
@@ -626,20 +662,33 @@ fn batcher_for(
     Ok(b)
 }
 
+/// `POST /v1/eval`. The `request_parse` stage runs from the body to the
+/// coordinate buffer: the body is checked before the model resolves and
+/// its rows after, against the model's arity, so the stage's duration is
+/// the two halves without the resolution between them.
 fn eval_route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta) -> Response {
-    let body = match req.body_str().map_err(|e| e.to_string()).and_then(|s| {
-        Json::parse(s).map_err(|e| format!("invalid JSON body: {e}"))
-    }) {
-        Ok(j) => j,
-        Err(msg) => return err_json("400 Bad Request", &msg),
-    };
-    let model_ref = match body.get("model").and_then(|v| v.as_str()) {
-        Some(m) => m,
-        None => return err_json("400 Bad Request", "missing string field `model`"),
-    };
-    let points = match body.get("points") {
-        Some(Json::Arr(rows)) if !rows.is_empty() => rows,
-        _ => return err_json("400 Bad Request", "field `points` must be a non-empty array"),
+    let parse_start = now_ns();
+    let body = req
+        .body_str()
+        .map_err(|e| e.to_string())
+        .and_then(|s| Json::parse(s).map_err(|e| format!("invalid JSON body: {e}")));
+    let fields = body.as_ref().map_err(String::as_str).and_then(|body| {
+        let model_ref = body
+            .get("model")
+            .and_then(|v| v.as_str())
+            .ok_or("missing string field `model`")?;
+        match body.get("points") {
+            Some(Json::Arr(rows)) if !rows.is_empty() => Ok((model_ref, rows)),
+            _ => Err("field `points` must be a non-empty array"),
+        }
+    });
+    let head_ns = now_ns().saturating_sub(parse_start);
+    let (model_ref, points) = match fields {
+        Ok(f) => f,
+        Err(msg) => {
+            emit_stage(ctx, "request_parse", "request/parse", head_ns, false);
+            return err_json("400 Bad Request", msg);
+        }
     };
     let batcher = match batcher_for(shared, model_ref, ctx) {
         Ok(b) => b,
@@ -650,22 +699,21 @@ fn eval_route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta
     meta.points = points.len() as u64;
     let arity = batcher.model().net.n_coords();
     let n_fields = batcher.model().net.n_fields();
+    let rows_start = now_ns();
     let mut coords = Vec::with_capacity(points.len() * arity);
-    for (i, row) in points.iter().enumerate() {
-        let ok = match row {
-            Json::Arr(xs) if xs.len() == arity => {
-                xs.iter().all(|x| {
-                    x.as_num().map(|v| coords.push(v)).is_some()
-                })
-            }
-            _ => false,
-        };
-        if !ok {
-            return err_json(
-                "400 Bad Request",
-                &format!("points[{i}] must be an array of {arity} numbers"),
-            );
+    let bad_row = points.iter().position(|row| match row {
+        Json::Arr(xs) if xs.len() == arity => {
+            !xs.iter().all(|x| x.as_num().map(|v| coords.push(v)).is_some())
         }
+        _ => true,
+    });
+    let parse_ns = head_ns + now_ns().saturating_sub(rows_start);
+    emit_stage(ctx, "request_parse", "request/parse", parse_ns, bad_row.is_none());
+    if let Some(i) = bad_row {
+        return err_json(
+            "400 Bad Request",
+            &format!("points[{i}] must be an array of {arity} numbers"),
+        );
     }
     match batcher.eval_traced(coords, ctx) {
         Ok(out) => {
@@ -674,21 +722,8 @@ fn eval_route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta
             meta.compute_ns = out.timing.compute_ns;
             meta.compute_end_ns = out.timing.compute_end_ns;
             meta.batch = out.timing.batch_size;
-            let rows: Vec<Json> = out
-                .rows
-                .chunks(n_fields)
-                .map(|row| Json::nums(row))
-                .collect();
             let model = batcher.model();
-            Response::json(
-                Json::obj(vec![
-                    ("model", Json::Str(model.id.clone())),
-                    ("version", Json::Num(model.version as f64)),
-                    ("n_fields", Json::Num(n_fields as f64)),
-                    ("values", Json::Arr(rows)),
-                ])
-                .to_string(),
-            )
+            Response::json(eval_body(&model.id, model.version, n_fields, &out.rows))
         }
         Err(SubmitError::QueueFull) => {
             meta.shed = "queue_full";
@@ -703,6 +738,35 @@ fn eval_route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta
             err_json("503 Service Unavailable", "evaluation failed or shutting down")
         }
     }
+}
+
+/// The eval response body: byte for byte the `Json` object
+/// `{"model","version","n_fields","values"}` prints, with the output rows
+/// written straight into the text instead of through a tree.
+fn eval_body(id: &str, version: u64, n_fields: usize, rows: &[f64]) -> String {
+    let mut out = String::with_capacity(64 + id.len() + 24 * rows.len());
+    out.push_str("{\"model\":");
+    write_json_str(&mut out, id);
+    out.push_str(",\"version\":");
+    write_json_num(&mut out, version as f64);
+    out.push_str(",\"n_fields\":");
+    write_json_num(&mut out, n_fields as f64);
+    out.push_str(",\"values\":[");
+    for (i, row) in rows.chunks(n_fields).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, &x) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write_json_num(&mut out, x);
+        }
+        out.push(']');
+    }
+    out.push_str("]}");
+    out
 }
 
 fn train_route(req: &Request, shared: &Shared, ctx: &TraceCtx) -> Response {
@@ -772,5 +836,26 @@ fn evict_route(req: &Request, shared: &Shared) -> Response {
             .to_string(),
         ),
         Err(e) => registry_error_response(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn eval_body_prints_what_the_json_tree_prints() {
+        let rows = [
+            0.1, -0.0, 1e300, -2.5e-308, 5e-324, f64::MAX, f64::NAN, 3.0, f64::INFINITY, -1.0,
+        ];
+        for (id, n_fields) in [("nls-soliton", 2), ("a\"b\\c\u{1}é", 5), ("m", 1)] {
+            let tree = Json::obj(vec![
+                ("model", Json::Str(id.to_string())),
+                ("version", Json::Num(7.0)),
+                ("n_fields", Json::Num(n_fields as f64)),
+                ("values", Json::Arr(rows.chunks(n_fields).map(Json::nums).collect())),
+            ]);
+            assert_eq!(eval_body(id, 7, n_fields, &rows), tree.to_string());
+        }
     }
 }

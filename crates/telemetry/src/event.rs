@@ -178,6 +178,16 @@ pub fn write_json_str(out: &mut String, v: &str) {
     out.push('"');
 }
 
+/// Append `x` as a JSON number: the shortest decimal that parses back to
+/// the same bits, or `null` when `x` is not finite.
+pub fn write_json_num(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 fn write_json_value(out: &mut String, v: &Value) {
     match v {
         Value::U64(x) => {
@@ -186,13 +196,7 @@ fn write_json_value(out: &mut String, v: &Value) {
         Value::I64(x) => {
             let _ = write!(out, "{x}");
         }
-        Value::F64(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x}");
-            } else {
-                out.push_str("null");
-            }
-        }
+        Value::F64(x) => write_json_num(out, *x),
         Value::Str(s) => write_json_str(out, s),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
     }

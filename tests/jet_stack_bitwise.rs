@@ -9,10 +9,11 @@
 //!
 //! Cases: all registry keys at the quick preset (raw and periodic
 //! embeddings, no RFF) and the standard preset (RFF on), which covers
-//! one, two and three coordinates; the value-only path through
-//! `predict_batch`; a sine trunk; and row counts that are not multiples
-//! of the 16-row kernel blocks. Each case runs at every SIMD width the
-//! host supports.
+//! one, two and three coordinates; a sine trunk; row counts that are not
+//! multiples of the 16-row kernel blocks; and the tape-free value path
+//! through `predict_batch` for every key at both presets and with a sine
+//! trunk, at 1, 19, 53 and 1024 rows. Each case runs at every SIMD width
+//! the host supports.
 
 use qpinn::autodiff::{Graph, Var};
 use qpinn::core::model::{CoordSpec, FieldNet, FieldNetConfig};
@@ -367,22 +368,42 @@ fn ragged_row_counts_and_a_sine_trunk_are_bit_identical() {
     });
 }
 
+/// `predict_batch`, which runs no tape, against the per-slot oracle and
+/// the taped `forward_values`, bit for bit.
+fn assert_values_bitwise(c: &Case, label: &str) {
+    let n = c.cols[0].len();
+    let flat: Vec<f64> = (0..n)
+        .flat_map(|i| c.cols.iter().map(move |col| col.data()[i]))
+        .collect();
+    let got = bits(&c.net.predict_batch(&c.params, &flat));
+    let mut g = Graph::new();
+    let mut ctx = GraphCtx::new(&mut g, &c.params);
+    let cols: Vec<Var> = c.cols.iter().map(|t| ctx.g.constant(t.clone())).collect();
+    let oracle = c.oracle.forward(&mut ctx, &c.params, &cols, 0).v;
+    let taped = c.net.forward_values(&mut ctx, &cols);
+    assert!(got == bits(g.value(oracle)), "{label}: predict_batch differs from the oracle in bits");
+    assert!(got == bits(g.value(taped)), "{label}: predict_batch differs from the tape in bits");
+}
+
 #[test]
 fn value_only_predictions_are_bit_identical() {
     at_every_width(|w| {
-        for (key, preset) in [("nls-soliton", ZooTaskConfig::standard()), ("helmholtz", ZooTaskConfig::quick())] {
-            let c = registry_case(key, &preset, 53);
-            let n = c.cols[0].len();
-            let flat: Vec<f64> = (0..n)
-                .flat_map(|i| c.cols.iter().map(move |col| col.data()[i]))
-                .collect();
-            let got = c.net.predict_batch(&c.params, &flat);
-            let mut g = Graph::new();
-            let mut ctx = GraphCtx::new(&mut g, &c.params);
-            let cols: Vec<Var> = c.cols.iter().map(|t| ctx.g.constant(t.clone())).collect();
-            let out = c.oracle.forward(&mut ctx, &c.params, &cols, 0);
-            assert!(bits(&got) == bits(g.value(out.v)), "{key} predict_batch w{w} differs in bits");
+        for key in keys() {
+            let problem = lookup(key).unwrap();
+            let mut sine = net_config_for(problem.as_ref(), &ZooTaskConfig::standard());
+            sine.hidden = vec![24, 20];
+            sine.activation = Activation::Sin;
+            let configs = [
+                ("quick", net_config_for(problem.as_ref(), &ZooTaskConfig::quick())),
+                ("standard", net_config_for(problem.as_ref(), &ZooTaskConfig::standard())),
+                ("sin", sine),
+            ];
+            for (preset, cfg) in configs {
+                for n in [1, 19, 53, 1024] {
+                    let c = case(key, cfg.clone(), 7, n);
+                    assert_values_bitwise(&c, &format!("{key} {preset} n{n} w{w}"));
+                }
+            }
         }
     });
 }
-

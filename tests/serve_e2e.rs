@@ -299,7 +299,8 @@ fn overlapping_clients_coalesce_and_stay_bit_identical() {
 
 /// Admission control: with a zero-slot eval queue every request sheds
 /// with `429` and a `Retry-After` header instead of queueing without
-/// bound, and unknown models/jobs map to clean 4xx.
+/// bound, unknown models/jobs map to clean 4xx, and an oversize body is
+/// refused with `413`.
 #[test]
 fn admission_and_error_mapping() {
     let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -335,6 +336,19 @@ fn admission_and_error_mapping() {
     assert!(status.contains("400"), "{status}");
     let (status, _) = http(addr, "DELETE", "/v1/models", None);
     assert!(status.contains("405"), "{status}");
+
+    // A head declaring a body over the limit is answered, not dropped.
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
+    write!(
+        s,
+        "POST /v1/eval HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        qpinn::obs::http::MAX_BODY_BYTES + 1
+    )
+    .unwrap();
+    let mut raw = String::new();
+    s.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 413 Payload Too Large\r\n"), "{raw:?}");
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);

@@ -389,6 +389,50 @@ fn shed_requests_are_traced_with_their_reason() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The stages before a request is queued are span events on its trace:
+/// one traced eval emits exactly one `request_parse` (body to
+/// coordinates) and one `request_resolve`, both carrying its id.
+#[test]
+fn an_eval_emits_one_parse_and_one_resolve_span() {
+    use qpinn::telemetry::{self, MemorySink};
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("stages");
+    let server = ServeServer::start("127.0.0.1:0", ServeConfig::new(dir.join("models"))).unwrap();
+    publish_model(&server, "traced");
+    let sink = std::sync::Arc::new(MemorySink::default());
+    telemetry::install(sink.clone());
+
+    let id = "5eed0000c0ffee18";
+    let (head, body) = http_raw(
+        server.local_addr(),
+        "POST",
+        "/v1/eval",
+        Some(EVAL_BODY),
+        &[("x-qpinn-trace", id)],
+    );
+    assert!(head.contains("200 OK"), "{head} {body}");
+    server.stop();
+
+    let events = sink.events.lock().unwrap();
+    let field = |e: &telemetry::Event, key: &str| -> Option<String> {
+        e.fields.iter().find(|(k, _)| k == key).and_then(|(_, v)| match v {
+            telemetry::event::Value::Str(s) => Some(s.clone()),
+            _ => None,
+        })
+    };
+    let stage = |name: &str| -> Vec<String> {
+        events
+            .iter()
+            .filter(|e| e.name == name && field(e, "trace").as_deref() == Some(id))
+            .map(|e| field(e, "path").unwrap_or_default())
+            .collect()
+    };
+    assert_eq!(stage("request_parse"), ["request/parse"], "parse spans of {id}");
+    assert_eq!(stage("request_resolve"), ["request/resolve"], "resolve spans of {id}");
+    drop(events);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The dormant-path contract: with `trace.ring = 0` responses carry no
 /// trace header, `/v1/traces` reports disabled, and eval bodies are
 /// byte-identical to a traced server's — tracing never perturbs results.
