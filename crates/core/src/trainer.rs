@@ -120,8 +120,8 @@ impl Default for DivergenceGuard {
 
 /// A point-in-time view of training progress, delivered to
 /// [`TrainConfig::progress`] hooks at every `log_every` interval and
-/// mirrored into the `train.progress.*` telemetry gauges (which the
-/// `qpinn-obs` metrics server exposes at `/progress`).
+/// mirrored into the `train.progress.*` telemetry gauges (which both
+/// servers' `/progress` routes render).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Progress {
     /// Current epoch index.
@@ -185,9 +185,12 @@ pub struct TrainConfig {
     /// intervals). `None` always runs the full budget.
     pub divergence: Option<DivergenceGuard>,
     /// Optional callback invoked with a [`Progress`] snapshot at every
-    /// `log_every` interval (e.g. to feed a live `/progress` endpoint).
-    /// Independent of telemetry sinks: the hook fires even when the
-    /// event layer is dormant.
+    /// `log_every` interval, for a caller that tracks one run itself
+    /// (each serve job's `/v1/jobs/<id>/progress`). The process-wide
+    /// `/progress` route needs no hook: it reads the `train.progress.*`
+    /// gauges the trainer sets at the same interval. Independent of
+    /// telemetry sinks: the hook fires even when the event layer is
+    /// dormant.
     pub progress: Option<ProgressHook>,
     /// Optional durable `qpinn-run-v1` run record (see [`crate::runs`]):
     /// an atomic manifest plus an append-only epoch series under
@@ -541,7 +544,7 @@ impl Trainer {
                         },
                         params: params.clone(),
                         optim: opt.export_state(),
-                        log: log_to_record(&saved_log),
+                        log: TrainLogRecord::from(&saved_log),
                         task_state: task.export_state(),
                     };
                     match store.save(&snap, &ckpt.retention) {
@@ -631,9 +634,10 @@ impl Trainer {
     }
 }
 
-/// Mirror a [`Progress`] snapshot into the always-on metrics registry so
-/// the `/progress` and `/metrics` endpoints (and final metric snapshots)
-/// reflect training state without any sink installed.
+/// Mirror a [`Progress`] snapshot into the always-on metrics registry:
+/// these gauges are the only feed of the `/progress` route, and they
+/// reach `/metrics` and final metric snapshots without any sink
+/// installed.
 fn publish_progress(p: &Progress) {
     telemetry::gauge("train.progress.epoch").set(p.epoch as f64);
     telemetry::gauge("train.progress.epochs_total").set(p.epochs_total as f64);
@@ -704,21 +708,24 @@ fn grad_evals() -> &'static std::sync::Arc<telemetry::Counter> {
     CTR.get_or_init(|| telemetry::counter("train.grad_evals"))
 }
 
-/// Lossless conversion into the persist crate's plain-data log mirror.
-fn log_to_record(log: &TrainLog) -> TrainLogRecord {
-    TrainLogRecord {
-        epochs: log.epochs.iter().map(|&e| e as u64).collect(),
-        loss: log.loss.clone(),
-        grad_norm: log.grad_norm.clone(),
-        eval_epochs: log.eval_epochs.iter().map(|&e| e as u64).collect(),
-        error: log.error.clone(),
-        wall_s: log.wall_s,
-        final_loss: log.final_loss,
-        final_error: log.final_error,
+/// Lossless conversion into the persist crate's plain-data log mirror,
+/// the form checkpoints and published models store.
+impl From<&TrainLog> for TrainLogRecord {
+    fn from(log: &TrainLog) -> Self {
+        TrainLogRecord {
+            epochs: log.epochs.iter().map(|&e| e as u64).collect(),
+            loss: log.loss.clone(),
+            grad_norm: log.grad_norm.clone(),
+            eval_epochs: log.eval_epochs.iter().map(|&e| e as u64).collect(),
+            error: log.error.clone(),
+            wall_s: log.wall_s,
+            final_loss: log.final_loss,
+            final_error: log.final_error,
+        }
     }
 }
 
-/// Inverse of [`log_to_record`].
+/// Inverse of the `From<&TrainLog>` conversion above.
 fn record_to_log(rec: &TrainLogRecord) -> TrainLog {
     TrainLog {
         epochs: rec.epochs.iter().map(|&e| e as usize).collect(),

@@ -8,12 +8,10 @@
 //!   `std::net::TcpListener`, no framework) serving `/metrics`
 //!   (Prometheus text exposition of the live registry), `/metrics.json`
 //!   (the `qpinn-metrics-v1` snapshot), `/healthz`, and `/progress`
-//!   (current epoch / loss / s-per-epoch / ETA of the running training).
+//!   (the epoch / loss / s-per-epoch / ETA gauges the trainer publishes).
+//!   It reads the metrics registry only and installs no telemetry sink.
 //!   Opt-in from every bench binary via `--serve-metrics ADDR`, or
 //!   programmatically for library users.
-//! * [`progress`] — the [`ProgressTracker`] sink that keeps the latest
-//!   training state for `/progress`, fed by `train_progress` marks or a
-//!   [`qpinn_core::trainer::ProgressHook`].
 //! * [`trace`] — converts a telemetry JSONL stream into Chrome
 //!   `trace_event` JSON loadable in Perfetto / `chrome://tracing`.
 //! * [`flame`] — per-phase self-time/total-time accounting over the span
@@ -51,7 +49,6 @@ pub mod check;
 pub mod flame;
 pub mod http;
 pub mod pool;
-pub mod progress;
 pub mod requests;
 pub mod runs;
 pub mod server;
@@ -60,7 +57,6 @@ pub mod snapshots;
 pub mod trace;
 
 pub use check::{compare, CheckReport, Direction, MetricDelta};
-pub use progress::{ProgressTracker, ProgressView};
 pub use server::MetricsServer;
 
 use qpinn_core::report::Json;

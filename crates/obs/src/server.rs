@@ -8,7 +8,7 @@
 //! |-----------------|---------------------------------------------------|
 //! | `/metrics`      | Prometheus text exposition of the live registry   |
 //! | `/metrics.json` | `qpinn-metrics-v1` snapshot JSON                  |
-//! | `/progress`     | current epoch / loss / s-per-epoch / ETA          |
+//! | `/progress`     | the trainer's `train.progress.*` gauges           |
 //! | `/healthz`      | `{"status":"ok",...}` liveness probe              |
 //! | `/v1/runs`      | `qpinn-run-v1` run-record index (see [`runs_routes`]) |
 //! | `/v1/runs/<id>` | one run's manifest + epoch series                 |
@@ -19,16 +19,14 @@
 //! cost to the training threads — request handling only ever *reads*
 //! atomic metric values.
 //!
-//! [`MetricsServer::start`] also installs the server's
-//! [`ProgressTracker`] as a telemetry sink so `train_progress` marks
-//! reach `/progress` without any trainer wiring. Note this flips the
-//! telemetry layer out of its dormant state (spans start timing), which
-//! is the documented cost of opting into live observation.
+//! Every route reads the always-on metrics registry, so the server
+//! installs no telemetry sink: starting it leaves the event layer as
+//! dormant as it found it.
 
 use crate::http::{read_request, Response};
-use crate::progress::ProgressTracker;
-use qpinn_core::trainer::ProgressHook;
 use qpinn_telemetry as telemetry;
+use qpinn_telemetry::event::{write_json_num, write_json_str};
+use qpinn_telemetry::MetricsSnapshot;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,33 +37,25 @@ use std::time::{Duration, Instant};
 pub struct MetricsServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    tracker: Arc<ProgressTracker>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl MetricsServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:9095"`; port 0 picks a free port),
-    /// install the progress tracker as a telemetry sink, and start the
-    /// accept thread. The server runs until [`MetricsServer::stop`] or
-    /// process exit.
+    /// Bind `addr` (e.g. `"127.0.0.1:9095"`; port 0 picks a free port)
+    /// and start the accept thread. The server runs until
+    /// [`MetricsServer::stop`] or process exit.
     pub fn start(addr: impl ToSocketAddrs) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let tracker = Arc::new(ProgressTracker::new());
-        telemetry::install(tracker.clone());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let state = ServerState {
-            tracker: tracker.clone(),
-            shutdown: shutdown.clone(),
-            started: Instant::now(),
-        };
+        let stop = shutdown.clone();
+        let started = Instant::now();
         let handle = std::thread::Builder::new()
             .name("qpinn-obs-http".into())
-            .spawn(move || accept_loop(listener, state))?;
+            .spawn(move || accept_loop(listener, &stop, started))?;
         Ok(MetricsServer {
             addr: local,
             shutdown,
-            tracker,
             handle: Some(handle),
         })
     }
@@ -75,21 +65,7 @@ impl MetricsServer {
         self.addr
     }
 
-    /// The tracker behind `/progress` (for direct updates in tests or
-    /// embedders).
-    pub fn tracker(&self) -> Arc<ProgressTracker> {
-        self.tracker.clone()
-    }
-
-    /// A `TrainConfig::progress` hook feeding this server's `/progress`
-    /// endpoint directly (no telemetry sink required).
-    pub fn progress_hook(&self) -> ProgressHook {
-        self.tracker.hook()
-    }
-
-    /// Stop accepting and join the server thread. (Does not uninstall
-    /// the tracker sink: telemetry sinks are process-global and other
-    /// sinks may be active; `telemetry::shutdown()` clears them all.)
+    /// Stop accepting and join the server thread.
     pub fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept() call with a throwaway connection.
@@ -100,22 +76,16 @@ impl MetricsServer {
     }
 }
 
-struct ServerState {
-    tracker: Arc<ProgressTracker>,
-    shutdown: Arc<AtomicBool>,
-    started: Instant,
-}
-
-fn accept_loop(listener: TcpListener, state: ServerState) {
+fn accept_loop(listener: TcpListener, shutdown: &AtomicBool, started: Instant) {
     for conn in listener.incoming() {
-        if state.shutdown.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
             return;
         }
         let Ok(stream) = conn else { continue };
         // A stalled client must not wedge the endpoint.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        let _ = handle_connection(stream, &state);
+        let _ = handle_connection(stream, started);
     }
 }
 
@@ -123,12 +93,7 @@ fn accept_loop(listener: TcpListener, state: ServerState) {
 /// or `None` when the route is not one of the four read-only metrics
 /// routes. Shared with `qpinn-serve`, which mounts the same routes on its
 /// inference server; `started` anchors the `/healthz` uptime report.
-pub fn metrics_routes(
-    method: &str,
-    path: &str,
-    tracker: &ProgressTracker,
-    started: Instant,
-) -> Option<Response> {
+pub fn metrics_routes(method: &str, path: &str, started: Instant) -> Option<Response> {
     if method != "GET" {
         return None;
     }
@@ -140,16 +105,36 @@ pub fn metrics_routes(
             body: telemetry::prometheus::render(&telemetry::global().snapshot(), "qpinn_", &[]),
         },
         "/metrics.json" => Response::json(telemetry::global().snapshot().to_json()),
-        "/progress" => Response::json(match tracker.latest() {
-            Some(v) => v.to_json(),
-            None => "{\"training\":false}".to_string(),
-        }),
+        "/progress" => Response::json(progress_json(&telemetry::global().snapshot())),
         "/healthz" => Response::json(format!(
             "{{\"status\":\"ok\",\"uptime_s\":{:.3}}}",
             started.elapsed().as_secs_f64()
         )),
         _ => return None,
     })
+}
+
+/// The `/progress` document, read from the gauges the trainer publishes
+/// at every log interval: `{"training":false}` until a
+/// `train.progress.<key>` gauge exists, else `"training":true` followed
+/// by each such gauge under `<key>`. Non-finite values print `null`.
+fn progress_json(snapshot: &MetricsSnapshot) -> String {
+    let mut out = String::from("{\"training\":true");
+    let mut training = false;
+    for (name, value) in &snapshot.gauges {
+        if let Some(key) = name.strip_prefix("train.progress.") {
+            training = true;
+            out.push(',');
+            write_json_str(&mut out, key);
+            out.push(':');
+            write_json_num(&mut out, *value);
+        }
+    }
+    if !training {
+        return "{\"training\":false}".to_string();
+    }
+    out.push('}');
+    out
 }
 
 /// Build the response for a `qpinn-run-v1` store request, or `None`
@@ -224,7 +209,7 @@ pub fn runs_routes(method: &str, path: &str, dir: &std::path::Path) -> Option<Re
     None
 }
 
-fn handle_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
+fn handle_connection(mut stream: TcpStream, started: Instant) -> std::io::Result<()> {
     let req = match read_request(&stream) {
         Ok(req) => req,
         Err(e) => {
@@ -237,7 +222,7 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Res
     let response = if req.method != "GET" {
         Response::text("405 Method Not Allowed", "method not allowed\n")
     } else {
-        metrics_routes(&req.method, &req.path, &state.tracker, state.started)
+        metrics_routes(&req.method, &req.path, started)
             .or_else(|| runs_routes(&req.method, &req.path, &qpinn_core::runs::default_dir()))
             .unwrap_or_else(|| {
                 Response::text(
@@ -252,19 +237,8 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::progress::ProgressView;
+    use qpinn_core::report::Json;
     use std::io::{Read, Write};
-
-    /// Serializes the two server tests: both install sinks into the
-    /// process-global telemetry dispatch, and the emitted `train_progress`
-    /// mark in one must not land while the other asserts an idle tracker.
-    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-        use std::sync::{Mutex, OnceLock};
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-    }
 
     /// GET `path` against a live server over a real TCP socket.
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
@@ -278,7 +252,6 @@ mod tests {
 
     #[test]
     fn serves_all_routes_over_tcp() {
-        let _guard = test_lock();
         let server = MetricsServer::start("127.0.0.1:0").unwrap();
         let addr = server.local_addr();
         // Populate a counter so /metrics has content.
@@ -287,7 +260,7 @@ mod tests {
         let (head, body) = get(addr, "/healthz");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(body.contains("\"status\":\"ok\""), "{body}");
-        qpinn_core::report::Json::parse(&body).unwrap();
+        Json::parse(&body).unwrap();
 
         let (head, body) = get(addr, "/metrics");
         assert!(head.starts_with("HTTP/1.1 200 OK"));
@@ -298,27 +271,15 @@ mod tests {
         );
 
         let (_, body) = get(addr, "/metrics.json");
-        let snap = qpinn_core::report::Json::parse(&body).unwrap();
+        let snap = Json::parse(&body).unwrap();
         assert_eq!(
             snap.get("schema").and_then(|s| s.as_str()),
             Some("qpinn-metrics-v1")
         );
 
-        // /progress: idle first, then after a tracker update.
-        let (_, body) = get(addr, "/progress");
-        assert_eq!(body, "{\"training\":false}");
-        server.tracker().update(ProgressView {
-            epoch: 42,
-            epochs_total: 100,
-            loss: 0.5,
-            s_per_epoch: 0.1,
-            eta_s: 5.8,
-            ..Default::default()
-        });
-        let (_, body) = get(addr, "/progress");
-        let p = qpinn_core::report::Json::parse(&body).unwrap();
-        assert_eq!(p.get("epoch").and_then(|v| v.as_num()), Some(42.0));
-        assert_eq!(p.get("eta_s").and_then(|v| v.as_num()), Some(5.8));
+        let (head, body) = get(addr, "/progress");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        Json::parse(&body).unwrap();
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
@@ -343,21 +304,39 @@ mod tests {
     }
 
     #[test]
-    fn progress_endpoint_follows_train_progress_marks() {
-        let _guard = test_lock();
+    fn progress_is_idle_without_progress_gauges() {
+        let registry = telemetry::Registry::default();
+        assert_eq!(progress_json(&registry.snapshot()), "{\"training\":false}");
+        registry.gauge("train.loss.residual").set(0.5);
+        assert_eq!(progress_json(&registry.snapshot()), "{\"training\":false}");
+    }
+
+    #[test]
+    fn progress_endpoint_reads_the_progress_gauges() {
         let server = MetricsServer::start("127.0.0.1:0").unwrap();
-        let addr = server.local_addr();
-        // The tracker is installed as a sink: an emitted mark must show up.
-        telemetry::emit(
-            telemetry::Event::new(telemetry::Kind::Mark, "train_progress")
-                .field("epoch", 7u64)
-                .field("epochs_total", 20u64)
-                .field("loss", 0.25),
+        assert!(
+            !telemetry::enabled(),
+            "starting the server installed a sink"
         );
-        let (_, body) = get(addr, "/progress");
-        let p = qpinn_core::report::Json::parse(&body).unwrap();
-        assert_eq!(p.get("epoch").and_then(|v| v.as_num()), Some(7.0));
-        assert_eq!(p.get("loss").and_then(|v| v.as_num()), Some(0.25));
+        for (key, value) in [
+            ("epoch", 42.0),
+            ("epochs_total", 100.0),
+            ("loss", 0.5),
+            ("grad_norm", f64::NAN),
+            ("eta_s", 5.8),
+        ] {
+            telemetry::gauge(&format!("train.progress.{key}")).set(value);
+        }
+        let (head, body) = get(server.local_addr(), "/progress");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        // /progress must always be parseable, non-finite values included.
+        let p = Json::parse(&body).unwrap();
+        assert_eq!(p.get("training"), Some(&Json::Bool(true)), "{body}");
+        assert_eq!(p.get("epoch").and_then(Json::as_num), Some(42.0));
+        assert_eq!(p.get("epochs_total").and_then(Json::as_num), Some(100.0));
+        assert_eq!(p.get("loss").and_then(Json::as_num), Some(0.5));
+        assert_eq!(p.get("eta_s").and_then(Json::as_num), Some(5.8));
+        assert_eq!(p.get("grad_norm"), Some(&Json::Null), "{body}");
         server.stop();
     }
 }

@@ -4,7 +4,8 @@
 //! One [`Batcher`] (and one dispatch thread) exists per resolved
 //! `(model id, version)`. Requests enqueue an [`EvalJob`] and block on a
 //! channel. The dispatcher is work-conserving: as soon as it is free it
-//! drains whatever is queued, up to the request/point caps, runs a
+//! drains whatever is queued, up to [`MAX_BATCH_REQUESTS`] requests and
+//! [`MAX_BATCH_POINTS`] points, runs a
 //! single [`FieldNet::predict_batch`] over the concatenated coordinates,
 //! and scatters each request's rows back through its channel. Nothing
 //! is held back to wait for companions; requests that arrive while a
@@ -27,14 +28,16 @@ use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// Micro-batch shaping knobs.
+/// Max requests folded into one forward pass.
+pub const MAX_BATCH_REQUESTS: usize = 64;
+
+/// Max total points in one forward pass (a single oversized request
+/// still runs, alone).
+pub const MAX_BATCH_POINTS: usize = 16384;
+
+/// Per-model admission settings.
 #[derive(Clone, Debug)]
 pub struct BatchConfig {
-    /// Max requests folded into one forward pass.
-    pub max_requests: usize,
-    /// Max total points in one forward pass (a single oversized request
-    /// still runs, alone).
-    pub max_points: usize,
     /// Max requests queued (waiting, not yet dispatched) per model;
     /// beyond it, admission control sheds with `429`.
     pub queue_cap: usize,
@@ -42,11 +45,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            max_requests: 64,
-            max_points: 16384,
-            queue_cap: 256,
-        }
+        BatchConfig { queue_cap: 256 }
     }
 }
 
@@ -129,11 +128,13 @@ pub struct Batcher {
 
 impl Batcher {
     /// Spawn a batcher (and its dispatch thread) for `model`. Returns
-    /// the handle plus the thread's `JoinHandle` for clean shutdown.
+    /// the handle plus the thread's `JoinHandle` for clean shutdown, or
+    /// the error of a failed thread spawn (failpoint
+    /// `serve.thread_spawn`).
     pub fn spawn(
         model: Arc<LoadedModel>,
         cfg: BatchConfig,
-    ) -> (Arc<Batcher>, std::thread::JoinHandle<()>) {
+    ) -> std::io::Result<(Arc<Batcher>, std::thread::JoinHandle<()>)> {
         let batcher = Arc::new(Batcher {
             model,
             cfg,
@@ -144,14 +145,14 @@ impl Batcher {
             signal: Condvar::new(),
         });
         let worker = batcher.clone();
+        qpinn_testkit::fail_io("serve.thread_spawn")?;
         let join = std::thread::Builder::new()
             .name(format!(
                 "qpinn-batch-{}@{}",
                 worker.model.id, worker.model.version
             ))
-            .spawn(move || worker.run())
-            .expect("spawn batch dispatch thread");
-        (batcher, join)
+            .spawn(move || worker.run())?;
+        Ok((batcher, join))
     }
 
     /// The model this batcher evaluates.
@@ -250,8 +251,8 @@ impl Batcher {
                 let mut points = 0usize;
                 while let Some(job) = q.jobs.front() {
                     if !batch.is_empty()
-                        && (batch.len() >= self.cfg.max_requests
-                            || points + job.n_points > self.cfg.max_points)
+                        && (batch.len() >= MAX_BATCH_REQUESTS
+                            || points + job.n_points > MAX_BATCH_POINTS)
                     {
                         break;
                     }
@@ -385,7 +386,7 @@ mod tests {
     #[test]
     fn coalesced_results_are_bit_identical_to_solo() {
         let (model, dir) = resident_model("coalesce");
-        let (batcher, join) = Batcher::spawn(model.clone(), BatchConfig::default());
+        let (batcher, join) = Batcher::spawn(model.clone(), BatchConfig::default()).unwrap();
         // Solo reference for each request, straight through the net.
         let reqs: Vec<Vec<f64>> = (0..4)
             .map(|i| {
@@ -434,11 +435,7 @@ mod tests {
     #[test]
     fn queue_cap_sheds_and_shapes_are_checked() {
         let (model, dir) = resident_model("shed");
-        let cfg = BatchConfig {
-            queue_cap: 1,
-            ..BatchConfig::default()
-        };
-        let (batcher, join) = Batcher::spawn(model, cfg);
+        let (batcher, join) = Batcher::spawn(model, BatchConfig { queue_cap: 1 }).unwrap();
         assert_eq!(
             batcher.eval(vec![1.0, 2.0, 3.0]).unwrap_err(),
             SubmitError::BadShape { expected_arity: 2 }

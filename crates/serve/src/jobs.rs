@@ -15,7 +15,7 @@ use crate::registry::{ModelRegistry, RegistryError};
 use crate::spec::ModelSpec;
 use qpinn_core::report::Json;
 use qpinn_core::task::{net_config_for, ZooTask, ZooTaskConfig};
-use qpinn_core::trainer::{Progress, ProgressHook, TrainConfig, TrainLog, Trainer};
+use qpinn_core::trainer::{Progress, ProgressHook, TrainConfig, Trainer};
 use qpinn_nn::ParamSet;
 use qpinn_optim::LrSchedule;
 use qpinn_persist::TrainLogRecord;
@@ -223,8 +223,10 @@ impl JobManager {
 
     /// Start a training thread for `req`; returns the job id to poll.
     /// The submitting request's [`TraceCtx`] (if tracing is on) is
-    /// stored on the job and stamped onto its `train_job` span.
-    pub fn submit(&self, req: TrainRequest, ctx: &TraceCtx) -> String {
+    /// stored on the job and stamped onto its `train_job` span. A failed
+    /// thread spawn (failpoint `serve.thread_spawn`) returns its error
+    /// and leaves no job behind.
+    pub fn submit(&self, req: TrainRequest, ctx: &TraceCtx) -> std::io::Result<String> {
         let id = format!("job-{}", self.next_id.fetch_add(1, Ordering::Relaxed));
         let trace = if ctx.on { ctx.id.clone() } else { String::new() };
         // Pre-mint the run id so the progress document can point at the
@@ -252,22 +254,23 @@ impl JobManager {
             status: JobStatus::Queued,
             progress: Progress::default(),
         }));
+        let registry = self.registry.clone();
+        let job = entry.clone();
+        let thread_id = id.clone();
+        qpinn_testkit::fail_io("serve.thread_spawn")?;
+        let handle = std::thread::Builder::new()
+            .name(format!("qpinn-train-{thread_id}"))
+            .spawn(move || run_job(registry, job, req, thread_id, trace, run))?;
         self.jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(id.clone(), entry.clone());
+            .insert(id.clone(), entry);
         qpinn_telemetry::counter(names::SERVE_JOBS_STARTED).inc();
-        let registry = self.registry.clone();
-        let thread_id = id.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("qpinn-train-{thread_id}"))
-            .spawn(move || run_job(registry, entry, req, thread_id, trace, run))
-            .expect("spawn train thread");
         self.handles
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(handle);
-        id
+        Ok(id)
     }
 
     /// Render a job's progress document, with the HTTP status it should
@@ -396,7 +399,7 @@ fn run_job(
         &req.model_id,
         &spec,
         &params,
-        log_record(&log),
+        TrainLogRecord::from(&log),
         req.epochs as u64,
         log.final_error,
     ) {
@@ -414,19 +417,6 @@ fn run_job(
             };
             fail(&entry, format!("{kind}: {e}"));
         }
-    }
-}
-
-fn log_record(log: &TrainLog) -> TrainLogRecord {
-    TrainLogRecord {
-        epochs: log.epochs.iter().map(|&e| e as u64).collect(),
-        loss: log.loss.clone(),
-        grad_norm: log.grad_norm.clone(),
-        eval_epochs: log.eval_epochs.iter().map(|&e| e as u64).collect(),
-        error: log.error.clone(),
-        wall_s: log.wall_s,
-        final_loss: log.final_loss,
-        final_error: log.final_error,
     }
 }
 
@@ -500,7 +490,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let id = jobs.submit(req, &TraceCtx::disabled());
+        let id = jobs.submit(req, &TraceCtx::disabled()).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(180);
         loop {
             let (doc, failed) = jobs.progress_json(&id).unwrap();
@@ -537,7 +527,7 @@ mod tests {
         let registry =
             Arc::new(ModelRegistry::open(RegistryConfig::new(&dir)).unwrap());
         let jobs = JobManager::new(registry.clone());
-        let id = jobs.submit(tiny_request("served"), &TraceCtx::disabled());
+        let id = jobs.submit(tiny_request("served"), &TraceCtx::disabled()).unwrap();
         // Poll to completion.
         let deadline = std::time::Instant::now() + Duration::from_secs(120);
         loop {

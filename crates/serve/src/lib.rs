@@ -25,7 +25,8 @@
 //! * **Admission control** ([`batch`], [`server`]) — bounded per-model
 //!   eval queues and a bounded connection queue; both shed with
 //!   `429 Too Many Requests` + `Retry-After` instead of queueing
-//!   without bound.
+//!   without bound. A dispatcher or train-job thread that cannot be
+//!   spawned answers `503 Service Unavailable`.
 //! * **Train-job API** ([`jobs`]) — `POST /v1/train` runs the real
 //!   trainer on a background thread, streams epoch/loss/ETA through the
 //!   existing `ProgressHook` plumbing at
@@ -36,8 +37,11 @@
 //! The HTTP surface (request parsing, response formatting, the
 //! `/metrics` `/progress` `/healthz` routes) is shared with `qpinn-obs`
 //! rather than duplicated; see `qpinn_obs::http` and
-//! `qpinn_obs::server::metrics_routes`. Everything is instrumented
-//! under the `serve.*` metric names in `qpinn_telemetry::names`.
+//! `qpinn_obs::server::metrics_routes`. Those routes read the metrics
+//! registry, so the server installs no telemetry sink: span timing and
+//! event building stay off unless the operator installs one. Everything
+//! is instrumented under the `serve.*` metric names in
+//! `qpinn_telemetry::names`.
 
 #![deny(missing_docs)]
 

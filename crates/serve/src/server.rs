@@ -34,17 +34,18 @@
 //! completion the request's latency decomposition (queue wait, batch
 //! drain, compute, serialization) lands in the
 //! `serve.latency.{queue,batch,compute,total}_ns` histograms, in span
-//! events (per-request tracks in `qpinn-obs trace`), and in one
-//! `qpinn-access-v1` record in the bounded access ring that
-//! `GET /v1/traces` serves. Tracing never changes response bytes; off,
-//! its cost is one relaxed atomic load per request.
+//! events (per-request tracks in `qpinn-obs trace`, when a sink is
+//! installed), and in one `qpinn-access-v1` record in the bounded access
+//! ring that `GET /v1/traces` serves. Tracing never changes response
+//! bytes; off, its cost is one relaxed atomic load per request. The
+//! per-route total histograms are keyed by the route that answered, so
+//! their number is fixed whatever paths callers send.
 
 use crate::batch::{BatchConfig, Batcher, SubmitError};
 use crate::jobs::{JobManager, TrainRequest};
 use crate::registry::{ModelRegistry, RegistryConfig, RegistryError};
 use qpinn_core::report::Json;
 use qpinn_obs::http::{read_request, ReadError, Request, Response};
-use qpinn_obs::progress::ProgressTracker;
 use qpinn_obs::server::metrics_routes;
 use qpinn_telemetry::event::{now_ns, write_json_num, write_json_str};
 use qpinn_telemetry::{access, names, AccessRecord, Event, Kind, TraceCtx};
@@ -126,7 +127,6 @@ struct Shared {
     batch_cfg: BatchConfig,
     batchers: Mutex<HashMap<(String, u64), Arc<Batcher>>>,
     batcher_joins: Mutex<Vec<JoinHandle<()>>>,
-    tracker: Arc<ProgressTracker>,
     started: Instant,
     runs_dir: std::path::PathBuf,
     queue: Mutex<ConnQueue>,
@@ -144,9 +144,10 @@ pub struct ServeServer {
 
 impl ServeServer {
     /// Bind `addr` (port 0 picks a free port), open the registry, and
-    /// start the accept thread + worker pool. Also installs the shared
-    /// progress tracker as a telemetry sink so `/progress` follows any
-    /// training this process runs (including submitted train jobs).
+    /// start the accept thread + worker pool. No telemetry sink is
+    /// installed: `/progress` reads the trainer's progress gauges, so it
+    /// follows any training this process runs (including submitted train
+    /// jobs) while the event layer stays dormant.
     pub fn start(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<ServeServer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -154,8 +155,6 @@ impl ServeServer {
             ModelRegistry::open(cfg.registry.clone())
                 .map_err(|e| std::io::Error::new(e.kind(), format!("registry: {e}")))?,
         );
-        let tracker = Arc::new(ProgressTracker::new());
-        qpinn_telemetry::install(tracker.clone());
         if cfg.trace.ring > 0 {
             access::configure(cfg.trace.ring);
             if let Some(path) = &cfg.trace.access_log {
@@ -175,7 +174,6 @@ impl ServeServer {
             batch_cfg: cfg.batch,
             batchers: Mutex::new(HashMap::new()),
             batcher_joins: Mutex::new(Vec::new()),
-            tracker,
             started: Instant::now(),
             runs_dir: cfg
                 .runs
@@ -365,7 +363,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<
     qpinn_telemetry::counter(names::SERVE_REQUESTS).inc();
     let ctx = TraceCtx::mint(req.header("x-qpinn-trace"));
     let mut meta = ReqMeta::default();
-    let mut response = route(&req, shared, &ctx, &mut meta);
+    let (route_key, mut response) = route(&req, shared, &ctx, &mut meta);
     if ctx.on {
         response = response.header("x-qpinn-trace", ctx.id.clone());
     }
@@ -387,7 +385,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<
     };
     qpinn_telemetry::histogram(names::SERVE_LATENCY_US)
         .record(t0.elapsed().as_micros() as u64);
-    record_latency(&req.path, &meta, total_ns);
+    record_latency(&route_key, &meta, total_ns);
     if ctx.on {
         emit_request_spans(&ctx, &req.path, &meta, status, total_ns, serialize_ns, end_ns);
         access::record(AccessRecord {
@@ -447,10 +445,11 @@ fn status_code(status: &str) -> u16 {
 
 /// Feed the `serve.latency.*` histograms: base + per-route total, and
 /// the batcher stages (+ per-model) when the request was dispatched.
-fn record_latency(path: &str, meta: &ReqMeta, total_ns: u64) {
+/// `rk` is the key of the route that answered (see [`route`]), never the
+/// raw path.
+fn record_latency(rk: &str, meta: &ReqMeta, total_ns: u64) {
     use qpinn_telemetry::histogram;
     histogram(names::SERVE_LAT_TOTAL_NS).record(total_ns);
-    let rk = names::route_key(path);
     histogram(&format!("{}.by_route.{rk}", names::SERVE_LAT_TOTAL_NS)).record(total_ns);
     if meta.compute_end_ns > 0 {
         histogram(names::SERVE_LAT_QUEUE_NS).record(meta.queue_ns);
@@ -521,26 +520,43 @@ fn err_json(status: &'static str, msg: &str) -> Response {
     )
 }
 
-fn route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta) -> Response {
+/// Answer a request, and name the route that answered it for the
+/// `by_route` latency histograms. A fixed-path route is named after its
+/// path (`/v1/eval` → `v1_eval`); the job-progress and run routes, whose
+/// paths carry an id, and all unmatched requests get one name each, so
+/// callers cannot grow the set of histograms by varying the path.
+fn route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta) -> (String, Response) {
+    let path = req.path.as_str();
     // The read-only observability routes are shared verbatim with the
     // qpinn-obs metrics endpoint.
-    if let Some(r) = metrics_routes(&req.method, &req.path, &shared.tracker, shared.started) {
-        return r;
+    if let Some(r) = metrics_routes(&req.method, path, shared.started) {
+        return (names::route_key(path), r);
     }
-    if let Some(r) = qpinn_obs::server::runs_routes(&req.method, &req.path, &shared.runs_dir) {
-        return r;
+    if let Some(r) = qpinn_obs::server::runs_routes(&req.method, path, &shared.runs_dir) {
+        let key = if path == "/v1/runs" {
+            "v1_runs"
+        } else {
+            "v1_runs_id"
+        };
+        return (key.to_string(), r);
     }
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/v1/models") => models_route(shared),
-        ("GET", "/v1/problems") => problems_route(),
-        ("POST", "/v1/eval") => eval_route(req, shared, ctx, meta),
-        ("POST", "/v1/train") => train_route(req, shared, ctx),
-        ("POST", "/v1/evict") => evict_route(req, shared),
-        ("GET", "/v1/traces") => traces_route(req),
-        ("GET", path) if path.starts_with("/v1/jobs/") => jobs_route(path, shared),
-        ("POST", _) | ("GET", _) => err_json("404 Not Found", "no such route"),
-        _ => err_json("405 Method Not Allowed", "method not allowed"),
-    }
+    let (key, response) = match (req.method.as_str(), path) {
+        ("GET", "/v1/models") => ("v1_models", models_route(shared)),
+        ("GET", "/v1/problems") => ("v1_problems", problems_route()),
+        ("POST", "/v1/eval") => ("v1_eval", eval_route(req, shared, ctx, meta)),
+        ("POST", "/v1/train") => ("v1_train", train_route(req, shared, ctx)),
+        ("POST", "/v1/evict") => ("v1_evict", evict_route(req, shared)),
+        ("GET", "/v1/traces") => ("v1_traces", traces_route(req)),
+        ("GET", _) if path.starts_with("/v1/jobs/") => {
+            ("v1_jobs_id_progress", jobs_route(path, shared))
+        }
+        ("POST", _) | ("GET", _) => ("unmatched", err_json("404 Not Found", "no such route")),
+        _ => (
+            "unmatched",
+            err_json("405 Method Not Allowed", "method not allowed"),
+        ),
+    };
+    (key.to_string(), response)
 }
 
 /// `GET /v1/traces?n=K&route=PATH`: the last K (default 64) access
@@ -610,6 +626,15 @@ fn problems_route() -> Response {
     Response::json(DOC.get_or_init(|| qpinn_core::problems_doc().to_string()).clone())
 }
 
+/// A thread the request needed (a model's dispatcher, a train job) could
+/// not be spawned: refuse this request and keep the connection worker.
+fn spawn_failed(e: std::io::Error) -> Response {
+    err_json(
+        "503 Service Unavailable",
+        &format!("cannot start a thread: {e}"),
+    )
+}
+
 fn registry_error_response(e: RegistryError) -> Response {
     match e {
         RegistryError::NotFound(m) => err_json("404 Not Found", &m),
@@ -652,7 +677,7 @@ fn batcher_for(
     if let Some(b) = map.get(&key) {
         return Ok(b.clone());
     }
-    let (b, join) = Batcher::spawn(model, shared.batch_cfg.clone());
+    let (b, join) = Batcher::spawn(model, shared.batch_cfg.clone()).map_err(spawn_failed)?;
     shared
         .batcher_joins
         .lock()
@@ -778,7 +803,10 @@ fn train_route(req: &Request, shared: &Shared, ctx: &TraceCtx) -> Response {
     match parsed {
         Ok(train) => {
             let model_id = train.model_id.clone();
-            let job_id = shared.jobs.submit(train, ctx);
+            let job_id = match shared.jobs.submit(train, ctx) {
+                Ok(id) => id,
+                Err(e) => return spawn_failed(e),
+            };
             Response::json_status(
                 "202 Accepted",
                 Json::obj(vec![

@@ -18,6 +18,7 @@
 //! | `telemetry.sink_err`  | JSONL sink record path        | write skipped, counted via `telemetry.write_errors` |
 //! | `pool.steal_stall`    | rayon worker loop             | worker sleeps 2 ms before running a claimed task |
 //! | `serve.flush_stall`   | serve batcher, before a flush | dispatcher sleeps 25 ms before `predict_batch`; admission keeps shedding, the stall shows up in the next batch's `serve.latency.queue_ns` |
+//! | `serve.thread_spawn`  | serve batcher and train-job thread spawns | the spawn fails with an I/O error; the request gets `503` and no dispatcher or job is left behind |
 //!
 //! ## Arming
 //!

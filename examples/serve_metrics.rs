@@ -1,6 +1,7 @@
 //! Live observation of a training run: start the embedded metrics
-//! endpoint, train with a progress hook, and scrape the four routes the
-//! way Prometheus (or plain `curl`) would.
+//! endpoint, train, and scrape the four routes the way Prometheus (or
+//! plain `curl`) would. No hook and no telemetry sink is needed:
+//! `/progress` reads the progress gauges the trainer always publishes.
 //!
 //! ```sh
 //! cargo run --release --example serve_metrics
@@ -29,18 +30,16 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
 }
 
 fn main() {
-    // 1. Start the endpoint. Use "127.0.0.1:9095" for a fixed port; this
-    //    also installs a telemetry sink so `train_progress` marks feed
-    //    /progress with zero trainer wiring.
+    // 1. Start the endpoint. Use "127.0.0.1:9095" for a fixed port.
     let server = MetricsServer::start("127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     println!("bound port {} (picked by the OS via port 0)", addr.port());
     println!("metrics endpoint: http://{addr}/metrics");
     println!("progress:         http://{addr}/progress\n");
 
-    // 2. A small training run. The explicit progress hook works even
-    //    without any telemetry sinks and prints each update the server
-    //    will also serve.
+    // 2. A small training run, with no progress hook: every `log_every`
+    //    epochs the trainer sets the `train.progress.*` gauges that
+    //    /progress serves.
     let cfg = ZooTaskConfig {
         n_collocation: 256,
         ..ZooTaskConfig::quick()
@@ -58,7 +57,7 @@ fn main() {
         lbfgs_polish: None,
         checkpoint: None,
         divergence: None,
-        progress: Some(server.progress_hook()),
+        progress: None,
         run: None,
     });
     let log = trainer.train(&mut task, &mut params);

@@ -521,10 +521,7 @@ fn serve_flush_stall_shows_in_queue_latency_without_losing_requests() {
     // zero-slot queue still sheds immediately with Retry-After.
     let dir2 = test_dir("flush-stall-shed");
     let mut cfg = ServeConfig::new(dir2.join("models"));
-    cfg.batch = qpinn::serve::BatchConfig {
-        queue_cap: 0,
-        ..Default::default()
-    };
+    cfg.batch = qpinn::serve::BatchConfig { queue_cap: 0 };
     let server = ServeServer::start("127.0.0.1:0", cfg).unwrap();
     publish(&server);
     {

@@ -8,10 +8,12 @@
 use qpinn::core::report::Json;
 use qpinn::core::task::net_config_for;
 use qpinn::core::trainer::Trainer;
-use qpinn::core::ZooTask;
+use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
+use qpinn::obs::MetricsServer;
+use qpinn::optim::LrSchedule;
 use qpinn::serve::{BatchConfig, ModelSpec, ServeConfig, ServeServer, TrainRequest};
-use qpinn::telemetry;
+use qpinn::telemetry::{self, names};
 use qpinn::testkit::{self, Trigger};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,10 +23,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// `ServeServer::start` installs a progress-tracker telemetry sink, the
-/// coalescing assertions read process-global histograms, and the fail
-/// plane is process-global too; keep the tests that touch any of them
-/// from overlapping.
+/// The coalescing and route assertions read process-global histograms,
+/// the progress test reads the process-global progress gauges and
+/// telemetry switch, and the fail plane is process-global too; keep the
+/// tests that touch any of them from overlapping.
 static SERVE_LOCK: Mutex<()> = Mutex::new(());
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -306,10 +308,7 @@ fn admission_and_error_mapping() {
     let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp_dir("admission");
     let mut cfg = ServeConfig::new(&dir);
-    cfg.batch = BatchConfig {
-        queue_cap: 0,
-        ..BatchConfig::default()
-    };
+    cfg.batch = BatchConfig { queue_cap: 0 };
     let server = ServeServer::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr();
 
@@ -615,6 +614,164 @@ fn gray_scott_trains_persists_and_serves_bit_exactly() {
         doc.get("version").and_then(|v| v.as_str()),
         Some(qpinn::core::PROBLEMS_DOC_VERSION)
     );
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `/progress` on both servers follows a training run in this process
+/// that has no progress hook, and no server installs a telemetry sink:
+/// the routes read the trainer's `train.progress.*` gauges, so the event
+/// layer stays dormant before, during and after.
+#[test]
+fn progress_follows_in_process_training_with_no_hook_and_no_sink() {
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    assert!(!telemetry::enabled(), "a sink is installed before any server starts");
+    let dir = tmp_dir("progress");
+    let serve = ServeServer::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    let metrics = MetricsServer::start("127.0.0.1:0").unwrap();
+    let addrs = [serve.local_addr(), metrics.local_addr()];
+    assert!(!telemetry::enabled(), "starting a server installed a sink");
+
+    let cfg = ZooTaskConfig {
+        width: 8,
+        depth: 1,
+        n_collocation: 32,
+        ..ZooTaskConfig::quick()
+    };
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut task = ZooTask::from_key("tdse-free", &cfg, &mut params, &mut rng).unwrap();
+    // 13 epochs logged every 5: the last recorded epoch (10) is not the
+    // last epoch, and no other test here trains for 13.
+    let train = TrainConfig {
+        epochs: 13,
+        schedule: LrSchedule::Constant { lr: 2e-3 },
+        log_every: 5,
+        progress: None,
+        ..TrainConfig::default()
+    };
+    let training = AtomicBool::new(true);
+    let log = std::thread::scope(|scope| {
+        // Poll both routes while the trainer runs, at least once however
+        // quickly it finishes.
+        let poller = scope.spawn(|| loop {
+            for addr in addrs {
+                let (status, _) = http(addr, "GET", "/progress", None);
+                assert!(status.contains("200 OK"), "{status}");
+                assert!(!telemetry::enabled(), "a sink was installed during training");
+            }
+            if !training.load(Ordering::Acquire) {
+                break;
+            }
+        });
+        let log = Trainer::new(train).train(&mut task, &mut params);
+        training.store(false, Ordering::Release);
+        poller.join().unwrap();
+        log
+    });
+
+    let last = *log.epochs.last().unwrap();
+    assert_eq!(last, 10);
+    for addr in addrs {
+        let (status, doc) = http(addr, "GET", "/progress", None);
+        assert!(status.contains("200 OK"), "{status}");
+        assert_eq!(doc.get("training"), Some(&Json::Bool(true)), "{}", doc.to_string());
+        assert_eq!(doc.get("epoch").and_then(Json::as_num), Some(last as f64));
+        assert_eq!(doc.get("epochs_total").and_then(Json::as_num), Some(13.0));
+    }
+    metrics.stop();
+    serve.stop();
+    assert!(!telemetry::enabled(), "stopping a server installed a sink");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The per-route latency histograms are keyed by the route that
+/// answered, not by the raw path: distinct unknown paths share one
+/// histogram and job-progress polls for distinct ids share another, so
+/// callers cannot grow `/metrics` one series per path.
+#[test]
+fn route_histograms_are_keyed_by_route_not_path() {
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("routes");
+    let server = ServeServer::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    let addr = server.local_addr();
+    let by_route = |key: &str| {
+        telemetry::histogram(&format!("{}.by_route.{key}", names::SERVE_LAT_TOTAL_NS))
+            .snapshot()
+            .count
+    };
+    let n_routes = || {
+        telemetry::global()
+            .snapshot()
+            .histograms
+            .iter()
+            .filter(|(name, _)| name.contains(".by_route."))
+            .count()
+    };
+    let (unmatched, jobs) = (by_route("unmatched"), by_route("v1_jobs_id_progress"));
+    let routes_before = n_routes();
+
+    for i in 0..20 {
+        let (status, _) = http(addr, "GET", &format!("/no/such/route-{i}"), None);
+        assert!(status.contains("404"), "{status}");
+    }
+    for i in 0..5 {
+        let (status, _) = http(addr, "GET", &format!("/v1/jobs/job-{}/progress", 900 + i), None);
+        assert!(status.contains("404"), "{status}");
+    }
+
+    // The worker records a request's latency before it closes the
+    // connection, so every response read above is already counted.
+    let grown = n_routes() - routes_before;
+    assert!(grown <= 2, "25 distinct paths added {grown} by_route histograms");
+    assert_eq!(by_route("unmatched") - unmatched, 20);
+    assert_eq!(by_route("v1_jobs_id_progress") - jobs, 5);
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A thread spawn that fails answers `503` and costs the server nothing.
+/// With `serve.thread_spawn` armed, a train job and the first eval of a
+/// published model (which has to start the model's dispatcher) are
+/// refused, and the refused job leaves no entry and no started count.
+/// Disarmed, the same single-worker server trains and evaluates: the
+/// failure did not take its connection worker down.
+#[test]
+fn failed_thread_spawns_answer_503_and_the_server_recovers() {
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("spawn");
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.workers = 1;
+    let server = ServeServer::start("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr();
+    let (spec, params) = small_model(3);
+    server
+        .registry()
+        .publish("spawned", &spec, &params, Default::default(), 1, 0.0)
+        .unwrap();
+    const EVAL: &str = r#"{"model":"spawned","points":[[0.5,0.1]]}"#;
+    let jobs_started = telemetry::counter(names::SERVE_JOBS_STARTED).get();
+
+    {
+        let _fp = testkit::arm("serve.thread_spawn", Trigger::Always);
+        let (status, doc) = http(addr, "POST", "/v1/train", Some(TRAIN_BODY));
+        assert!(status.contains("503"), "{status} {}", doc.to_string());
+        let (status, doc) = http(addr, "POST", "/v1/eval", Some(EVAL));
+        assert!(status.contains("503"), "{status} {}", doc.to_string());
+        let (status, _) = http(addr, "GET", "/v1/jobs/job-1/progress", None);
+        assert!(status.contains("404"), "{status}");
+    }
+    assert_eq!(telemetry::counter(names::SERVE_JOBS_STARTED).get(), jobs_started);
+
+    let (status, reply) = http(addr, "POST", "/v1/eval", Some(EVAL));
+    assert!(status.contains("200 OK"), "{status} {}", reply.to_string());
+    let (status, accepted) = http(addr, "POST", "/v1/train", Some(TRAIN_BODY));
+    assert!(status.contains("202"), "{status}");
+    let job_id = accepted.get("job_id").unwrap().as_str().unwrap().to_string();
+    poll_to_completion(addr, &job_id);
+    assert_eq!(telemetry::counter(names::SERVE_JOBS_STARTED).get(), jobs_started + 1);
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);

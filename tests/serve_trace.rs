@@ -361,10 +361,7 @@ fn shed_requests_are_traced_with_their_reason() {
     let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp_dir("shed");
     let mut cfg = ServeConfig::new(dir.join("models"));
-    cfg.batch = BatchConfig {
-        queue_cap: 0,
-        ..BatchConfig::default()
-    };
+    cfg.batch = BatchConfig { queue_cap: 0 };
     let server = ServeServer::start("127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr();
     publish_model(&server, "traced");
