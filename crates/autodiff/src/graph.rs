@@ -47,21 +47,25 @@ enum Op {
         b: Option<usize>,
         blocks: usize,
     },
-    /// Tanh over a jet stack with `k` coordinates.
+    /// Tanh over a jet stack with `k` coordinates and `k2` second
+    /// derivatives.
     JetTanh {
         x: usize,
         k: usize,
+        k2: usize,
     },
     /// Sine over a jet stack, with `cos` of its value block saved.
     JetSin {
         x: usize,
         k: usize,
+        k2: usize,
         cos: Tensor,
     },
     /// Sine and cosine jets of a stack, side by side.
     JetSinCos {
         x: usize,
         k: usize,
+        k2: usize,
     },
     /// Rows `[r0, r0 + rows)` of a rank-2 node.
     RowBlock {
@@ -323,27 +327,30 @@ impl Graph {
         self.push(op, v, ng)
     }
 
-    /// Tanh over a jet stack with `k` coordinates (value, first and
-    /// second derivative blocks by the chain rule), one node for all.
-    pub fn jet_tanh(&mut self, x: Var, k: usize) -> Var {
-        let v = self.value(x).jet_tanh(k);
+    /// Tanh over a jet stack with `k` coordinates and second derivatives
+    /// of the first `k2` (value, first and second derivative blocks by
+    /// the chain rule), one node for all.
+    pub fn jet_tanh(&mut self, x: Var, k: usize, k2: usize) -> Var {
+        let v = self.value(x).jet_tanh(k, k2);
         let ng = self.ng(x.0);
-        self.push(Op::JetTanh { x: x.0, k }, v, ng)
+        self.push(Op::JetTanh { x: x.0, k, k2 }, v, ng)
     }
 
-    /// Sine over a jet stack with `k` coordinates.
-    pub fn jet_sin(&mut self, x: Var, k: usize) -> Var {
-        let (v, cos) = self.value(x).jet_sin(k);
+    /// Sine over a jet stack with `k` coordinates and `k2` second
+    /// derivatives.
+    pub fn jet_sin(&mut self, x: Var, k: usize, k2: usize) -> Var {
+        let (v, cos) = self.value(x).jet_sin(k, k2);
         let ng = self.ng(x.0);
-        self.push(Op::JetSin { x: x.0, k, cos }, v, ng)
+        self.push(Op::JetSin { x: x.0, k, k2, cos }, v, ng)
     }
 
-    /// Sine and cosine jets of a `[rows, w]` stack with `k` coordinates,
-    /// as one `[rows, 2w]` stack whose rows read `[sin | cos]`.
-    pub fn jet_sin_cos(&mut self, x: Var, k: usize) -> Var {
-        let v = self.value(x).jet_sin_cos(k);
+    /// Sine and cosine jets of a `[rows, w]` stack with `k` coordinates
+    /// and `k2` second derivatives, as one `[rows, 2w]` stack whose rows
+    /// read `[sin | cos]`.
+    pub fn jet_sin_cos(&mut self, x: Var, k: usize, k2: usize) -> Var {
+        let v = self.value(x).jet_sin_cos(k, k2);
         let ng = self.ng(x.0);
-        self.push(Op::JetSinCos { x: x.0, k }, v, ng)
+        self.push(Op::JetSinCos { x: x.0, k, k2 }, v, ng)
     }
 
     /// Rows `[r0, r0 + rows)` of a rank-2 node. Its gradient lands in
@@ -618,18 +625,18 @@ impl Graph {
                     }
                     Some(out_grad)
                 }
-                Op::JetTanh { x, k } => {
-                    let d = val(*x).jet_tanh_backward(&node.value, &out_grad, *k);
+                Op::JetTanh { x, k, k2 } => {
+                    let d = val(*x).jet_tanh_backward(&node.value, &out_grad, *k, *k2);
                     Self::accumulate(&mut g[*x], d);
                     Some(out_grad)
                 }
-                Op::JetSin { x, k, cos } => {
-                    let d = val(*x).jet_sin_backward(&node.value, cos, &out_grad, *k);
+                Op::JetSin { x, k, k2, cos } => {
+                    let d = val(*x).jet_sin_backward(&node.value, cos, &out_grad, *k, *k2);
                     Self::accumulate(&mut g[*x], d);
                     Some(out_grad)
                 }
-                Op::JetSinCos { x, k } => {
-                    let d = val(*x).jet_sin_cos_backward(&node.value, &out_grad, *k);
+                Op::JetSinCos { x, k, k2 } => {
+                    let d = val(*x).jet_sin_cos_backward(&node.value, &out_grad, *k, *k2);
                     Self::accumulate(&mut g[*x], d);
                     Some(out_grad)
                 }
@@ -919,7 +926,7 @@ mod tests {
             g2.input(bs.clone()),
         );
         let z2 = g2.jet_affine(x2, w2, Some(b2), 1);
-        let y2 = g2.jet_tanh(z2, 0);
+        let y2 = g2.jet_tanh(z2, 0, 0);
         let l2 = g2.mse(y2);
         assert!(g2.value(y2).approx_eq(g1.value(y1), 1e-12));
         let r2 = g2.backward(l2);
@@ -960,7 +967,7 @@ mod tests {
         stack.extend([0.0; 5]);
         let mut g = Graph::new();
         let x = g.input(Tensor::from_vec([3 * n, 1], stack));
-        let y = g.jet_tanh(x, 1);
+        let y = g.jet_tanh(x, 1, 1);
         let u = g.row_block(y, 0, n);
         let d = g.row_block(y, n, n);
         let xc = g.constant(Tensor::column(&xs));

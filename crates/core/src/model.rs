@@ -2,11 +2,11 @@
 //! features, and a jet-propagating MLP trunk.
 //!
 //! The whole network runs on [`JetStack`]s: one tape node per layer
-//! carries the value and every first and second coordinate derivative,
-//! stacked by rows, and the output stack is cut into a per-slot [`Jet`]
-//! only at the end, for the residual builders. Inference
-//! ([`FieldNet::predict_batch`]) runs the same kernels on plain tensors,
-//! off the tape.
+//! carries the value, every first coordinate derivative and the second
+//! derivatives a caller asks for, stacked by rows, and the output stack is
+//! cut into a per-slot [`Jet`] only at the end, for the residual builders.
+//! Inference ([`FieldNet::predict_batch`]) runs the same kernels on plain
+//! tensors, off the tape.
 
 use qpinn_autodiff::jet::{Jet, JetStack};
 use qpinn_autodiff::Var;
@@ -174,13 +174,20 @@ impl FieldNet {
     }
 
     /// The network over coordinate stacks tracking `k` coordinates (0 for
-    /// values only): seeds, embeddings, RFF and trunk.
-    fn forward_stack(&self, ctx: &mut GraphCtx<'_>, columns: &[Var], k: usize) -> JetStack {
+    /// values only) and the second derivatives of the first `k2`: seeds,
+    /// embeddings, RFF and trunk.
+    fn forward_stack(
+        &self,
+        ctx: &mut GraphCtx<'_>,
+        columns: &[Var],
+        k: usize,
+        k2: usize,
+    ) -> JetStack {
         assert_eq!(columns.len(), self.embeds.len(), "coordinate arity");
         let seeds: Vec<JetStack> = columns
             .iter()
             .enumerate()
-            .map(|(i, &c)| JetStack::seed(ctx.g, c, i, k))
+            .map(|(i, &c)| JetStack::seed(ctx.g, c, i, k, k2))
             .collect();
         let parts: Vec<JetStack> = self
             .embeds
@@ -205,14 +212,30 @@ impl FieldNet {
     /// first and second derivatives with respect to every coordinate,
     /// one node per slot cut from the output stack.
     pub fn forward_jet(&self, ctx: &mut GraphCtx<'_>, columns: &[Var]) -> Jet {
-        self.forward_stack(ctx, columns, columns.len()).unstack(ctx.g)
+        self.forward_jet_demand(ctx, columns, columns.len())
+    }
+
+    /// [`FieldNet::forward_jet`] with second derivatives for the first
+    /// `n_second` coordinates only: the jet a residual that reads no other
+    /// `∂²` demands (see `PdeProblem::second_derivatives`). Its slots
+    /// carry the bits of the full jet's, and a loss that reads only them
+    /// gets the same parameter gradients, at `1 + k + n_second` row blocks
+    /// per layer instead of `1 + 2k`.
+    pub fn forward_jet_demand(
+        &self,
+        ctx: &mut GraphCtx<'_>,
+        columns: &[Var],
+        n_second: usize,
+    ) -> Jet {
+        self.forward_stack(ctx, columns, columns.len(), n_second)
+            .unstack(ctx.g)
     }
 
     /// Value-only forward pass (no derivative tracking) on the tape — for
     /// loss terms that need field values and their parameter gradients.
     /// It runs the same stacked ops on stacks with no derivative blocks.
     pub fn forward_values(&self, ctx: &mut GraphCtx<'_>, columns: &[Var]) -> Var {
-        self.forward_stack(ctx, columns, 0).stack
+        self.forward_stack(ctx, columns, 0, 0).stack
     }
 
     /// Evaluate the fields at a list of points (no gradients, no tape; see

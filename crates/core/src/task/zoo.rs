@@ -207,6 +207,8 @@ pub struct ZooTask {
     points: Vec<Vec<f64>>,
     point_cols: Vec<Tensor>,
     conditions: Vec<PreparedCondition>,
+    /// [`PdeProblem::second_derivatives`]: the collocation jet's `dd` count.
+    n_second: usize,
     unknowns: Vec<ParamId>,
     cond_weight: f64,
     causal: Option<CausalWeights>,
@@ -240,8 +242,10 @@ impl ZooTask {
     ///
     /// # Panics
     /// If `cfg.causal` is set for a problem without a time coordinate,
-    /// `cfg.conservation` for one without a conserved norm, or the problem
-    /// declares orthogonality constraints and `cfg.conservation` is off.
+    /// `cfg.conservation` for one without a conserved norm, the problem
+    /// declares orthogonality constraints and `cfg.conservation` is off, or
+    /// it declares more [`PdeProblem::second_derivatives`] than
+    /// coordinates.
     pub fn new(
         problem: Box<dyn PdeProblem>,
         net: &FieldNetConfig,
@@ -260,6 +264,13 @@ impl ZooTask {
             .collect();
 
         let coords = problem.coords();
+        let n_second = problem.second_derivatives();
+        assert!(
+            n_second <= coords.len(),
+            "`{}` declares {n_second} second derivatives for {} coordinates",
+            problem.key(),
+            coords.len()
+        );
         let ranges: Vec<(f64, f64)> = coords.iter().map(|c| (c.lo, c.hi)).collect();
         let domain = Domain::new(&ranges);
         let points = latin_hypercube(&domain, cfg.n_collocation, rng);
@@ -327,6 +338,7 @@ impl ZooTask {
             points,
             point_cols,
             conditions,
+            n_second,
             unknowns,
             cond_weight: cfg.cond_weight,
             causal,
@@ -427,7 +439,7 @@ impl PinnTask for ZooTask {
         };
         let fields = {
             let _span = qpinn_telemetry::span("forward");
-            let out = self.net.forward_jet(ctx, &cols);
+            let out = self.net.forward_jet_demand(ctx, &cols, self.n_second);
             split_fields(ctx.g, &out, self.net.n_fields())
         };
         let residual_span = qpinn_telemetry::span("residual");
@@ -475,8 +487,9 @@ impl PinnTask for ZooTask {
                 None => loss::ic_loss(ctx, &self.net, &ccols, &cond.target),
                 Some(c) => {
                     // Derivative-valued condition (e.g. initial velocity):
-                    // constrain ∂(fields)/∂coord_c at the condition points.
-                    let jet = self.net.forward_jet(ctx, &ccols);
+                    // constrain ∂(fields)/∂coord_c at the condition points,
+                    // which needs no second derivative.
+                    let jet = self.net.forward_jet_demand(ctx, &ccols, 0);
                     let tgt = ctx.g.constant(cond.target.clone());
                     let diff = ctx.g.sub(jet.d[c], tgt);
                     ctx.g.mse(diff)
@@ -579,21 +592,23 @@ mod tests {
     fn options_off_build_the_same_tape_as_before_they_existed() {
         // Initial loss of every registered family at the quick preset,
         // recorded before the causal and conservation options were added
-        // to the task, and the tape length since the network carries each
-        // jet as one stacked node per layer (the per-slot tapes were 197,
-        // 86, 213, 91, 338, 219, 210, 210, 332 and 337 nodes long, with
-        // the same loss bits).
+        // to the task, and the tape length since each jet carries only the
+        // second derivatives its reader demands (one stacked node per
+        // layer). The per-slot tapes were 197, 86, 213, 91, 338, 219, 210,
+        // 210, 332 and 337 nodes long, and the full-jet stacked tapes 56,
+        // 49, 72, 46, 80, 78, 69, 69, 84 and 79, all with the same loss
+        // bits.
         let want: [(&str, usize, f64); 10] = [
-            ("convection-diffusion", 56, 7.0623103909851785e0),
+            ("convection-diffusion", 54, 7.0623103909851785e0),
             ("eigen-harmonic", 49, 1.4480852970212817e2),
-            ("gray-scott", 72, 5.992387866678013e0),
+            ("gray-scott", 69, 5.992387866678013e0),
             ("helmholtz", 46, 7.076041602447565e3),
-            ("klein-gordon", 80, 7.270294203833001e0),
-            ("nls-soliton", 78, 1.824416357202369e0),
-            ("tdse-free", 69, 1.7982944924454842e0),
-            ("tdse-harmonic", 69, 1.710612480006614e2),
-            ("tdse2d-free", 84, 1.416744698626946e0),
-            ("wave", 79, 7.0768810159815585e0),
+            ("klein-gordon", 78, 7.270294203833001e0),
+            ("nls-soliton", 75, 1.824416357202369e0),
+            ("tdse-free", 66, 1.7982944924454842e0),
+            ("tdse-harmonic", 66, 1.710612480006614e2),
+            ("tdse2d-free", 81, 1.416744698626946e0),
+            ("wave", 77, 7.0768810159815585e0),
         ];
         assert_eq!(qpinn_problems::keys().len(), want.len());
         for (key, len, loss) in want {

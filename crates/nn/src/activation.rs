@@ -30,9 +30,9 @@ impl Activation {
     /// buffer pool.
     pub fn forward_value(&self, x: Tensor) -> Tensor {
         let y = match self {
-            Activation::Tanh => x.jet_tanh(0),
+            Activation::Tanh => x.jet_tanh(0, 0),
             Activation::Sin => {
-                let (y, cos) = x.jet_sin(0);
+                let (y, cos) = x.jet_sin(0, 0);
                 pool::recycle(cos);
                 y
             }
@@ -63,7 +63,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::column(&[-0.5, 0.0, 1.2]));
-        let x = JetStack { stack: x, n_coords: 0 };
+        let x = JetStack { stack: x, n_coords: 0, n_second: 0 };
         let t = Activation::Tanh.forward_stack(&mut ctx, x);
         let s = Activation::Sin.forward_stack(&mut ctx, x);
         assert!((g.value(t.stack).data()[2] - 1.2f64.tanh()).abs() < 1e-15);
@@ -76,7 +76,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::column(&[0.3]));
-        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let jet = JetStack::seed(ctx.g, x, 0, 1, 1);
         let out = Activation::Sin.forward_stack(&mut ctx, jet).unstack(ctx.g);
         assert!((g.value(out.dd[0]).item() + 0.3f64.sin()).abs() < 1e-14);
     }

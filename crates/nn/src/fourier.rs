@@ -57,7 +57,7 @@ impl RandomFourierFeatures {
     pub fn forward_value(&self, x: Tensor) -> Tensor {
         let z = x.jet_affine(&self.omega, None, x.shape().nrows());
         pool::recycle(x);
-        let y = z.jet_sin_cos(0);
+        let y = z.jet_sin_cos(0, 0);
         pool::recycle(z);
         y
     }
@@ -80,7 +80,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::from_rows(&[&[0.3, 0.8]]));
-        let y = rff.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0 });
+        let y = rff.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0, n_second: 0 });
         let z: f64 = 0.3 * 2.0 + 0.8 * 0.5;
         let out = g.value(y.stack);
         assert!((out.get(&[0, 0]) - z.sin()).abs() < 1e-14);
@@ -98,7 +98,7 @@ mod tests {
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x0 = 0.4;
         let x = ctx.g.constant(Tensor::column(&[x0]));
-        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let jet = JetStack::seed(ctx.g, x, 0, 1, 1);
         let out = rff.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let d = g.value(out.d[0]);
         assert!((d.get(&[0, 0]) - w * (w * x0).cos()).abs() < 1e-13);

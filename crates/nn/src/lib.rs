@@ -7,8 +7,9 @@
 //!   injected into a fresh tape every training step, so optimizers own the
 //!   persistent state and graphs stay cheap;
 //! * [`Dense`] and [`Mlp`] — fully connected layers over **jet stacks**:
-//!   [`Dense::forward_stack`] pushes `(value, ∂/∂cᵢ, ∂²/∂cᵢ²)` for every
-//!   coordinate through one matmul, giving PDE residual derivatives as
+//!   [`Dense::forward_stack`] pushes `(value, ∂/∂cᵢ, ∂²/∂cᵢ²)` for the
+//!   coordinates a stack tracks through one matmul, giving PDE residual
+//!   derivatives as
 //!   first-class differentiable tape nodes, one fused node per layer;
 //!   beside it, every layer's `forward_value` runs the same zero-coordinate
 //!   kernels on plain tensors, off the tape, for inference;

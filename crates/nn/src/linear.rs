@@ -93,7 +93,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::from_rows(&[&[1.0, 1.0]]));
-        let y = layer.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0 });
+        let y = layer.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0, n_second: 0 });
         // [1,1]·[[1,2,3],[4,5,6]] + [0.1,0.2,0.3] = [5.1, 7.2, 9.3]
         let out = g.value(y.stack);
         assert!(out.approx_eq(&Tensor::from_rows(&[&[5.1, 7.2, 9.3]]), 1e-12));
@@ -109,7 +109,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::column(&[0.5, -1.5]));
-        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let jet = JetStack::seed(ctx.g, x, 0, 1, 1);
         let out = layer.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let d = g.value(out.d[0]);
         for i in 0..2 {

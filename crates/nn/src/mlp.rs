@@ -116,7 +116,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, params);
         let x = ctx.g.constant(Tensor::column(xs));
-        let y = mlp.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0 });
+        let y = mlp.forward_stack(&mut ctx, JetStack { stack: x, n_coords: 0, n_second: 0 });
         g.value(y.stack).clone()
     }
 
@@ -129,7 +129,7 @@ mod tests {
         let mut g2 = Graph::new();
         let mut ctx2 = GraphCtx::new(&mut g2, &params);
         let x2 = ctx2.g.constant(Tensor::column(&xs));
-        let jet = JetStack::seed(ctx2.g, x2, 0, 1);
+        let jet = JetStack::seed(ctx2.g, x2, 0, 1, 1);
         let out = mlp.forward_stack(&mut ctx2, jet).unstack(ctx2.g);
         assert!(g2.value(out.v).approx_eq(&y_plain, 1e-13));
     }
@@ -144,7 +144,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let xc = ctx.g.constant(Tensor::column(&[x0]));
-        let jet = JetStack::seed(ctx.g, xc, 0, 1);
+        let jet = JetStack::seed(ctx.g, xc, 0, 1, 1);
         let out = mlp.forward_stack(&mut ctx, jet).unstack(ctx.g);
 
         let fd1 = (f(x0 + h) - f(x0 - h)) / (2.0 * h);
@@ -167,7 +167,7 @@ mod tests {
                 // Wire manually through the tape vars: layers alternate
                 // (w, b) in registration order.
                 let xc = g.constant(Tensor::column(&[0.2, -0.6, 0.7]));
-                let mut h = JetStack::seed(g, xc, 0, 1);
+                let mut h = JetStack::seed(g, xc, 0, 1, 1);
                 let n_layers = vars.len() / 2;
                 for li in 0..n_layers {
                     h = h.affine(g, vars[2 * li], Some(vars[2 * li + 1]));

@@ -37,7 +37,7 @@ impl PeriodicEmbedding {
     pub fn forward_value(&self, x: Tensor) -> Tensor {
         let z = x.scale(TAU / self.length);
         pool::recycle(x);
-        let y = z.jet_sin_cos(0);
+        let y = z.jet_sin_cos(0, 0);
         pool::recycle(z);
         y
     }
@@ -80,7 +80,7 @@ impl LearnedPeriodEmbedding {
         pool::recycle(x);
         let z = m.scale(TAU);
         pool::recycle(m);
-        let y = z.jet_sin_cos(0);
+        let y = z.jet_sin_cos(0, 0);
         pool::recycle(z);
         y
     }
@@ -98,7 +98,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x = ctx.g.constant(Tensor::column(&[0.3, 0.3 + 2.0, 0.3 - 4.0]));
-        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let jet = JetStack::seed(ctx.g, x, 0, 1, 1);
         let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let v = g.value(out.v);
         for col in 0..2 {
@@ -116,7 +116,7 @@ mod tests {
         let mut ctx = GraphCtx::new(&mut g, &params);
         let x0 = 0.7;
         let x = ctx.g.constant(Tensor::column(&[x0]));
-        let jet = JetStack::seed(ctx.g, x, 0, 1);
+        let jet = JetStack::seed(ctx.g, x, 0, 1, 1);
         let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let c = TAU / 2.0;
         let d = g.value(out.d[0]);
@@ -133,7 +133,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let t = ctx.g.constant(Tensor::column(&[0.4, 0.9]));
-        let jet = JetStack::seed(ctx.g, t, 0, 1);
+        let jet = JetStack::seed(ctx.g, t, 0, 1, 1);
         let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
         // mse(out.v) is identically 0.5 (sin²+cos²), so use the derivative
         // features, whose magnitude scales with 2π/P.
@@ -152,7 +152,7 @@ mod tests {
             let mut g = Graph::new();
             let mut ctx = GraphCtx::new(&mut g, &params);
             let t = ctx.g.constant(Tensor::column(&[0.4, 0.9]));
-            let jet = JetStack::seed(ctx.g, t, 0, 1);
+            let jet = JetStack::seed(ctx.g, t, 0, 1, 1);
             let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
             let loss = ctx.g.mse(out.d[0]);
             let v = ctx.g.value(loss).item();
@@ -168,7 +168,7 @@ mod tests {
         let mut g = Graph::new();
         let mut ctx = GraphCtx::new(&mut g, &params);
         let t = ctx.g.constant(Tensor::column(&[0.4, 0.9]));
-        let jet = JetStack::seed(ctx.g, t, 0, 1);
+        let jet = JetStack::seed(ctx.g, t, 0, 1, 1);
         let out = emb.forward_stack(&mut ctx, jet).unstack(ctx.g);
         let loss = ctx.g.mse(out.d[0]);
         let mut grads = ctx.g.backward(loss);

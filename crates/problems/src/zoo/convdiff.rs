@@ -54,6 +54,9 @@ impl PdeProblem for ConvDiff {
     fn n_outputs(&self) -> usize {
         1
     }
+    fn second_derivatives(&self) -> usize {
+        1 // u_xx; first order in time
+    }
     fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var> {
         let _ = points; // coefficients are constant for this family
         let u = &fields[0];

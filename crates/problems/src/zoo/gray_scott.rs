@@ -99,6 +99,9 @@ impl PdeProblem for GrayScott {
     fn n_outputs(&self) -> usize {
         2
     }
+    fn second_derivatives(&self) -> usize {
+        1 // u_xx and v_xx; first order in time
+    }
     fn residuals(&self, g: &mut Graph, fields: &[Jet], _points: &[Vec<f64>]) -> Vec<Var> {
         let (u, v) = (&fields[0], &fields[1]);
         let v2 = g.square(v.v);

@@ -109,6 +109,14 @@ pub trait PdeProblem: Send + Sync {
     /// `[n, 1]` residual columns to be driven to zero. A family with
     /// [`PdeProblem::unknowns`] evaluates them at their initial values.
     fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var>;
+    /// How many leading coordinates the residual reads a second derivative
+    /// of: the jet handed to [`PdeProblem::residuals`] need only carry
+    /// `dd[i]` for `i` below this count, and a trainer builds no more. The
+    /// default is every coordinate. A first-order-in-time family, whose
+    /// time coordinate comes last, returns the number of spatial ones.
+    fn second_derivatives(&self) -> usize {
+        self.coords().len()
+    }
     /// Scalar constants the residual reads that training identifies (an
     /// eigenvalue, a trap frequency), each named with its initial value.
     /// Empty (the default) for every registered family.

@@ -34,7 +34,8 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// `fields` holds the `u` and `v` jets, `v_col` is the `[n, 1]` potential
 /// column (a constant, or a trainable expression for inverse problems),
 /// and `t_idx` names the time coordinate; all other coordinates
-/// contribute to the Laplacian.
+/// contribute to the Laplacian, so the jets need no `dd` slot for time
+/// when it comes last.
 pub fn schrodinger_residuals(
     g: &mut Graph,
     fields: &[Jet],
@@ -238,6 +239,9 @@ impl PdeProblem for TdseZoo {
     fn n_outputs(&self) -> usize {
         2
     }
+    fn second_derivatives(&self) -> usize {
+        1 // the Laplacian reads x; time comes last
+    }
     fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var> {
         let init = initial_values(g, self);
         self.residuals_with(g, fields, points, &init)
@@ -389,6 +393,9 @@ impl PdeProblem for NlsZoo {
     fn n_outputs(&self) -> usize {
         2
     }
+    fn second_derivatives(&self) -> usize {
+        1 // the Laplacian reads x; time comes last
+    }
     fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var> {
         let v_col = point_column(g, points, |_| 0.0);
         schrodinger_residuals(g, fields, v_col, self.inner.g, 1)
@@ -528,6 +535,9 @@ impl PdeProblem for Tdse2dZoo {
     }
     fn n_outputs(&self) -> usize {
         2
+    }
+    fn second_derivatives(&self) -> usize {
+        2 // the Laplacian reads x and y; time comes last
     }
     fn residuals(&self, g: &mut Graph, fields: &[Jet], points: &[Vec<f64>]) -> Vec<Var> {
         let pot = self.inner.potential;

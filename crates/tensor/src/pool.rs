@@ -36,9 +36,10 @@ const MIN_LEN: usize = 16;
 /// Bytes of buffer capacity one thread's free list may hold; a recycled
 /// buffer that would exceed it is dropped instead. Sized to hold every
 /// buffer of one training epoch of a width-32, 1024-point, two-coordinate
-/// second-order jet tape (about 19 MB of node values and gradients, which
-/// its periodic 4096-point evaluation reuses), so steady-state training
-/// draws nothing from the system allocator.
+/// jet tape (about 15.5 MB of node values and gradients for the NLS
+/// stack, which carries no ∂²/∂t², and 19 MB for a full second-order jet;
+/// its periodic 4096-point evaluation reuses them), so steady-state
+/// training draws nothing from the system allocator.
 const MAX_POOLED_BYTES: usize = 32 << 20;
 
 static REUSED: AtomicU64 = AtomicU64::new(0);

@@ -43,17 +43,20 @@ fn tile_pair() -> impl Strategy<Value = (Tensor, Tensor)> {
     )
 }
 
-/// Strategy: a jet stack with `k` of 0–3 coordinates, 1–40 rows per block
-/// and width 1–72, plus a gradient stack of the same shape.
-fn jet_stack() -> impl Strategy<Value = (usize, Tensor, Tensor)> {
-    (0usize..=3, 1usize..=40, 1usize..=72).prop_flat_map(|(k, n, w)| {
-        let rows = (1 + 2 * k) * n;
-        let z = proptest::collection::vec(-3.0..3.0f64, rows * w)
-            .prop_map(move |v| Tensor::from_vec([rows, w], v));
-        let g = proptest::collection::vec(-2.0..2.0f64, 2 * rows * w)
-            .prop_map(move |v| Tensor::from_vec([rows, 2 * w], v));
-        (Just(k), z, g)
-    })
+/// Strategy: a jet stack with `k` of 0–3 coordinates, `k2` of 0–`k`
+/// second derivatives, 1–40 rows per block and width 1–72, plus a
+/// gradient stack of the same rows and twice the width.
+fn jet_stack() -> impl Strategy<Value = (usize, usize, Tensor, Tensor)> {
+    (0usize..=3, 1usize..=40, 1usize..=72)
+        .prop_flat_map(|(k, n, w)| (Just(k), 0..=k, Just(n), Just(w)))
+        .prop_flat_map(|(k, k2, n, w)| {
+            let rows = (1 + k + k2) * n;
+            let z = proptest::collection::vec(-3.0..3.0f64, rows * w)
+                .prop_map(move |v| Tensor::from_vec([rows, w], v));
+            let g = proptest::collection::vec(-2.0..2.0f64, 2 * rows * w)
+                .prop_map(move |v| Tensor::from_vec([rows, 2 * w], v));
+            (Just(k), Just(k2), z, g)
+        })
 }
 
 /// Strategy: a rank-2 tensor with bounded dims and moderate values.
@@ -221,7 +224,7 @@ proptest! {
     }
 
     #[test]
-    fn simd_jet_kernels_width_invariant((k, z, g2) in jet_stack()) {
+    fn simd_jet_kernels_width_invariant((k, k2, z, g2) in jet_stack()) {
         // Forward and backward of every jet-stack kernel, compared with
         // the scalar path bit for bit. `g2` is twice as wide as `z`: the
         // sin|cos pair's output gradient; its left half serves the others.
@@ -235,18 +238,18 @@ proptest! {
         let g3 = Tensor::from_vec([rows, 3], g.data()[..rows * 3.min(w)].iter().cycle().take(rows * 3).copied().collect::<Vec<_>>());
         assert_width_invariant(|| {
             let mut out = Vec::new();
-            let t = z.jet_tanh(k);
+            let t = z.jet_tanh(k, k2);
             out.extend_from_slice(t.data());
-            out.extend_from_slice(z.jet_tanh_backward(&t, &g, k).data());
-            let (s, c) = z.jet_sin(k);
+            out.extend_from_slice(z.jet_tanh_backward(&t, &g, k, k2).data());
+            let (s, c) = z.jet_sin(k, k2);
             out.extend_from_slice(s.data());
-            out.extend_from_slice(z.jet_sin_backward(&s, &c, &g, k).data());
-            let sc = z.jet_sin_cos(k);
+            out.extend_from_slice(z.jet_sin_backward(&s, &c, &g, k, k2).data());
+            let sc = z.jet_sin_cos(k, k2);
             out.extend_from_slice(sc.data());
-            out.extend_from_slice(z.jet_sin_cos_backward(&sc, &g2, k).data());
-            let n = rows / (1 + 2 * k);
+            out.extend_from_slice(z.jet_sin_cos_backward(&sc, &g2, k, k2).data());
+            let n = rows / (1 + k + k2);
             out.extend_from_slice(z.jet_affine(&wt, Some(&bias), n).data());
-            let grads = z.jet_affine_backward(&wt, &g3, 1 + 2 * k, (true, true, true));
+            let grads = z.jet_affine_backward(&wt, &g3, 1 + k + k2, (true, true, true));
             for t in grads.x.iter().chain(&grads.w).chain(&grads.b) {
                 out.extend_from_slice(t.data());
             }

@@ -1123,7 +1123,7 @@ mod tests {
                 r.extend(a.iter().map(|v| v.to_bits()));
                 // A one-coordinate tanh jet over (x, y, x) blocks.
                 let (mut u, mut du) = (vec![0.0; x.len()], vec![0.0; x.len()]);
-                tanh_jet_fwd(&[&x, &y, &x], &mut [&mut u, &mut du, &mut d], 1);
+                tanh_jet_fwd(&[&x, &y, &x], &mut [&mut u, &mut du, &mut d], 1, 1);
                 r.extend(u.iter().chain(&du).chain(&d).map(|v| v.to_bits()));
                 r
             })

@@ -1,10 +1,12 @@
 //! Elementwise kernels of the stacked second-order jet.
 //!
-//! A jet stack holds `1 + 2k` equal row blocks — the value, the first
+//! A jet stack holds `1 + k + k₂` equal row blocks — the value, the first
 //! derivatives `d_0 … d_{k−1}` and the diagonal second derivatives
-//! `dd_0 … dd_{k−1}` — and every kernel here receives one chunk of each
-//! block as a slice (`blocks[0]` value, `blocks[1 + i]` first,
-//! `blocks[1 + k + i]` second derivative).
+//! `dd_0 … dd_{k₂−1}` of the leading `k₂ ≤ k` coordinates — and every
+//! kernel here receives one chunk of each block as a slice (`blocks[0]`
+//! value, `blocks[1 + i]` first, `blocks[1 + k + i]` second derivative).
+//! `k₂ = k` is the full jet; a coordinate past `k₂` carries only its
+//! first derivative, so its `σ''` terms are neither computed nor unwound.
 //!
 //! **Bit-identity.** Each kernel replays, per element, the IEEE operation
 //! sequence of the per-block tape chain it replaces: the forward formulas
@@ -15,6 +17,14 @@
 //! a fused multiply-add, so the vector paths agree bit for bit with the
 //! scalar path. libm `sin`/`cos` are not here: the callers evaluate them
 //! once per element and pass the values in.
+//!
+//! **Safety.** Every `unsafe fn` here reads and writes whole lane vectors
+//! by raw offset. Its caller guarantees that each block slice holds
+//! `1 + k + k₂` blocks with `k₂ ≤ k`, and that every block is long enough
+//! for the offsets it touches (`e + L::W` elements, or the `[sin | cos]`
+//! row offsets of the sin|cos kernels); the `pub(crate)` entry points
+//! check both before they dispatch, and run a wide lane type only on a
+//! host that reports its feature.
 
 #[cfg(target_arch = "x86_64")]
 use super::{V4, V8};
@@ -36,9 +46,11 @@ unsafe fn neg<L: Lanes>(x: L) -> L {
 }
 
 /// Forward of `σ` given `σ'` and `σ''` at one vector of elements:
-/// `d_i = σ'·z′_i`, `dd_i = σ''·(z′_i·z′_i) + σ'·z″_i`, reading `z` at
-/// offset `ez` and writing `o` at offset `eo`.
+/// `d_i = σ'·z′_i` for every coordinate, `dd_i = σ''·(z′_i·z′_i) +
+/// σ'·z″_i` for the first `k2`, reading `z` at offset `ez` and writing
+/// `o` at offset `eo`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 unsafe fn derivs_fwd<L: Lanes>(
     sp: L,
     spp: L,
@@ -47,20 +59,25 @@ unsafe fn derivs_fwd<L: Lanes>(
     o: &mut [&mut [f64]],
     eo: usize,
     k: usize,
+    k2: usize,
 ) {
     for i in 0..k {
         let zp = at::<L>(z[1 + i], ez);
-        let zpp = at::<L>(z[1 + k + i], ez);
         put(sp.mul(zp), o[1 + i], eo);
-        put(spp.mul(zp.mul(zp)).add(sp.mul(zpp)), o[1 + k + i], eo);
+        if i < k2 {
+            let zpp = at::<L>(z[1 + k + i], ez);
+            put(spp.mul(zp.mul(zp)).add(sp.mul(zpp)), o[1 + k + i], eo);
+        }
     }
 }
 
 /// Backward through the per-coordinate nodes of one `σ` jet, visited from
 /// the last coordinate to the first (`dd_i`, `σ'·z″_i`, `σ''·z′_i²`,
-/// `z′_i²`, `d_i`). Reads `z` and writes `∂z′_i`, `∂z″_i` at offset `ez`
-/// (adding to the slots when `acc` is set: a later jet already wrote
-/// them), reads `g` at `eg`, and returns `(∂σ', ∂σ'')`.
+/// `z′_i²`, `d_i`; only `d_i` past `k2`). Reads `z` and writes `∂z′_i`,
+/// `∂z″_i` at offset `ez` (adding to the slots when `acc` is set: a later
+/// jet already wrote them), reads `g` at `eg`, and returns `(∂σ', ∂σ'')`.
+/// The first contribution to `∂σ'` and to `∂σ''` is assigned; with
+/// `k2 = 0` nothing reaches `∂σ''`, and the caller must not read it.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn derivs_bwd<L: Lanes>(
@@ -72,6 +89,7 @@ unsafe fn derivs_bwd<L: Lanes>(
     ez: usize,
     eg: usize,
     k: usize,
+    k2: usize,
     acc: bool,
 ) -> (L, L) {
     let two = L::splat(2.0);
@@ -79,41 +97,53 @@ unsafe fn derivs_bwd<L: Lanes>(
     let mut gspp = L::splat(0.0);
     for i in (0..k).rev() {
         let zp = at::<L>(z[1 + i], ez);
-        let zpp = at::<L>(z[1 + k + i], ez);
         let gd = at::<L>(g[1 + i], eg);
-        let gdd = at::<L>(g[1 + k + i], eg);
-        // σ'·z″_i: ∂σ' += gdd·z″_i, ∂z″_i += gdd·σ'.
-        let a = gdd.mul(zpp);
-        gsp = if i + 1 == k { a } else { gsp.add(a) };
-        let mut gzpp = gdd.mul(sp);
-        // σ''·z′_i²: ∂σ'' += gdd·z′_i², then z′_i² passes 2·z′_i on.
-        let b = gdd.mul(zp.mul(zp));
-        gspp = if i + 1 == k { b } else { gspp.add(b) };
-        let mut gzp = gdd.mul(spp).mul(two.mul(zp));
-        if acc {
-            gzpp = at::<L>(dz[1 + k + i], ez).add(gzpp);
-            gzp = at::<L>(dz[1 + i], ez).add(gzp);
+        let mut gzp;
+        if i < k2 {
+            let zpp = at::<L>(z[1 + k + i], ez);
+            let gdd = at::<L>(g[1 + k + i], eg);
+            // σ'·z″_i: ∂σ' += gdd·z″_i, ∂z″_i += gdd·σ'.
+            let a = gdd.mul(zpp);
+            gsp = if i + 1 == k { a } else { gsp.add(a) };
+            let mut gzpp = gdd.mul(sp);
+            // σ''·z′_i²: ∂σ'' += gdd·z′_i², then z′_i² passes 2·z′_i on.
+            let b = gdd.mul(zp.mul(zp));
+            gspp = if i + 1 == k2 { b } else { gspp.add(b) };
+            gzp = gdd.mul(spp).mul(two.mul(zp));
+            if acc {
+                gzpp = at::<L>(dz[1 + k + i], ez).add(gzpp);
+                gzp = at::<L>(dz[1 + i], ez).add(gzp);
+            }
+            put(gzpp, dz[1 + k + i], ez);
+            // d_i = σ'·z′_i.
+            gsp = gsp.add(gd.mul(zp));
+            gzp = gzp.add(gd.mul(sp));
+        } else {
+            // No dd_i block: d_i = σ'·z′_i is the coordinate's only node.
+            let a = gd.mul(zp);
+            gsp = if i + 1 == k { a } else { gsp.add(a) };
+            gzp = gd.mul(sp);
+            if acc {
+                gzp = at::<L>(dz[1 + i], ez).add(gzp);
+            }
         }
-        // d_i = σ'·z′_i.
-        gsp = gsp.add(gd.mul(zp));
-        gzp = gzp.add(gd.mul(sp));
-        put(gzpp, dz[1 + k + i], ez);
         put(gzp, dz[1 + i], ez);
     }
     (gsp, gspp)
 }
 
 #[inline(always)]
-unsafe fn tanh_fwd_at<L: Lanes>(z: &[&[f64]], o: &mut [&mut [f64]], k: usize, e: usize) {
+unsafe fn tanh_fwd_at<L: Lanes>(z: &[&[f64]], o: &mut [&mut [f64]], k: usize, k2: usize, e: usize) {
     let u = tanh_l(at::<L>(z[0], e));
     let sp = L::splat(1.0).sub(u.mul(u));
     let spp = L::splat(-2.0).mul(u).mul(sp);
     put(u, o[0], e);
-    derivs_fwd(sp, spp, z, e, o, e, k);
+    derivs_fwd(sp, spp, z, e, o, e, k, k2);
 }
 
 /// `u = tanh z`, `σ' = 1 − u²`, `σ'' = (−2·u)·σ'`. Backward: the
-/// coordinate nodes, then `σ''`, `−2u`, `σ'` and `tanh` in that order.
+/// coordinate nodes, then `σ''` and `−2u` (which only `dd` blocks read),
+/// `σ'` and `tanh` in that order.
 #[inline(always)]
 unsafe fn tanh_bwd_at<L: Lanes>(
     y: &[f64],
@@ -121,6 +151,7 @@ unsafe fn tanh_bwd_at<L: Lanes>(
     g: &[&[f64]],
     dz: &mut [&mut [f64]],
     k: usize,
+    k2: usize,
     e: usize,
 ) {
     let one = L::splat(1.0);
@@ -131,23 +162,34 @@ unsafe fn tanh_bwd_at<L: Lanes>(
         let sp = one.sub(u.mul(u));
         let m2u = m2.mul(u);
         let spp = m2u.mul(sp);
-        let (gsp, gspp) = derivs_bwd(sp, spp, z, g, dz, e, e, k, false);
-        let gm2u = gspp.mul(sp);
-        let gsp = gsp.add(gspp.mul(m2u));
-        gu = gu.add(m2.mul(gm2u)).add(m2.mul(gsp.mul(u)));
+        let (mut gsp, gspp) = derivs_bwd(sp, spp, z, g, dz, e, e, k, k2, false);
+        if k2 > 0 {
+            let gm2u = gspp.mul(sp);
+            gsp = gsp.add(gspp.mul(m2u));
+            gu = gu.add(m2.mul(gm2u));
+        }
+        gu = gu.add(m2.mul(gsp.mul(u)));
     }
     put(gu.mul(one.sub(u.mul(u))), dz[0], e);
 }
 
 /// `σ' = cos z` (from `c`), `σ'' = −sin z = −u`.
 #[inline(always)]
-unsafe fn sin_fwd_at<L: Lanes>(c: &[f64], z: &[&[f64]], o: &mut [&mut [f64]], k: usize, e: usize) {
+unsafe fn sin_fwd_at<L: Lanes>(
+    c: &[f64],
+    z: &[&[f64]],
+    o: &mut [&mut [f64]],
+    k: usize,
+    k2: usize,
+    e: usize,
+) {
     let s = at::<L>(o[0], e);
-    derivs_fwd(at::<L>(c, e), neg(s), z, e, o, e, k);
+    derivs_fwd(at::<L>(c, e), neg(s), z, e, o, e, k, k2);
 }
 
 /// Backward of the old `sin z`, `cos z`, `sin z`, `−sin z` node quartet:
-/// `∂z = ((−∂σ'')·cos + ∂σ'·(−sin)) + ∂u·cos`.
+/// `∂z = ((−∂σ'')·cos + ∂σ'·(−sin)) + ∂u·cos`, without the `∂σ''` term
+/// when no `dd` block exists.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn sin_bwd_at<L: Lanes>(
@@ -157,14 +199,20 @@ unsafe fn sin_bwd_at<L: Lanes>(
     g: &[&[f64]],
     dz: &mut [&mut [f64]],
     k: usize,
+    k2: usize,
     e: usize,
 ) {
     let s = at::<L>(y, e);
     let c = at::<L>(c, e);
     let gu = at::<L>(g[0], e);
     let gz = if k > 0 {
-        let (gsp, gspp) = derivs_bwd(c, neg(s), z, g, dz, e, e, k, false);
-        neg(gspp).mul(c).add(gsp.mul(neg(s))).add(gu.mul(c))
+        let (gsp, gspp) = derivs_bwd(c, neg(s), z, g, dz, e, e, k, k2, false);
+        let gz = if k2 > 0 {
+            neg(gspp).mul(c).add(gsp.mul(neg(s)))
+        } else {
+            gsp.mul(neg(s))
+        };
+        gz.add(gu.mul(c))
     } else {
         gu.mul(c)
     };
@@ -174,13 +222,21 @@ unsafe fn sin_bwd_at<L: Lanes>(
 /// Sine and cosine jets at one vector of row `r`, column `j`: the
 /// derivative blocks from the `[sin | cos]` value row already in `o[0]`.
 #[inline(always)]
-unsafe fn sincos_fwd_at<L: Lanes>(z: &[&[f64]], o: &mut [&mut [f64]], k: usize, w: usize, r: usize, j: usize) {
+unsafe fn sincos_fwd_at<L: Lanes>(
+    z: &[&[f64]],
+    o: &mut [&mut [f64]],
+    k: usize,
+    k2: usize,
+    w: usize,
+    r: usize,
+    j: usize,
+) {
     let (ez, so, co) = (r * w + j, r * 2 * w + j, r * 2 * w + w + j);
     let s = at::<L>(o[0], so);
     let c = at::<L>(o[0], co);
     // sin jet: σ' = cos, σ'' = −sin; cos jet: σ' = −sin, σ'' = −cos.
-    derivs_fwd(c, neg(s), z, ez, o, so, k);
-    derivs_fwd(neg(s), neg(c), z, ez, o, co, k);
+    derivs_fwd(c, neg(s), z, ez, o, so, k, k2);
+    derivs_fwd(neg(s), neg(c), z, ez, o, co, k, k2);
 }
 
 /// Backward of the sin|cos pair at one vector of row `r`, column `j`. The
@@ -194,6 +250,7 @@ unsafe fn sincos_bwd_at<L: Lanes>(
     g: &[&[f64]],
     dz: &mut [&mut [f64]],
     k: usize,
+    k2: usize,
     w: usize,
     r: usize,
     j: usize,
@@ -207,14 +264,21 @@ unsafe fn sincos_bwd_at<L: Lanes>(
     let mut gz;
     if k > 0 {
         // cos jet: u = cos, σ' = −sin, σ'' = −cos; its value-side nodes
-        // (cos, sin, −sin, cos, −cos) unwind as −cos, cos, −sin, sin, cos.
-        let (gspc, gsppc) = derivs_bwd(ns, neg(c), z, g, dz, ez, co, k, false);
-        gz = neg(gsppc).mul(ns);
-        gz = gz.add(neg(gspc).mul(c));
+        // (cos, sin, −sin, cos, −cos) unwind as −cos, cos, −sin, sin, cos,
+        // the first two only when a `dd` block reads σ''.
+        let (gspc, gsppc) = derivs_bwd(ns, neg(c), z, g, dz, ez, co, k, k2, false);
+        if k2 > 0 {
+            gz = neg(gsppc).mul(ns);
+            gz = gz.add(neg(gspc).mul(c));
+        } else {
+            gz = neg(gspc).mul(c);
+        }
         gz = gz.add(gcu.mul(ns));
         // sin jet: u = sin, σ' = cos, σ'' = −sin (sin, cos, sin, −sin).
-        let (gsps, gspps) = derivs_bwd(c, ns, z, g, dz, ez, so, k, true);
-        gz = gz.add(neg(gspps).mul(c));
+        let (gsps, gspps) = derivs_bwd(c, ns, z, g, dz, ez, so, k, k2, true);
+        if k2 > 0 {
+            gz = gz.add(neg(gspps).mul(c));
+        }
         gz = gz.add(gsps.mul(ns));
         gz = gz.add(gsu.mul(c));
     } else {
@@ -228,46 +292,59 @@ unsafe fn sincos_bwd_at<L: Lanes>(
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
-unsafe fn tanh_fwd_drive<L: Lanes>(z: &[&[f64]], o: &mut [&mut [f64]], k: usize) {
+unsafe fn tanh_fwd_drive<L: Lanes>(z: &[&[f64]], o: &mut [&mut [f64]], k: usize, k2: usize) {
     let len = z[0].len();
     let main = len - len % L::W;
     let mut e = 0;
     while e < main {
-        tanh_fwd_at::<L>(z, o, k, e);
+        tanh_fwd_at::<L>(z, o, k, k2, e);
         e += L::W;
     }
     while e < len {
-        tanh_fwd_at::<f64>(z, o, k, e);
+        tanh_fwd_at::<f64>(z, o, k, k2, e);
         e += 1;
     }
 }
 
 #[inline(always)]
-unsafe fn tanh_bwd_drive<L: Lanes>(y: &[f64], z: &[&[f64]], g: &[&[f64]], dz: &mut [&mut [f64]], k: usize) {
+unsafe fn tanh_bwd_drive<L: Lanes>(
+    y: &[f64],
+    z: &[&[f64]],
+    g: &[&[f64]],
+    dz: &mut [&mut [f64]],
+    k: usize,
+    k2: usize,
+) {
     let len = y.len();
     let main = len - len % L::W;
     let mut e = 0;
     while e < main {
-        tanh_bwd_at::<L>(y, z, g, dz, k, e);
+        tanh_bwd_at::<L>(y, z, g, dz, k, k2, e);
         e += L::W;
     }
     while e < len {
-        tanh_bwd_at::<f64>(y, z, g, dz, k, e);
+        tanh_bwd_at::<f64>(y, z, g, dz, k, k2, e);
         e += 1;
     }
 }
 
 #[inline(always)]
-unsafe fn sin_fwd_drive<L: Lanes>(c: &[f64], z: &[&[f64]], o: &mut [&mut [f64]], k: usize) {
+unsafe fn sin_fwd_drive<L: Lanes>(
+    c: &[f64],
+    z: &[&[f64]],
+    o: &mut [&mut [f64]],
+    k: usize,
+    k2: usize,
+) {
     let len = c.len();
     let main = len - len % L::W;
     let mut e = 0;
     while e < main {
-        sin_fwd_at::<L>(c, z, o, k, e);
+        sin_fwd_at::<L>(c, z, o, k, k2, e);
         e += L::W;
     }
     while e < len {
-        sin_fwd_at::<f64>(c, z, o, k, e);
+        sin_fwd_at::<f64>(c, z, o, k, k2, e);
         e += 1;
     }
 }
@@ -281,31 +358,38 @@ unsafe fn sin_bwd_drive<L: Lanes>(
     g: &[&[f64]],
     dz: &mut [&mut [f64]],
     k: usize,
+    k2: usize,
 ) {
     let len = y.len();
     let main = len - len % L::W;
     let mut e = 0;
     while e < main {
-        sin_bwd_at::<L>(y, c, z, g, dz, k, e);
+        sin_bwd_at::<L>(y, c, z, g, dz, k, k2, e);
         e += L::W;
     }
     while e < len {
-        sin_bwd_at::<f64>(y, c, z, g, dz, k, e);
+        sin_bwd_at::<f64>(y, c, z, g, dz, k, k2, e);
         e += 1;
     }
 }
 
 #[inline(always)]
-unsafe fn sincos_fwd_drive<L: Lanes>(z: &[&[f64]], o: &mut [&mut [f64]], k: usize, w: usize) {
+unsafe fn sincos_fwd_drive<L: Lanes>(
+    z: &[&[f64]],
+    o: &mut [&mut [f64]],
+    k: usize,
+    k2: usize,
+    w: usize,
+) {
     let main = w - w % L::W;
     for r in 0..z[0].len() / w {
         let mut j = 0;
         while j < main {
-            sincos_fwd_at::<L>(z, o, k, w, r, j);
+            sincos_fwd_at::<L>(z, o, k, k2, w, r, j);
             j += L::W;
         }
         while j < w {
-            sincos_fwd_at::<f64>(z, o, k, w, r, j);
+            sincos_fwd_at::<f64>(z, o, k, k2, w, r, j);
             j += 1;
         }
     }
@@ -318,17 +402,18 @@ unsafe fn sincos_bwd_drive<L: Lanes>(
     g: &[&[f64]],
     dz: &mut [&mut [f64]],
     k: usize,
+    k2: usize,
     w: usize,
 ) {
     let main = w - w % L::W;
     for r in 0..z[0].len() / w {
         let mut j = 0;
         while j < main {
-            sincos_bwd_at::<L>(y, z, g, dz, k, w, r, j);
+            sincos_bwd_at::<L>(y, z, g, dz, k, k2, w, r, j);
             j += L::W;
         }
         while j < w {
-            sincos_bwd_at::<f64>(y, z, g, dz, k, w, r, j);
+            sincos_bwd_at::<f64>(y, z, g, dz, k, k2, w, r, j);
             j += 1;
         }
     }
@@ -353,77 +438,95 @@ macro_rules! shims {
     };
 }
 
-shims!(tanh_fwd_w4, tanh_fwd_w8, tanh_fwd_drive, (z: &[&[f64]], o: &mut [&mut [f64]], k: usize));
+shims!(tanh_fwd_w4, tanh_fwd_w8, tanh_fwd_drive,
+    (z: &[&[f64]], o: &mut [&mut [f64]], k: usize, k2: usize));
 shims!(tanh_bwd_w4, tanh_bwd_w8, tanh_bwd_drive,
-    (y: &[f64], z: &[&[f64]], g: &[&[f64]], dz: &mut [&mut [f64]], k: usize));
-shims!(sin_fwd_w4, sin_fwd_w8, sin_fwd_drive, (c: &[f64], z: &[&[f64]], o: &mut [&mut [f64]], k: usize));
+    (y: &[f64], z: &[&[f64]], g: &[&[f64]], dz: &mut [&mut [f64]], k: usize, k2: usize));
+shims!(sin_fwd_w4, sin_fwd_w8, sin_fwd_drive,
+    (c: &[f64], z: &[&[f64]], o: &mut [&mut [f64]], k: usize, k2: usize));
 shims!(sin_bwd_w4, sin_bwd_w8, sin_bwd_drive,
-    (y: &[f64], c: &[f64], z: &[&[f64]], g: &[&[f64]], dz: &mut [&mut [f64]], k: usize));
+    (y: &[f64], c: &[f64], z: &[&[f64]], g: &[&[f64]], dz: &mut [&mut [f64]], k: usize, k2: usize));
 shims!(sincos_fwd_w4, sincos_fwd_w8, sincos_fwd_drive,
-    (z: &[&[f64]], o: &mut [&mut [f64]], k: usize, w: usize));
+    (z: &[&[f64]], o: &mut [&mut [f64]], k: usize, k2: usize, w: usize));
 shims!(sincos_bwd_w4, sincos_bwd_w8, sincos_bwd_drive,
-    (y: &[f64], z: &[&[f64]], g: &[&[f64]], dz: &mut [&mut [f64]], k: usize, w: usize));
+    (y: &[f64], z: &[&[f64]], g: &[&[f64]], dz: &mut [&mut [f64]], k: usize, k2: usize, w: usize));
 
-/// Every slice in `bs` has length `len`, and there are `1 + 2k` of them.
-fn check_blocks(bs: &[&[f64]], k: usize, len: usize) {
-    assert_eq!(bs.len(), 1 + 2 * k, "jet kernel: block count");
+/// Every slice in `bs` has length `len`, and there are `1 + k + k2` of
+/// them with `k2 ≤ k`.
+fn check_blocks(bs: &[&[f64]], k: usize, k2: usize, len: usize) {
+    assert!(
+        k2 <= k,
+        "jet kernel: {k2} second-derivative blocks for {k} coordinates"
+    );
+    assert_eq!(bs.len(), 1 + k + k2, "jet kernel: block count");
     assert!(bs.iter().all(|b| b.len() == len), "jet kernel: block extent");
 }
 
-fn check_blocks_mut(bs: &[&mut [f64]], k: usize, len: usize) {
-    assert_eq!(bs.len(), 1 + 2 * k, "jet kernel: block count");
+fn check_blocks_mut(bs: &[&mut [f64]], k: usize, k2: usize, len: usize) {
+    assert!(
+        k2 <= k,
+        "jet kernel: {k2} second-derivative blocks for {k} coordinates"
+    );
+    assert_eq!(bs.len(), 1 + k + k2, "jet kernel: block count");
     assert!(bs.iter().all(|b| b.len() == len), "jet kernel: block extent");
 }
 
 /// Tanh jet forward: `o[0] = tanh z`, derivative blocks by the chain rule.
-pub(crate) fn tanh_jet_fwd(z: &[&[f64]], o: &mut [&mut [f64]], k: usize) {
+pub(crate) fn tanh_jet_fwd(z: &[&[f64]], o: &mut [&mut [f64]], k: usize, k2: usize) {
     let len = z[0].len();
-    check_blocks(z, k, len);
-    check_blocks_mut(o, k, len);
+    check_blocks(z, k, k2, len);
+    check_blocks_mut(o, k, k2, len);
     // SAFETY: every block holds `len` elements (checked above); wide
     // paths run only on hosts that report their feature.
     unsafe {
         match width() {
             #[cfg(target_arch = "x86_64")]
-            4 => tanh_fwd_w4(z, o, k),
+            4 => tanh_fwd_w4(z, o, k, k2),
             #[cfg(target_arch = "x86_64")]
-            8 => tanh_fwd_w8(z, o, k),
-            _ => tanh_fwd_drive::<f64>(z, o, k),
+            8 => tanh_fwd_w8(z, o, k, k2),
+            _ => tanh_fwd_drive::<f64>(z, o, k, k2),
         }
     }
 }
 
 /// Tanh jet backward from the stored output value `y` (`tanh z`).
-pub(crate) fn tanh_jet_bwd(y: &[f64], z: &[&[f64]], g: &[&[f64]], dz: &mut [&mut [f64]], k: usize) {
+pub(crate) fn tanh_jet_bwd(
+    y: &[f64],
+    z: &[&[f64]],
+    g: &[&[f64]],
+    dz: &mut [&mut [f64]],
+    k: usize,
+    k2: usize,
+) {
     let len = y.len();
-    check_blocks(z, k, len);
-    check_blocks(g, k, len);
-    check_blocks_mut(dz, k, len);
+    check_blocks(z, k, k2, len);
+    check_blocks(g, k, k2, len);
+    check_blocks_mut(dz, k, k2, len);
     // SAFETY: as in `tanh_jet_fwd`.
     unsafe {
         match width() {
             #[cfg(target_arch = "x86_64")]
-            4 => tanh_bwd_w4(y, z, g, dz, k),
+            4 => tanh_bwd_w4(y, z, g, dz, k, k2),
             #[cfg(target_arch = "x86_64")]
-            8 => tanh_bwd_w8(y, z, g, dz, k),
-            _ => tanh_bwd_drive::<f64>(y, z, g, dz, k),
+            8 => tanh_bwd_w8(y, z, g, dz, k, k2),
+            _ => tanh_bwd_drive::<f64>(y, z, g, dz, k, k2),
         }
     }
 }
 
 /// Sine jet forward: `o[0]` already holds `sin z` and `c` holds `cos z`.
-pub(crate) fn sin_jet_fwd(c: &[f64], z: &[&[f64]], o: &mut [&mut [f64]], k: usize) {
+pub(crate) fn sin_jet_fwd(c: &[f64], z: &[&[f64]], o: &mut [&mut [f64]], k: usize, k2: usize) {
     let len = c.len();
-    check_blocks(z, k, len);
-    check_blocks_mut(o, k, len);
+    check_blocks(z, k, k2, len);
+    check_blocks_mut(o, k, k2, len);
     // SAFETY: as in `tanh_jet_fwd`.
     unsafe {
         match width() {
             #[cfg(target_arch = "x86_64")]
-            4 => sin_fwd_w4(c, z, o, k),
+            4 => sin_fwd_w4(c, z, o, k, k2),
             #[cfg(target_arch = "x86_64")]
-            8 => sin_fwd_w8(c, z, o, k),
-            _ => sin_fwd_drive::<f64>(c, z, o, k),
+            8 => sin_fwd_w8(c, z, o, k, k2),
+            _ => sin_fwd_drive::<f64>(c, z, o, k, k2),
         }
     }
 }
@@ -436,39 +539,40 @@ pub(crate) fn sin_jet_bwd(
     g: &[&[f64]],
     dz: &mut [&mut [f64]],
     k: usize,
+    k2: usize,
 ) {
     let len = y.len();
     assert_eq!(c.len(), len, "jet kernel: cosine extent");
-    check_blocks(z, k, len);
-    check_blocks(g, k, len);
-    check_blocks_mut(dz, k, len);
+    check_blocks(z, k, k2, len);
+    check_blocks(g, k, k2, len);
+    check_blocks_mut(dz, k, k2, len);
     // SAFETY: as in `tanh_jet_fwd`.
     unsafe {
         match width() {
             #[cfg(target_arch = "x86_64")]
-            4 => sin_bwd_w4(y, c, z, g, dz, k),
+            4 => sin_bwd_w4(y, c, z, g, dz, k, k2),
             #[cfg(target_arch = "x86_64")]
-            8 => sin_bwd_w8(y, c, z, g, dz, k),
-            _ => sin_bwd_drive::<f64>(y, c, z, g, dz, k),
+            8 => sin_bwd_w8(y, c, z, g, dz, k, k2),
+            _ => sin_bwd_drive::<f64>(y, c, z, g, dz, k, k2),
         }
     }
 }
 
 /// Sin|cos jet forward over rows of width `w`: `o[0]` already holds the
 /// `[sin z | cos z]` value rows (`2w` wide); the derivative rows follow.
-pub(crate) fn sincos_jet_fwd(z: &[&[f64]], o: &mut [&mut [f64]], k: usize, w: usize) {
+pub(crate) fn sincos_jet_fwd(z: &[&[f64]], o: &mut [&mut [f64]], k: usize, k2: usize, w: usize) {
     let len = z[0].len();
     assert!(w > 0 && len.is_multiple_of(w), "jet kernel: row width");
-    check_blocks(z, k, len);
-    check_blocks_mut(o, k, 2 * len);
+    check_blocks(z, k, k2, len);
+    check_blocks_mut(o, k, k2, 2 * len);
     // SAFETY: as in `tanh_jet_fwd`.
     unsafe {
         match width() {
             #[cfg(target_arch = "x86_64")]
-            4 => sincos_fwd_w4(z, o, k, w),
+            4 => sincos_fwd_w4(z, o, k, k2, w),
             #[cfg(target_arch = "x86_64")]
-            8 => sincos_fwd_w8(z, o, k, w),
-            _ => sincos_fwd_drive::<f64>(z, o, k, w),
+            8 => sincos_fwd_w8(z, o, k, k2, w),
+            _ => sincos_fwd_drive::<f64>(z, o, k, k2, w),
         }
     }
 }
@@ -480,22 +584,23 @@ pub(crate) fn sincos_jet_bwd(
     g: &[&[f64]],
     dz: &mut [&mut [f64]],
     k: usize,
+    k2: usize,
     w: usize,
 ) {
     let len = z[0].len();
     assert!(w > 0 && len.is_multiple_of(w), "jet kernel: row width");
     assert_eq!(y.len(), 2 * len, "jet kernel: value extent");
-    check_blocks(z, k, len);
-    check_blocks(g, k, 2 * len);
-    check_blocks_mut(dz, k, len);
+    check_blocks(z, k, k2, len);
+    check_blocks(g, k, k2, 2 * len);
+    check_blocks_mut(dz, k, k2, len);
     // SAFETY: as in `tanh_jet_fwd`.
     unsafe {
         match width() {
             #[cfg(target_arch = "x86_64")]
-            4 => sincos_bwd_w4(y, z, g, dz, k, w),
+            4 => sincos_bwd_w4(y, z, g, dz, k, k2, w),
             #[cfg(target_arch = "x86_64")]
-            8 => sincos_bwd_w8(y, z, g, dz, k, w),
-            _ => sincos_bwd_drive::<f64>(y, z, g, dz, k, w),
+            8 => sincos_bwd_w8(y, z, g, dz, k, k2, w),
+            _ => sincos_bwd_drive::<f64>(y, z, g, dz, k, k2, w),
         }
     }
 }

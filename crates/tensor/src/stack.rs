@@ -1,9 +1,13 @@
 //! Kernels over row-stacked second-order jets.
 //!
-//! A jet stack is one `[(1 + 2k)·n, w]` tensor holding a batch of `n`
-//! rows, its first derivatives with respect to `k` coordinates and its
-//! diagonal second derivatives, stacked by rows in the order value,
-//! `d_0 … d_{k−1}`, `dd_0 … dd_{k−1}`. A network layer then runs over the
+//! A jet stack is one `[(1 + k + k₂)·n, w]` tensor holding a batch of `n`
+//! rows, its first derivatives with respect to `k` coordinates and the
+//! diagonal second derivatives of the leading `k₂ ≤ k` of them, stacked
+//! by rows in the order value, `d_0 … d_{k−1}`, `dd_0 … dd_{k₂−1}`. The
+//! second derivatives form a prefix of the coordinates because `dd_i`
+//! needs `d_i`, and a residual that reads no `∂²` of some coordinate
+//! (time, in a first-order-in-time PDE) has it last. `k₂ = k` is the full
+//! jet and `k = 0` the value path. A network layer then runs over the
 //! whole stack in one call:
 //!
 //! * [`Tensor::jet_affine`] — one matmul over every row (rows are
@@ -75,10 +79,14 @@ fn run<T: Send>(tasks: Vec<T>, elems: usize, f: impl Fn(T) + Sync + Send) {
     }
 }
 
-/// Rows, width and per-block rows of a stack with `1 + 2k` blocks.
-fn stack_dims(t: &Tensor, k: usize) -> (usize, usize, usize) {
+/// Rows, width and per-block rows of a stack with `1 + k + k2` blocks.
+fn stack_dims(t: &Tensor, k: usize, k2: usize) -> (usize, usize, usize) {
     let (rows, w) = (t.shape().nrows(), t.shape().ncols());
-    let blocks = 1 + 2 * k;
+    assert!(
+        k2 <= k,
+        "jet stack: {k2} second-derivative blocks for {k} coordinates"
+    );
+    let blocks = 1 + k + k2;
     assert!(
         rows.is_multiple_of(blocks),
         "jet stack of shape {} does not split into {blocks} blocks",
@@ -102,18 +110,24 @@ pub struct JetAffineGrads {
 }
 
 impl Tensor {
-    /// The seed stack of input coordinate `coord` out of `k`, from the
-    /// `[n, 1]` column of its values: the column, a unit first derivative
-    /// along its own coordinate, zero elsewhere.
-    pub fn jet_seed(&self, coord: usize, k: usize) -> Tensor {
+    /// The seed stack of input coordinate `coord` out of `k`, with `k2`
+    /// second-derivative blocks, from the `[n, 1]` column of its values:
+    /// the column, a unit first derivative along its own coordinate, zero
+    /// elsewhere.
+    pub fn jet_seed(&self, coord: usize, k: usize, k2: usize) -> Tensor {
         let n = self.len();
         assert!(coord < k || k == 0, "seed coordinate {coord} of {k}");
-        let mut out = pool::take((1 + 2 * k) * n);
+        assert!(
+            k2 <= k,
+            "seed with {k2} second-derivative blocks for {k} coordinates"
+        );
+        let rows = (1 + k + k2) * n;
+        let mut out = pool::take(rows);
         out[..n].copy_from_slice(self.data());
         if k > 0 {
             out[(1 + coord) * n..(2 + coord) * n].fill(1.0);
         }
-        Tensor::from_vec([(1 + 2 * k) * n, 1], out)
+        Tensor::from_vec([rows, 1], out)
     }
 
     /// Rows `[r0, r0 + n)` of a rank-2 tensor, copied into a pooled buffer.
@@ -195,30 +209,32 @@ impl Tensor {
         }
     }
 
-    /// Tanh over a jet stack with `k` coordinates: `u = tanh z`,
-    /// `d_i = σ'·z′_i`, `dd_i = σ''·z′_i² + σ'·z″_i` with `σ' = 1 − u²` and
-    /// `σ'' = (−2u)·σ'`.
-    pub fn jet_tanh(&self, k: usize) -> Tensor {
-        let (rows, w, _) = stack_dims(self, k);
+    /// Tanh over a jet stack with `k` coordinates and `k2` second
+    /// derivatives: `u = tanh z`, `d_i = σ'·z′_i`,
+    /// `dd_i = σ''·z′_i² + σ'·z″_i` with `σ' = 1 − u²` and `σ'' = (−2u)·σ'`.
+    pub fn jet_tanh(&self, k: usize, k2: usize) -> Tensor {
+        let (rows, w, _) = stack_dims(self, k, k2);
         let mut out = pool::take_uninit(rows * w);
         if !out.is_empty() {
-            let r = task_rows(w);
-            let tasks: Vec<_> = by_chunk(self.data(), 1 + 2 * k, w, r)
+            let (b, r) = (1 + k + k2, task_rows(w));
+            let tasks: Vec<_> = by_chunk(self.data(), b, w, r)
                 .into_iter()
-                .zip(by_chunk_mut(&mut out, 1 + 2 * k, w, r))
+                .zip(by_chunk_mut(&mut out, b, w, r))
                 .collect();
-            run(tasks, rows * w, |(z, mut o)| simd::tanh_jet_fwd(&z, &mut o, k));
+            run(tasks, rows * w, |(z, mut o)| {
+                simd::tanh_jet_fwd(&z, &mut o, k, k2)
+            });
         }
         Tensor::from_vec([rows, w], out)
     }
 
     /// Backward of [`Tensor::jet_tanh`] on the stack `self`, given its
     /// output `y` and the output gradient `g`.
-    pub fn jet_tanh_backward(&self, y: &Tensor, g: &Tensor, k: usize) -> Tensor {
-        let (rows, w, _) = stack_dims(self, k);
+    pub fn jet_tanh_backward(&self, y: &Tensor, g: &Tensor, k: usize, k2: usize) -> Tensor {
+        let (rows, w, _) = stack_dims(self, k, k2);
         let mut dz = pool::take_uninit(rows * w);
         if !dz.is_empty() {
-            let (b, r) = (1 + 2 * k, task_rows(w));
+            let (b, r) = (1 + k + k2, task_rows(w));
             let tasks: Vec<_> = by_chunk(y.data(), b, w, r)
                 .into_iter()
                 .zip(by_chunk(self.data(), b, w, r))
@@ -226,7 +242,7 @@ impl Tensor {
                 .zip(by_chunk_mut(&mut dz, b, w, r))
                 .collect();
             run(tasks, rows * w, |(((y, z), g), mut d)| {
-                simd::tanh_jet_bwd(y[0], &z, &g, &mut d, k)
+                simd::tanh_jet_bwd(y[0], &z, &g, &mut d, k, k2)
             });
         }
         Tensor::from_vec([rows, w], dz)
@@ -235,15 +251,15 @@ impl Tensor {
     /// Sine over a jet stack: `u = sin z`, `σ' = cos z`, `σ'' = −sin z`.
     /// libm runs once per value element; returns the stack and `cos z` of
     /// the value block, which the backward pass reuses.
-    pub fn jet_sin(&self, k: usize) -> (Tensor, Tensor) {
-        let (rows, w, n) = stack_dims(self, k);
+    pub fn jet_sin(&self, k: usize, k2: usize) -> (Tensor, Tensor) {
+        let (rows, w, n) = stack_dims(self, k, k2);
         let mut out = pool::take_uninit(rows * w);
         let mut cos = pool::take_uninit(n * w);
         if !out.is_empty() {
-            let r = task_rows(w);
-            let tasks: Vec<_> = by_chunk(self.data(), 1 + 2 * k, w, r)
+            let (b, r) = (1 + k + k2, task_rows(w));
+            let tasks: Vec<_> = by_chunk(self.data(), b, w, r)
                 .into_iter()
-                .zip(by_chunk_mut(&mut out, 1 + 2 * k, w, r))
+                .zip(by_chunk_mut(&mut out, b, w, r))
                 .zip(cos.chunks_mut(r * w))
                 .collect();
             run(tasks, rows * w, |((z, mut o), c)| {
@@ -251,7 +267,7 @@ impl Tensor {
                     *s = x.sin();
                     *c = x.cos();
                 }
-                simd::sin_jet_fwd(c, &z, &mut o, k)
+                simd::sin_jet_fwd(c, &z, &mut o, k, k2)
             });
         }
         (Tensor::from_vec([rows, w], out), Tensor::from_vec([n, w], cos))
@@ -259,11 +275,18 @@ impl Tensor {
 
     /// Backward of [`Tensor::jet_sin`] on the stack `self`, given its
     /// output `y`, the saved `cos` and the output gradient `g`.
-    pub fn jet_sin_backward(&self, y: &Tensor, cos: &Tensor, g: &Tensor, k: usize) -> Tensor {
-        let (rows, w, _) = stack_dims(self, k);
+    pub fn jet_sin_backward(
+        &self,
+        y: &Tensor,
+        cos: &Tensor,
+        g: &Tensor,
+        k: usize,
+        k2: usize,
+    ) -> Tensor {
+        let (rows, w, _) = stack_dims(self, k, k2);
         let mut dz = pool::take_uninit(rows * w);
         if !dz.is_empty() {
-            let (b, r) = (1 + 2 * k, task_rows(w));
+            let (b, r) = (1 + k + k2, task_rows(w));
             let tasks: Vec<_> = by_chunk(y.data(), b, w, r)
                 .into_iter()
                 .zip(cos.data().chunks(r * w))
@@ -272,20 +295,21 @@ impl Tensor {
                 .zip(by_chunk_mut(&mut dz, b, w, r))
                 .collect();
             run(tasks, rows * w, |((((y, c), z), g), mut d)| {
-                simd::sin_jet_bwd(y[0], c, &z, &g, &mut d, k)
+                simd::sin_jet_bwd(y[0], c, &z, &g, &mut d, k, k2)
             });
         }
         Tensor::from_vec([rows, w], dz)
     }
 
-    /// Sine and cosine jets of a `[(1+2k)·n, w]` stack side by side: every
-    /// output row is `[sin part | cos part]`, `2w` wide — the layout of a
-    /// per-block `hstack` of the two. libm runs once per value element.
-    pub fn jet_sin_cos(&self, k: usize) -> Tensor {
-        let (rows, w, _) = stack_dims(self, k);
+    /// Sine and cosine jets of a `[(1+k+k2)·n, w]` stack side by side:
+    /// every output row is `[sin part | cos part]`, `2w` wide — the layout
+    /// of a per-block `hstack` of the two. libm runs once per value
+    /// element.
+    pub fn jet_sin_cos(&self, k: usize, k2: usize) -> Tensor {
+        let (rows, w, _) = stack_dims(self, k, k2);
         let mut out = pool::take_uninit(rows * 2 * w);
         if !out.is_empty() {
-            let (b, r) = (1 + 2 * k, task_rows(2 * w));
+            let (b, r) = (1 + k + k2, task_rows(2 * w));
             let tasks: Vec<_> = by_chunk(self.data(), b, w, r)
                 .into_iter()
                 .zip(by_chunk_mut(&mut out, b, 2 * w, r))
@@ -298,7 +322,7 @@ impl Tensor {
                         *c = x.cos();
                     }
                 }
-                simd::sincos_jet_fwd(&z, &mut o, k, w)
+                simd::sincos_jet_fwd(&z, &mut o, k, k2, w)
             });
         }
         Tensor::from_vec([rows, 2 * w], out)
@@ -306,11 +330,11 @@ impl Tensor {
 
     /// Backward of [`Tensor::jet_sin_cos`] on the stack `self`, given its
     /// output `y` and the output gradient `g`.
-    pub fn jet_sin_cos_backward(&self, y: &Tensor, g: &Tensor, k: usize) -> Tensor {
-        let (rows, w, _) = stack_dims(self, k);
+    pub fn jet_sin_cos_backward(&self, y: &Tensor, g: &Tensor, k: usize, k2: usize) -> Tensor {
+        let (rows, w, _) = stack_dims(self, k, k2);
         let mut dz = pool::take_uninit(rows * w);
         if !dz.is_empty() {
-            let (b, r) = (1 + 2 * k, task_rows(2 * w));
+            let (b, r) = (1 + k + k2, task_rows(2 * w));
             let tasks: Vec<_> = by_chunk(y.data(), b, 2 * w, r)
                 .into_iter()
                 .zip(by_chunk(self.data(), b, w, r))
@@ -318,7 +342,7 @@ impl Tensor {
                 .zip(by_chunk_mut(&mut dz, b, w, r))
                 .collect();
             run(tasks, rows * 2 * w, |(((y, z), g), mut d)| {
-                simd::sincos_jet_bwd(y[0], &z, &g, &mut d, k, w)
+                simd::sincos_jet_bwd(y[0], &z, &g, &mut d, k, k2, w)
             });
         }
         Tensor::from_vec([rows, w], dz)

@@ -14,6 +14,12 @@
 //! through `predict_batch` for every key at both presets and with a sine
 //! trunk, at 1, 19, 53 and 1024 rows. Each case runs at every SIMD width
 //! the host supports.
+//!
+//! A demanded stack, which carries second derivatives of the leading
+//! coordinates only, is compared with the full stack: for every key at
+//! both presets, at the key's declared demand and at none (the
+//! derivative-valued conditions), every slot it keeps and every parameter
+//! gradient of a loss that reads only those slots agree bit for bit.
 
 use qpinn::autodiff::{Graph, Var};
 use qpinn::core::model::{CoordSpec, FieldNet, FieldNetConfig};
@@ -402,6 +408,85 @@ fn value_only_predictions_are_bit_identical() {
                 for n in [1, 19, 53, 1024] {
                     let c = case(key, cfg.clone(), 7, n);
                     assert_values_bitwise(&c, &format!("{key} {preset} n{n} w{w}"));
+                }
+            }
+        }
+    });
+}
+
+/// Slot bits and parameter-gradient bits of the stack that carries
+/// second derivatives for the first `n_second` coordinates, under a loss
+/// that reads the value, every first derivative and the first `read`
+/// second derivatives, plus the value-only pass of [`read_all`].
+fn demanded_run(c: &Case, n_second: usize, read: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+    let k = c.cols.len();
+    let mut g = Graph::new();
+    let mut ctx = GraphCtx::new(&mut g, &c.params);
+    let cols: Vec<Var> = c.cols.iter().map(|t| ctx.g.constant(t.clone())).collect();
+    let jet = if n_second == k {
+        c.net.forward_jet(&mut ctx, &cols)
+    } else {
+        c.net.forward_jet_demand(&mut ctx, &cols, n_second)
+    };
+    assert_eq!((jet.d.len(), jet.dd.len()), (k, n_second), "slot counts");
+    let slots: Vec<Var> = std::iter::once(jet.v)
+        .chain(jet.d.iter().copied())
+        .chain(jet.dd[..read].iter().copied())
+        .collect();
+    let vals = slots.iter().map(|&s| bits(ctx.g.value(s))).collect();
+    let few: Vec<Var> = head(&c.cols)
+        .into_iter()
+        .map(|t| ctx.g.constant(t))
+        .collect();
+    let values = c.net.forward_values(&mut ctx, &few);
+    let loss = read_all(ctx.g, &slots, values);
+    let mut grads = ctx.g.backward(loss);
+    let grads = ctx.collect_grads(&mut grads).iter().map(bits).collect();
+    (vals, grads)
+}
+
+/// The demanded stack against the full one, slot by slot and parameter by
+/// parameter.
+fn assert_demand_bitwise(c: &Case, n_second: usize, label: &str) {
+    let (full_vals, full_grads) = demanded_run(c, c.cols.len(), n_second);
+    let (vals, grads) = demanded_run(c, n_second, n_second);
+    for (i, (got, want)) in vals.iter().zip(&full_vals).enumerate() {
+        assert!(
+            got == want,
+            "{label}: kept slot {i} differs from the full stack in bits"
+        );
+    }
+    for ((id, name, _), (got, want)) in c.params.iter().zip(grads.iter().zip(&full_grads)) {
+        assert!(
+            got == want,
+            "{label}: gradient of {name} ({id:?}) differs from the full stack in bits"
+        );
+    }
+}
+
+#[test]
+fn demanded_stacks_match_the_full_stack_for_every_registry_key() {
+    at_every_width(|w| {
+        for key in keys() {
+            let demand = lookup(key).unwrap().second_derivatives();
+            let presets = [
+                ("quick", ZooTaskConfig::quick()),
+                (
+                    "standard",
+                    ZooTaskConfig {
+                        width: 32,
+                        ..ZooTaskConfig::standard()
+                    },
+                ),
+            ];
+            for (preset, cfg) in presets {
+                let c = registry_case(key, &cfg, 300);
+                for n_second in [demand, 0] {
+                    assert_demand_bitwise(
+                        &c,
+                        n_second,
+                        &format!("{key} {preset} k2={n_second} w{w}"),
+                    );
                 }
             }
         }

@@ -14,6 +14,10 @@
 //! 4. **Smoke train** — a few Adam epochs on the generic `ZooTask` must
 //!    reduce the loss, proving the registry entry is trainable end to
 //!    end, vector-valued families included.
+//! 5. **Second-derivative demand** — the residual built from the jet the
+//!    family demands (`second_derivatives()`) equals the full-jet one bit
+//!    for bit, no `∂²` slot past the demand receives a gradient, and the
+//!    last demanded one does: the declaration is sound and tight.
 //!
 //! Plus property tests: unknown keys are an `Err` (never a panic) for
 //! arbitrary byte-soup keys, and the key table is sorted and stable.
@@ -21,14 +25,16 @@
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 use qpinn::autodiff::jet::Jet;
-use qpinn::autodiff::Graph;
+use qpinn::autodiff::{Graph, Var};
+use qpinn::core::residual::split_fields;
+use qpinn::core::task::net_config_for;
 use qpinn::core::trainer::{PinnTask, Trainer};
-use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
+use qpinn::core::{FieldNet, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::{GraphCtx, ParamSet};
 use qpinn::optim::LrSchedule;
 use qpinn::problems::{Fidelity, PdeProblem, RefSolution};
 use qpinn::tensor::Tensor;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Interior node indices along one axis: skip two boundary nodes on each
 /// side (one-sided stencils and boundary-layer solver error live there),
@@ -276,6 +282,107 @@ fn every_family_smoke_trains_with_decreasing_loss() {
             "{key}: loss did not decrease ({initial:.4e} -> {:.4e})",
             log.final_loss
         );
+    }
+}
+
+/// The network's field jets at `points`, with second derivatives of the
+/// first `n_second` coordinates, on `ctx`'s tape.
+fn network_fields(
+    ctx: &mut GraphCtx<'_>,
+    net: &FieldNet,
+    points: &[Vec<f64>],
+    n_second: usize,
+) -> Vec<Jet> {
+    let cols: Vec<Var> = (0..net.n_coords())
+        .map(|c| {
+            ctx.g.constant(Tensor::column(
+                &points.iter().map(|p| p[c]).collect::<Vec<_>>(),
+            ))
+        })
+        .collect();
+    let out = net.forward_jet_demand(ctx, &cols, n_second);
+    split_fields(ctx.g, &out, net.n_fields())
+}
+
+#[test]
+fn every_family_demands_exactly_the_second_derivatives_its_residual_reads() {
+    for key in qpinn::problems::keys() {
+        let problem = qpinn::problems::lookup(key).unwrap();
+        let coords = problem.coords();
+        let (k, demand) = (coords.len(), problem.second_derivatives());
+        assert!(demand <= k, "{key}: demands {demand} of {k} coordinates");
+        let mut params = ParamSet::new();
+        let mut rng = StdRng::seed_from_u64(13);
+        let net_cfg = net_config_for(problem.as_ref(), &ZooTaskConfig::quick());
+        let net = FieldNet::new(&mut params, &mut rng, &net_cfg, key);
+        let points: Vec<Vec<f64>> = (0..64)
+            .map(|_| coords.iter().map(|c| rng.gen_range(c.lo..c.hi)).collect())
+            .collect();
+
+        // The residual from the demanded jet is the full-jet residual.
+        let residual_bits = |n_second: usize| -> Vec<Vec<u64>> {
+            let mut g = Graph::new();
+            let mut ctx = GraphCtx::new(&mut g, &params);
+            let fields = network_fields(&mut ctx, &net, &points, n_second);
+            let residuals = problem.residuals(ctx.g, &fields, &points);
+            residuals
+                .iter()
+                .map(|&r| ctx.g.value(r).data().iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert!(
+            residual_bits(demand) == residual_bits(k),
+            "{key}: the residual from the demanded jet differs from the full-jet one in bits"
+        );
+
+        // Soundness and tightness: rebuild the full jet with every slot a
+        // leaf, so the reverse sweep keeps the gradient of each one it
+        // reaches.
+        let values: Vec<(Tensor, Vec<Tensor>, Vec<Tensor>)> = {
+            let mut g = Graph::new();
+            let mut ctx = GraphCtx::new(&mut g, &params);
+            let fields = network_fields(&mut ctx, &net, &points, k);
+            let val = |v: &Var| ctx.g.value(*v).clone();
+            fields
+                .iter()
+                .map(|f| {
+                    (
+                        val(&f.v),
+                        f.d.iter().map(val).collect(),
+                        f.dd.iter().map(val).collect(),
+                    )
+                })
+                .collect()
+        };
+        let mut g = Graph::new();
+        let fields: Vec<Jet> = values
+            .into_iter()
+            .map(|(v, d, dd)| Jet {
+                v: g.input(v),
+                d: d.into_iter().map(|t| g.input(t)).collect(),
+                dd: dd.into_iter().map(|t| g.input(t)).collect(),
+            })
+            .collect();
+        let residuals = problem.residuals(&mut g, &fields, &points);
+        let terms: Vec<(f64, Var)> = residuals.iter().map(|&r| (1.0, g.mse(r))).collect();
+        let loss = g.lincomb(&terms);
+        let grads = g.backward(loss);
+        for (j, f) in fields.iter().enumerate() {
+            for (i, &dd) in f.dd.iter().enumerate().skip(demand) {
+                assert!(
+                    grads.get(dd).is_none(),
+                    "{key}: field {j} reads ∂² along coordinate {i}, past its declared {demand}"
+                );
+            }
+        }
+        if demand > 0 {
+            assert!(
+                fields.iter().any(|f| grads.get(f.dd[demand - 1]).is_some()),
+                "{key}: declares {demand} second derivatives but no field reads ∂² along \
+                 coordinate {}",
+                demand - 1
+            );
+        }
     }
 }
 
