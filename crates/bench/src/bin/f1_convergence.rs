@@ -2,7 +2,7 @@
 //! versus epoch on the NLS benchmark — the series behind the convergence
 //! figure.
 
-use qpinn_bench::{banner, nls_raissi, save, seeded_task, wave_config, wave_net, RunOpts};
+use qpinn_bench::{banner, net_doc, nls_raissi, save, seeded_task, wave_config, wave_net, RunOpts};
 use qpinn_core::report::{Json, TextTable};
 use qpinn_core::trainer::Trainer;
 use qpinn_core::TrainConfig;
@@ -16,6 +16,7 @@ fn main() {
     let net = wave_net(nls_raissi().as_ref(), opts.pick(24, 64), opts.pick(3, 4));
     let cfg = wave_config(opts.pick(384, 4096));
     let (mut task, mut params) = seeded_task(nls_raissi(), &net, &cfg, 100);
+    let run = opts.run_cfg("f1/nls-raissi", 100, net_doc("nls-raissi", &net, &cfg));
 
     let log = Trainer::new(TrainConfig {
         epochs,
@@ -31,7 +32,7 @@ fn main() {
         checkpoint: None,
         divergence: None,
         progress: None,
-        run: None,
+        run: Some(run),
     })
     .train(&mut task, &mut params);
 

@@ -3,7 +3,7 @@
 //! t = 0.59, 0.79, 0.98 on the Raissi benchmark).
 
 use qpinn_bench::{
-    banner, nls_raissi, save, seeded_task, standard_train, wave_config, wave_net, RunOpts,
+    banner, net_doc, nls_raissi, save, seeded_task, standard_train, wave_config, wave_net, RunOpts,
 };
 use qpinn_core::report::{Json, TextTable};
 use qpinn_core::trainer::Trainer;
@@ -16,7 +16,9 @@ fn main() {
     let cfg = wave_config(opts.pick(448, 4096));
     let (mut task, mut params) = seeded_task(nls_raissi(), &net, &cfg, 100);
     let epochs = opts.pick_epochs(1200, 8000);
-    let log = Trainer::new(standard_train(epochs)).train(&mut task, &mut params);
+    let mut train = standard_train(epochs);
+    train.run = Some(opts.run_cfg("f2/nls-raissi", 100, net_doc("nls-raissi", &net, &cfg)));
+    let log = Trainer::new(train).train(&mut task, &mut params);
     println!("trained: rel-L2 {:.3e} in {:.1}s\n", log.final_error, log.wall_s);
 
     let slice_times = [0.59, 0.79, 0.98];

@@ -4,7 +4,9 @@
 //! when it is off. The quantum analogue of the energy-conservation
 //! regularizer for conservative-PDE PINNs.
 
-use qpinn_bench::{banner, save, seeded_task, standard_train, wave_config, wave_net, RunOpts};
+use qpinn_bench::{
+    banner, net_doc, save, seeded_task, standard_train, wave_config, wave_net, RunOpts,
+};
 use qpinn_core::metrics::norm_series;
 use qpinn_core::report::{Json, TextTable};
 use qpinn_core::trainer::Trainer;
@@ -15,9 +17,13 @@ fn run(conservation: bool, opts: &RunOpts) -> (Vec<f64>, Vec<f64>, f64) {
     let net = wave_net(problem.as_ref(), opts.pick(24, 64), 3);
     let mut cfg = wave_config(opts.pick(384, 4096));
     cfg.conservation = conservation;
+    let doc = net_doc(problem.key(), &net, &cfg);
     let (mut task, mut params) = seeded_task(problem, &net, &cfg, 100);
     let epochs = opts.pick_epochs(800, 5000);
-    let log = Trainer::new(standard_train(epochs)).train(&mut task, &mut params);
+    let mut train = standard_train(epochs);
+    let label = if conservation { "with" } else { "without" };
+    train.run = Some(opts.run_cfg(&format!("f4/{label}-conservation"), 100, doc));
+    let log = Trainer::new(train).train(&mut task, &mut params);
     let coords = task.problem().coords();
     let (x, t_end) = (&coords[0], coords[1].hi);
     let times: Vec<f64> = (0..=10).map(|k| t_end * k as f64 / 10.0).collect();

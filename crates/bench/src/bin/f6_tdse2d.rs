@@ -3,7 +3,7 @@
 //! square) and print a density slice against the 2D spectral reference —
 //! the multi-dimensional unsteady extension.
 
-use qpinn_bench::{banner, save, seeded_task, standard_train, RunOpts};
+use qpinn_bench::{banner, net_doc, save, seeded_task, standard_train, RunOpts};
 use qpinn_core::model::RffSpec;
 use qpinn_core::report::{Json, TextTable};
 use qpinn_core::task::net_config_for;
@@ -31,11 +31,14 @@ fn main() {
         n_features: opts.pick(24, 64),
         sigma: 1.0,
     });
+    let doc = net_doc(problem.key(), &net, &cfg);
     let (mut task, mut params) = seeded_task(problem, &net, &cfg, 100);
     println!("trainable parameters: {}", params.n_scalars());
 
     let epochs = opts.pick_epochs(600, 5000);
-    let log = Trainer::new(standard_train(epochs)).train(&mut task, &mut params);
+    let mut train = standard_train(epochs);
+    train.run = Some(opts.run_cfg("f6/tdse2d-free", 100, doc));
+    let log = Trainer::new(train).train(&mut task, &mut params);
     println!(
         "final rel-L2 vs 2D spectral reference: {:.3e} ({:.1}s)\n",
         log.final_error, log.wall_s

@@ -2,7 +2,7 @@
 //! for the headline number in EXPERIMENTS.md (not part of the standard
 //! harness sweep).
 
-use qpinn_bench::{banner, nls_raissi, save, seeded_task, wave_config, wave_net, RunOpts};
+use qpinn_bench::{banner, net_doc, nls_raissi, save, seeded_task, wave_config, wave_net, RunOpts};
 use qpinn_core::report::Json;
 use qpinn_core::trainer::{CheckpointConfig, Trainer};
 use qpinn_core::TrainConfig;
@@ -13,7 +13,8 @@ fn main() {
     let opts = RunOpts::from_args();
     banner("FLAGSHIP", "long NLS training run", &opts);
     let net = wave_net(nls_raissi().as_ref(), 32, 3);
-    let (mut task, mut params) = seeded_task(nls_raissi(), &net, &wave_config(1024), 100);
+    let cfg = wave_config(1024);
+    let (mut task, mut params) = seeded_task(nls_raissi(), &net, &cfg, 100);
     let epochs = opts.pick_epochs(5000, 20000);
     let ckpt_dir = opts.ckpt.as_ref().map(|root| root.join("flagship_nls"));
     let trainer = Trainer::new(TrainConfig {
@@ -36,7 +37,11 @@ fn main() {
         // explodes instead of polishing a diverged run with L-BFGS.
         divergence: Some(qpinn_core::DivergenceGuard::default()),
         progress: None,
-        run: None,
+        run: Some(opts.run_cfg(
+            "flagship/nls-raissi",
+            100,
+            net_doc("nls-raissi", &net, &cfg),
+        )),
     });
     // With --ckpt, pick up an interrupted run from its newest intact
     // snapshot instead of starting over.

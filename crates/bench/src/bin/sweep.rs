@@ -12,7 +12,9 @@
 //! registered alternatives, so shell loops over `--list-problems` output
 //! always either train or fail loudly.
 
-use qpinn_bench::{banner, flag_value, resolve_ansatz, resolve_problem, save, standard_train, RunOpts};
+use qpinn_bench::{
+    banner, flag_value, hybrid_doc, resolve_ansatz, resolve_problem, save, standard_train, RunOpts,
+};
 use qpinn_core::hybrid::{HybridEigenTask, HybridNet};
 use qpinn_core::report::{Json, TextTable};
 use qpinn_core::trainer::{PinnTask, Trainer};
@@ -94,7 +96,7 @@ fn main() {
         let seed = opts.seeds()[0];
         let mut train = standard_train(epochs);
         train.log_every = (epochs / 5).max(1);
-        train.run = opts.run_cfg(
+        train.run = Some(opts.run_cfg(
             &format!("sweep/{}", problem.key()),
             seed,
             Json::obj(vec![
@@ -103,7 +105,7 @@ fn main() {
                 ("depth", Json::Num(cfg.depth as f64)),
                 ("n_collocation", Json::Num(cfg.n_collocation as f64)),
             ]),
-        );
+        ));
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut task = match ZooTask::from_key(problem.key(), &cfg, &mut params, &mut rng) {
@@ -148,17 +150,18 @@ fn main() {
             scaling: InputScaling::Acos,
             reupload: false,
         };
+        let (hidden, n_coll) = (opts.pick(10, 16), opts.pick(48, 128));
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(21);
-        let net = HybridNet::new(&mut params, &mut rng, opts.pick(10, 16), q, "hyb");
-        let mut task = HybridEigenTask::new(
-            EigenProblem::harmonic(1.0),
-            net,
-            opts.pick(48, 128),
-            401,
-        );
+        let net = HybridNet::new(&mut params, &mut rng, hidden, q, "hyb");
+        let mut task = HybridEigenTask::new(EigenProblem::harmonic(1.0), net, n_coll, 401);
         let mut train = standard_train(epochs);
         train.lbfgs_polish = None;
+        train.run = Some(opts.run_cfg(
+            &format!("sweep/quantum/{}", ansatz.name()),
+            21,
+            hybrid_doc(&q, hidden, n_coll),
+        ));
         let _ = Trainer::new(train).train(&mut task, &mut params);
         let e = task.energy(&params);
         let de = (e - task.reference_energy()).abs();

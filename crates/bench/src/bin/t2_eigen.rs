@@ -70,7 +70,22 @@ fn main() {
             let mut params = ParamSet::new();
             let mut rng = StdRng::seed_from_u64(7 + k as u64);
             let mut task = ZooTask::new(pde, &net, &cfg, &mut params, &mut rng);
-            let _log = Trainer::new(train.clone()).train(&mut task, &mut params);
+            let run = opts.run_cfg(
+                &format!("t2/{}/state-{k}", problem.name),
+                7 + k as u64,
+                Json::obj(vec![
+                    ("problem", Json::Str(problem.name.clone())),
+                    ("state", Json::Num(k as f64)),
+                    ("width", Json::Num(cfg.width as f64)),
+                    ("depth", Json::Num(cfg.depth as f64)),
+                    ("n_collocation", Json::Num(cfg.n_collocation as f64)),
+                ]),
+            );
+            let train = TrainConfig {
+                run: Some(run),
+                ..train.clone()
+            };
+            let _log = Trainer::new(train).train(&mut task, &mut params);
             // variational re-estimate from the learned ψ
             let e_pinn = metrics::rayleigh_energy(task.net(), &params, &problem);
             let e_ref = states[k].energy;

@@ -5,7 +5,7 @@
 //! classical control. Reports the energy error and trainable-parameter
 //! counts.
 
-use qpinn_bench::{banner, save, RunOpts};
+use qpinn_bench::{banner, hybrid_doc, save, RunOpts};
 use qpinn_core::hybrid::{HybridEigenTask, HybridNet};
 use qpinn_core::report::{Json, TextTable};
 use qpinn_core::trainer::Trainer;
@@ -37,11 +37,11 @@ fn train_cfg(epochs: usize) -> TrainConfig {
 }
 
 fn run_hybrid(
+    opts: &RunOpts,
     problem: &EigenProblem,
     q: QuantumLayer,
     hidden: usize,
     n_coll: usize,
-    epochs: usize,
     table: &mut TextTable,
     records: &mut Vec<Json>,
 ) {
@@ -49,14 +49,20 @@ fn run_hybrid(
     let mut rng = StdRng::seed_from_u64(21);
     let net = HybridNet::new(&mut params, &mut rng, hidden, q, "hyb");
     let mut task = HybridEigenTask::new(problem.clone(), net, n_coll, 401);
-    let _ = Trainer::new(train_cfg(epochs)).train(&mut task, &mut params);
-    let e = task.energy(&params);
-    let de = (e - task.reference_energy()).abs();
     let label = if q.reupload {
         "hybrid+reupload".to_string()
     } else {
         "hybrid".to_string()
     };
+    let mut train = train_cfg(opts.pick_epochs(400, 2000));
+    train.run = Some(opts.run_cfg(
+        &format!("t6/{label}/{}/{}", q.ansatz.name(), q.scaling.name()),
+        21,
+        hybrid_doc(&q, hidden, n_coll),
+    ));
+    let _ = Trainer::new(train).train(&mut task, &mut params);
+    let e = task.energy(&params);
+    let de = (e - task.reference_energy()).abs();
     table.row(&[
         label.clone(),
         q.ansatz.name().into(),
@@ -83,7 +89,6 @@ fn main() {
         &opts,
     );
     let problem = EigenProblem::harmonic(1.0);
-    let epochs = opts.pick_epochs(400, 2000);
     let n_coll = opts.pick(48, 128);
     let hidden = opts.pick(10, 16);
     let nq = opts.pick(3, 4);
@@ -122,6 +127,17 @@ fn main() {
         let mut task = ZooTask::new(pde, &net, &cfg, &mut params, &mut rng);
         let mut tcfg = train_cfg(opts.pick(1500, 4000));
         tcfg.lbfgs_polish = Some(60);
+        tcfg.run = Some(opts.run_cfg(
+            "t6/classical",
+            11,
+            Json::obj(vec![
+                (
+                    "hidden",
+                    Json::nums(&net.hidden.iter().map(|&h| h as f64).collect::<Vec<_>>()),
+                ),
+                ("n_collocation", Json::Num(n_coll as f64)),
+            ]),
+        ));
         let _ = Trainer::new(tcfg).train(&mut task, &mut params);
         let e = task.unknowns(&params)[0];
         let de = (e - problem.reference(401)[0].energy).abs();
@@ -144,6 +160,7 @@ fn main() {
     for &ansatz in &ansaetze {
         for &scaling in &scalings {
             run_hybrid(
+                &opts,
                 &problem,
                 QuantumLayer {
                     n_qubits: nq,
@@ -154,7 +171,6 @@ fn main() {
                 },
                 hidden,
                 n_coll,
-                epochs,
                 &mut table,
                 &mut records,
             );
@@ -163,6 +179,7 @@ fn main() {
     // data re-uploading variant of the best-known template (same parameter
     // count, richer Fourier spectrum)
     run_hybrid(
+        &opts,
         &problem,
         QuantumLayer {
             n_qubits: nq,
@@ -173,7 +190,6 @@ fn main() {
         },
         hidden,
         n_coll,
-        epochs,
         &mut table,
         &mut records,
     );

@@ -57,6 +57,17 @@ fn main() {
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(42);
         let mut task = ZooTask::new(pde, &net, &cfg, &mut params, &mut rng);
+        let run = opts.run_cfg(
+            &format!("t7/omega0-{omega0:.2}/noise-{noise:.2}"),
+            42,
+            Json::obj(vec![
+                ("omega0", Json::Num(omega0)),
+                ("noise", Json::Num(noise)),
+                ("n_observations", Json::Num(opts.pick(256, 1024) as f64)),
+                ("width", Json::Num(net.hidden[0] as f64)),
+                ("n_collocation", Json::Num(cfg.n_collocation as f64)),
+            ]),
+        );
         let log = Trainer::new(TrainConfig {
             epochs,
             schedule: LrSchedule::Step {
@@ -71,7 +82,7 @@ fn main() {
             checkpoint: None,
             divergence: None,
             progress: None,
-            run: None,
+            run: Some(run),
         })
         .train(&mut task, &mut params);
         // V = ½ω²x² fixes ω only up to its sign.

@@ -1,21 +1,26 @@
 //! # qpinn-bench
 //!
-//! The experiment harness: one binary per reconstructed table (T1–T7) and
-//! figure (F1–F6) — see `DESIGN.md` §5 for the experiment index — plus the
-//! `kernels` tensor-kernel timings and the `sweep` front door.
-//!
-//! Each binary prints its table/series as aligned text and writes a JSON
-//! record to `target/experiments/<id>.json`. Default settings are sized
-//! for a quick laptop run; pass `--full` for paper-scale settings.
+//! The experiment harness — see `DESIGN.md` §5 for the experiment index.
+//! The grid tables (T1, T3, T4, F3) are rows of one `tables` binary: it
+//! records every run in the `qpinn-run-v1` store and prints the tables
+//! `qpinn-obs runs table` renders from it. The other tables and figures
+//! keep one binary each, beside the `kernels` tensor-kernel timings and
+//! the `sweep` front door; each prints its table/series as aligned text
+//! and writes a JSON record to `target/experiments/<id>.json`. Every
+//! training run lands in the run store. Default settings are sized for a
+//! quick laptop run; pass `--full` for paper-scale settings.
 
 #![deny(missing_docs)]
 
+use qpinn_core::model::CoordSpec;
 use qpinn_core::report::Json;
 use qpinn_core::{FieldNetConfig, ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
 use qpinn_problems::{zoo, NlsProblem, PdeProblem};
+use qpinn_qcircuit::QuantumLayer;
 use qpinn_telemetry as telemetry;
 use rand::{rngs::StdRng, SeedableRng};
+use std::path::{Path, PathBuf};
 
 /// Harness-wide run options parsed from the command line.
 #[derive(Clone, Debug)]
@@ -27,13 +32,13 @@ pub struct RunOpts {
     /// Checkpoint root directory (`--ckpt DIR`). When set, experiments
     /// write crash-safe snapshots under it (one subdirectory per run) and
     /// resume-capable binaries pick up from the newest intact snapshot.
-    pub ckpt: Option<std::path::PathBuf>,
+    pub ckpt: Option<PathBuf>,
     /// Telemetry JSONL output path (`--telemetry PATH`). When set,
     /// [`RunOpts::from_args`] installs a JSONL file sink (every span,
     /// metric flush, mark, and warning as one JSON object per line) plus a
-    /// stderr sink for warnings, and [`save`] writes a final metrics
-    /// snapshot next to the experiment record.
-    pub telemetry: Option<std::path::PathBuf>,
+    /// stderr sink for warnings, and [`finish_telemetry`] writes a final
+    /// metrics snapshot under `target/experiments`.
+    pub telemetry: Option<PathBuf>,
     /// Epoch budget override (`--epochs N`), applied by
     /// [`RunOpts::pick_epochs`] over both quick and full defaults. Sized
     /// for CI smoke runs that need a real binary to finish in seconds.
@@ -57,14 +62,15 @@ pub struct RunOpts {
     /// and errors — is appended as one `qpinn-access-v1` JSON line with
     /// its trace id and queue/batch/compute/serialize latency split;
     /// feed the file to `qpinn-obs requests` / `qpinn-obs slo`.
-    pub access_log: Option<std::path::PathBuf>,
-    /// `qpinn-run-v1` run-record store directory (`--runs DIR`). When
-    /// set, every training run the experiment performs writes a durable
-    /// manifest + epoch series under `DIR/<run_id>/` (via
-    /// [`RunOpts::run_cfg`]), the experiment record lists the session's
-    /// run ids, and `--serve` jobs record there too. Inspect with
-    /// `qpinn-obs runs list/show/diff/regress`.
-    pub runs: Option<std::path::PathBuf>,
+    pub access_log: Option<PathBuf>,
+    /// `qpinn-run-v1` run-record store directory: `--runs DIR`, default
+    /// `target/runs` ([`qpinn_core::runs::default_dir`]). Every training
+    /// run the experiment performs writes a durable manifest + epoch
+    /// series under `DIR/<run_id>/` (via [`RunOpts::run_cfg`]), the
+    /// experiment record lists the session's run ids, and `--serve` jobs
+    /// record there too. Inspect with `qpinn-obs runs
+    /// list/show/diff/regress/table`.
+    pub runs: PathBuf,
 }
 
 impl RunOpts {
@@ -72,58 +78,19 @@ impl RunOpts {
     /// effect when `--telemetry PATH` is present.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
+        let flag = |name| flag_value(&args, name);
         let full = args.iter().any(|a| a == "--full");
-        let n_seeds = args
-            .iter()
-            .position(|a| a == "--seeds")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(if full { 5 } else { 2 });
-        let ckpt = args
-            .iter()
-            .position(|a| a == "--ckpt")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
-        let telemetry_path = args
-            .iter()
-            .position(|a| a == "--telemetry")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
-        let epochs = args
-            .iter()
-            .position(|a| a == "--epochs")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok());
-        let serve_metrics = args
-            .iter()
-            .position(|a| a == "--serve-metrics")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
-        let serve = args
-            .iter()
-            .position(|a| a == "--serve")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
-        let access_log = args
-            .iter()
-            .position(|a| a == "--access-log")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
-        let runs = args
-            .iter()
-            .position(|a| a == "--runs")
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from);
+        let telemetry_path = flag("--telemetry").map(PathBuf::from);
+        let serve_metrics = flag("--serve-metrics");
+        let serve = flag("--serve");
+        let access_log = flag("--access-log").map(PathBuf::from);
+        let runs = flag("--runs").map_or_else(qpinn_core::runs::default_dir, PathBuf::from);
         if let Some(addr) = &serve {
-            let models_dir = args
-                .iter()
-                .position(|a| a == "--models")
-                .and_then(|i| args.get(i + 1))
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| std::path::Path::new("target").join("models"));
+            let models_dir =
+                flag("--models").map_or_else(|| Path::new("target").join("models"), PathBuf::from);
             let mut cfg = qpinn_serve::ServeConfig::new(&models_dir);
             cfg.trace.access_log = access_log.clone();
-            cfg.runs = runs.clone();
+            cfg.runs = Some(runs.clone());
             match qpinn_serve::ServeServer::start(addr.as_str(), cfg) {
                 Ok(server) => {
                     println!(
@@ -167,10 +134,12 @@ impl RunOpts {
         }
         RunOpts {
             full,
-            n_seeds,
-            ckpt,
+            n_seeds: flag("--seeds")
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(if full { 5 } else { 2 }),
+            ckpt: flag("--ckpt").map(PathBuf::from),
             telemetry: telemetry_path,
-            epochs,
+            epochs: flag("--epochs").and_then(|v| v.parse().ok()),
             serve_metrics,
             serve,
             access_log,
@@ -178,14 +147,11 @@ impl RunOpts {
         }
     }
 
-    /// A [`qpinn_core::runs::RunConfig`] for one training run of this
-    /// experiment, or `None` when `--runs` was not given. `task` is the
-    /// `runs list` label (e.g. `t1/harmonic`), `config` the document
-    /// hashed into the manifest's `config_hash`.
-    pub fn run_cfg(&self, task: &str, seed: u64, config: Json) -> Option<qpinn_core::runs::RunConfig> {
-        self.runs
-            .as_ref()
-            .map(|dir| qpinn_core::runs::RunConfig::new(dir, task, seed).config(config))
+    /// The [`qpinn_core::runs::RunConfig`] for one training run of this
+    /// experiment. `task` is the `runs list` label (e.g. `t1/harmonic`),
+    /// `config` the document hashed into the manifest's `config_hash`.
+    pub fn run_cfg(&self, task: &str, seed: u64, config: Json) -> qpinn_core::runs::RunConfig {
+        qpinn_core::runs::RunConfig::new(&self.runs, task, seed).config(config)
     }
 
     /// The seed list for multi-seed experiments.
@@ -275,11 +241,9 @@ pub fn provenance() -> Json {
 }
 
 /// Persist the experiment record and report the path. Top-level object
-/// records gain a `provenance` stamp ([`provenance`]) and, when the
-/// process recorded `qpinn-run-v1` runs (`--runs DIR`), the session's
-/// `run_ids`. With telemetry enabled, also samples the pool counters
-/// into the event stream, writes the final metrics-registry snapshot to
-/// `target/experiments/<id>.metrics.json`, and flushes all sinks.
+/// records gain a `provenance` stamp ([`provenance`]) and the ids of the
+/// `qpinn-run-v1` runs the process recorded (`run_ids`). Then
+/// [`finish_telemetry`].
 pub fn save(id: &str, value: &Json) {
     let stamped;
     let value = match value {
@@ -310,26 +274,34 @@ pub fn save(id: &str, value: &Json) {
             eprintln!("\n[{msg}]");
         }
     }
-    if telemetry::enabled() {
-        qpinn_core::obs::emit_pool_stats(id);
-        qpinn_core::obs::emit_buffer_pool_stats(id);
-        let snap = telemetry::global().snapshot();
-        telemetry::emit(snap.to_event("final_metrics"));
-        let path = std::path::Path::new("target")
-            .join("experiments")
-            .join(format!("{id}.metrics.json"));
-        match std::fs::write(&path, snap.to_json()) {
-            Ok(()) => println!("[metrics snapshot {}]", path.display()),
-            Err(e) => {
-                let msg = telemetry::warn(
-                    "metrics_snapshot_write_failed",
-                    format!("could not write {}: {e}", path.display()),
-                );
-                eprintln!("[{msg}]");
-            }
-        }
-        telemetry::flush();
+    finish_telemetry(id);
+}
+
+/// With telemetry enabled (`--telemetry`), sample the pool counters into
+/// the event stream, write the final metrics-registry snapshot to
+/// `target/experiments/<id>.metrics.json` (noted on stderr), and flush
+/// all sinks. A no-op otherwise.
+pub fn finish_telemetry(id: &str) {
+    if !telemetry::enabled() {
+        return;
     }
+    qpinn_core::obs::emit_pool_stats(id);
+    qpinn_core::obs::emit_buffer_pool_stats(id);
+    let snap = telemetry::global().snapshot();
+    telemetry::emit(snap.to_event("final_metrics"));
+    let dir = Path::new("target").join("experiments");
+    let path = dir.join(format!("{id}.metrics.json"));
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, snap.to_json())) {
+        Ok(()) => eprintln!("[metrics snapshot {}]", path.display()),
+        Err(e) => {
+            let msg = telemetry::warn(
+                "metrics_snapshot_write_failed",
+                format!("could not write {}: {e}", path.display()),
+            );
+            eprintln!("[{msg}]");
+        }
+    }
+    telemetry::flush();
 }
 
 /// The harness-standard Adam schedule (step decay ×0.85) for a given epoch
@@ -379,6 +351,39 @@ pub fn wave_config(n_collocation: usize) -> ZooTaskConfig {
 pub fn wave_net(problem: &dyn PdeProblem, width: usize, depth: usize) -> FieldNetConfig {
     let c = problem.coords();
     FieldNetConfig::standard_wave(c[0].span(), c[1].span(), width, depth)
+}
+
+/// The settings of a [`FieldNetConfig`] run as its run record carries
+/// them: the problem key, the trunk's width and depth, the collocation
+/// count, and which convergence enhancements are on.
+pub fn net_doc(problem: &str, net: &FieldNetConfig, task: &ZooTaskConfig) -> Json {
+    Json::obj(vec![
+        ("problem", Json::Str(problem.to_string())),
+        ("width", Json::Num(net.hidden[0] as f64)),
+        ("depth", Json::Num(net.hidden.len() as f64)),
+        ("n_collocation", Json::Num(task.n_collocation as f64)),
+        ("rff", Json::Bool(net.rff.is_some())),
+        (
+            "periodic",
+            Json::Bool(matches!(net.coords[0], CoordSpec::Periodic { .. })),
+        ),
+        ("causal", Json::Bool(task.causal)),
+        ("conservation", Json::Bool(task.conservation)),
+    ])
+}
+
+/// The settings of a hybrid-network run as its run record carries them:
+/// the circuit, the classical hidden width and the collocation count.
+pub fn hybrid_doc(q: &QuantumLayer, hidden: usize, n_collocation: usize) -> Json {
+    Json::obj(vec![
+        ("ansatz", Json::Str(q.ansatz.name().to_string())),
+        ("scaling", Json::Str(q.scaling.name().to_string())),
+        ("reupload", Json::Bool(q.reupload)),
+        ("n_qubits", Json::Num(q.n_qubits as f64)),
+        ("layers", Json::Num(q.layers as f64)),
+        ("hidden", Json::Num(hidden as f64)),
+        ("n_collocation", Json::Num(n_collocation as f64)),
+    ])
 }
 
 /// A [`ZooTask`] and its parameters, built from `seed` — the shape the
@@ -438,30 +443,23 @@ pub fn resolve_ansatz(name: &str) -> Result<qpinn_qcircuit::Ansatz, String> {
 mod tests {
     use super::*;
 
+    fn opts(full: bool) -> RunOpts {
+        RunOpts {
+            full,
+            n_seeds: if full { 5 } else { 2 },
+            ckpt: None,
+            telemetry: None,
+            epochs: None,
+            serve_metrics: None,
+            serve: None,
+            access_log: None,
+            runs: qpinn_core::runs::default_dir(),
+        }
+    }
+
     #[test]
     fn pick_switches_on_mode() {
-        let quick = RunOpts {
-            full: false,
-            n_seeds: 2,
-            ckpt: None,
-            telemetry: None,
-            epochs: None,
-            serve_metrics: None,
-            serve: None,
-            access_log: None,
-            runs: None,
-        };
-        let full = RunOpts {
-            full: true,
-            n_seeds: 5,
-            ckpt: None,
-            telemetry: None,
-            epochs: None,
-            serve_metrics: None,
-            serve: None,
-            access_log: None,
-            runs: None,
-        };
+        let (quick, full) = (opts(false), opts(true));
         assert_eq!(quick.pick(1, 10), 1);
         assert_eq!(full.pick(1, 10), 10);
         assert_eq!(quick.seeds(), vec![100, 101]);
@@ -469,17 +467,7 @@ mod tests {
 
     #[test]
     fn epochs_override_beats_mode() {
-        let mut opts = RunOpts {
-            full: false,
-            n_seeds: 2,
-            ckpt: None,
-            telemetry: None,
-            epochs: None,
-            serve_metrics: None,
-            serve: None,
-            access_log: None,
-            runs: None,
-        };
+        let mut opts = opts(false);
         assert_eq!(opts.pick_epochs(100, 1000), 100);
         opts.full = true;
         assert_eq!(opts.pick_epochs(100, 1000), 1000);

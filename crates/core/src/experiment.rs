@@ -1,40 +1,11 @@
 //! Multi-seed experiment running: train the same configuration under
-//! several seeds (in parallel) and aggregate mean/std statistics, the way
-//! the reconstructed tables report results.
+//! several seeds (in parallel). The grid tables record each run through
+//! [`TrainConfig::run`] and render their statistics from the run store
+//! (`qpinn-obs runs table`).
 
 use crate::trainer::{PinnTask, TrainConfig, TrainLog, Trainer};
 use qpinn_nn::ParamSet;
 use rayon::prelude::*;
-
-/// The outcome of one seeded run.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    /// The seed used.
-    pub seed: u64,
-    /// Final evaluation error.
-    pub error: f64,
-    /// Final loss.
-    pub loss: f64,
-    /// Wall-clock seconds.
-    pub wall_s: f64,
-    /// Trainable-parameter count.
-    pub n_params: usize,
-    /// Full trajectory log.
-    pub log: TrainLog,
-}
-
-/// Aggregate statistics over seeds.
-#[derive(Clone, Copy, Debug)]
-pub struct Aggregate {
-    /// Mean final error.
-    pub mean_error: f64,
-    /// Standard deviation of the final error.
-    pub std_error: f64,
-    /// Best (lowest) final error.
-    pub best_error: f64,
-    /// Mean wall-clock seconds.
-    pub mean_wall_s: f64,
-}
 
 /// Mean and (population) standard deviation of a sample.
 pub fn mean_std_of(xs: &[f64]) -> (f64, f64) {
@@ -46,24 +17,15 @@ pub fn mean_std_of(xs: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Run `builder(seed)` for every seed, train each task, and collect
-/// per-run results. Runs execute in parallel over seeds.
+/// Run `builder(seed)` for every seed, train each task under
+/// `cfg_for(seed)`, and return the logs in seed-list order. Runs execute
+/// in parallel over seeds.
 ///
+/// The configuration is per seed because it embeds per-run resources: a
+/// checkpoint directory must be distinct per seed or parallel runs would
+/// interleave snapshots in one store, and a run record carries its seed.
 /// `builder` must construct a fresh `(task, params)` pair from a seed.
-pub fn run_seeds<T, F>(seeds: &[u64], cfg: &TrainConfig, builder: F) -> Vec<RunResult>
-where
-    T: PinnTask + Send,
-    F: Fn(u64) -> (T, ParamSet) + Sync,
-{
-    run_seeds_with(seeds, |_| cfg.clone(), builder)
-}
-
-/// Like [`run_seeds`], but with a per-seed training configuration.
-///
-/// Needed whenever the configuration embeds per-run resources — most
-/// importantly a checkpoint directory, which must be distinct per seed or
-/// parallel runs would interleave snapshots in one store.
-pub fn run_seeds_with<T, F, C>(seeds: &[u64], cfg_for: C, builder: F) -> Vec<RunResult>
+pub fn run_seeds_with<T, F, C>(seeds: &[u64], cfg_for: C, builder: F) -> Vec<TrainLog>
 where
     T: PinnTask + Send,
     F: Fn(u64) -> (T, ParamSet) + Sync,
@@ -73,30 +35,9 @@ where
         .par_iter()
         .map(|&seed| {
             let (mut task, mut params) = builder(seed);
-            let n_params = params.n_scalars();
-            let log = Trainer::new(cfg_for(seed)).train(&mut task, &mut params);
-            RunResult {
-                seed,
-                error: log.final_error,
-                loss: log.final_loss,
-                wall_s: log.wall_s,
-                n_params,
-                log,
-            }
+            Trainer::new(cfg_for(seed)).train(&mut task, &mut params)
         })
         .collect()
-}
-
-/// Aggregate a batch of runs.
-pub fn aggregate(runs: &[RunResult]) -> Aggregate {
-    let errors: Vec<f64> = runs.iter().map(|r| r.error).collect();
-    let (mean_error, std_error) = mean_std_of(&errors);
-    Aggregate {
-        mean_error,
-        std_error,
-        best_error: errors.iter().copied().fold(f64::INFINITY, f64::min),
-        mean_wall_s: runs.iter().map(|r| r.wall_s).sum::<f64>() / runs.len().max(1) as f64,
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +65,7 @@ mod tests {
     }
 
     #[test]
-    fn seeds_run_in_parallel_and_aggregate() {
+    fn seeds_run_in_parallel_in_seed_order() {
         let cfg = TrainConfig {
             epochs: 400,
             schedule: LrSchedule::Constant { lr: 0.05 },
@@ -137,7 +78,7 @@ mod tests {
             progress: None,
             run: None,
         };
-        let runs = run_seeds(&[1, 2, 3, 4], &cfg, |seed| {
+        let build = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut params = ParamSet::new();
             let id = params.add(
@@ -145,13 +86,18 @@ mod tests {
                 Tensor::from_vec([1, 1], vec![rng.gen_range(-1.0..1.0)]),
             );
             (Toy { target: 2.0, id }, params)
-        });
-        assert_eq!(runs.len(), 4);
-        let agg = aggregate(&runs);
-        assert!(agg.mean_error < 1e-2, "{agg:?}");
-        assert!(agg.best_error <= agg.mean_error);
-        // different seeds → different trajectories (different inits)
-        assert!(runs[0].log.loss[0] != runs[1].log.loss[0]);
+        };
+        let logs = run_seeds_with(&[1, 2, 3, 4], |_| cfg.clone(), build);
+        assert_eq!(logs.len(), 4);
+        for log in &logs {
+            assert!(log.final_error < 1e-2, "{log:?}");
+        }
+        // different seeds → different trajectories (different inits), and
+        // each log sits at its seed's position
+        assert!(logs[0].loss[0] != logs[1].loss[0]);
+        let (mut task, mut params) = build(3);
+        let alone = Trainer::new(cfg).train(&mut task, &mut params);
+        assert_eq!(alone.loss, logs[2].loss);
     }
 
     #[test]
@@ -161,7 +107,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
         let seeds = [7u64, 8];
         let base_for_cfg = base.clone();
-        let runs = run_seeds_with(
+        let logs = run_seeds_with(
             &seeds,
             |seed| TrainConfig {
                 epochs: 40,
@@ -187,7 +133,7 @@ mod tests {
                 (Toy { target: 2.0, id }, params)
             },
         );
-        assert_eq!(runs.len(), 2);
+        assert_eq!(logs.len(), 2);
         for seed in seeds {
             let store = qpinn_persist::SnapshotStore::open(base.join(format!("seed-{seed}")))
                 .expect("store opens");

@@ -18,7 +18,7 @@
 //!   the Rayleigh-quotient energy of a learned bound state;
 //! * [`report`] — aligned text tables and a small JSON writer for the
 //!   experiment harness;
-//! * [`experiment`] — multi-seed sweep running with mean/std aggregation;
+//! * [`experiment`] — multi-seed runs in parallel, plus mean/std;
 //! * [`runs`] — the `qpinn-run-v1` durable run-record store (manifest +
 //!   epoch series per training run, consumed by `qpinn-obs runs` and the
 //!   `/v1/runs` HTTP routes).

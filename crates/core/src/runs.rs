@@ -29,7 +29,7 @@
 //! launched by a traced `POST /v1/train` request carries both its own id
 //! and the submitting request's trace id.
 //!
-//! Consumers: `qpinn-obs runs {list,show,diff,regress}` and the shared
+//! Consumers: `qpinn-obs runs {list,show,diff,regress,table}` and the shared
 //! HTTP routes `GET /v1/runs` and `GET /v1/runs/<id>`.
 
 use crate::report::Json;
@@ -586,7 +586,8 @@ pub fn list_runs(dir: &Path) -> io::Result<Vec<RunSummary>> {
     Ok(out)
 }
 
-fn read_manifest(run_dir: &Path) -> Result<Manifest, String> {
+/// Parse `<run_dir>/manifest.json`.
+pub fn read_manifest(run_dir: &Path) -> Result<Manifest, String> {
     let text = fs::read_to_string(run_dir.join("manifest.json")).map_err(|e| e.to_string())?;
     Manifest::from_json(&Json::parse(&text)?)
 }

@@ -385,6 +385,8 @@ impl Trainer {
                         .map(|n| Json::Num(n as f64))
                         .unwrap_or(Json::Null),
                 ),
+                // Read back by `qpinn-obs runs table` as the params column.
+                ("n_params", Json::Num(params.n_scalars() as f64)),
             ]);
             match RunRecorder::begin(rc, self.cfg.epochs, train) {
                 Ok(r) => Some(r),

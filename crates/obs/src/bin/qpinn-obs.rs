@@ -9,6 +9,7 @@
 //! qpinn-obs slo ACCESS.jsonl --objective '/v1/eval p99_ms<=50'
 //! qpinn-obs runs list [--dir DIR]           # run-record table
 //! qpinn-obs runs diff A B [--dir DIR]       # config + metric delta
+//! qpinn-obs runs table [--dir DIR]          # grid tables from the store
 //! ```
 //!
 //! Exit codes: 0 success, 1 perf regression / SLO violation / corrupt
@@ -77,6 +78,13 @@ USAGE:
         Gate RUN against a baseline run: final loss / final error must
         not grow beyond the threshold (default 20%), and a run whose
         baseline converged must itself converge. Exit 1 on regression.
+
+    qpinn-obs runs table [--dir DIR]
+        The grid tables (T1, T3, T4, F3, ...) rendered from the store:
+        one table per label prefix (`t1/...`), one row per task label and
+        config hash, rel-L2 mean ± std over the newest finalized run of
+        each seed, with best, params, epochs, s/run and the seed count.
+        Incomplete runs are left out.
 
 EXIT CODES:
     0  success / no regression
@@ -308,32 +316,36 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
 
 fn cmd_runs(args: &[String]) -> Result<ExitCode, String> {
     let Some(sub) = args.first() else {
-        return Err("runs needs a subcommand: list | show | diff | regress".into());
+        return Err("runs needs a subcommand: list | show | diff | regress | table".into());
     };
     // Every subcommand takes --dir DIR (default target/runs); positional
-    // arguments are run ids.
+    // arguments are run ids; --baseline and --threshold belong to regress.
     let mut dir = qpinn_core::runs::default_dir();
     let mut ids: Vec<&str> = Vec::new();
     let mut baseline: Option<&str> = None;
-    let mut threshold = 20.0f64;
+    let mut threshold: Option<f64> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--dir" => dir = it.next().ok_or("--dir needs a path")?.into(),
             "--baseline" => baseline = Some(it.next().ok_or("--baseline needs a run id")?),
             "--threshold" => {
-                threshold = it
+                let pct: f64 = it
                     .next()
                     .ok_or("--threshold needs a percentage")?
                     .parse()
                     .map_err(|e| format!("--threshold: {e}"))?;
-                if !threshold.is_finite() || threshold < 0.0 {
+                if !pct.is_finite() || pct < 0.0 {
                     return Err("--threshold must be a non-negative percentage".into());
                 }
+                threshold = Some(pct);
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
             id => ids.push(id),
         }
+    }
+    if sub != "regress" && (baseline.is_some() || threshold.is_some()) {
+        return Err(format!("runs {sub} takes no --baseline or --threshold"));
     }
     let load = |id: &str| {
         qpinn_core::runs::load_run(&dir, id)
@@ -369,13 +381,23 @@ fn cmd_runs(args: &[String]) -> Result<ExitCode, String> {
                 return Err("runs regress takes exactly one run id".into());
             };
             let baseline = baseline.ok_or("runs regress needs --baseline ID")?;
-            let report = qpinn_obs::runs::regress(&load(id)?, &load(baseline)?, threshold);
+            let report =
+                qpinn_obs::runs::regress(&load(id)?, &load(baseline)?, threshold.unwrap_or(20.0));
             print!("{}", report.render());
             Ok(if report.passed() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)
             })
+        }
+        "table" => {
+            if !ids.is_empty() {
+                return Err("runs table takes no run ids".into());
+            }
+            let text = qpinn_obs::runs::table_report(&dir, None)
+                .map_err(|e| format!("reading {}: {e}", dir.display()))?;
+            print!("{text}");
+            Ok(ExitCode::SUCCESS)
         }
         other => Err(format!("unknown runs subcommand `{other}`")),
     }

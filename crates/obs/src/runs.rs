@@ -10,9 +10,14 @@
 //!   setup is therefore flagged as a determinism violation.
 //! * `regress` — threshold gate of a run against a baseline run, with
 //!   the same 0/1/2 exit-code contract as `check`.
+//! * `table` — the grid tables (T1, T3, T4, F3, and any other label of
+//!   the form `<table>/<row>`): rel-L2 mean ± std over seeds per row,
+//!   rendered from the manifests alone. The `tables` bench binary prints
+//!   this same rendering over the runs it just recorded.
 
-use qpinn_core::report::{sparkline_log, Json, TextTable};
-use qpinn_core::runs::{list_runs, RunRecord};
+use qpinn_core::experiment::mean_std_of;
+use qpinn_core::report::{mean_std, sparkline_log, Json, TextTable};
+use qpinn_core::runs::{list_runs, read_manifest, Manifest, RunOutcome, RunRecord};
 use std::path::Path;
 
 /// Render the `runs list` table for a store directory.
@@ -455,6 +460,165 @@ pub fn regress(current: &RunRecord, baseline: &RunRecord, threshold_pct: f64) ->
     }
 }
 
+/// One row of a grid table: the finalized runs that share a task label
+/// and a config hash, newest run per seed, in seed order.
+#[derive(Clone, Debug)]
+pub struct TableRow {
+    /// Task label, `<table>/<row>`.
+    pub task: String,
+    /// Config hash the row's runs share.
+    pub config_hash: String,
+    /// Final rel-L2 error per seed, in seed order. A run that recorded
+    /// no final error (non-finite values serialize as `null`) counts as
+    /// NaN.
+    pub errors: Vec<f64>,
+    /// Mean of `errors`.
+    pub mean: f64,
+    /// Population standard deviation of `errors`.
+    pub std: f64,
+    /// Lowest of `errors` (NaN-ignoring).
+    pub best: f64,
+    /// Trainable-parameter count (`config.train.n_params`), when recorded.
+    pub n_params: Option<usize>,
+    /// Planned epoch budget.
+    pub epochs: usize,
+    /// Mean wall seconds per run, from the manifest timestamps.
+    pub s_per_run: f64,
+}
+
+impl TableRow {
+    /// The table id: the task label up to its first `/`.
+    fn table(&self) -> &str {
+        self.task.split_once('/').map_or(&self.task, |(t, _)| t)
+    }
+
+    /// The row label: the task label after its first `/`.
+    fn label(&self) -> &str {
+        self.task.split_once('/').map_or(&self.task, |(_, r)| r)
+    }
+}
+
+/// Group finalized runs into [`TableRow`]s: one per (task label, config
+/// hash), so runs at different budgets never average together, in the
+/// order of each row's first run start. Within a row the newest run per
+/// seed counts; `incomplete` runs are left out, while diverged and error
+/// runs count with whatever final error they recorded.
+pub fn table_rows(manifests: &[Manifest]) -> Vec<TableRow> {
+    let mut finalized: Vec<&Manifest> = manifests
+        .iter()
+        .filter(|m| m.outcome != RunOutcome::Incomplete)
+        .collect();
+    finalized.sort_by(|a, b| (a.start_unix_ms, &a.run_id).cmp(&(b.start_unix_ms, &b.run_id)));
+    // (task, hash) → newest manifest per seed, rows in first-start order.
+    let mut groups: Vec<(&str, &str, Vec<&Manifest>)> = Vec::new();
+    for m in finalized {
+        let at = match groups
+            .iter()
+            .position(|(t, h, _)| *t == m.task && *h == m.config_hash)
+        {
+            Some(at) => at,
+            None => {
+                groups.push((&m.task, &m.config_hash, Vec::new()));
+                groups.len() - 1
+            }
+        };
+        let runs = &mut groups[at].2;
+        runs.retain(|r| r.seed != m.seed);
+        runs.push(m);
+    }
+    groups
+        .into_iter()
+        .map(|(task, config_hash, mut runs)| {
+            runs.sort_by_key(|m| m.seed);
+            let errors: Vec<f64> = runs
+                .iter()
+                .map(|m| m.final_error.unwrap_or(f64::NAN))
+                .collect();
+            let (mean, std) = mean_std_of(&errors);
+            let wall_s: f64 = runs
+                .iter()
+                .map(|m| {
+                    m.end_unix_ms
+                        .map_or(0, |end| end.saturating_sub(m.start_unix_ms))
+                })
+                .map(|ms| ms as f64 / 1000.0)
+                .sum();
+            TableRow {
+                task: task.to_string(),
+                config_hash: config_hash.to_string(),
+                best: errors.iter().copied().fold(f64::INFINITY, f64::min),
+                mean,
+                std,
+                errors,
+                n_params: runs[0]
+                    .config
+                    .get("train")
+                    .and_then(|t| t.get("n_params"))
+                    .and_then(|v| v.as_num())
+                    .map(|v| v as usize),
+                epochs: runs[0].epochs_planned,
+                s_per_run: wall_s / runs.len() as f64,
+            }
+        })
+        .collect()
+}
+
+/// Render rows as one aligned table per table id, in the order each
+/// table's first row appears: row, rel-L2 (mean±std), best, params,
+/// epochs, s/run and seeds (the runs the row holds).
+pub fn render_tables(rows: &[TableRow]) -> String {
+    if rows.is_empty() {
+        return "no finalized runs\n".to_string();
+    }
+    let mut tables: Vec<(&str, TextTable)> = Vec::new();
+    for row in rows {
+        let at = match tables.iter().position(|(id, _)| *id == row.table()) {
+            Some(at) => at,
+            None => {
+                let header = [
+                    "row",
+                    "rel-L2 (mean±std)",
+                    "best",
+                    "params",
+                    "epochs",
+                    "s/run",
+                    "seeds",
+                ];
+                tables.push((row.table(), TextTable::new(&header)));
+                tables.len() - 1
+            }
+        };
+        tables[at].1.row(&[
+            row.label().to_string(),
+            mean_std(row.mean, row.std),
+            format!("{:.3e}", row.best),
+            row.n_params
+                .map(|n| n.to_string())
+                .unwrap_or_else(|| "-".into()),
+            row.epochs.to_string(),
+            format!("{:.1}", row.s_per_run),
+            row.errors.len().to_string(),
+        ]);
+    }
+    tables
+        .iter()
+        .map(|(id, table)| format!("{id}\n{}", table.render()))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The `runs table` report over the store at `dir`: every run, or only
+/// the ids in `only` (the `tables` binary passes its session's runs).
+/// Runs whose manifest does not parse are skipped.
+pub fn table_report(dir: &Path, only: Option<&[String]>) -> std::io::Result<String> {
+    let manifests: Vec<Manifest> = list_runs(dir)?
+        .into_iter()
+        .filter(|s| only.is_none_or(|ids| ids.contains(&s.run_id)))
+        .filter_map(|s| read_manifest(&dir.join(&s.run_id)).ok())
+        .collect();
+    Ok(render_tables(&table_rows(&manifests)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,6 +666,162 @@ mod tests {
             },
             series,
         }
+    }
+
+    /// A finalized grid-table manifest: `start` orders runs, the run
+    /// lasted `start` ms … `start + 1500` ms.
+    fn table_run(
+        id: &str,
+        task: &str,
+        hash: &str,
+        seed: u64,
+        start: u64,
+        outcome: RunOutcome,
+        final_error: Option<f64>,
+    ) -> Manifest {
+        Manifest {
+            run_id: id.into(),
+            task: task.into(),
+            seed,
+            config: Json::obj(vec![(
+                "train",
+                Json::obj(vec![("n_params", Json::Num(4347.0))]),
+            )]),
+            config_hash: hash.into(),
+            threads: 1,
+            simd: 1,
+            env: Vec::new(),
+            trace: String::new(),
+            start_unix_ms: start,
+            end_unix_ms: (outcome != RunOutcome::Incomplete).then_some(start + 1500),
+            outcome,
+            epochs_planned: 40,
+            epochs_run: Some(40),
+            final_loss: final_error,
+            final_error,
+        }
+    }
+
+    #[test]
+    fn table_rows_group_by_label_and_config_hash() {
+        use RunOutcome::Converged as C;
+        let runs = [
+            table_run("r1", "t1/free", "h1", 100, 10, C, Some(0.1)),
+            table_run("r2", "t1/free", "h1", 101, 10, C, Some(0.2)),
+            // same label at another budget: its own row
+            table_run("r3", "t1/free", "h2", 100, 20, C, Some(0.3)),
+            table_run("r4", "t3/w16-d2", "h1", 100, 30, C, Some(0.4)),
+            table_run("r5", "t1/nls", "h3", 100, 40, C, Some(0.5)),
+        ];
+        let rows = table_rows(&runs);
+        let keys: Vec<(&str, &str, usize)> = rows
+            .iter()
+            .map(|r| (r.task.as_str(), r.config_hash.as_str(), r.errors.len()))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("t1/free", "h1", 2),
+                ("t1/free", "h2", 1),
+                ("t3/w16-d2", "h1", 1),
+                ("t1/nls", "h3", 1),
+            ]
+        );
+        // One table per label prefix, in first-row order; rows keep their
+        // order within a table.
+        let text = render_tables(&rows);
+        let t1 = text.find("t1\nrow").expect("t1 table");
+        let t3 = text.find("t3\nrow").expect("t3 table");
+        assert!(t1 < t3, "{text}");
+        assert!(text[t1..t3].contains("nls"), "{text}");
+        assert!(!text[t3..].contains("free"), "{text}");
+        assert!(text.contains("4347"), "{text}");
+        assert!(text.contains("1.5"), "s/run from the timestamps: {text}");
+    }
+
+    #[test]
+    fn table_statistics_follow_seed_order() {
+        use RunOutcome::Converged as C;
+        // Started out of seed order: the statistics must still see the
+        // errors in seed order, as the trainer's seed list produced them.
+        let runs = [
+            table_run("b", "t1/free", "h", 102, 10, C, Some(0.3)),
+            table_run("a", "t1/free", "h", 100, 11, C, Some(0.1)),
+            table_run("c", "t1/free", "h", 101, 12, C, Some(0.7)),
+        ];
+        let rows = table_rows(&runs);
+        assert_eq!(rows.len(), 1);
+        let row = &rows[0];
+        assert_eq!(row.errors, [0.1, 0.7, 0.3]);
+        let (mean, std) = mean_std_of(&[0.1, 0.7, 0.3]);
+        assert_eq!(row.mean.to_bits(), mean.to_bits());
+        assert_eq!(row.std.to_bits(), std.to_bits());
+        assert_eq!(row.best, 0.1);
+        assert_eq!(row.n_params, Some(4347));
+        assert_eq!(row.epochs, 40);
+        let text = render_tables(&rows);
+        assert!(text.contains(&mean_std(mean, std)), "{text}");
+        assert!(text.contains("1.000e-1"), "{text}");
+    }
+
+    #[test]
+    fn the_newest_run_per_seed_counts() {
+        use RunOutcome::Converged as C;
+        let runs = [
+            table_run("old", "t1/free", "h", 100, 10, C, Some(0.9)),
+            table_run("new", "t1/free", "h", 100, 20, C, Some(0.2)),
+            table_run("other", "t1/free", "h", 101, 15, C, Some(0.4)),
+        ];
+        let rows = table_rows(&runs);
+        assert_eq!(rows[0].errors, [0.2, 0.4]);
+        // Rerunning the whole row leaves the seed count alone.
+        let text = render_tables(&rows);
+        assert!(
+            text.lines().nth(3).unwrap().trim_end().ends_with("| 2"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn incomplete_runs_are_left_out() {
+        use RunOutcome::{Converged as C, Incomplete as I};
+        let runs = [
+            table_run("a", "t1/free", "h", 100, 10, C, Some(0.1)),
+            // killed rerun of seed 100: the finalized run still counts
+            table_run("b", "t1/free", "h", 100, 20, I, None),
+            table_run("c", "t1/free", "h", 101, 30, I, None),
+            // a row whose only run never finished does not render
+            table_run("d", "t1/nls", "h", 100, 40, I, None),
+        ];
+        let rows = table_rows(&runs);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].errors, [0.1]);
+        assert!(!render_tables(&rows).contains("nls"));
+        assert_eq!(
+            render_tables(&table_rows(&runs[3..])),
+            "no finalized runs\n"
+        );
+    }
+
+    #[test]
+    fn diverged_and_error_runs_still_count() {
+        use RunOutcome::{Converged as C, Diverged as D, Error as E};
+        let runs = [
+            table_run("a", "t1/free", "h", 100, 10, C, Some(0.1)),
+            table_run("b", "t1/free", "h", 101, 11, D, Some(2.5)),
+        ];
+        let rows = table_rows(&runs);
+        assert_eq!(rows[0].errors, [0.1, 2.5]);
+        assert_eq!(rows[0].mean, mean_std_of(&[0.1, 2.5]).0);
+        // A non-finite final error is recorded as null and counts as NaN,
+        // so the mean shows the failure; best still reports the finite run.
+        let runs = [
+            table_run("a", "t1/free", "h", 100, 10, C, Some(0.1)),
+            table_run("b", "t1/free", "h", 101, 11, E, None),
+        ];
+        let rows = table_rows(&runs);
+        assert!(rows[0].mean.is_nan());
+        assert_eq!(rows[0].best, 0.1);
     }
 
     #[test]

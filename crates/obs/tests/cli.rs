@@ -347,6 +347,54 @@ fn runs_regress_exit_codes_follow_the_check_contract() {
     assert_eq!(out.status.code(), Some(2));
     let out = bin().args(["runs", "bogus"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    // The gate's flags are a usage error anywhere else.
+    let out = bin()
+        .args(["runs", "list", "--baseline", "aaaaaaaaaaaaaaaa", "--dir"])
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn runs_table_renders_every_row_of_a_store() {
+    let dir = run_store("table");
+    let table = |extra: &[&str]| {
+        let mut cmd = bin();
+        cmd.args(["runs", "table"])
+            .args(extra)
+            .arg("--dir")
+            .arg(&dir);
+        cmd.output().unwrap()
+    };
+    let out = table(&[]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    let text = stdout(&out);
+    // Both runs carry the label t1/demo under different config hashes:
+    // one t1 table, two rows, one seed each.
+    assert!(text.starts_with("t1\nrow"), "{text}");
+    let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("demo ")).collect();
+    assert_eq!(rows.len(), 2, "{text}");
+    assert!(rows[0].contains("5.000e-5"), "{text}");
+    assert!(rows[1].contains("2.500e-2"), "{text}");
+    for row in &rows {
+        assert!(row.contains("| 1.0 "), "s/run from the timestamps: {text}");
+        assert!(row.trim_end().ends_with("| 1"), "one seed: {text}");
+    }
+    // A second call over the same store prints the same bytes.
+    assert_eq!(table(&[]).stdout, out.stdout);
+
+    // A run id or any flag but --dir is a usage error: exit 2.
+    for extra in [
+        &["aaaaaaaaaaaaaaaa"][..],
+        &["--metric", "final_error"],
+        &["--threshold", "5"],
+    ] {
+        let out = table(extra);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {}", stdout(&out));
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

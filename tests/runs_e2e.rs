@@ -1,15 +1,18 @@
 //! End-to-end `qpinn-run-v1` experiment tracking: real training runs
 //! write durable run records, and the cross-run forensics (`runs diff`,
-//! `runs regress`) read them back with the contracts the CLI and CI
-//! rely on — identical config+seed reproduces bit-for-bit (zero metric
-//! delta), a perturbed learning rate shows up in the config delta and
-//! fails the regression gate.
+//! `runs regress`, `runs table`) read them back with the contracts the
+//! CLI and CI rely on — identical config+seed reproduces bit-for-bit
+//! (zero metric delta), a perturbed learning rate shows up in the config
+//! delta and fails the regression gate, and a grid table rendered from
+//! the store carries the statistics of the logs the trainer returned.
 
-use qpinn::core::runs::{list_runs, load_run, RunConfig, RunRecord};
+use qpinn::core::experiment::{mean_std_of, run_seeds_with};
+use qpinn::core::report::mean_std;
+use qpinn::core::runs::{list_runs, load_run, read_manifest, RunConfig, RunRecord};
 use qpinn::core::trainer::Trainer;
 use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
-use qpinn::obs::runs::{diff, regress};
+use qpinn::obs::runs::{diff, regress, render_tables, table_report, table_rows};
 use qpinn::optim::LrSchedule;
 use qpinn::problems::{lookup, TdseProblem};
 use rand::{rngs::StdRng, SeedableRng};
@@ -26,8 +29,16 @@ fn tmp_store(tag: &str) -> PathBuf {
 /// construction, sampling, and ordered reductions are all deterministic
 /// at a fixed thread count.
 fn train_recorded(store: &Path, seed: u64, lr: f64, epochs: usize) -> String {
+    let (mut task, mut params) = free_packet_task(12, seed);
+    let train = recorded_config(store, "e2e/free-packet", seed, lr, epochs);
+    let log = Trainer::new(train).train(&mut task, &mut params);
+    log.run_id.expect("run recording was configured")
+}
+
+/// A small free-packet TDSE task with a `width × 2` trunk.
+fn free_packet_task(width: usize, seed: u64) -> (ZooTask, ParamSet) {
     let problem = TdseProblem::free_packet();
-    let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, 12, 2);
+    let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, width, 2);
     let cfg = ZooTaskConfig {
         n_collocation: 96,
         n_condition: 24,
@@ -38,8 +49,13 @@ fn train_recorded(store: &Path, seed: u64, lr: f64, epochs: usize) -> String {
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let free = lookup("tdse-free").unwrap();
-    let mut task = ZooTask::new(free, &net, &cfg, &mut params, &mut rng);
-    let train = TrainConfig {
+    let task = ZooTask::new(free, &net, &cfg, &mut params, &mut rng);
+    (task, params)
+}
+
+/// A constant-rate schedule that records into `store` under `task`.
+fn recorded_config(store: &Path, task: &str, seed: u64, lr: f64, epochs: usize) -> TrainConfig {
+    TrainConfig {
         epochs,
         schedule: LrSchedule::Constant { lr },
         log_every: 5,
@@ -50,16 +66,12 @@ fn train_recorded(store: &Path, seed: u64, lr: f64, epochs: usize) -> String {
         divergence: None,
         progress: None,
         run: Some(
-            RunConfig::new(store, "e2e/free-packet", seed).config(
-                qpinn::core::report::Json::obj(vec![(
-                    "problem",
-                    qpinn::core::report::Json::Str("free-packet".into()),
-                )]),
-            ),
+            RunConfig::new(store, task, seed).config(qpinn::core::report::Json::obj(vec![(
+                "problem",
+                qpinn::core::report::Json::Str("free-packet".into()),
+            )])),
         ),
-    };
-    let log = Trainer::new(train).train(&mut task, &mut params);
-    log.run_id.expect("run recording was configured")
+    }
 }
 
 fn load(store: &Path, id: &str) -> RunRecord {
@@ -126,5 +138,53 @@ fn perturbed_lr_changes_config_hash_and_fails_the_regression_gate() {
         gate.render()
     );
     assert!(gate.render().contains("FAIL"));
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn grid_table_from_the_store_matches_the_returned_logs() {
+    let store = tmp_store("table");
+    let seeds = [100, 101];
+    // Two rows of one table, two seeds each, trained the way the `tables`
+    // bench binary trains its rows.
+    let mut logs = Vec::new();
+    for (label, width) in [("e2e/w8", 8), ("e2e/w12", 12)] {
+        logs.push(run_seeds_with(
+            &seeds,
+            |seed| recorded_config(&store, label, seed, 2e-3, 20),
+            |seed| free_packet_task(width, seed),
+        ));
+    }
+
+    let manifests: Vec<_> = list_runs(&store)
+        .unwrap()
+        .iter()
+        .map(|s| read_manifest(&store.join(&s.run_id)).unwrap())
+        .collect();
+    let rows = table_rows(&manifests);
+    assert_eq!(rows.len(), 2);
+    for ((row, logs), label) in rows.iter().zip(&logs).zip(["e2e/w8", "e2e/w12"]) {
+        assert_eq!(row.task, label);
+        let errors: Vec<f64> = logs.iter().map(|l| l.final_error).collect();
+        let (mean, std) = mean_std_of(&errors);
+        let best = errors.iter().copied().fold(f64::INFINITY, f64::min);
+        // Bit for bit: the manifest's number round-trips the f64.
+        assert_eq!(row.errors.len(), seeds.len());
+        for (a, b) in row.errors.iter().zip(&errors) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{label}");
+        }
+        assert_eq!(row.mean.to_bits(), mean.to_bits(), "{label}");
+        assert_eq!(row.std.to_bits(), std.to_bits(), "{label}");
+        assert_eq!(row.best.to_bits(), best.to_bits(), "{label}");
+        assert!(row.n_params.is_some_and(|n| n > 0), "{label}");
+        assert_eq!(row.epochs, 20);
+    }
+    // The store-level report renders exactly these rows.
+    let text = table_report(&store, None).unwrap();
+    assert_eq!(text, render_tables(&rows));
+    for row in &rows {
+        assert!(text.contains(&mean_std(row.mean, row.std)), "{text}");
+        assert!(text.contains(&format!("{:.3e}", row.best)), "{text}");
+    }
     let _ = std::fs::remove_dir_all(&store);
 }
