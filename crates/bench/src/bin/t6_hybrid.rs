@@ -125,7 +125,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(11);
         let pde = eigenstate(problem.clone(), 0, 0.4, Vec::new());
         let mut task = ZooTask::new(pde, &net, &cfg, &mut params, &mut rng);
-        let mut tcfg = train_cfg(opts.pick(1500, 4000));
+        let mut tcfg = train_cfg(opts.pick_epochs(1500, 4000));
         tcfg.lbfgs_polish = Some(60);
         tcfg.run = Some(opts.run_cfg(
             "t6/classical",

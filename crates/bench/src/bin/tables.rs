@@ -14,9 +14,9 @@
 //! Every row's seeds train through [`run_seeds_with`] into the run store
 //! (`--runs DIR`, default `target/runs`) under the label `<table>/<row>`.
 //! Stdout is then exactly what `qpinn-obs runs table` renders from the
-//! runs this invocation recorded (after the address lines `--serve` and
-//! `--serve-metrics` print); progress goes to stderr. `--table
-//! t1|t3|t4|f3` runs one table (default: all four).
+//! runs this invocation recorded (after the address line `--serve`
+//! prints); progress goes to stderr. `--table t1|t3|t4|f3` runs one
+//! table (default: all four).
 
 use qpinn_bench::{
     finish_telemetry, flag_value, net_doc, nls_raissi, seeded_task, standard_train, wave_config,
@@ -215,7 +215,6 @@ mod tests {
             ckpt: None,
             telemetry: None,
             epochs: None,
-            serve_metrics: None,
             serve: None,
             access_log: None,
             runs: qpinn_core::runs::default_dir(),

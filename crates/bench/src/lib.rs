@@ -43,19 +43,14 @@ pub struct RunOpts {
     /// [`RunOpts::pick_epochs`] over both quick and full defaults. Sized
     /// for CI smoke runs that need a real binary to finish in seconds.
     pub epochs: Option<usize>,
-    /// Live metrics endpoint address (`--serve-metrics ADDR`, e.g.
-    /// `127.0.0.1:9095`; port 0 picks a free port). When set,
-    /// [`RunOpts::from_args`] starts a [`qpinn_obs::MetricsServer`]
-    /// exposing `/metrics`, `/metrics.json`, `/progress`, and `/healthz`
-    /// for the lifetime of the process.
-    pub serve_metrics: Option<String>,
-    /// Inference-server address (`--serve ADDR`, e.g. `127.0.0.1:0`;
-    /// port 0 picks a free port and prints it). When set,
-    /// [`RunOpts::from_args`] starts a [`qpinn_serve::ServeServer`] with
-    /// its model registry under `target/models` (or `--models DIR`),
-    /// exposing `/v1/eval`, `/v1/train`, `/v1/models`, and the shared
-    /// metrics routes for the lifetime of the process. Useful for
-    /// driving load against a bench-built binary.
+    /// Live endpoint address (`--serve ADDR`, e.g. `127.0.0.1:0`; port 0
+    /// picks a free port and prints it). When set, [`RunOpts::from_args`]
+    /// starts a [`qpinn_serve::ServeServer`] with its model registry
+    /// under `target/models` (or `--models DIR`) and the run store
+    /// [`RunOpts::runs`], exposing `/metrics`, `/metrics.json`,
+    /// `/progress`, `/healthz`, `/v1/runs`, `/v1/eval`, `/v1/train` and
+    /// `/v1/models` for the lifetime of the process: the one way to watch
+    /// a bench run live, and to drive load against a bench-built binary.
     pub serve: Option<String>,
     /// Access-log path for the inference server (`--access-log PATH`,
     /// only meaningful with `--serve`). Every request — including sheds
@@ -73,15 +68,52 @@ pub struct RunOpts {
     pub runs: PathBuf,
 }
 
+/// Every `--name` flag a bench binary accepts: the [`RunOpts`] flags,
+/// `--models` (with `--serve`), `tables`' `--table`, and `sweep`'s
+/// `--problem`, `--ansatz`, `--list-problems` and `--list-ansatze`.
+const KNOWN_FLAGS: &[&str] = &[
+    "--full",
+    "--seeds",
+    "--ckpt",
+    "--telemetry",
+    "--epochs",
+    "--serve",
+    "--access-log",
+    "--runs",
+    "--models",
+    "--table",
+    "--problem",
+    "--ansatz",
+    "--list-problems",
+    "--list-ansatze",
+];
+
+/// The first `--name` argument that is not in [`KNOWN_FLAGS`], if any.
+/// Arguments that do not start with `--` (flag values) are not checked.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    args.iter()
+        .skip(1)
+        .map(String::as_str)
+        .find(|a| a.starts_with("--") && !KNOWN_FLAGS.contains(a))
+}
+
 impl RunOpts {
-    /// Parse from `std::env::args`. Installs telemetry sinks as a side
-    /// effect when `--telemetry PATH` is present.
+    /// Parse from `std::env::args`. An unknown `--name` flag is a usage
+    /// error: it prints the known flags and exits with status 2. Installs
+    /// telemetry sinks as a side effect when `--telemetry PATH` is
+    /// present.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
+        if let Some(bad) = unknown_flag(&args) {
+            eprintln!(
+                "unknown flag '{bad}'; known flags: {}",
+                KNOWN_FLAGS.join(" ")
+            );
+            std::process::exit(2);
+        }
         let flag = |name| flag_value(&args, name);
         let full = args.iter().any(|a| a == "--full");
         let telemetry_path = flag("--telemetry").map(PathBuf::from);
-        let serve_metrics = flag("--serve-metrics");
         let serve = flag("--serve");
         let access_log = flag("--access-log").map(PathBuf::from);
         let runs = flag("--runs").map_or_else(qpinn_core::runs::default_dir, PathBuf::from);
@@ -98,25 +130,13 @@ impl RunOpts {
                         server.local_addr(),
                         models_dir.display()
                     );
-                    // Like the metrics endpoint: lives until process exit.
+                    // The server lives until process exit; leaking the
+                    // handle keeps its threads alive without a shutdown
+                    // path every binary would have to thread.
                     std::mem::forget(server);
                 }
                 Err(e) => eprintln!(
                     "warning: cannot bind inference server {addr}: {e}; continuing without"
-                ),
-            }
-        }
-        if let Some(addr) = &serve_metrics {
-            match qpinn_obs::MetricsServer::start(addr.as_str()) {
-                Ok(server) => {
-                    println!("serving metrics on http://{}/metrics", server.local_addr());
-                    // The endpoint lives until process exit; leaking the
-                    // handle keeps the accept thread alive without a
-                    // shutdown path every binary would have to thread.
-                    std::mem::forget(server);
-                }
-                Err(e) => eprintln!(
-                    "warning: cannot bind metrics endpoint {addr}: {e}; continuing without"
                 ),
             }
         }
@@ -140,7 +160,6 @@ impl RunOpts {
             ckpt: flag("--ckpt").map(PathBuf::from),
             telemetry: telemetry_path,
             epochs: flag("--epochs").and_then(|v| v.parse().ok()),
-            serve_metrics,
             serve,
             access_log,
             runs,
@@ -450,7 +469,6 @@ mod tests {
             ckpt: None,
             telemetry: None,
             epochs: None,
-            serve_metrics: None,
             serve: None,
             access_log: None,
             runs: qpinn_core::runs::default_dir(),
@@ -487,6 +505,22 @@ mod tests {
         // trailing flag with no value
         let args = vec!["sweep".to_string(), "--problem".to_string()];
         assert_eq!(flag_value(&args, "--problem"), None);
+    }
+
+    #[test]
+    fn unknown_flags_are_named_and_flag_values_pass() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let every_flag: Vec<&str> = std::iter::once("tables")
+            .chain(KNOWN_FLAGS.iter().copied())
+            .collect();
+        assert_eq!(unknown_flag(&args(&every_flag)), None);
+        let ok = ["tables", "--table", "t1", "--serve", "127.0.0.1:0"];
+        assert_eq!(unknown_flag(&args(&ok)), None);
+        let removed = ["tables", "--epochs", "5", "--serve-metrics", "127.0.0.1:0"];
+        assert_eq!(unknown_flag(&args(&removed)), Some("--serve-metrics"));
+        assert_eq!(unknown_flag(&args(&["t6_hybrid", "--epoch", "5"])), Some("--epoch"));
+        // The program name is never a flag, whatever it is called.
+        assert_eq!(unknown_flag(&args(&["--odd-name", "--full"])), None);
     }
 
     #[test]

@@ -83,14 +83,23 @@ pub fn total_loss(g: &mut Graph, terms: &[(f64, Var)]) -> Var {
     g.lincomb(terms)
 }
 
-/// Mirror each *unweighted* named loss term into a `train.loss.<name>`
-/// gauge, so `/metrics` and final snapshots expose the loss
-/// decomposition (pde vs ic vs conservation …), not just the weighted
-/// total the trainer logs. Forward values are already computed during
-/// graph construction, so this reads existing numbers — no extra passes.
-pub fn publish_components(g: &Graph, terms: &[(&str, Var)]) {
-    for (name, v) in terms {
-        qpinn_telemetry::gauge(&format!("train.loss.{name}")).set(g.value(*v).item());
+/// Read each *unweighted* named loss term's value into `out` (replacing
+/// its contents, for the task's [`crate::trainer::PinnTask::loss_terms`])
+/// and mirror it into a `train.loss.<name>` gauge, so `/metrics` and
+/// final snapshots expose the loss decomposition (pde vs ic vs
+/// conservation …), not just the weighted total the trainer logs.
+/// Forward values are already computed during graph construction, so
+/// this reads existing numbers — no extra passes.
+pub fn publish_components(
+    g: &Graph,
+    terms: &[(&'static str, Var)],
+    out: &mut Vec<(&'static str, f64)>,
+) {
+    out.clear();
+    for &(name, v) in terms {
+        let value = g.value(v).item();
+        qpinn_telemetry::gauge(&format!("train.loss.{name}")).set(value);
+        out.push((name, value));
     }
 }
 

@@ -19,7 +19,8 @@
 //!
 //! The **series** is an append-only JSONL stream: one `"epoch"` line per
 //! `log_every` interval carrying the total loss, per-component losses
-//! (mirrored from the `train.loss.*` gauges), per-layer gradient norm
+//! (the named terms of the run's own task,
+//! [`crate::trainer::PinnTask::loss_terms`]), per-layer gradient norm
 //! *and variance* — the barren-plateau signal a histogram cannot
 //! recover, because it needs norm and variance from the *same* interval
 //! — plus `"checkpoint"` and `"diverged"` event lines.
@@ -29,8 +30,8 @@
 //! launched by a traced `POST /v1/train` request carries both its own id
 //! and the submitting request's trace id.
 //!
-//! Consumers: `qpinn-obs runs {list,show,diff,regress,table}` and the shared
-//! HTTP routes `GET /v1/runs` and `GET /v1/runs/<id>`.
+//! Consumers: `qpinn-obs runs {list,show,diff,regress,table}` and the
+//! `qpinn-serve` HTTP routes `GET /v1/runs` and `GET /v1/runs/<id>`.
 
 use crate::report::Json;
 use std::fs;
@@ -286,7 +287,9 @@ pub struct EpochPoint {
     /// Measured milliseconds per epoch over the last interval (0 until
     /// a full interval has elapsed).
     pub epoch_ms: f64,
-    /// Named loss components (`train.loss.*` gauges), document order.
+    /// The run's own unweighted named loss terms
+    /// ([`crate::trainer::PinnTask::loss_terms`] of the interval's last
+    /// loss build), in name order; empty for a task that names none.
     pub components: Vec<(String, f64)>,
     /// Per-layer gradient norm + variance.
     pub layers: Vec<LayerGrad>,

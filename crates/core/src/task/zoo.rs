@@ -216,6 +216,9 @@ pub struct ZooTask {
     reference: Box<dyn RefSolution>,
     eval_points: Vec<Vec<f64>>,
     eval_ref: Vec<f64>,
+    /// The unweighted named terms of the last loss build
+    /// ([`PinnTask::loss_terms`]).
+    loss_terms: Vec<(&'static str, f64)>,
 }
 
 impl ZooTask {
@@ -346,6 +349,7 @@ impl ZooTask {
             reference,
             eval_points,
             eval_ref,
+            loss_terms: Vec::new(),
         }
     }
 
@@ -502,8 +506,12 @@ impl PinnTask for ZooTask {
             terms.push((self.cond_weight, l));
             components.push((name, l));
         }
-        loss::publish_components(ctx.g, &components);
+        loss::publish_components(ctx.g, &components, &mut self.loss_terms);
         loss::total_loss(ctx.g, &terms)
+    }
+
+    fn loss_terms(&self) -> &[(&'static str, f64)] {
+        &self.loss_terms
     }
 
     fn eval_error(&self, params: &ParamSet) -> f64 {

@@ -46,6 +46,14 @@ pub trait PinnTask {
     /// Restore state previously produced by [`PinnTask::export_state`].
     /// The default ignores the blob, matching the default export.
     fn import_state(&mut self, _bytes: &[u8]) {}
+
+    /// The unweighted named terms (`pde`, `ic`, `conservation`, …) of the
+    /// last [`PinnTask::build_loss`], which a run record's series lines
+    /// carry as their `components`. Tasks that name no terms keep the
+    /// default empty list.
+    fn loss_terms(&self) -> &[(&'static str, f64)] {
+        &[]
+    }
 }
 
 /// Where, how often, and how durably to checkpoint a training run.
@@ -490,7 +498,7 @@ impl Trainer {
                         grad_norm: gnorm,
                         lr,
                         epoch_ms: progress.s_per_epoch * 1e3,
-                        components: loss_components(),
+                        components: sorted_terms(task.loss_terms()),
                         layers: std::mem::take(&mut layer_stats),
                     });
                 }
@@ -687,19 +695,11 @@ fn layer_grad_stats(params: &ParamSet, grads: &[qpinn_tensor::Tensor]) -> Vec<La
         .collect()
 }
 
-/// Snapshot the named `train.loss.<component>` gauges (set by the loss
-/// assembly every build) for the run-record series. The registry is
-/// process-global, so concurrently training seeds can interleave these;
-/// the per-run `loss`/`grad_norm` fields are always exact.
-fn loss_components() -> Vec<(String, f64)> {
-    let snap = telemetry::global().snapshot();
-    snap.gauges
-        .iter()
-        .filter_map(|(name, v)| {
-            name.strip_prefix("train.loss.")
-                .map(|c| (c.to_string(), *v))
-        })
-        .collect()
+/// A task's named loss terms in name order, for the run-record series.
+fn sorted_terms(terms: &[(&'static str, f64)]) -> Vec<(String, f64)> {
+    let mut out: Vec<(String, f64)> = terms.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out
 }
 
 /// Cached handle for the `train.grad_evals` counter so the per-epoch hot

@@ -1,17 +1,12 @@
 //! # qpinn-obs
 //!
-//! The *consumption* side of the qpinn telemetry stack (`qpinn-telemetry`
-//! produces spans/metrics/events; this crate turns them into things an
-//! operator can look at), std-only like the rest of the workspace:
+//! The offline *consumption* side of the qpinn telemetry stack
+//! (`qpinn-telemetry` produces spans/metrics/events; this crate turns
+//! their recorded artifacts into things an operator can look at),
+//! std-only like the rest of the workspace. It opens no socket: the live
+//! routes (`/metrics`, `/progress`, `/healthz`, `/v1/runs`) are served by
+//! `qpinn-serve`.
 //!
-//! * [`server`] — an embedded HTTP endpoint ([`MetricsServer`], built on
-//!   `std::net::TcpListener`, no framework) serving `/metrics`
-//!   (Prometheus text exposition of the live registry), `/metrics.json`
-//!   (the `qpinn-metrics-v1` snapshot), `/healthz`, and `/progress`
-//!   (the epoch / loss / s-per-epoch / ETA gauges the trainer publishes).
-//!   It reads the metrics registry only and installs no telemetry sink.
-//!   Opt-in from every bench binary via `--serve-metrics ADDR`, or
-//!   programmatically for library users.
 //! * [`trace`] — converts a telemetry JSONL stream into Chrome
 //!   `trace_event` JSON loadable in Perfetto / `chrome://tracing`.
 //! * [`flame`] — per-phase self-time/total-time accounting over the span
@@ -22,8 +17,6 @@
 //!   diffs a current benchmark record (GFLOP/s, s/epoch, circuits/s)
 //!   against a committed baseline such as `BENCH_parallel.json` and
 //!   fails on regressions beyond a threshold.
-//! * [`http`] — the minimal HTTP/1.1 request/response plumbing shared
-//!   by [`MetricsServer`] and the `qpinn-serve` inference server.
 //! * [`snapshots`] — checkpoint-directory inspection (`qpinn-obs
 //!   snapshots DIR`): id/version/epoch/bytes/CRC status per `.qps` file
 //!   without decoding full tensors.
@@ -35,29 +28,26 @@
 //!   (`qpinn-obs slo`) evaluated against an access log, with
 //!   pass/violated exit codes mirroring [`check`].
 //! * [`runs`] — cross-run training forensics (`qpinn-obs runs
-//!   {list,show,diff,regress}`) over the durable `qpinn-run-v1` store
-//!   written by `qpinn_core::runs`: run tables, trajectory views,
-//!   config/metric diffs, and a regression gate against a baseline run.
+//!   {list,show,diff,regress,table}`) over the durable `qpinn-run-v1`
+//!   store written by `qpinn_core::runs`: run tables, trajectory views,
+//!   config/metric diffs, a regression gate against a baseline run, and
+//!   the grid tables.
 //!
-//! The `qpinn-obs` binary exposes [`trace`], [`flame`], [`pool`],
-//! [`check`], [`snapshots`], [`requests`], [`slo`], and [`runs`] as
-//! subcommands; see its `--help`.
+//! The `qpinn-obs` binary exposes each of them as a subcommand; see its
+//! `--help`.
 
 #![deny(missing_docs)]
 
 pub mod check;
 pub mod flame;
-pub mod http;
 pub mod pool;
 pub mod requests;
 pub mod runs;
-pub mod server;
 pub mod slo;
 pub mod snapshots;
 pub mod trace;
 
 pub use check::{compare, CheckReport, Direction, MetricDelta};
-pub use server::MetricsServer;
 
 use qpinn_core::report::Json;
 

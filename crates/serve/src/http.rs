@@ -1,15 +1,10 @@
-//! Minimal HTTP/1.1 request/response plumbing shared by the embedded
-//! servers in this workspace ([`crate::server::MetricsServer`] and the
-//! `qpinn-serve` inference plane).
-//!
-//! Both servers follow the same shape — `std::net::TcpListener`, one
-//! response per connection, `Connection: close` — so the socket-level
-//! code lives here exactly once: request-line/header parsing (including
+//! Minimal HTTP/1.1 request/response plumbing for the server: a
+//! `std::net::TcpListener`, one response per connection,
+//! `Connection: close`. Request-line/header parsing (including
 //! `Content-Length`-bounded bodies for POSTs, and the `400`/`413` verdict
 //! on a head that cannot be served, [`ReadError::status`]) and
-//! status-line/header formatting. Notably the `Content-Length` header is
-//! computed in a single place ([`Response::write_to`]); the two servers
-//! used to duplicate that formatting.
+//! status-line/header formatting; the `Content-Length` header is computed
+//! in one place ([`Response::write_to`]).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

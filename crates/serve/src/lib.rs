@@ -34,20 +34,22 @@
 //!   registry (atomically — a failed publish degrades to `503` and
 //!   never damages served versions).
 //!
-//! The HTTP surface (request parsing, response formatting, the
-//! `/metrics` `/progress` `/healthz` routes) is shared with `qpinn-obs`
-//! rather than duplicated; see `qpinn_obs::http` and
-//! `qpinn_obs::server::metrics_routes`. Those routes read the metrics
-//! registry, so the server installs no telemetry sink: span timing and
-//! event building stay off unless the operator installs one. Everything
-//! is instrumented under the `serve.*` metric names in
+//! It is the workspace's one HTTP server. Beside the inference routes it
+//! serves the live observability routes (`/metrics`, `/metrics.json`,
+//! `/progress`, `/healthz`, `/v1/runs`) over the same request plumbing
+//! ([`http`]). Those routes read the metrics registry and the run store,
+//! so the server installs no telemetry sink: span timing and event
+//! building stay off unless the operator installs one. Everything is
+//! instrumented under the `serve.*` metric names in
 //! `qpinn_telemetry::names`.
 
 #![deny(missing_docs)]
 
 pub mod batch;
+pub mod http;
 pub mod jobs;
 pub mod registry;
+mod routes;
 pub mod server;
 pub mod spec;
 

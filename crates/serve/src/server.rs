@@ -1,11 +1,10 @@
 //! The inference server: routing, connection workers, and admission
 //! control.
 //!
-//! Same zero-dependency shape as `qpinn-obs`'s `MetricsServer` — a
-//! `std::net::TcpListener`, one response per connection,
-//! `Connection: close` — but with a pool of connection workers in front
-//! of the routes, because batching only exists when several requests
-//! are *in flight* at once. The accept thread pushes connections onto a
+//! Zero-dependency shape — a `std::net::TcpListener`, one response per
+//! connection, `Connection: close` ([`crate::http`]) — with a pool of
+//! connection workers in front of the routes, because batching only
+//! exists when several requests are *in flight* at once. The accept thread pushes connections onto a
 //! bounded queue; when the queue is full it sheds immediately with
 //! `429 Too Many Requests` + `Retry-After` instead of letting latency
 //! grow unbounded (per-model eval queues shed the same way).
@@ -19,9 +18,9 @@
 //! | `/v1/jobs/<id>/progress`   | GET    | live epoch/loss/ETA (failed → 503) |
 //! | `/v1/evict`                | POST   | `{"model"}` → drop resident copy   |
 //! | `/v1/traces`               | GET    | last `?n=K` access records (`?route=` filters) |
-//! | `/v1/runs` `/v1/runs/<id>` | GET    | `qpinn-run-v1` records, shared with `qpinn-obs` |
-//! | `/metrics` `/metrics.json` | GET    | shared with `qpinn-obs`            |
-//! | `/progress` `/healthz`     | GET    | shared with `qpinn-obs`            |
+//! | `/v1/runs` `/v1/runs/<id>` | GET    | `qpinn-run-v1` records (`crate::routes`) |
+//! | `/metrics` `/metrics.json` | GET    | live registry (`crate::routes`)    |
+//! | `/progress` `/healthz`     | GET    | progress gauges, liveness          |
 //!
 //! ## Request tracing
 //!
@@ -42,11 +41,11 @@
 //! their number is fixed whatever paths callers send.
 
 use crate::batch::{BatchConfig, Batcher, SubmitError};
+use crate::http::{read_request, ReadError, Request, Response};
 use crate::jobs::{JobManager, TrainRequest};
 use crate::registry::{ModelRegistry, RegistryConfig, RegistryError};
+use crate::routes::{metrics_routes, runs_routes};
 use qpinn_core::report::Json;
-use qpinn_obs::http::{read_request, ReadError, Request, Response};
-use qpinn_obs::server::metrics_routes;
 use qpinn_telemetry::event::{now_ns, write_json_num, write_json_str};
 use qpinn_telemetry::{access, names, AccessRecord, Event, Kind, TraceCtx};
 use std::collections::{HashMap, VecDeque};
@@ -354,7 +353,6 @@ struct ReqMeta {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    let t0 = Instant::now();
     let start_ns = now_ns();
     let req = match read_request(&stream) {
         Ok(req) => req,
@@ -383,8 +381,6 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<
     } else {
         0
     };
-    qpinn_telemetry::histogram(names::SERVE_LATENCY_US)
-        .record(t0.elapsed().as_micros() as u64);
     record_latency(&route_key, &meta, total_ns);
     if ctx.on {
         emit_request_spans(&ctx, &req.path, &meta, status, total_ns, serialize_ns, end_ns);
@@ -527,12 +523,10 @@ fn err_json(status: &'static str, msg: &str) -> Response {
 /// callers cannot grow the set of histograms by varying the path.
 fn route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta) -> (String, Response) {
     let path = req.path.as_str();
-    // The read-only observability routes are shared verbatim with the
-    // qpinn-obs metrics endpoint.
     if let Some(r) = metrics_routes(&req.method, path, shared.started) {
         return (names::route_key(path), r);
     }
-    if let Some(r) = qpinn_obs::server::runs_routes(&req.method, path, &shared.runs_dir) {
+    if let Some(r) = runs_routes(&req.method, path, &shared.runs_dir) {
         let key = if path == "/v1/runs" {
             "v1_runs"
         } else {

@@ -19,8 +19,8 @@
 //!   consumption, [`StderrSink`] prints warns/marks for humans. The bench
 //!   harness points a [`JsonlSink`] at a per-run file via `--telemetry`.
 //! * **Exposition** ([`prometheus`]) — renders a [`MetricsSnapshot`] as a
-//!   Prometheus text-format page; `qpinn-obs`'s embedded HTTP server
-//!   serves it at `/metrics`.
+//!   Prometheus text-format page; the `qpinn-serve` HTTP server serves
+//!   it at `/metrics`.
 //! * **Request tracing** ([`trace`], [`access`]) — a per-request
 //!   [`TraceCtx`] minted by the serve plane plus a bounded ring-buffer
 //!   access log (`qpinn-access-v1`) recording every request's latency

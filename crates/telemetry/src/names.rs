@@ -22,10 +22,6 @@ pub const SERVE_SHED: &str = "serve.http.shed";
 /// Counter: requests that failed with a `5xx` status.
 pub const SERVE_ERRORS: &str = "serve.http.errors";
 
-/// Histogram: end-to-end request latency in microseconds, measured from
-/// parse to response write.
-pub const SERVE_LATENCY_US: &str = "serve.http.latency_us";
-
 /// Histogram: number of eval requests coalesced into one forward pass.
 /// A recorded value ≥ 2 proves batching happened.
 pub const SERVE_BATCH_SIZE: &str = "serve.batch.size";
@@ -54,9 +50,9 @@ pub const SERVE_LAT_BATCH_NS: &str = "serve.latency.batch_ns";
 /// attributed whole to every request coalesced into it.
 pub const SERVE_LAT_COMPUTE_NS: &str = "serve.latency.compute_ns";
 
-/// Histogram: end-to-end request latency in nanoseconds (same window as
-/// [`SERVE_LATENCY_US`], finer unit, decomposable against the stage
-/// histograms above: queue + batch + compute ≤ total).
+/// Histogram: end-to-end request latency in nanoseconds, from the start
+/// of request parsing to the end of the response write; decomposable
+/// against the stage histograms above (queue + batch + compute ≤ total).
 pub const SERVE_LAT_TOTAL_NS: &str = "serve.latency.total_ns";
 
 /// Label key for a route path, usable as a metric-name suffix: `/`

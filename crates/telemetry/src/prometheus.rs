@@ -15,6 +15,9 @@
 //! Caller-supplied labels (e.g. `run_id`) are attached to every sample
 //! with full label-value escaping (`\\`, `\"`, `\n`), so arbitrary run
 //! identifiers cannot corrupt the exposition.
+//!
+//! The one live consumer is `qpinn-serve`'s `/metrics` route, which
+//! renders the global registry with the `qpinn_` prefix and no labels.
 
 use crate::registry::MetricsSnapshot;
 use std::fmt::Write as _;

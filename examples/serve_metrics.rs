@@ -1,7 +1,7 @@
-//! Live observation of a training run: start the embedded metrics
-//! endpoint, train, and scrape the four routes the way Prometheus (or
-//! plain `curl`) would. No hook and no telemetry sink is needed:
-//! `/progress` reads the progress gauges the trainer always publishes.
+//! Live observation of a training run: start the server, train, and
+//! scrape its observability routes the way Prometheus (or plain `curl`)
+//! would. No hook and no telemetry sink is needed: `/progress` reads the
+//! progress gauges the trainer always publishes.
 //!
 //! ```sh
 //! cargo run --release --example serve_metrics
@@ -11,13 +11,14 @@
 //! ```
 //!
 //! This example binds port 0 (a free port) so it can run unattended and
-//! scrapes itself at the end to show the responses.
+//! scrapes itself at the end to show the responses. The server's model
+//! registry lives in a temporary directory, removed at the end.
 
 use qpinn::core::trainer::Trainer;
 use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
-use qpinn::obs::MetricsServer;
 use qpinn::optim::LrSchedule;
+use qpinn::serve::{ServeConfig, ServeServer};
 use rand::{rngs::StdRng, SeedableRng};
 use std::io::{Read, Write};
 
@@ -30,8 +31,9 @@ fn get(addr: std::net::SocketAddr, path: &str) -> String {
 }
 
 fn main() {
-    // 1. Start the endpoint. Use "127.0.0.1:9095" for a fixed port.
-    let server = MetricsServer::start("127.0.0.1:0").unwrap();
+    // 1. Start the server. Use "127.0.0.1:9095" for a fixed port.
+    let models = std::env::temp_dir().join(format!("qpinn-serve-metrics-{}", std::process::id()));
+    let server = ServeServer::start("127.0.0.1:0", ServeConfig::new(&models)).unwrap();
     let addr = server.local_addr();
     println!("bound port {} (picked by the OS via port 0)", addr.port());
     println!("metrics endpoint: http://{addr}/metrics");
@@ -72,4 +74,5 @@ fn main() {
         println!("  {line}");
     }
     server.stop();
+    let _ = std::fs::remove_dir_all(&models);
 }

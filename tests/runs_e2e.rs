@@ -3,18 +3,21 @@
 //! `runs regress`, `runs table`) read them back with the contracts the
 //! CLI and CI rely on — identical config+seed reproduces bit-for-bit
 //! (zero metric delta), a perturbed learning rate shows up in the config
-//! delta and fails the regression gate, and a grid table rendered from
-//! the store carries the statistics of the logs the trainer returned.
+//! delta and fails the regression gate, a grid table rendered from the
+//! store carries the statistics of the logs the trainer returned, and each
+//! run's series carries the loss components of its own task only.
 
 use qpinn::core::experiment::{mean_std_of, run_seeds_with};
-use qpinn::core::report::mean_std;
+use qpinn::core::hybrid::{HybridEigenTask, HybridNet};
+use qpinn::core::report::{mean_std, Json};
 use qpinn::core::runs::{list_runs, load_run, read_manifest, RunConfig, RunRecord};
-use qpinn::core::trainer::Trainer;
+use qpinn::core::trainer::{PinnTask, Trainer};
 use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
 use qpinn::obs::runs::{diff, regress, render_tables, table_report, table_rows};
 use qpinn::optim::LrSchedule;
-use qpinn::problems::{lookup, TdseProblem};
+use qpinn::problems::{lookup, EigenProblem, TdseProblem};
+use qpinn::qcircuit::{Ansatz, InputScaling, QuantumLayer};
 use rand::{rngs::StdRng, SeedableRng};
 use std::path::{Path, PathBuf};
 
@@ -29,21 +32,22 @@ fn tmp_store(tag: &str) -> PathBuf {
 /// construction, sampling, and ordered reductions are all deterministic
 /// at a fixed thread count.
 fn train_recorded(store: &Path, seed: u64, lr: f64, epochs: usize) -> String {
-    let (mut task, mut params) = free_packet_task(12, seed);
+    let (mut task, mut params) = free_packet_task(12, seed, true);
     let train = recorded_config(store, "e2e/free-packet", seed, lr, epochs);
     let log = Trainer::new(train).train(&mut task, &mut params);
     log.run_id.expect("run recording was configured")
 }
 
-/// A small free-packet TDSE task with a `width × 2` trunk.
-fn free_packet_task(width: usize, seed: u64) -> (ZooTask, ParamSet) {
+/// A small free-packet TDSE task with a `width × 2` trunk, with or
+/// without the norm-conservation loss.
+fn free_packet_task(width: usize, seed: u64, conservation: bool) -> (ZooTask, ParamSet) {
     let problem = TdseProblem::free_packet();
     let net = FieldNetConfig::standard_wave(problem.length(), problem.t_end, width, 2);
     let cfg = ZooTaskConfig {
         n_collocation: 96,
         n_condition: 24,
         causal: true,
-        conservation: true,
+        conservation,
         ..ZooTaskConfig::quick()
     };
     let mut params = ParamSet::new();
@@ -76,6 +80,18 @@ fn recorded_config(store: &Path, task: &str, seed: u64, lr: f64, epochs: usize) 
 
 fn load(store: &Path, id: &str) -> RunRecord {
     load_run(store, id).unwrap_or_else(|e| panic!("loading {id}: {e}"))
+}
+
+/// The component names of every epoch line in a run's series.
+fn component_names(run: &RunRecord) -> Vec<Vec<String>> {
+    run.series
+        .iter()
+        .filter(|line| line.get("kind").and_then(Json::as_str) == Some("epoch"))
+        .map(|line| match line.get("components") {
+            Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("components is not an object: {other:?}"),
+        })
+        .collect()
 }
 
 #[test]
@@ -152,7 +168,7 @@ fn grid_table_from_the_store_matches_the_returned_logs() {
         logs.push(run_seeds_with(
             &seeds,
             |seed| recorded_config(&store, label, seed, 2e-3, 20),
-            |seed| free_packet_task(width, seed),
+            |seed| free_packet_task(width, seed, true),
         ));
     }
 
@@ -186,5 +202,54 @@ fn grid_table_from_the_store_matches_the_returned_logs() {
         assert!(text.contains(&mean_std(row.mean, row.std)), "{text}");
         assert!(text.contains(&format!("{:.3e}", row.best)), "{text}");
     }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn each_run_records_the_loss_components_of_its_own_task() {
+    let store = tmp_store("components");
+    // The first run's task has a conservation term; the second's has not.
+    let first = train_recorded(&store, 7, 2e-3, 20);
+    let (mut task, mut params) = free_packet_task(12, 7, false);
+    let train = recorded_config(&store, "e2e/no-conservation", 7, 2e-3, 20);
+    let log = Trainer::new(train).train(&mut task, &mut params);
+    let second = log.run_id.unwrap();
+
+    let mut own: Vec<String> = task.loss_terms().iter().map(|(n, _)| n.to_string()).collect();
+    own.sort();
+    assert!(own.contains(&"pde".to_string()), "{own:?}");
+    assert!(!own.contains(&"conservation".to_string()), "{own:?}");
+    let lines = component_names(&load(&store, &second));
+    assert_eq!(lines.len(), 4, "epochs 0, 5, 10, 15");
+    for names in &lines {
+        assert_eq!(names, &own, "a series line names another run's term");
+    }
+    for names in component_names(&load(&store, &first)) {
+        assert!(names.contains(&"conservation".to_string()), "{names:?}");
+    }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn a_task_that_names_no_loss_terms_records_no_components() {
+    let store = tmp_store("hybrid-components");
+    train_recorded(&store, 7, 2e-3, 10);
+    let q = QuantumLayer {
+        n_qubits: 2,
+        layers: 1,
+        ansatz: Ansatz::BasicEntangling,
+        scaling: InputScaling::Acos,
+        reupload: false,
+    };
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(4);
+    let net = HybridNet::new(&mut params, &mut rng, 4, q, "h");
+    let mut task = HybridEigenTask::new(EigenProblem::harmonic(1.0), net, 16, 101);
+    let train = recorded_config(&store, "e2e/hybrid", 4, 5e-3, 10);
+    let id = Trainer::new(train).train(&mut task, &mut params).run_id.unwrap();
+
+    let lines = component_names(&load(&store, &id));
+    assert_eq!(lines.len(), 2, "epochs 0 and 5");
+    assert!(lines.iter().all(Vec::is_empty), "{lines:?}");
     let _ = std::fs::remove_dir_all(&store);
 }

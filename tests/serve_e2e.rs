@@ -3,14 +3,16 @@
 //! check that batched `/v1/eval` responses are bit-identical to direct
 //! in-process evaluation — including when many clients overlap and
 //! coalesce into shared forward passes — and that admission control and
-//! failure injection degrade the way the design promises.
+//! failure injection degrade the way the design promises. The live
+//! observability routes (`/metrics`, `/progress`, `/healthz`, `/v1/runs`)
+//! are exercised on the same server.
 
 use qpinn::core::report::Json;
+use qpinn::core::runs::RunConfig;
 use qpinn::core::task::net_config_for;
 use qpinn::core::trainer::Trainer;
 use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
-use qpinn::obs::MetricsServer;
 use qpinn::optim::LrSchedule;
 use qpinn::serve::{BatchConfig, ModelSpec, ServeConfig, ServeServer, TrainRequest};
 use qpinn::telemetry::{self, names};
@@ -35,9 +37,9 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Send one HTTP request, return (full header block, parsed JSON body).
-/// The first line of the header block is the status line.
-fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (String, Json) {
+/// Send one HTTP request, return (full header block, raw body). The
+/// first line of the header block is the status line.
+fn http_text(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (String, String) {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
     match body {
@@ -53,8 +55,13 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (Stri
     let mut buf = String::new();
     s.read_to_string(&mut buf).unwrap();
     let (head, body) = buf.split_once("\r\n\r\n").expect("header/body split");
-    let json = Json::parse(body).unwrap_or(Json::Null);
-    (head.to_string(), json)
+    (head.to_string(), body.to_string())
+}
+
+/// [`http_text`] with the body parsed as JSON (`Null` when it is not).
+fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (String, Json) {
+    let (head, body) = http_text(addr, method, path, body);
+    (head, Json::parse(&body).unwrap_or(Json::Null))
 }
 
 /// A small untrained surrogate, enough to publish and serve.
@@ -342,7 +349,7 @@ fn admission_and_error_mapping() {
     write!(
         s,
         "POST /v1/eval HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
-        qpinn::obs::http::MAX_BODY_BYTES + 1
+        qpinn::serve::http::MAX_BODY_BYTES + 1
     )
     .unwrap();
     let mut raw = String::new();
@@ -619,19 +626,18 @@ fn gray_scott_trains_persists_and_serves_bit_exactly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `/progress` on both servers follows a training run in this process
-/// that has no progress hook, and no server installs a telemetry sink:
-/// the routes read the trainer's `train.progress.*` gauges, so the event
-/// layer stays dormant before, during and after.
+/// `/progress` follows a training run in this process that has no
+/// progress hook, and the server installs no telemetry sink: the route
+/// reads the trainer's `train.progress.*` gauges, so the event layer
+/// stays dormant before, during and after.
 #[test]
 fn progress_follows_in_process_training_with_no_hook_and_no_sink() {
     let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     assert!(!telemetry::enabled(), "a sink is installed before any server starts");
     let dir = tmp_dir("progress");
     let serve = ServeServer::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
-    let metrics = MetricsServer::start("127.0.0.1:0").unwrap();
-    let addrs = [serve.local_addr(), metrics.local_addr()];
-    assert!(!telemetry::enabled(), "starting a server installed a sink");
+    let addr = serve.local_addr();
+    assert!(!telemetry::enabled(), "starting the server installed a sink");
 
     let cfg = ZooTaskConfig {
         width: 8,
@@ -653,14 +659,12 @@ fn progress_follows_in_process_training_with_no_hook_and_no_sink() {
     };
     let training = AtomicBool::new(true);
     let log = std::thread::scope(|scope| {
-        // Poll both routes while the trainer runs, at least once however
+        // Poll the route while the trainer runs, at least once however
         // quickly it finishes.
         let poller = scope.spawn(|| loop {
-            for addr in addrs {
-                let (status, _) = http(addr, "GET", "/progress", None);
-                assert!(status.contains("200 OK"), "{status}");
-                assert!(!telemetry::enabled(), "a sink was installed during training");
-            }
+            let (status, _) = http(addr, "GET", "/progress", None);
+            assert!(status.contains("200 OK"), "{status}");
+            assert!(!telemetry::enabled(), "a sink was installed during training");
             if !training.load(Ordering::Acquire) {
                 break;
             }
@@ -673,17 +677,148 @@ fn progress_follows_in_process_training_with_no_hook_and_no_sink() {
 
     let last = *log.epochs.last().unwrap();
     assert_eq!(last, 10);
-    for addr in addrs {
-        let (status, doc) = http(addr, "GET", "/progress", None);
-        assert!(status.contains("200 OK"), "{status}");
-        assert_eq!(doc.get("training"), Some(&Json::Bool(true)), "{}", doc.to_string());
-        assert_eq!(doc.get("epoch").and_then(Json::as_num), Some(last as f64));
-        assert_eq!(doc.get("epochs_total").and_then(Json::as_num), Some(13.0));
-    }
-    metrics.stop();
+    let (status, doc) = http(addr, "GET", "/progress", None);
+    assert!(status.contains("200 OK"), "{status}");
+    assert_eq!(doc.get("training"), Some(&Json::Bool(true)), "{}", doc.to_string());
+    assert_eq!(doc.get("epoch").and_then(Json::as_num), Some(last as f64));
+    assert_eq!(doc.get("epochs_total").and_then(Json::as_num), Some(13.0));
     serve.stop();
-    assert!(!telemetry::enabled(), "stopping a server installed a sink");
+    assert!(!telemetry::enabled(), "stopping the server installed a sink");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The observability routes over a real socket: `/healthz`, `/metrics`
+/// (Prometheus text with the live counters), `/metrics.json`,
+/// `/progress`, and a JSON 404 for an unknown path.
+#[test]
+fn serves_all_routes_over_tcp() {
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("obs-routes");
+    let server = ServeServer::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    let addr = server.local_addr();
+    // Populate a counter so /metrics has content.
+    telemetry::counter("obs.test.requests").add(3);
+
+    let (head, body) = http_text(addr, "GET", "/healthz", None);
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    assert!(body.contains("\"status\":\"ok\""), "{body}");
+    Json::parse(&body).unwrap();
+
+    let (head, body) = http_text(addr, "GET", "/metrics", None);
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    assert!(head.contains("text/plain; version=0.0.4"), "{head}");
+    assert!(
+        body.contains("qpinn_obs_test_requests_total 3"),
+        "missing counter in:\n{body}"
+    );
+
+    let (_, snap) = http(addr, "GET", "/metrics.json", None);
+    assert_eq!(
+        snap.get("schema").and_then(|s| s.as_str()),
+        Some("qpinn-metrics-v1")
+    );
+
+    let (head, body) = http_text(addr, "GET", "/progress", None);
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    Json::parse(&body).unwrap();
+
+    let (head, doc) = http(addr, "GET", "/nope", None);
+    assert!(head.starts_with("HTTP/1.1 404"), "{head}");
+    assert!(head.contains("application/json"), "{head}");
+    assert!(doc.get("error").is_some(), "{}", doc.to_string());
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `/progress` renders whatever `train.progress.*` gauges exist, under
+/// their keys, and stays parseable JSON when one is not finite.
+#[test]
+fn progress_endpoint_reads_the_progress_gauges() {
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("progress-gauges");
+    let server = ServeServer::start("127.0.0.1:0", ServeConfig::new(&dir)).unwrap();
+    assert!(!telemetry::enabled(), "starting the server installed a sink");
+    for (key, value) in [
+        ("epoch", 42.0),
+        ("epochs_total", 100.0),
+        ("loss", 0.5),
+        ("grad_norm", f64::NAN),
+        ("eta_s", 5.8),
+    ] {
+        telemetry::gauge(&format!("train.progress.{key}")).set(value);
+    }
+    let (head, body) = http_text(server.local_addr(), "GET", "/progress", None);
+    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+    // /progress must always be parseable, non-finite values included.
+    let p = Json::parse(&body).unwrap();
+    assert_eq!(p.get("training"), Some(&Json::Bool(true)), "{body}");
+    assert_eq!(p.get("epoch").and_then(Json::as_num), Some(42.0));
+    assert_eq!(p.get("epochs_total").and_then(Json::as_num), Some(100.0));
+    assert_eq!(p.get("loss").and_then(Json::as_num), Some(0.5));
+    assert_eq!(p.get("eta_s").and_then(Json::as_num), Some(5.8));
+    assert_eq!(p.get("grad_norm"), Some(&Json::Null), "{body}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `GET /v1/runs` lists the run store the server was configured with,
+/// `GET /v1/runs/<id>` returns a run's manifest and series, an id that
+/// could walk the filesystem (or none at all) is refused with `400`
+/// before any path join, and an unknown well-formed id answers `404`.
+#[test]
+fn runs_routes_serve_the_configured_store() {
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (dir, store) = (tmp_dir("runs-models"), tmp_dir("runs-store"));
+    let cfg = ZooTaskConfig {
+        width: 8,
+        depth: 1,
+        n_collocation: 32,
+        ..ZooTaskConfig::quick()
+    };
+    let mut params = ParamSet::new();
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut task = ZooTask::from_key("tdse-free", &cfg, &mut params, &mut rng).unwrap();
+    let train = TrainConfig {
+        epochs: 4,
+        log_every: 2,
+        run: Some(RunConfig::new(&store, "e2e/runs-route", 5)),
+        ..TrainConfig::default()
+    };
+    let run_id = Trainer::new(train).train(&mut task, &mut params).run_id.unwrap();
+    let recorded = qpinn::core::runs::load_run(&store, &run_id).unwrap();
+
+    let mut serve_cfg = ServeConfig::new(&dir);
+    serve_cfg.runs = Some(store.clone());
+    let server = ServeServer::start("127.0.0.1:0", serve_cfg).unwrap();
+    let addr = server.local_addr();
+
+    let (status, doc) = http(addr, "GET", "/v1/runs", None);
+    assert!(status.contains("200 OK"), "{status}");
+    let Some(Json::Arr(runs)) = doc.get("runs") else {
+        panic!("no runs array: {}", doc.to_string())
+    };
+    assert_eq!(runs.len(), 1, "{}", doc.to_string());
+    assert_eq!(runs[0].get("run_id").and_then(Json::as_str), Some(run_id.as_str()));
+    assert_eq!(runs[0].get("task").and_then(Json::as_str), Some("e2e/runs-route"));
+
+    let (status, doc) = http(addr, "GET", &format!("/v1/runs/{run_id}"), None);
+    assert!(status.contains("200 OK"), "{status}");
+    let manifest = doc.get("manifest").expect("manifest");
+    assert_eq!(manifest.get("run_id").and_then(Json::as_str), Some(run_id.as_str()));
+    assert_eq!(doc.get("series"), Some(&Json::Arr(recorded.series)));
+
+    for bad in ["/v1/runs/../x", "/v1/runs/"] {
+        let (status, doc) = http(addr, "GET", bad, None);
+        assert!(status.starts_with("HTTP/1.1 400"), "{bad}: {status}");
+        assert!(doc.get("error").is_some(), "{bad}: {}", doc.to_string());
+    }
+    let (status, _) = http(addr, "GET", "/v1/runs/0123456789abcdef", None);
+    assert!(status.starts_with("HTTP/1.1 404"), "{status}");
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 /// The per-route latency histograms are keyed by the route that
