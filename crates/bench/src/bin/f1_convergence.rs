@@ -1,9 +1,12 @@
 //! **F1 — convergence curves.** Loss, gradient norm, and relative L2 error
 //! versus epoch on the NLS benchmark — the series behind the convergence
-//! figure.
+//! figure. The run's series holds the loss and gradient norm at every log
+//! interval, and its metrics block the evaluations (`eval_epochs`,
+//! `eval_error`); stdout is `qpinn-obs runs show` for the run.
 
-use qpinn_bench::{banner, net_doc, nls_raissi, save, seeded_task, wave_config, wave_net, RunOpts};
-use qpinn_core::report::{Json, TextTable};
+use qpinn_bench::{
+    banner, net_doc, nls_raissi, seeded_task, show_convergence, wave_config, wave_net, RunOpts,
+};
 use qpinn_core::trainer::Trainer;
 use qpinn_core::TrainConfig;
 use qpinn_optim::LrSchedule;
@@ -36,58 +39,5 @@ fn main() {
     })
     .train(&mut task, &mut params);
 
-    let mut table = TextTable::new(&["epoch", "loss", "grad-norm"]);
-    for i in 0..log.epochs.len() {
-        table.row(&[
-            format!("{}", log.epochs[i]),
-            format!("{:.4e}", log.loss[i]),
-            format!("{:.3e}", log.grad_norm[i]),
-        ]);
-    }
-    println!("\n{}", table.render());
-
-    let mut etable = TextTable::new(&["epoch", "rel-L2 error"]);
-    for i in 0..log.eval_epochs.len() {
-        etable.row(&[
-            format!("{}", log.eval_epochs[i]),
-            format!("{:.4e}", log.error[i]),
-        ]);
-    }
-    println!("{}", etable.render());
-    println!(
-        "loss (log scale):  {}",
-        qpinn_core::report::sparkline_log(&log.loss)
-    );
-    println!(
-        "rel-L2 error:      {}",
-        qpinn_core::report::sparkline_log(&log.error)
-    );
-    println!(
-        "final: loss {:.4e}, rel-L2 {:.4e}, {:.1}s",
-        log.final_loss, log.final_error, log.wall_s
-    );
-
-    save(
-        "f1_convergence",
-        &Json::obj(vec![
-            ("id", Json::Str("F1".into())),
-            (
-                "epochs",
-                Json::nums(&log.epochs.iter().map(|&e| e as f64).collect::<Vec<_>>()),
-            ),
-            ("loss", Json::nums(&log.loss)),
-            ("grad_norm", Json::nums(&log.grad_norm)),
-            (
-                "eval_epochs",
-                Json::nums(
-                    &log.eval_epochs
-                        .iter()
-                        .map(|&e| e as f64)
-                        .collect::<Vec<_>>(),
-                ),
-            ),
-            ("error", Json::nums(&log.error)),
-            ("final_error", Json::Num(log.final_error)),
-        ]),
-    );
+    show_convergence(&opts, &log, "f1_convergence");
 }

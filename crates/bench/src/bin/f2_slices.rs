@@ -1,11 +1,15 @@
 //! **F2 — solution slices.** `|h(x, t)|` of the trained NLS PINN against
 //! the spectral reference at three time slices (the classic PINN figure:
-//! t = 0.59, 0.79, 0.98 on the Raissi benchmark).
+//! t = 0.59, 0.79, 0.98 on the Raissi benchmark). The run records the
+//! figure: the abscissae `x` and, per slice, `pinn_t<t>` and
+//! `reference_t<t>`.
 
 use qpinn_bench::{
-    banner, net_doc, nls_raissi, save, seeded_task, standard_train, wave_config, wave_net, RunOpts,
+    banner, finish_telemetry, net_doc, nls_raissi, record_metrics, seeded_task, standard_train,
+    wave_config, wave_net, RunOpts,
 };
-use qpinn_core::report::{Json, TextTable};
+use qpinn_core::report::TextTable;
+use qpinn_core::runs::Metric;
 use qpinn_core::trainer::Trainer;
 
 fn main() {
@@ -24,7 +28,7 @@ fn main() {
     let slice_times = [0.59, 0.79, 0.98];
     let xc = &task.problem().coords()[0];
     let xs: Vec<f64> = (0..25).map(|i| xc.lo + xc.span() * i as f64 / 24.0).collect();
-    let mut series = Vec::new();
+    let mut metrics = vec![("x".to_string(), Metric::Series(xs.clone()))];
     for &t in &slice_times {
         let mut table = TextTable::new(&[&format!("x (t={t})"), "|h| PINN", "|h| reference"]);
         let points: Vec<Vec<f64>> = xs.iter().map(|&x| vec![x, t]).collect();
@@ -40,20 +44,9 @@ fn main() {
             table.row(&[format!("{x:+.2}"), format!("{pm:.4}"), format!("{rm:.4}")]);
         }
         println!("{}", table.render());
-        series.push(Json::obj(vec![
-            ("t", Json::Num(t)),
-            ("x", Json::nums(&xs)),
-            ("pinn", Json::nums(&pinn_vals)),
-            ("reference", Json::nums(&ref_vals)),
-        ]));
+        metrics.push((format!("pinn_t{t}"), Metric::Series(pinn_vals)));
+        metrics.push((format!("reference_t{t}"), Metric::Series(ref_vals)));
     }
-
-    save(
-        "f2_slices",
-        &Json::obj(vec![
-            ("id", Json::Str("F2".into())),
-            ("final_error", Json::Num(log.final_error)),
-            ("slices", Json::Arr(series)),
-        ]),
-    );
+    record_metrics(&opts, &log, metrics);
+    finish_telemetry("f2_slices");
 }

@@ -2,17 +2,23 @@
 //! stability claim: the network's `∫|ψ|²dx` over time stays pinned to 1
 //! when the norm-conservation term is on, and drifts (typically decays)
 //! when it is off. The quantum analogue of the energy-conservation
-//! regularizer for conservative-PDE PINNs.
+//! regularizer for conservative-PDE PINNs. Each run records the figure —
+//! the norm `norm` at the times `times` — and its `max_drift` =
+//! max |∫|ψ|² − 1|; stdout is the figure, then the `f4` table
+//! `qpinn-obs runs table` renders from the two runs.
 
 use qpinn_bench::{
-    banner, net_doc, save, seeded_task, standard_train, wave_config, wave_net, RunOpts,
+    banner, net_doc, print_session_tables, record_metrics, seeded_task, standard_train,
+    wave_config, wave_net, RunOpts,
 };
 use qpinn_core::metrics::norm_series;
-use qpinn_core::report::{Json, TextTable};
+use qpinn_core::report::TextTable;
+use qpinn_core::runs::Metric;
 use qpinn_core::trainer::Trainer;
 use qpinn_problems::lookup;
 
-fn run(conservation: bool, opts: &RunOpts) -> (Vec<f64>, Vec<f64>, f64) {
+/// Train with or without the conservation loss; the norm at each time.
+fn run(conservation: bool, opts: &RunOpts) -> (Vec<f64>, Vec<f64>) {
     let problem = lookup("tdse-harmonic").expect("registered problem");
     let net = wave_net(problem.as_ref(), opts.pick(24, 64), 3);
     let mut cfg = wave_config(opts.pick(384, 4096));
@@ -28,15 +34,25 @@ fn run(conservation: bool, opts: &RunOpts) -> (Vec<f64>, Vec<f64>, f64) {
     let (x, t_end) = (&coords[0], coords[1].hi);
     let times: Vec<f64> = (0..=10).map(|k| t_end * k as f64 / 10.0).collect();
     let norms = norm_series(task.net(), &params, x.lo, x.hi, 256, &times);
-    (times, norms, log.final_error)
+    let drift = norms.iter().map(|n| (n - 1.0).abs()).fold(0.0f64, f64::max);
+    record_metrics(
+        opts,
+        &log,
+        vec![
+            ("times", Metric::Series(times.clone())),
+            ("norm", Metric::Series(norms.clone())),
+            ("max_drift", Metric::Scalar(drift)),
+        ],
+    );
+    (times, norms)
 }
 
 fn main() {
     let opts = RunOpts::from_args();
     banner("F4", "norm drift with/without conservation loss", &opts);
 
-    let (times, with_norms, with_err) = run(true, &opts);
-    let (_, without_norms, without_err) = run(false, &opts);
+    let (times, with_norms) = run(true, &opts);
+    let (_, without_norms) = run(false, &opts);
 
     let mut table = TextTable::new(&["t", "∫|ψ|² (with cons.)", "∫|ψ|² (without)"]);
     for i in 0..times.len() {
@@ -46,30 +62,6 @@ fn main() {
             format!("{:.4}", without_norms[i]),
         ]);
     }
-    println!("\n{}", table.render());
-    let drift = |ns: &[f64]| {
-        ns.iter()
-            .map(|n| (n - 1.0).abs())
-            .fold(0.0f64, f64::max)
-    };
-    println!(
-        "max |drift|: with = {:.3e}, without = {:.3e}",
-        drift(&with_norms),
-        drift(&without_norms)
-    );
-    println!(
-        "rel-L2: with = {with_err:.3e}, without = {without_err:.3e}"
-    );
-
-    save(
-        "f4_norm_drift",
-        &Json::obj(vec![
-            ("id", Json::Str("F4".into())),
-            ("times", Json::nums(&times)),
-            ("with_conservation", Json::nums(&with_norms)),
-            ("without_conservation", Json::nums(&without_norms)),
-            ("error_with", Json::Num(with_err)),
-            ("error_without", Json::Num(without_err)),
-        ]),
-    );
+    println!("{}", table.render());
+    print_session_tables(&opts, "f4_norm_drift");
 }

@@ -1,11 +1,15 @@
 //! **F6 — 2D extension demonstration.** Train the PINN on the 2D
 //! time-dependent Schrödinger equation (free packet on a doubly periodic
 //! square) and print a density slice against the 2D spectral reference —
-//! the multi-dimensional unsteady extension.
+//! the multi-dimensional unsteady extension. The run records the slice:
+//! the abscissae `x`, `pinn_density` and `reference_density`.
 
-use qpinn_bench::{banner, net_doc, save, seeded_task, standard_train, RunOpts};
+use qpinn_bench::{
+    banner, finish_telemetry, net_doc, record_metrics, seeded_task, standard_train, RunOpts,
+};
 use qpinn_core::model::RffSpec;
-use qpinn_core::report::{Json, TextTable};
+use qpinn_core::report::TextTable;
+use qpinn_core::runs::Metric;
 use qpinn_core::task::net_config_for;
 use qpinn_core::trainer::Trainer;
 use qpinn_core::ZooTaskConfig;
@@ -63,15 +67,14 @@ fn main() {
         refs.push(rd);
     }
     println!("{}", table.render());
-
-    save(
-        "f6_tdse2d",
-        &Json::obj(vec![
-            ("id", Json::Str("F6".into())),
-            ("final_error", Json::Num(log.final_error)),
-            ("x", Json::nums(&xs)),
-            ("pinn_density", Json::nums(&pinn)),
-            ("reference_density", Json::nums(&refs)),
-        ]),
+    record_metrics(
+        &opts,
+        &log,
+        vec![
+            ("x", Metric::Series(xs)),
+            ("pinn_density", Metric::Series(pinn)),
+            ("reference_density", Metric::Series(refs)),
+        ],
     );
+    finish_telemetry("f6_tdse2d");
 }

@@ -1,9 +1,12 @@
 //! Flagship NLS run: a longer single-seed training of the Raissi benchmark
 //! for the headline number in EXPERIMENTS.md (not part of the standard
-//! harness sweep).
+//! harness sweep). The run records its evaluations (`eval_epochs`,
+//! `eval_error`) beside its loss series; stdout is `qpinn-obs runs show`
+//! for the run.
 
-use qpinn_bench::{banner, net_doc, nls_raissi, save, seeded_task, wave_config, wave_net, RunOpts};
-use qpinn_core::report::Json;
+use qpinn_bench::{
+    banner, net_doc, nls_raissi, seeded_task, show_convergence, wave_config, wave_net, RunOpts,
+};
 use qpinn_core::trainer::{CheckpointConfig, Trainer};
 use qpinn_core::TrainConfig;
 use qpinn_optim::LrSchedule;
@@ -62,19 +65,5 @@ fn main() {
     } else {
         trainer.train(&mut task, &mut params)
     };
-    for (e, l) in log.epochs.iter().zip(&log.loss) {
-        println!("epoch {e:>6}: loss {l:.4e}");
-    }
-    for (e, v) in log.eval_epochs.iter().zip(&log.error) {
-        println!("epoch {e:>6}: rel-L2 {v:.4e}");
-    }
-    println!("FINAL rel-L2 {:.4e} in {:.1}s", log.final_error, log.wall_s);
-    save(
-        "flagship_nls",
-        &Json::obj(vec![
-            ("final_error", Json::Num(log.final_error)),
-            ("wall_s", Json::Num(log.wall_s)),
-            ("epochs", Json::Num(epochs as f64)),
-        ]),
-    );
+    show_convergence(&opts, &log, "flagship_nls");
 }

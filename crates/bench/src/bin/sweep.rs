@@ -1,23 +1,27 @@
 //! **sweep — registry-driven problem × ansatz benchmark.** The front door
 //! of the problem zoo: pick any registered PDE family with `--problem KEY`
 //! (see `--list-problems`) and optionally a named variational template
-//! with `--ansatz NAME` (see `--list-ansatze`). The classical leg trains a
-//! [`qpinn_core::ZooTask`] for the chosen problem and reports the final
-//! loss and rel-L2 error against the problem's reference solution; the
-//! quantum leg (when `--ansatz` is given) trains a hybrid
-//! quantum-classical network built from the named ansatz on the
-//! variational ground-state benchmark and reports its energy error.
+//! with `--ansatz NAME` (see `--list-ansatze`). The classical leg
+//! (`sweep/<KEY>`) trains a [`qpinn_core::ZooTask`] for the chosen problem,
+//! whose final error is the rel-L2 against the problem's reference
+//! solution; the quantum leg (`sweep/quantum/<NAME>`, when `--ansatz` is
+//! given) trains a hybrid quantum-classical network built from the named
+//! ansatz on the variational ground-state benchmark, whose final error is
+//! |E − E_ref| and whose run also records its `energy`. Stdout is the
+//! `sweep` table `qpinn-obs runs table` renders from the two runs.
 //!
 //! Unknown keys and names exit with status 2 after printing the
 //! registered alternatives, so shell loops over `--list-problems` output
 //! always either train or fail loudly.
 
 use qpinn_bench::{
-    banner, flag_value, hybrid_doc, resolve_ansatz, resolve_problem, save, standard_train, RunOpts,
+    banner, flag_value, hybrid_doc, print_session_tables, record_metrics, resolve_ansatz,
+    resolve_problem, standard_train, RunOpts,
 };
 use qpinn_core::hybrid::{HybridEigenTask, HybridNet};
-use qpinn_core::report::{Json, TextTable};
-use qpinn_core::trainer::{PinnTask, Trainer};
+use qpinn_core::report::Json;
+use qpinn_core::runs::Metric;
+use qpinn_core::trainer::Trainer;
 use qpinn_core::{ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
 use qpinn_problems::EigenProblem;
@@ -82,9 +86,6 @@ fn main() {
         &opts,
     );
 
-    let mut table = TextTable::new(&["leg", "target", "params", "final loss", "error"]);
-    let mut records = Vec::new();
-
     // Classical leg: the registry trainer on the chosen problem.
     {
         let cfg = if opts.full {
@@ -116,26 +117,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let log = Trainer::new(train).train(&mut task, &mut params);
-        let err = task.eval_error(&params);
-        let loss = log.final_loss;
-        println!(
-            "classical: final loss {loss:.3e}, reference rel-L2 {err:.3e}"
-        );
-        table.row(&[
-            "classical".into(),
-            problem.key().into(),
-            format!("{}", params.n_scalars()),
-            format!("{loss:.3e}"),
-            format!("{err:.3e}"),
-        ]);
-        records.push(Json::obj(vec![
-            ("leg", Json::Str("classical".into())),
-            ("problem", Json::Str(problem.key().to_string())),
-            ("n_params", Json::Num(params.n_scalars() as f64)),
-            ("final_loss", Json::Num(loss)),
-            ("error", Json::Num(err)),
-        ]));
+        Trainer::new(train).train(&mut task, &mut params);
     }
 
     // Quantum leg: the named ansatz on the variational ground-state
@@ -162,37 +144,8 @@ fn main() {
             21,
             hybrid_doc(&q, hidden, n_coll),
         ));
-        let _ = Trainer::new(train).train(&mut task, &mut params);
-        let e = task.energy(&params);
-        let de = (e - task.reference_energy()).abs();
-        println!(
-            "quantum ({}): E = {e:.5}, |ΔE| = {de:.3e}",
-            ansatz.name()
-        );
-        table.row(&[
-            "quantum".into(),
-            format!("harmonic/{}", ansatz.name()),
-            format!("{}", params.n_scalars()),
-            format!("{e:.5}"),
-            format!("{de:.3e}"),
-        ]);
-        records.push(Json::obj(vec![
-            ("leg", Json::Str("quantum".into())),
-            ("ansatz", Json::Str(ansatz.name().to_string())),
-            ("n_params", Json::Num(params.n_scalars() as f64)),
-            ("energy", Json::Num(e)),
-            ("error", Json::Num(de)),
-        ]));
+        let log = Trainer::new(train).train(&mut task, &mut params);
+        record_metrics(&opts, &log, vec![("energy", Metric::Scalar(task.energy(&params)))]);
     }
-
-    println!("\n{}", table.render());
-    save(
-        &format!("sweep_{}", problem.key().replace('-', "_")),
-        &Json::obj(vec![
-            ("id", Json::Str("SWEEP".into())),
-            ("problem", Json::Str(problem.key().to_string())),
-            ("full", Json::Bool(opts.full)),
-            ("rows", Json::Arr(records)),
-        ]),
-    );
+    print_session_tables(&opts, &format!("sweep_{}", problem.key().replace('-', "_")));
 }

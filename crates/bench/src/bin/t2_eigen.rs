@@ -1,12 +1,16 @@
 //! **T2 — eigenvalue accuracy table.** The first `k` bound states of the
 //! infinite well and the harmonic oscillator, each learned by a
 //! [`ZooTask`] with its energy as an unknown, normalised and held
-//! orthogonal to the states below it (deflation); reports `|E − E_ref|`
-//! and the wavefunction profile error per state.
+//! orthogonal to the states below it (deflation). Each state's run
+//! records its variational energy `e_pinn`, the reference `e_ref`,
+//! `e_error` = |E − E_ref| and the wavefunction profile error
+//! `psi_error`; stdout is the `t2` table `qpinn-obs runs table` renders
+//! from those runs.
 
-use qpinn_bench::{banner, save, RunOpts};
+use qpinn_bench::{banner, print_session_tables, record_metrics, RunOpts};
 use qpinn_core::metrics;
-use qpinn_core::report::{Json, TextTable};
+use qpinn_core::report::Json;
+use qpinn_core::runs::Metric;
 use qpinn_core::task::net_config_for;
 use qpinn_core::trainer::Trainer;
 use qpinn_core::{TrainConfig, ZooTask, ZooTaskConfig};
@@ -52,9 +56,6 @@ fn main() {
     // The grid the eigenstate reference uses at this fidelity.
     let reference_nx = opts.pick(601, 1201);
 
-    let mut table = TextTable::new(&["problem", "state", "E_pinn", "E_ref", "|ΔE|", "ψ rel-L2"]);
-    let mut records = Vec::new();
-
     for problem in [EigenProblem::infinite_well(), EigenProblem::harmonic(1.0)] {
         // crude initial guesses that bracket the spectrum from below
         let e0s = match problem.exact_energies() {
@@ -85,40 +86,26 @@ fn main() {
                 run: Some(run),
                 ..train.clone()
             };
-            let _log = Trainer::new(train).train(&mut task, &mut params);
+            let log = Trainer::new(train).train(&mut task, &mut params);
             // variational re-estimate from the learned ψ
             let e_pinn = metrics::rayleigh_energy(task.net(), &params, &problem);
             let e_ref = states[k].energy;
             let perr = metrics::state_error(task.net(), &params, &xs, &states[k].psi);
-            table.row(&[
-                problem.name.clone(),
-                format!("{k}"),
-                format!("{e_pinn:.5}"),
-                format!("{e_ref:.5}"),
-                format!("{:.2e}", (e_pinn - e_ref).abs()),
-                format!("{perr:.2e}"),
-            ]);
-            records.push(Json::obj(vec![
-                ("problem", Json::Str(problem.name.clone())),
-                ("state", Json::Num(k as f64)),
-                ("e_pinn", Json::Num(e_pinn)),
-                ("e_ref", Json::Num(e_ref)),
-                ("profile_error", Json::Num(perr)),
-            ]));
+            record_metrics(
+                &opts,
+                &log,
+                vec![
+                    ("e_pinn", Metric::Scalar(e_pinn)),
+                    ("e_ref", Metric::Scalar(e_ref)),
+                    ("e_error", Metric::Scalar((e_pinn - e_ref).abs())),
+                    ("psi_error", Metric::Scalar(perr)),
+                ],
+            );
             lower.push(EigenRef {
                 psi: metrics::profile(task.net(), &params, &xs),
                 xs: xs.clone(),
             });
         }
     }
-
-    println!("\n{}", table.render());
-    save(
-        "t2_eigen",
-        &Json::obj(vec![
-            ("id", Json::Str("T2".into())),
-            ("full", Json::Bool(opts.full)),
-            ("rows", Json::Arr(records)),
-        ]),
-    );
+    print_session_tables(&opts, "t2_eigen");
 }

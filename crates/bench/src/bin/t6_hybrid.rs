@@ -2,12 +2,15 @@
 //! (Rayleigh quotient) ground-state problem solved by hybrid
 //! quantum-classical networks across ansatz × input-scaling combinations
 //! (plus a data-reuploading variant), against a parameter-matched
-//! classical control. Reports the energy error and trainable-parameter
-//! counts.
+//! classical control. Every run records its energy `energy` and
+//! `e_error` = |E − E_ref| (E₀ = 0.5; the Rayleigh quotient upper-bounds
+//! it); stdout is the `t6` table `qpinn-obs runs table` renders from those
+//! runs, whose params column holds the trainable-parameter counts.
 
-use qpinn_bench::{banner, hybrid_doc, save, RunOpts};
+use qpinn_bench::{banner, hybrid_doc, print_session_tables, record_metrics, RunOpts};
 use qpinn_core::hybrid::{HybridEigenTask, HybridNet};
-use qpinn_core::report::{Json, TextTable};
+use qpinn_core::report::Json;
+use qpinn_core::runs::Metric;
 use qpinn_core::trainer::Trainer;
 use qpinn_core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
@@ -42,8 +45,6 @@ fn run_hybrid(
     q: QuantumLayer,
     hidden: usize,
     n_coll: usize,
-    table: &mut TextTable,
-    records: &mut Vec<Json>,
 ) {
     let mut params = ParamSet::new();
     let mut rng = StdRng::seed_from_u64(21);
@@ -60,25 +61,14 @@ fn run_hybrid(
         21,
         hybrid_doc(&q, hidden, n_coll),
     ));
-    let _ = Trainer::new(train).train(&mut task, &mut params);
+    let log = Trainer::new(train).train(&mut task, &mut params);
     let e = task.energy(&params);
     let de = (e - task.reference_energy()).abs();
-    table.row(&[
-        label.clone(),
-        q.ansatz.name().into(),
-        q.scaling.name().into(),
-        format!("{}", params.n_scalars()),
-        format!("{e:.5}"),
-        format!("{de:.2e}"),
-    ]);
-    records.push(Json::obj(vec![
-        ("model", Json::Str(label)),
-        ("ansatz", Json::Str(q.ansatz.name().into())),
-        ("scaling", Json::Str(q.scaling.name().into())),
-        ("n_params", Json::Num(params.n_scalars() as f64)),
-        ("energy", Json::Num(e)),
-        ("error", Json::Num(de)),
-    ]));
+    record_metrics(
+        opts,
+        &log,
+        vec![("energy", Metric::Scalar(e)), ("e_error", Metric::Scalar(de))],
+    );
 }
 
 fn main() {
@@ -104,9 +94,6 @@ fn main() {
     } else {
         vec![InputScaling::Acos, InputScaling::Pi]
     };
-
-    let mut table = TextTable::new(&["model", "ansatz", "scaling", "params", "E", "|ΔE|"]);
-    let mut records = Vec::new();
 
     // classical control: the residual formulation (the energy an unknown
     // of the eigenstate adapter) with a comparably sized network
@@ -138,23 +125,14 @@ fn main() {
                 ("n_collocation", Json::Num(n_coll as f64)),
             ]),
         ));
-        let _ = Trainer::new(tcfg).train(&mut task, &mut params);
+        let log = Trainer::new(tcfg).train(&mut task, &mut params);
         let e = task.unknowns(&params)[0];
         let de = (e - problem.reference(401)[0].energy).abs();
-        table.row(&[
-            "classical".into(),
-            "—".into(),
-            "—".into(),
-            format!("{}", params.n_scalars()),
-            format!("{e:.5}"),
-            format!("{de:.2e}"),
-        ]);
-        records.push(Json::obj(vec![
-            ("model", Json::Str("classical".into())),
-            ("n_params", Json::Num(params.n_scalars() as f64)),
-            ("energy", Json::Num(e)),
-            ("error", Json::Num(de)),
-        ]));
+        record_metrics(
+            &opts,
+            &log,
+            vec![("energy", Metric::Scalar(e)), ("e_error", Metric::Scalar(de))],
+        );
     }
 
     for &ansatz in &ansaetze {
@@ -171,8 +149,6 @@ fn main() {
                 },
                 hidden,
                 n_coll,
-                &mut table,
-                &mut records,
             );
         }
     }
@@ -190,18 +166,6 @@ fn main() {
         },
         hidden,
         n_coll,
-        &mut table,
-        &mut records,
     );
-
-    println!("\n{}", table.render());
-    println!("(reference ground-state energy: 0.5; Rayleigh quotient upper-bounds it)");
-    save(
-        "t6_hybrid",
-        &Json::obj(vec![
-            ("id", Json::Str("T6".into())),
-            ("full", Json::Bool(opts.full)),
-            ("rows", Json::Arr(records)),
-        ]),
-    );
+    print_session_tables(&opts, "t6_hybrid");
 }

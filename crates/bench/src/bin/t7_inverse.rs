@@ -1,11 +1,13 @@
 //! **T7 — inverse problem.** Identify the harmonic-trap frequency ω from
 //! sparse wavefunction observations (clean and noisy): a [`ZooTask`]
 //! trains the network and ω together, with ω an unknown of the
-//! trap-frequency adapter. Reports the recovered ω against ground truth
-//! for several initial guesses.
+//! trap-frequency adapter. Each initial guess's run records the recovered
+//! `omega` and `omega_error` = |ω − ω_true| (ω_true = 1); stdout is the
+//! `t7` table `qpinn-obs runs table` renders from those runs.
 
-use qpinn_bench::{banner, save, wave_net, RunOpts};
-use qpinn_core::report::{Json, TextTable};
+use qpinn_bench::{banner, print_session_tables, record_metrics, wave_net, RunOpts};
+use qpinn_core::report::Json;
+use qpinn_core::runs::Metric;
 use qpinn_core::trainer::Trainer;
 use qpinn_core::{TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
@@ -27,8 +29,6 @@ fn main() {
         unreachable!("the mild trap is harmonic")
     };
     let epochs = opts.pick_epochs(2000, 8000);
-    let mut table = TextTable::new(&["ω₀ (init)", "noise", "ω recovered", "|Δω|", "s/run"]);
-    let mut records = Vec::new();
 
     let cases: Vec<(f64, f64)> = if opts.full {
         vec![
@@ -87,29 +87,14 @@ fn main() {
         .train(&mut task, &mut params);
         // V = ½ω²x² fixes ω only up to its sign.
         let omega = task.unknowns(&params)[0].abs();
-        table.row(&[
-            format!("{omega0:.2}"),
-            format!("{noise:.2}"),
-            format!("{omega:.4}"),
-            format!("{:.2e}", (omega - true_omega).abs()),
-            format!("{:.1}", log.wall_s),
-        ]);
-        records.push(Json::obj(vec![
-            ("omega0", Json::Num(omega0)),
-            ("noise", Json::Num(noise)),
-            ("omega_recovered", Json::Num(omega)),
-            ("omega_true", Json::Num(true_omega)),
-        ]));
+        record_metrics(
+            &opts,
+            &log,
+            vec![
+                ("omega", Metric::Scalar(omega)),
+                ("omega_error", Metric::Scalar((omega - true_omega).abs())),
+            ],
+        );
     }
-
-    println!("\n{}", table.render());
-    println!("(ground truth: ω = 1.0)");
-    save(
-        "t7_inverse",
-        &Json::obj(vec![
-            ("id", Json::Str("T7".into())),
-            ("full", Json::Bool(opts.full)),
-            ("rows", Json::Arr(records)),
-        ]),
-    );
+    print_session_tables(&opts, "t7_inverse");
 }

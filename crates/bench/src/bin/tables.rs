@@ -19,8 +19,8 @@
 //! table (default: all four).
 
 use qpinn_bench::{
-    finish_telemetry, flag_value, net_doc, nls_raissi, seeded_task, standard_train, wave_config,
-    wave_net, ProblemFactory, RunOpts,
+    flag_value, net_doc, nls_raissi, print_session_tables, seeded_task, standard_train,
+    wave_config, wave_net, ProblemFactory, RunOpts,
 };
 use qpinn_core::experiment::run_seeds_with;
 use qpinn_core::model::{CoordSpec, FieldNetConfig};
@@ -192,15 +192,7 @@ fn main() {
             |seed| seeded_task((row.problem)(), &row.net, &row.task, seed),
         );
     }
-    let session = qpinn_core::runs::session_run_ids();
-    match qpinn_obs::runs::table_report(&opts.runs, Some(&session)) {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("cannot read the run store {}: {e}", opts.runs.display());
-            std::process::exit(1);
-        }
-    }
-    finish_telemetry("tables");
+    print_session_tables(&opts, "tables");
 }
 
 #[cfg(test)]

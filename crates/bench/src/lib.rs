@@ -1,19 +1,26 @@
 //! # qpinn-bench
 //!
 //! The experiment harness — see `DESIGN.md` §5 for the experiment index.
-//! The grid tables (T1, T3, T4, F3) are rows of one `tables` binary: it
-//! records every run in the `qpinn-run-v1` store and prints the tables
-//! `qpinn-obs runs table` renders from it. The other tables and figures
-//! keep one binary each, beside the `kernels` tensor-kernel timings and
-//! the `sweep` front door; each prints its table/series as aligned text
-//! and writes a JSON record to `target/experiments/<id>.json`. Every
-//! training run lands in the run store. Default settings are sized for a
-//! quick laptop run; pass `--full` for paper-scale settings.
+//! Every training run lands in the `qpinn-run-v1` store (`--runs DIR`,
+//! default `target/runs`), and every number an experiment measures lives
+//! in its runs' manifests: the final error, and the experiment's own
+//! measurements in the `metrics` block ([`record_metrics`]). The table
+//! binaries — `tables` (the grid tables T1, T3, T4, F3), `t2_eigen`,
+//! `t6_hybrid`, `t7_inverse` and the `sweep` front door — print exactly
+//! the tables `qpinn-obs runs table` renders from the runs they recorded
+//! ([`print_session_tables`]). The figure binaries record their figure's
+//! arrays; F1 and `flagship_nls` print `qpinn-obs runs show` for their
+//! run ([`show_convergence`]). Only the binaries that train nothing —
+//! `t5_solvers`, `f5_scaling` and `kernels` — write a JSON record to
+//! `target/experiments/<id>.json` ([`save`]). Default settings are sized
+//! for a quick laptop run; pass `--full` for paper-scale settings.
 
 #![deny(missing_docs)]
 
 use qpinn_core::model::CoordSpec;
 use qpinn_core::report::Json;
+use qpinn_core::runs::Metric;
+use qpinn_core::trainer::TrainLog;
 use qpinn_core::{FieldNetConfig, ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
 use qpinn_problems::{zoo, NlsProblem, PdeProblem};
@@ -27,7 +34,7 @@ use std::path::{Path, PathBuf};
 pub struct RunOpts {
     /// Paper-scale settings (`--full`).
     pub full: bool,
-    /// Seed list length override (`--seeds N`).
+    /// Seed list length override (`--seeds N`, a positive integer).
     pub n_seeds: usize,
     /// Checkpoint root directory (`--ckpt DIR`). When set, experiments
     /// write crash-safe snapshots under it (one subdirectory per run) and
@@ -39,8 +46,8 @@ pub struct RunOpts {
     /// stderr sink for warnings, and [`finish_telemetry`] writes a final
     /// metrics snapshot under `target/experiments`.
     pub telemetry: Option<PathBuf>,
-    /// Epoch budget override (`--epochs N`), applied by
-    /// [`RunOpts::pick_epochs`] over both quick and full defaults. Sized
+    /// Epoch budget override (`--epochs N`, a positive integer), applied
+    /// by [`RunOpts::pick_epochs`] over both quick and full defaults. Sized
     /// for CI smoke runs that need a real binary to finish in seconds.
     pub epochs: Option<usize>,
     /// Live endpoint address (`--serve ADDR`, e.g. `127.0.0.1:0`; port 0
@@ -62,9 +69,9 @@ pub struct RunOpts {
     /// `target/runs` ([`qpinn_core::runs::default_dir`]). Every training
     /// run the experiment performs writes a durable manifest + epoch
     /// series under `DIR/<run_id>/` (via [`RunOpts::run_cfg`]), the
-    /// experiment record lists the session's run ids, and `--serve` jobs
-    /// record there too. Inspect with `qpinn-obs runs
-    /// list/show/diff/regress/table`.
+    /// experiment's measurements land in those manifests
+    /// ([`record_metrics`]), and `--serve` jobs record there too. Inspect
+    /// with `qpinn-obs runs list/show/diff/regress/table`.
     pub runs: PathBuf,
 }
 
@@ -88,6 +95,20 @@ const KNOWN_FLAGS: &[&str] = &[
     "--list-ansatze",
 ];
 
+/// The value of a flag that takes a positive integer (`--seeds`,
+/// `--epochs`): `Ok(None)` when the flag is absent, an error naming the
+/// flag when its value is missing, not an integer, or zero.
+fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, String> {
+    if !args.iter().skip(1).any(|a| a == name) {
+        return Ok(None);
+    }
+    let value = flag_value(args, name).unwrap_or_default();
+    match value.parse() {
+        Ok(n) if n > 0 => Ok(Some(n)),
+        _ => Err(format!("{name} takes a positive integer, got '{value}'")),
+    }
+}
+
 /// The first `--name` argument that is not in [`KNOWN_FLAGS`], if any.
 /// Arguments that do not start with `--` (flag values) are not checked.
 fn unknown_flag(args: &[String]) -> Option<&str> {
@@ -98,8 +119,9 @@ fn unknown_flag(args: &[String]) -> Option<&str> {
 }
 
 impl RunOpts {
-    /// Parse from `std::env::args`. An unknown `--name` flag is a usage
-    /// error: it prints the known flags and exits with status 2. Installs
+    /// Parse from `std::env::args`. An unknown `--name` flag, or a
+    /// `--seeds`/`--epochs` value that is not a positive integer, is a
+    /// usage error: it names the flag and exits with status 2. Installs
     /// telemetry sinks as a side effect when `--telemetry PATH` is
     /// present.
     pub fn from_args() -> Self {
@@ -111,6 +133,16 @@ impl RunOpts {
             );
             std::process::exit(2);
         }
+        let (seeds, epochs) = match (
+            positive_flag(&args, "--seeds"),
+            positive_flag(&args, "--epochs"),
+        ) {
+            (Ok(seeds), Ok(epochs)) => (seeds, epochs),
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }
+        };
         let flag = |name| flag_value(&args, name);
         let full = args.iter().any(|a| a == "--full");
         let telemetry_path = flag("--telemetry").map(PathBuf::from);
@@ -154,12 +186,10 @@ impl RunOpts {
         }
         RunOpts {
             full,
-            n_seeds: flag("--seeds")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(if full { 5 } else { 2 }),
+            n_seeds: seeds.unwrap_or(if full { 5 } else { 2 }),
             ckpt: flag("--ckpt").map(PathBuf::from),
             telemetry: telemetry_path,
-            epochs: flag("--epochs").and_then(|v| v.parse().ok()),
+            epochs,
             serve,
             access_log,
             runs,
@@ -194,19 +224,17 @@ impl RunOpts {
     }
 }
 
-/// Print the standard experiment banner.
+/// Print the standard experiment banner on stderr, so a binary's stdout
+/// holds only its results.
 pub fn banner(id: &str, title: &str, opts: &RunOpts) {
-    println!("==========================================================");
-    println!("{id}: {title}");
-    println!(
-        "mode: {} | seeds: {}",
+    eprintln!(
+        "{id}: {title} | mode: {} | seeds: {}",
         if opts.full { "full" } else { "quick" },
         opts.n_seeds
     );
     if let Some(p) = &opts.telemetry {
-        println!("telemetry: {}", p.display());
+        eprintln!("telemetry: {}", p.display());
     }
-    println!("==========================================================");
 }
 
 /// The git revision the binary runs from, read straight from
@@ -259,25 +287,16 @@ pub fn provenance() -> Json {
     ])
 }
 
-/// Persist the experiment record and report the path. Top-level object
-/// records gain a `provenance` stamp ([`provenance`]) and the ids of the
-/// `qpinn-run-v1` runs the process recorded (`run_ids`). Then
-/// [`finish_telemetry`].
+/// Persist the record of a binary that trains nothing (`t5_solvers`,
+/// `f5_scaling`, `kernels`) under `target/experiments/<id>.json` and
+/// report the path. Top-level object records gain a `provenance` stamp
+/// ([`provenance`]). Then [`finish_telemetry`].
 pub fn save(id: &str, value: &Json) {
     let stamped;
     let value = match value {
-        Json::Obj(fields) => {
+        Json::Obj(fields) if !fields.iter().any(|(k, _)| k == "provenance") => {
             let mut fields = fields.clone();
-            if !fields.iter().any(|(k, _)| k == "provenance") {
-                fields.push(("provenance".to_string(), provenance()));
-            }
-            let run_ids = qpinn_core::runs::session_run_ids();
-            if !run_ids.is_empty() && !fields.iter().any(|(k, _)| k == "run_ids") {
-                fields.push((
-                    "run_ids".to_string(),
-                    Json::Arr(run_ids.into_iter().map(Json::Str).collect()),
-                ));
-            }
+            fields.push(("provenance".to_string(), provenance()));
             stamped = Json::Obj(fields);
             &stamped
         }
@@ -291,6 +310,56 @@ pub fn save(id: &str, value: &Json) {
                 format!("could not write record for {id}: {e}"),
             );
             eprintln!("\n[{msg}]");
+        }
+    }
+    finish_telemetry(id);
+}
+
+/// Record `metrics` in the manifest of the run `log` came from
+/// ([`qpinn_core::runs::record_metrics`]). A run without a record (the
+/// trainer has already warned) records nothing; a failed write is a
+/// warning, and the run keeps its finalized manifest without metrics.
+pub fn record_metrics<K: Into<String>>(opts: &RunOpts, log: &TrainLog, metrics: Vec<(K, Metric)>) {
+    let Some(id) = &log.run_id else { return };
+    if let Err(e) = qpinn_core::runs::record_metrics(&opts.runs, id, metrics) {
+        let msg = telemetry::warn(
+            "run_metrics_write_failed",
+            format!("could not record the metrics of run {id}: {e}"),
+        );
+        eprintln!("[{msg}]");
+    }
+}
+
+/// Print `qpinn-obs runs table`'s rendering of the runs this process
+/// recorded — the whole stdout of a table binary, after the address line
+/// `--serve` prints. Then [`finish_telemetry`] under `id`.
+pub fn print_session_tables(opts: &RunOpts, id: &str) {
+    let session = qpinn_core::runs::session_run_ids();
+    match qpinn_obs::runs::table_report(&opts.runs, Some(&session)) {
+        Ok(text) => print!("{text}"),
+        Err(e) => {
+            eprintln!("cannot read the run store {}: {e}", opts.runs.display());
+            std::process::exit(1);
+        }
+    }
+    finish_telemetry(id);
+}
+
+/// The output of a convergence figure (F1, `flagship_nls`): record the
+/// run's evaluations as the metric arrays `eval_epochs` and `eval_error`
+/// beside its loss series, print `qpinn-obs runs show` for the run, then
+/// [`finish_telemetry`] under `id`.
+pub fn show_convergence(opts: &RunOpts, log: &TrainLog, id: &str) {
+    let epochs = log.eval_epochs.iter().map(|&e| e as f64).collect();
+    let evals = vec![
+        ("eval_epochs", Metric::Series(epochs)),
+        ("eval_error", Metric::Series(log.error.clone())),
+    ];
+    record_metrics(opts, log, evals);
+    if let Some(run_id) = &log.run_id {
+        match qpinn_core::runs::load_run(&opts.runs, run_id) {
+            Ok(rec) => print!("{}", qpinn_obs::runs::show_report(&rec)),
+            Err(e) => eprintln!("cannot read run {run_id}: {e}"),
         }
     }
     finish_telemetry(id);
@@ -521,6 +590,29 @@ mod tests {
         assert_eq!(unknown_flag(&args(&["t6_hybrid", "--epoch", "5"])), Some("--epoch"));
         // The program name is never a flag, whatever it is called.
         assert_eq!(unknown_flag(&args(&["--odd-name", "--full"])), None);
+    }
+
+    #[test]
+    fn malformed_seeds_and_epochs_are_named() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let ok = args(&["tables", "--seeds", "3", "--epochs", "40"]);
+        assert_eq!(positive_flag(&ok, "--seeds"), Ok(Some(3)));
+        assert_eq!(positive_flag(&ok, "--epochs"), Ok(Some(40)));
+        assert_eq!(positive_flag(&args(&["tables", "--full"]), "--epochs"), Ok(None));
+        for bad in [
+            &["tables", "--epochs", "abc"][..],
+            &["tables", "--epochs", "0"],
+            &["tables", "--epochs", "-5"],
+            &["tables", "--epochs", "2.5"],
+            &["tables", "--epochs", "--full"],
+            &["tables", "--epochs"],
+        ] {
+            let err = positive_flag(&args(bad), "--epochs").unwrap_err();
+            assert!(err.starts_with("--epochs "), "{bad:?}: {err}");
+        }
+        // `--seeds 0` trains nothing: a usage error, not an empty run.
+        let err = positive_flag(&args(&["tables", "--seeds", "0"]), "--seeds").unwrap_err();
+        assert!(err.contains("--seeds") && err.contains("'0'"), "{err}");
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //!   series.jsonl    # append-only: per-interval losses + gradient stats
 //! ```
 //!
-//! The **manifest** is written twice, both times via the same atomic
-//! tmp+fsync+rename idiom the checkpoint store uses: once at run start
-//! with `outcome: "incomplete"`, and once at the end with the terminal
-//! outcome (`converged`, `diverged`, or `error`) plus final metrics. A
+//! The **manifest** is written via the same atomic tmp+fsync+rename idiom
+//! the checkpoint store uses: once at run start with
+//! `outcome: "incomplete"`, and once at the end with the terminal outcome
+//! (`converged`, `diverged`, or `error`) plus the final loss and error. A
 //! crash — or an injected `fs.enospc`/torn-write failure — between the
 //! two leaves the *intact* start-of-run manifest behind, so the run
-//! lists as `incomplete` rather than vanishing or corrupting.
+//! lists as `incomplete` rather than vanishing or corrupting. An
+//! experiment's own measurements go into an optional `metrics` block, a
+//! third atomic write after finalize ([`record_metrics`]); a manifest
+//! without metrics carries no block at all.
 //!
 //! The **series** is an append-only JSONL stream: one `"epoch"` line per
 //! `log_every` interval carrying the total loss, per-component losses
@@ -136,6 +139,15 @@ impl RunOutcome {
     }
 }
 
+/// One entry of a manifest's `metrics` block.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Metric {
+    /// A number; `runs table` renders it as a column.
+    Scalar(f64),
+    /// An array of numbers (a figure's series); `runs show` summarizes it.
+    Series(Vec<f64>),
+}
+
 /// The `manifest.json` document (see [`RUN_SCHEMA`]).
 #[derive(Clone, Debug)]
 pub struct Manifest {
@@ -171,6 +183,9 @@ pub struct Manifest {
     pub final_loss: Option<f64>,
     /// Final evaluation error; `None` until finalized.
     pub final_error: Option<f64>,
+    /// The experiment's own measurements, by name in insertion order
+    /// ([`record_metrics`]); empty until recorded.
+    pub metrics: Vec<(String, Metric)>,
 }
 
 impl Manifest {
@@ -182,7 +197,7 @@ impl Manifest {
             .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
             .collect();
         let opt_num = |v: Option<f64>| v.map(Json::Num).unwrap_or(Json::Null);
-        Json::obj(vec![
+        let mut doc = vec![
             ("schema", Json::Str(RUN_SCHEMA.to_string())),
             ("run_id", Json::Str(self.run_id.clone())),
             ("task", Json::Str(self.task.clone())),
@@ -206,10 +221,19 @@ impl Manifest {
             ),
             ("final_loss", opt_num(self.final_loss)),
             ("final_error", opt_num(self.final_error)),
-        ])
+        ];
+        if !self.metrics.is_empty() {
+            let metrics = self.metrics.iter().map(|(k, m)| match m {
+                Metric::Scalar(v) => (k.clone(), Json::Num(*v)),
+                Metric::Series(vs) => (k.clone(), Json::nums(vs)),
+            });
+            doc.push(("metrics", Json::Obj(metrics.collect())));
+        }
+        Json::obj(doc)
     }
 
-    /// Parse a manifest document back; rejects unknown schema tags.
+    /// Parse a manifest document back; rejects unknown schema tags. Fields
+    /// are read by key and unknown keys are ignored.
     pub fn from_json(doc: &Json) -> Result<Manifest, String> {
         let schema = doc
             .get("schema")
@@ -237,6 +261,22 @@ impl Manifest {
                 .collect(),
             _ => Vec::new(),
         };
+        // A non-finite number serializes as `null` and reads back as NaN.
+        let num = |v: &Json| match v {
+            Json::Null => Some(f64::NAN),
+            v => v.as_num(),
+        };
+        let metric = |v: &Json| match v {
+            Json::Arr(vs) => vs.iter().map(num).collect::<Option<_>>().map(Metric::Series),
+            v => num(v).map(Metric::Scalar),
+        };
+        let metrics = match doc.get("metrics") {
+            Some(Json::Obj(pairs)) => pairs
+                .iter()
+                .filter_map(|(k, v)| Some((k.clone(), metric(v)?)))
+                .collect(),
+            _ => Vec::new(),
+        };
         let outcome_s = str_field("outcome")?;
         Ok(Manifest {
             run_id: str_field("run_id")?,
@@ -256,6 +296,7 @@ impl Manifest {
             epochs_run: opt_num("epochs_run").map(|v| v as usize),
             final_loss: opt_num("final_loss"),
             final_error: opt_num("final_error"),
+            metrics,
         })
     }
 }
@@ -422,6 +463,7 @@ impl RunRecorder {
             epochs_run: None,
             final_loss: None,
             final_error: None,
+            metrics: Vec::new(),
         };
         write_manifest(&run_dir, &manifest.to_json())?;
         let series = fs::OpenOptions::new()
@@ -440,11 +482,6 @@ impl RunRecorder {
     /// This run's id.
     pub fn run_id(&self) -> &str {
         &self.manifest.run_id
-    }
-
-    /// Directory holding this run's record.
-    pub fn dir(&self) -> &Path {
-        &self.run_dir
     }
 
     fn append_line(&mut self, doc: &Json) {
@@ -508,8 +545,24 @@ impl RunRecorder {
     }
 }
 
-/// Run ids recorded by this process, in begin order — lets the bench
-/// harness stamp experiment records with the runs that produced them.
+/// Record an experiment's measurements in the finalized manifest of
+/// `dir/<run_id>`: the manifest is rewritten with `metrics` as its
+/// `metrics` block (replacing any earlier block) through the atomic
+/// manifest write, so a failed write leaves the finalized manifest intact.
+pub fn record_metrics<K: Into<String>>(
+    dir: &Path,
+    run_id: &str,
+    metrics: Vec<(K, Metric)>,
+) -> io::Result<()> {
+    let run_dir = dir.join(run_id);
+    let mut manifest = read_manifest(&run_dir)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("run {run_id}: {e}")))?;
+    manifest.metrics = metrics.into_iter().map(|(k, m)| (k.into(), m)).collect();
+    write_manifest(&run_dir, &manifest.to_json())
+}
+
+/// Run ids recorded by this process, in begin order — lets a bench binary
+/// render the runs it recorded.
 pub fn session_run_ids() -> Vec<String> {
     session_runs()
         .lock()

@@ -9,7 +9,7 @@
 //! qpinn-obs slo ACCESS.jsonl --objective '/v1/eval p99_ms<=50'
 //! qpinn-obs runs list [--dir DIR]           # run-record table
 //! qpinn-obs runs diff A B [--dir DIR]       # config + metric delta
-//! qpinn-obs runs table [--dir DIR]          # grid tables from the store
+//! qpinn-obs runs table [--dir DIR]          # experiment tables from the store
 //! ```
 //!
 //! Exit codes: 0 success, 1 perf regression / SLO violation / corrupt
@@ -65,8 +65,9 @@ USAGE:
         (default target/runs): id, task, seed, final loss, outcome.
 
     qpinn-obs runs show ID [--dir DIR]
-        Manifest, loss/gradient trajectories, last per-layer gradient
-        norm/variance, and checkpoint/divergence events of one run.
+        Manifest, loss/gradient trajectories, the metrics block, last
+        per-layer gradient norm/variance, and checkpoint/divergence
+        events of one run.
 
     qpinn-obs runs diff A B [--dir DIR]
         Configuration delta and metric delta between two runs. Two
@@ -80,11 +81,12 @@ USAGE:
         baseline converged must itself converge. Exit 1 on regression.
 
     qpinn-obs runs table [--dir DIR]
-        The grid tables (T1, T3, T4, F3, ...) rendered from the store:
-        one table per label prefix (`t1/...`), one row per task label and
-        config hash, rel-L2 mean ± std over the newest finalized run of
-        each seed, with best, params, epochs, s/run and the seed count.
-        Incomplete runs are left out.
+        The experiment tables (T1, T2, ..., F4, sweep) rendered from the
+        store: one table per label prefix (`t1/...`), one row per task
+        label and config hash, the final error's mean ± std over the
+        newest finalized run of each seed, with best, params, epochs,
+        s/run and the seed count, then one column per scalar in the
+        runs' metrics blocks. Incomplete runs are left out.
 
 EXIT CODES:
     0  success / no regression

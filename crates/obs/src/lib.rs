@@ -31,7 +31,7 @@
 //!   {list,show,diff,regress,table}`) over the durable `qpinn-run-v1`
 //!   store written by `qpinn_core::runs`: run tables, trajectory views,
 //!   config/metric diffs, a regression gate against a baseline run, and
-//!   the grid tables.
+//!   every experiment table the bench harness prints.
 //!
 //! The `qpinn-obs` binary exposes each of them as a subcommand; see its
 //! `--help`.

@@ -2,7 +2,8 @@
 //! `qpinn-obs runs {list,show,diff,regress}` subcommands.
 //!
 //! * `list` — one row per run: id, task, seed, final loss, outcome.
-//! * `show` — manifest + loss/gradient trajectories for one run.
+//! * `show` — manifest + loss/gradient trajectories for one run, and the
+//!   run's `metrics` block.
 //! * `diff` — configuration delta and metric delta between two runs.
 //!   Two runs with identical config hash and seed are expected to be
 //!   bit-identical (ordered reductions make training deterministic at a
@@ -10,14 +11,15 @@
 //!   setup is therefore flagged as a determinism violation.
 //! * `regress` — threshold gate of a run against a baseline run, with
 //!   the same 0/1/2 exit-code contract as `check`.
-//! * `table` — the grid tables (T1, T3, T4, F3, and any other label of
-//!   the form `<table>/<row>`): rel-L2 mean ± std over seeds per row,
-//!   rendered from the manifests alone. The `tables` bench binary prints
-//!   this same rendering over the runs it just recorded.
+//! * `table` — every experiment table (any label of the form
+//!   `<table>/<row>`): the final error's mean ± std over seeds per row,
+//!   plus a column per scalar metric the table's runs recorded, rendered
+//!   from the manifests alone. The table binaries of the bench harness
+//!   print this same rendering over the runs they just recorded.
 
 use qpinn_core::experiment::mean_std_of;
-use qpinn_core::report::{mean_std, sparkline_log, Json, TextTable};
-use qpinn_core::runs::{list_runs, read_manifest, Manifest, RunOutcome, RunRecord};
+use qpinn_core::report::{mean_std, sparkline, sparkline_log, Json, TextTable};
+use qpinn_core::runs::{list_runs, read_manifest, Manifest, Metric, RunOutcome, RunRecord};
 use std::path::Path;
 
 /// Render the `runs list` table for a store directory.
@@ -42,7 +44,9 @@ pub fn list_report(dir: &Path) -> std::io::Result<String> {
 }
 
 /// Render the `runs show` report: the manifest, the loss/grad-norm
-/// trajectories, and the last recorded per-layer gradient stats.
+/// trajectories, the metrics block (a scalar as its value, an array as
+/// its length, first and last value and a sparkline), and the last
+/// recorded per-layer gradient stats.
 pub fn show_report(rec: &RunRecord) -> String {
     let m = &rec.manifest;
     let mut out = String::new();
@@ -80,6 +84,23 @@ pub fn show_report(rec: &RunRecord) -> String {
     let gnorm: Vec<f64> = rec.series_of("grad_norm").iter().map(|(_, v)| *v).collect();
     if !gnorm.is_empty() {
         out.push_str(&format!("grad     {}\n", sparkline_log(&gnorm)));
+    }
+    if !m.metrics.is_empty() {
+        out.push_str("\nmetrics:\n");
+        let w = m.metrics.iter().map(|(k, _)| k.chars().count()).max().unwrap_or(0);
+        for (name, metric) in &m.metrics {
+            let value = match metric {
+                Metric::Scalar(v) => format!("{v:.6e}"),
+                Metric::Series(vs) => format!(
+                    "{}  [{:.3e} → {:.3e}, {} points]",
+                    sparkline(vs),
+                    vs.first().unwrap_or(&f64::NAN),
+                    vs.last().unwrap_or(&f64::NAN),
+                    vs.len()
+                ),
+            };
+            out.push_str(&format!("  {name:<w$}  {value}\n"));
+        }
     }
     // Last epoch line's per-layer stats: the barren-plateau snapshot.
     if let Some(grad) = rec
@@ -460,17 +481,18 @@ pub fn regress(current: &RunRecord, baseline: &RunRecord, threshold_pct: f64) ->
     }
 }
 
-/// One row of a grid table: the finalized runs that share a task label
-/// and a config hash, newest run per seed, in seed order.
+/// One row of a table: the finalized runs that share a task label and a
+/// config hash, newest run per seed, in seed order.
 #[derive(Clone, Debug)]
 pub struct TableRow {
     /// Task label, `<table>/<row>`.
     pub task: String,
     /// Config hash the row's runs share.
     pub config_hash: String,
-    /// Final rel-L2 error per seed, in seed order. A run that recorded
-    /// no final error (non-finite values serialize as `null`) counts as
-    /// NaN.
+    /// Final error per seed, in seed order: each task's `eval_error` (a
+    /// rel-L2 for the PDE tasks, |E − E_ref| for the hybrid eigen task). A
+    /// run that recorded no final error (non-finite values serialize as
+    /// `null`) counts as NaN.
     pub errors: Vec<f64>,
     /// Mean of `errors`.
     pub mean: f64,
@@ -484,6 +506,9 @@ pub struct TableRow {
     pub epochs: usize,
     /// Mean wall seconds per run, from the manifest timestamps.
     pub s_per_run: f64,
+    /// The scalar metrics of the row's runs, in first-seen order, each
+    /// with its value in every run that carries it (seed order).
+    pub metrics: Vec<(String, Vec<f64>)>,
 }
 
 impl TableRow {
@@ -530,6 +555,14 @@ pub fn table_rows(manifests: &[Manifest]) -> Vec<TableRow> {
         .into_iter()
         .map(|(task, config_hash, mut runs)| {
             runs.sort_by_key(|m| m.seed);
+            let mut metrics: Vec<(String, Vec<f64>)> = Vec::new();
+            for (name, metric) in runs.iter().flat_map(|m| &m.metrics) {
+                let Metric::Scalar(v) = metric else { continue };
+                match metrics.iter_mut().find(|(k, _)| k == name) {
+                    Some((_, vs)) => vs.push(*v),
+                    None => metrics.push((name.clone(), vec![*v])),
+                }
+            }
             let errors: Vec<f64> = runs
                 .iter()
                 .map(|m| m.final_error.unwrap_or(f64::NAN))
@@ -558,57 +591,77 @@ pub fn table_rows(manifests: &[Manifest]) -> Vec<TableRow> {
                     .map(|v| v as usize),
                 epochs: runs[0].epochs_planned,
                 s_per_run: wall_s / runs.len() as f64,
+                metrics,
             }
         })
         .collect()
 }
 
 /// Render rows as one aligned table per table id, in the order each
-/// table's first row appears: row, rel-L2 (mean±std), best, params,
-/// epochs, s/run and seeds (the runs the row holds).
+/// table's first row appears: row, final error (mean±std), best, params,
+/// epochs, s/run and seeds (the runs the row holds), then one column per
+/// scalar metric any of the table's rows carries, in first-seen order: its
+/// mean, ± std when more than one run carries it, `-` when none does.
 pub fn render_tables(rows: &[TableRow]) -> String {
     if rows.is_empty() {
         return "no finalized runs\n".to_string();
     }
-    let mut tables: Vec<(&str, TextTable)> = Vec::new();
+    let mut ids: Vec<&str> = Vec::new();
     for row in rows {
-        let at = match tables.iter().position(|(id, _)| *id == row.table()) {
-            Some(at) => at,
-            None => {
-                let header = [
-                    "row",
-                    "rel-L2 (mean±std)",
-                    "best",
-                    "params",
-                    "epochs",
-                    "s/run",
-                    "seeds",
-                ];
-                tables.push((row.table(), TextTable::new(&header)));
-                tables.len() - 1
-            }
-        };
-        tables[at].1.row(&[
-            row.label().to_string(),
-            mean_std(row.mean, row.std),
-            format!("{:.3e}", row.best),
-            row.n_params
-                .map(|n| n.to_string())
-                .unwrap_or_else(|| "-".into()),
-            row.epochs.to_string(),
-            format!("{:.1}", row.s_per_run),
-            row.errors.len().to_string(),
-        ]);
+        if !ids.contains(&row.table()) {
+            ids.push(row.table());
+        }
     }
-    tables
-        .iter()
-        .map(|(id, table)| format!("{id}\n{}", table.render()))
-        .collect::<Vec<_>>()
-        .join("\n")
+    let render = |id: &str| {
+        let rows: Vec<&TableRow> = rows.iter().filter(|r| r.table() == id).collect();
+        let mut names: Vec<&str> = Vec::new();
+        for (name, _) in rows.iter().flat_map(|r| &r.metrics) {
+            if !names.contains(&name.as_str()) {
+                names.push(name);
+            }
+        }
+        let mut header = vec![
+            "row",
+            "final error (mean±std)",
+            "best",
+            "params",
+            "epochs",
+            "s/run",
+            "seeds",
+        ];
+        header.extend(&names);
+        let mut table = TextTable::new(&header);
+        for row in rows {
+            let mut cells = vec![
+                row.label().to_string(),
+                mean_std(row.mean, row.std),
+                format!("{:.3e}", row.best),
+                row.n_params
+                    .map(|n| n.to_string())
+                    .unwrap_or_else(|| "-".into()),
+                row.epochs.to_string(),
+                format!("{:.1}", row.s_per_run),
+                row.errors.len().to_string(),
+            ];
+            cells.extend(names.iter().map(|&name| {
+                match row.metrics.iter().find(|(k, _)| k == name) {
+                    None => "-".to_string(),
+                    Some((_, vs)) if vs.len() == 1 => format!("{:.3e}", vs[0]),
+                    Some((_, vs)) => {
+                        let (mean, std) = mean_std_of(vs);
+                        mean_std(mean, std)
+                    }
+                }
+            }));
+            table.row(&cells);
+        }
+        format!("{id}\n{}", table.render())
+    };
+    ids.into_iter().map(render).collect::<Vec<_>>().join("\n")
 }
 
 /// The `runs table` report over the store at `dir`: every run, or only
-/// the ids in `only` (the `tables` binary passes its session's runs).
+/// the ids in `only` (a table binary passes its session's runs).
 /// Runs whose manifest does not parse are skipped.
 pub fn table_report(dir: &Path, only: Option<&[String]>) -> std::io::Result<String> {
     let manifests: Vec<Manifest> = list_runs(dir)?
@@ -663,6 +716,7 @@ mod tests {
                 epochs_run: Some(30),
                 final_loss: Some(final_loss),
                 final_error: Some(final_loss * 0.1),
+                metrics: Vec::new(),
             },
             series,
         }
@@ -699,6 +753,7 @@ mod tests {
             epochs_run: Some(40),
             final_loss: final_error,
             final_error,
+            metrics: Vec::new(),
         }
     }
 
@@ -822,6 +877,87 @@ mod tests {
         let rows = table_rows(&runs);
         assert!(rows[0].mean.is_nan());
         assert_eq!(rows[0].best, 0.1);
+    }
+
+    #[test]
+    fn scalar_metrics_become_columns_of_their_table() {
+        use RunOutcome::Converged as C;
+        let with = |mut m: Manifest, metrics: Vec<(&str, Metric)>| {
+            m.metrics = metrics.into_iter().map(|(k, v)| (k.into(), v)).collect();
+            m
+        };
+        let runs = [
+            with(
+                table_run("a", "t6/hybrid", "h1", 100, 10, C, Some(0.1)),
+                vec![
+                    ("energy", Metric::Scalar(0.5)),
+                    ("norm", Metric::Series(vec![1.0, 0.9])),
+                    ("e_error", Metric::Scalar(0.1)),
+                ],
+            ),
+            with(
+                table_run("b", "t6/hybrid", "h1", 101, 11, C, Some(0.3)),
+                vec![("energy", Metric::Scalar(0.7)), ("e_error", Metric::Scalar(0.3))],
+            ),
+            with(
+                table_run("c", "t6/classical", "h2", 100, 12, C, Some(0.2)),
+                vec![("e_error", Metric::Scalar(0.2))],
+            ),
+            table_run("d", "t1/free", "h3", 100, 13, C, Some(0.4)),
+        ];
+        let rows = table_rows(&runs);
+        assert_eq!(
+            rows[0].metrics,
+            [("energy".into(), vec![0.5, 0.7]), ("e_error".into(), vec![0.1, 0.3])]
+        );
+        let text = render_tables(&rows);
+        fn cells(line: &str) -> Vec<&str> {
+            line.split('|').map(str::trim).collect()
+        }
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "t6", "{text}");
+        assert_eq!(
+            cells(lines[1]),
+            [
+                "row",
+                "final error (mean±std)",
+                "best",
+                "params",
+                "epochs",
+                "s/run",
+                "seeds",
+                "energy",
+                "e_error"
+            ]
+        );
+        // Two seeds: mean ± std, as the error column.
+        let hybrid = cells(lines[3]);
+        let (mean, std) = mean_std_of(&[0.5, 0.7]);
+        assert_eq!(hybrid[7], mean_std(mean, std), "{text}");
+        // One run: its value; no run carries it: `-`.
+        let classical = cells(lines[4]);
+        assert_eq!((classical[7], classical[8]), ("-", "2.000e-1"), "{text}");
+        // Arrays are never rendered, and a table without metrics keeps its
+        // seven columns.
+        assert!(!text.contains("norm"), "{text}");
+        let t1 = text.split("t1\n").nth(1).expect("t1 table");
+        assert_eq!(cells(t1.lines().next().unwrap()).len(), 7, "{text}");
+    }
+
+    #[test]
+    fn show_prints_the_metrics_block() {
+        let mut rec = record("a", 7, 1e-3, 1e-4, &[1.0, 0.1]);
+        assert!(!show_report(&rec).contains("metrics:"));
+        let norm = vec![1.0, 0.5, 0.25];
+        rec.manifest.metrics = vec![
+            ("omega".into(), Metric::Scalar(0.8956)),
+            ("norm".into(), Metric::Series(norm.clone())),
+        ];
+        let text = show_report(&rec);
+        assert!(text.contains("\nmetrics:\n"), "{text}");
+        assert!(text.contains("  omega  8.956000e-1\n"), "{text}");
+        let series = format!("  norm   {}  [1.000e0 → 2.500e-1, 3 points]\n", sparkline(&norm));
+        assert!(text.contains(&series), "{text}");
     }
 
     #[test]

@@ -373,8 +373,14 @@ fn runs_table_renders_every_row_of_a_store() {
     assert!(out.status.success(), "{}", stdout(&out));
     let text = stdout(&out);
     // Both runs carry the label t1/demo under different config hashes:
-    // one t1 table, two rows, one seed each.
+    // one t1 table, two rows, one seed each, and no metric columns.
     assert!(text.starts_with("t1\nrow"), "{text}");
+    let header: Vec<&str> = text.lines().nth(1).unwrap().split('|').map(str::trim).collect();
+    assert_eq!(
+        header,
+        ["row", "final error (mean±std)", "best", "params", "epochs", "s/run", "seeds"],
+        "{text}"
+    );
     let rows: Vec<&str> = text.lines().filter(|l| l.starts_with("demo ")).collect();
     assert_eq!(rows.len(), 2, "{text}");
     assert!(rows[0].contains("5.000e-5"), "{text}");

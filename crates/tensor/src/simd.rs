@@ -488,32 +488,36 @@ impl Lanes for V8 {
 // operation sequence, which is what makes results width-invariant.
 // ---------------------------------------------------------------------------
 
-const EXP_HI: f64 = 709.782712893383996732;
-const EXP_LO: f64 = -708.396418532264106224;
-const LOG2E: f64 = 1.44269504088896340736;
+// The Cephes coefficients, each written with the digits an f64 holds (the
+// shortest literal that parses to the same bits). Cephes prints
+// EXP_P[2] as 9.99999999999999999910e-1 and EXP_Q[3] as
+// 2.00000000000000000005e0; as f64 they are exactly 1 and 2.
+const EXP_HI: f64 = 709.782712893384;
+const EXP_LO: f64 = -708.3964185322641;
+const LOG2E: f64 = std::f64::consts::LOG2_E;
 /// Cody–Waite split of ln 2 (high part exactly representable).
 const LN2_HI: f64 = 6.93145751953125e-1;
-const LN2_LO: f64 = 1.42860682030941723212e-6;
+const LN2_LO: f64 = 1.4286068203094173e-6;
 const EXP_P: [f64; 3] = [
-    1.26177193074810590878e-4,
-    3.02994407707441961300e-2,
-    9.99999999999999999910e-1,
+    1.2617719307481058e-4,
+    3.0299440770744195e-2,
+    1.0,
 ];
 const EXP_Q: [f64; 4] = [
-    3.00198505138664455042e-6,
-    2.52448340349684104192e-3,
-    2.27265548208155028766e-1,
-    2.00000000000000000005e0,
+    3.0019850513866446e-6,
+    2.524483403496841e-3,
+    2.2726554820815503e-1,
+    2.0,
 ];
 const TANH_P: [f64; 3] = [
-    -9.64399179425052238628e-1,
-    -9.92877231001918586564e1,
-    -1.61468768441708447952e3,
+    -9.643991794250523e-1,
+    -9.928772310019185e1,
+    -1.6146876844170845e3,
 ];
 const TANH_Q: [f64; 3] = [
-    1.12811678491632931402e2,
-    2.23548839060100448583e3,
-    4.84406305325125486048e3,
+    1.1281167849163293e2,
+    2.2354883906010045e3,
+    4.844063053251255e3,
 ];
 /// Below this |x| the rational polynomial is used; above it, the exp form.
 const TANH_CUT: f64 = 0.625;
@@ -1058,7 +1062,7 @@ mod tests {
             with_width(w, || {
                 for &x in &[
                     0.0, 1.0, -1.0, 0.5, -0.5, 10.0, -10.0, 100.0, -100.0, 700.0, -700.0,
-                    1e-8, -1e-8, 0.6931471805599453, 709.7, -708.3,
+                    1e-8, -1e-8, std::f64::consts::LN_2, 709.7, -708.3,
                 ] {
                     let mut out = [0.0];
                     map_k::<OpExp>(0.0, &[x], &mut out);

@@ -63,7 +63,7 @@ impl FailPoint {
             Trigger::Always => true,
             Trigger::Once => hit == 1,
             Trigger::Nth(n) => hit == n,
-            Trigger::Every(n) => hit % n == 0,
+            Trigger::Every(n) => hit.is_multiple_of(n),
             Trigger::Times(n) => hit <= n,
             Trigger::Prob { p, .. } => {
                 let mut state = lock(&self.rng);

@@ -2,7 +2,11 @@
 # Run every reconstructed table/figure experiment (quick mode by default;
 # pass --full for paper-scale settings), then sweep the full problem zoo.
 # Every training run lands in the qpinn-run-v1 store (target/runs, or
-# --runs DIR), and the last step renders the store's tables from it.
+# --runs DIR) with every number its experiment measured: the final error
+# and the run's metrics block. The table binaries print the store's
+# rendering of their own runs, and the last step renders every table from
+# the store. Only t5_solvers and f5_scaling, which train nothing, write
+# target/experiments/<id>.json.
 set -e
 store=target/runs
 prev=
@@ -32,7 +36,9 @@ done
   echo
 done
 
-# Every recorded run as a table row: the grid tables again, now from the
-# store, beside the final errors of every other training above.
+# Every recorded run as a table row: every table above again, now from
+# the store — the final error of each run, and a column per scalar
+# metric (T2's energies, T6's energy error, T7's recovered omega, F4's
+# drift).
 echo "=== runs table ($store) ==="
 ./target/release/qpinn-obs runs table --dir "$store"

@@ -2,9 +2,9 @@
 //! formats — the `qpinn-snapshot` binary container, the
 //! `qpinn-metrics-v1` JSON schema, the Prometheus text exposition, the
 //! `qpinn-access-v1` access-log JSONL, the `qpinn-traces-v1`
-//! `/v1/traces` document, and the `qpinn-run-v1` run-record manifest +
-//! epoch-series line — against fixtures committed under
-//! `tests/fixtures/`.
+//! `/v1/traces` document, and the `qpinn-run-v1` run-record manifest
+//! (with and without its optional `metrics` block) + epoch-series line —
+//! against fixtures committed under `tests/fixtures/`.
 //!
 //! A diff in any of these files is a *format break*, not a test fluke:
 //! old checkpoints, dashboards, and scrapers all parse these bytes. To
@@ -291,6 +291,7 @@ fn pinned_run_manifest() -> qpinn::core::runs::Manifest {
         epochs_run: Some(2000),
         final_loss: Some(1.25e-4),
         final_error: Some(3.5e-3),
+        metrics: Vec::new(),
     }
 }
 
@@ -315,6 +316,34 @@ fn run_manifest_v1_schema_is_frozen() {
     assert_eq!(back.env, manifest.env);
     assert_eq!(back.final_loss, manifest.final_loss);
     assert_eq!(back.end_unix_ms, manifest.end_unix_ms);
+    assert!(back.metrics.is_empty(), "{:?}", back.metrics);
+}
+
+/// The optional `metrics` block an experiment writes into its finalized
+/// manifest: after `final_error`, in insertion order, a scalar as a
+/// number and an array as an array of numbers. A manifest without
+/// metrics writes no block at all (the fixture above).
+#[test]
+fn run_manifest_metrics_block_is_frozen() {
+    use qpinn::core::runs::{Manifest, Metric};
+    let mut manifest = pinned_run_manifest();
+    manifest.metrics = vec![
+        ("energy".into(), Metric::Scalar(0.50064)),
+        ("e_error".into(), Metric::Scalar(6.4e-4)),
+        ("norm".into(), Metric::Series(vec![1.0, 0.96875, 0.9375])),
+    ];
+    let doc = manifest.to_json().to_string() + "\n";
+    let plain = pinned_run_manifest().to_json().to_string();
+    let (head, block) = doc.split_at(plain.len() - 1);
+    assert_eq!(head, &plain[..plain.len() - 1], "fields before the block moved");
+    assert!(block.starts_with(",\"metrics\":{\"energy\":0.50064,"), "{block}");
+    assert_matches_fixture("run_manifest_metrics_v1.json", doc.as_bytes());
+    let text = std::fs::read_to_string(fixture_path("run_manifest_metrics_v1.json")).unwrap();
+    let back = Manifest::from_json(&qpinn::core::report::Json::parse(&text).unwrap())
+        .expect("committed fixture must parse");
+    assert_eq!(back.metrics, manifest.metrics);
+    assert_eq!(back.final_error, manifest.final_error);
+    assert_eq!(back.to_json().to_string() + "\n", text, "parse + write is the identity");
 }
 
 #[test]

@@ -264,6 +264,39 @@ fn torn_run_manifest_finalize_lists_as_incomplete() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The third manifest write — an experiment's metrics after finalize —
+/// goes through the same atomic publish: torn halfway, it returns the
+/// injected error and leaves the finalized manifest byte for byte.
+#[test]
+fn torn_metrics_write_keeps_the_finalized_manifest() {
+    use qpinn::core::runs::{list_runs, read_manifest, record_metrics, Metric, RunConfig};
+    let _g = serial();
+    let dir = test_dir("runs-metrics-torn");
+
+    let (mut task, mut params) = quad_fixture();
+    let mut cfg = quad_cfg(20, None);
+    cfg.run = Some(RunConfig::new(&dir, "chaos/quad", 0));
+    let log = Trainer::new(cfg).train(&mut task, &mut params);
+    let run_id = log.run_id.expect("run id assigned at begin");
+    let manifest_path = dir.join(&run_id).join("manifest.json");
+    let finalized = std::fs::read_to_string(&manifest_path).unwrap();
+
+    let err = {
+        let _arm = testkit::arm("runs.manifest_torn", Trigger::Always);
+        record_metrics(&dir, &run_id, vec![("energy", Metric::Scalar(0.5))]).unwrap_err()
+    };
+    assert!(err.to_string().contains("runs.manifest_torn"), "{err}");
+
+    let listed = list_runs(&dir).unwrap();
+    assert_eq!(listed.len(), 1);
+    assert_eq!(listed[0].outcome, "converged");
+    assert_eq!(listed[0].final_loss, Some(log.final_loss));
+    assert!(read_manifest(&dir.join(&run_id)).unwrap().metrics.is_empty());
+    assert_eq!(std::fs::read_to_string(&manifest_path).unwrap(), finalized);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Invariant 2: resume stays bit-exact under corrupted-latest fallback.
 // ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@
 //! CLI and CI rely on — identical config+seed reproduces bit-for-bit
 //! (zero metric delta), a perturbed learning rate shows up in the config
 //! delta and fails the regression gate, a grid table rendered from the
-//! store carries the statistics of the logs the trainer returned, and each
-//! run's series carries the loss components of its own task only.
+//! store carries the statistics of the logs the trainer returned, an
+//! experiment's metrics recorded after training read back exactly, and
+//! each run's series carries the loss components of its own task only.
 
 use qpinn::core::experiment::{mean_std_of, run_seeds_with};
 use qpinn::core::hybrid::{HybridEigenTask, HybridNet};
 use qpinn::core::report::{mean_std, Json};
-use qpinn::core::runs::{list_runs, load_run, read_manifest, RunConfig, RunRecord};
+use qpinn::core::runs::{
+    list_runs, load_run, read_manifest, record_metrics, Metric, RunConfig, RunRecord,
+};
 use qpinn::core::trainer::{PinnTask, Trainer};
 use qpinn::core::{FieldNetConfig, TrainConfig, ZooTask, ZooTaskConfig};
 use qpinn::nn::ParamSet;
@@ -202,6 +205,42 @@ fn grid_table_from_the_store_matches_the_returned_logs() {
         assert!(text.contains(&mean_std(row.mean, row.std)), "{text}");
         assert!(text.contains(&format!("{:.3e}", row.best)), "{text}");
     }
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn recorded_metrics_round_trip_through_the_manifest() {
+    let store = tmp_store("metrics");
+    let id = train_recorded(&store, 7, 2e-3, 10);
+    let finalized = read_manifest(&store.join(&id)).unwrap();
+    assert!(finalized.metrics.is_empty());
+
+    let metrics = vec![
+        ("energy", Metric::Scalar(0.50064)),
+        ("norm", Metric::Series(vec![1.0, 0.96875])),
+    ];
+    record_metrics(&store, &id, metrics.clone()).unwrap();
+    let recorded = read_manifest(&store.join(&id)).unwrap();
+    let owned: Vec<(String, Metric)> = metrics.into_iter().map(|(k, m)| (k.into(), m)).collect();
+    assert_eq!(recorded.metrics, owned);
+    // Everything but the block is the finalized manifest, byte for byte.
+    let mut expect = finalized;
+    expect.metrics = owned;
+    assert_eq!(recorded.to_json().to_string(), expect.to_json().to_string());
+    // The scalar is a column of the run's table; the array is not.
+    let text = table_report(&store, None).unwrap();
+    let header = text.lines().nth(1).unwrap();
+    assert!(header.contains("| energy"), "{text}");
+    assert!(!text.contains("norm"), "{text}");
+
+    // Recording again replaces the block.
+    record_metrics(&store, &id, vec![("omega", Metric::Scalar(1.0))]).unwrap();
+    let again = read_manifest(&store.join(&id)).unwrap();
+    assert_eq!(again.metrics, [("omega".to_string(), Metric::Scalar(1.0))]);
+    // An unknown run is an error, not a new record.
+    let unknown = "0123456789abcdef";
+    assert!(record_metrics(&store, unknown, vec![("x", Metric::Scalar(1.0))]).is_err());
+    assert!(!store.join(unknown).exists());
     let _ = std::fs::remove_dir_all(&store);
 }
 

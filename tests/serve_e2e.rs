@@ -8,7 +8,7 @@
 //! are exercised on the same server.
 
 use qpinn::core::report::Json;
-use qpinn::core::runs::RunConfig;
+use qpinn::core::runs::{Metric, RunConfig};
 use qpinn::core::task::net_config_for;
 use qpinn::core::trainer::Trainer;
 use qpinn::core::{TrainConfig, ZooTask, ZooTaskConfig};
@@ -763,7 +763,8 @@ fn progress_endpoint_reads_the_progress_gauges() {
 }
 
 /// `GET /v1/runs` lists the run store the server was configured with,
-/// `GET /v1/runs/<id>` returns a run's manifest and series, an id that
+/// `GET /v1/runs/<id>` returns a run's manifest (metrics block included)
+/// and series, an id that
 /// could walk the filesystem (or none at all) is refused with `400`
 /// before any path join, and an unknown well-formed id answers `404`.
 #[test]
@@ -786,6 +787,11 @@ fn runs_routes_serve_the_configured_store() {
         ..TrainConfig::default()
     };
     let run_id = Trainer::new(train).train(&mut task, &mut params).run_id.unwrap();
+    let metrics = vec![
+        ("energy", Metric::Scalar(0.5)),
+        ("norm", Metric::Series(vec![1.0, 0.75])),
+    ];
+    qpinn::core::runs::record_metrics(&store, &run_id, metrics).unwrap();
     let recorded = qpinn::core::runs::load_run(&store, &run_id).unwrap();
 
     let mut serve_cfg = ServeConfig::new(&dir);
@@ -806,6 +812,10 @@ fn runs_routes_serve_the_configured_store() {
     assert!(status.contains("200 OK"), "{status}");
     let manifest = doc.get("manifest").expect("manifest");
     assert_eq!(manifest.get("run_id").and_then(Json::as_str), Some(run_id.as_str()));
+    assert_eq!(manifest, &recorded.manifest.to_json());
+    let served = qpinn::core::runs::Manifest::from_json(manifest).unwrap();
+    assert_eq!(served.metrics, recorded.manifest.metrics);
+    assert_eq!(served.metrics.len(), 2);
     assert_eq!(doc.get("series"), Some(&Json::Arr(recorded.series)));
 
     for bad in ["/v1/runs/../x", "/v1/runs/"] {
