@@ -36,7 +36,7 @@ pub fn problems_doc() -> Json {
                 ("describe", Json::Str(p.describe().to_string())),
                 ("coords", Json::Arr(coords)),
                 ("n_outputs", Json::Num(p.n_outputs() as f64)),
-                ("analytic", Json::Bool(p.analytic(&probe_point(&p)).is_some())),
+                ("analytic", Json::Bool(p.analytic(&probe_point(p.as_ref())).is_some())),
                 (
                     "independent_check",
                     Json::Bool(p.independent_check().is_some()),
@@ -63,7 +63,7 @@ pub fn problems_doc() -> Json {
 }
 
 /// Domain midpoint — a valid sample point for probing `analytic`.
-fn probe_point(p: &Box<dyn qpinn_problems::PdeProblem>) -> Vec<f64> {
+fn probe_point(p: &dyn qpinn_problems::PdeProblem) -> Vec<f64> {
     p.coords().iter().map(|c| 0.5 * (c.lo + c.hi)).collect()
 }
 

@@ -395,7 +395,8 @@ mod tests {
             let loss = task.build_loss(&mut ctx);
             g.value(loss).item()
         };
-        for k in 0..params.len() {
+        assert_eq!(analytic.len(), params.len());
+        for (k, analytic_k) in analytic.iter().enumerate() {
             let n = params.tensors()[k].len();
             for e in [0usize, n / 2, n - 1] {
                 let mut plus = params.clone();
@@ -403,7 +404,7 @@ mod tests {
                 let mut minus = params.clone();
                 minus.tensors_mut()[k].data_mut()[e] -= h;
                 let fd = (eval(&plus, &mut task) - eval(&minus, &mut task)) / (2.0 * h);
-                let a = analytic[k].data()[e];
+                let a = analytic_k.data()[e];
                 assert!(
                     (a - fd).abs() < 2e-4 * fd.abs().max(1.0),
                     "param {k} elem {e}: analytic {a} vs fd {fd}"

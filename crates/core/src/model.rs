@@ -270,7 +270,7 @@ impl FieldNet {
     pub fn predict_batch(&self, params: &ParamSet, coords: &[f64]) -> Tensor {
         let k = self.n_coords();
         assert!(
-            k > 0 && coords.len() % k == 0,
+            k > 0 && coords.len().is_multiple_of(k),
             "flattened coords length {} is not a multiple of arity {k}",
             coords.len()
         );

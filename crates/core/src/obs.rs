@@ -71,10 +71,15 @@ pub fn emit_pool_stats(context: &str) {
 mod tests {
     use super::*;
     use qpinn_telemetry::MemorySink;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+
+    /// Serializes the tests that install a sink: `shutdown` removes every
+    /// installed sink, another test's included.
+    static SINK_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn pool_stats_event_carries_per_worker_fields() {
+        let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Force some pool activity so worker counters exist.
         use rayon::prelude::*;
         let pool = rayon::ThreadPoolBuilder::new()
@@ -108,6 +113,7 @@ mod tests {
 
     #[test]
     fn buffer_pool_stats_reach_telemetry() {
+        let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Generate some pool traffic first.
         let t = qpinn_tensor::Tensor::full([256], 1.5);
         let u = t.add(&t);

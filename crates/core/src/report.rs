@@ -78,6 +78,15 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Serialization (`to_string` renders the document).
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut s = String::new();
+        self.write(&mut s);
+        f.write_str(&s)
+    }
+}
+
 impl Json {
     /// Object builder from pairs.
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
@@ -133,13 +142,6 @@ impl Json {
     /// Array of numbers.
     pub fn nums(v: &[f64]) -> Json {
         Json::Arr(v.iter().map(|&x| Json::Num(x)).collect())
-    }
-
-    /// Serialize.
-    pub fn to_string(&self) -> String {
-        let mut s = String::new();
-        self.write(&mut s);
-        s
     }
 
     fn write(&self, out: &mut String) {

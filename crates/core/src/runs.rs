@@ -703,6 +703,12 @@ pub fn load_run(dir: &Path, run_id: &str) -> io::Result<RunRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that write manifests: the torn-finalize test
+    /// arms the process-wide `runs.manifest_torn` failpoint, which would
+    /// fail any other manifest written while it is armed.
+    static MANIFEST_LOCK: Mutex<()> = Mutex::new(());
 
     fn tmp_store(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qpinn-runs-{tag}-{}", std::process::id()));
@@ -716,6 +722,7 @@ mod tests {
 
     #[test]
     fn lifecycle_begin_append_finalize_roundtrips() {
+        let _guard = MANIFEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp_store("lifecycle");
         let mut rec = RunRecorder::begin(&demo_cfg(&dir), 100, Json::obj(vec![])).unwrap();
         let id = rec.run_id().to_string();
@@ -751,6 +758,7 @@ mod tests {
 
     #[test]
     fn identical_configs_hash_identically_and_lr_changes_hash() {
+        let _guard = MANIFEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp_store("hash");
         let cfg = demo_cfg(&dir);
         let train = Json::obj(vec![("lr0", Json::Num(1e-3))]);
@@ -765,6 +773,7 @@ mod tests {
 
     #[test]
     fn torn_finalize_leaves_intact_incomplete_manifest() {
+        let _guard = MANIFEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let dir = tmp_store("torn");
         let mut rec = RunRecorder::begin(&demo_cfg(&dir), 10, Json::obj(vec![])).unwrap();
         let id = rec.run_id().to_string();

@@ -514,13 +514,24 @@ impl PinnTask for ZooTask {
         &self.loss_terms
     }
 
+    /// The rel-L2 error `‖p − r‖/‖r‖` of the prediction on the eval grid;
+    /// for a [`PdeProblem::sign_invariant`] family,
+    /// `min(‖p − r‖, ‖p + r‖)/‖r‖`.
     fn eval_error(&self, params: &ParamSet) -> f64 {
         let pred = self.net.predict(params, &self.eval_points);
+        let either_sign = self.problem.sign_invariant();
         let mut num = 0.0;
+        let mut num_flipped = 0.0;
         let mut den = 0.0;
         for (p, r) in pred.data().iter().zip(&self.eval_ref) {
             num += (p - r) * (p - r);
+            if either_sign {
+                num_flipped += (p + r) * (p + r);
+            }
             den += r * r;
+        }
+        if either_sign {
+            num = f64::min(num, num_flipped);
         }
         if den == 0.0 {
             num.sqrt()
@@ -886,6 +897,46 @@ mod tests {
         let names: Vec<&str> = terms.iter().map(|t| t.0).collect();
         assert_eq!(names, ["conservation", "orthogonality"]);
         assert!(g.value(terms[1].1).item() > 0.0);
+    }
+
+    #[test]
+    fn a_stationary_state_scores_the_same_at_either_sign() {
+        // Negating the output layer negates the prediction exactly, which
+        // a sign-sensitive rel-L2 scores as ‖p + r‖/‖r‖ instead.
+        fn error_and_negated(problem: Box<dyn PdeProblem>, cfg: &ZooTaskConfig) -> (f64, f64) {
+            let key = problem.key();
+            let (task, mut params) = task_for(problem, cfg, 9);
+            let before = task.eval_error(&params);
+            let out: Vec<usize> = params
+                .iter()
+                .enumerate()
+                .filter(|(_, (_, n, _))| {
+                    *n == format!("{key}.out.w") || *n == format!("{key}.out.b")
+                })
+                .map(|(i, _)| i)
+                .collect();
+            assert_eq!(out.len(), 2, "{key}: output weight and bias");
+            for i in out {
+                for v in params.tensors_mut()[i].data_mut() {
+                    *v = -*v;
+                }
+            }
+            (before, task.eval_error(&params))
+        }
+        let well = qpinn_problems::EigenProblem::infinite_well();
+        let state = eigenstate(well, 1, 4.0, Vec::new());
+        assert!(state.sign_invariant());
+        let (before, after) = error_and_negated(state, &eigen_cfg());
+        assert_eq!(before.to_bits(), after.to_bits(), "{before} vs {after}");
+        assert!(before < 2.0, "{before}");
+        // Every registered family keeps the sign-sensitive error;
+        // `eigen-harmonic`'s anchors pin the sign of its ground state.
+        for key in qpinn_problems::keys() {
+            assert!(!lookup(key).unwrap().sign_invariant(), "{key}");
+        }
+        let pinned = lookup("eigen-harmonic").unwrap();
+        let (before, after) = error_and_negated(pinned, &ZooTaskConfig::quick());
+        assert_ne!(before.to_bits(), after.to_bits(), "{before} vs {after}");
     }
 
     #[test]

@@ -114,6 +114,12 @@ impl<S: Scalar> Cplx<S> {
         }
     }
 
+    /// `self / rhs`, computed as `self · rhs⁻¹` (what `/` does).
+    #[inline]
+    pub fn mul_recip(self, rhs: Self) -> Self {
+        self * rhs.recip()
+    }
+
     /// `e^{iθ} = cos θ + i sin θ` for a real angle θ.
     #[inline]
     pub fn cis(theta: S) -> Self {
@@ -203,7 +209,7 @@ impl<S: Scalar> Div for Cplx<S> {
     type Output = Self;
     #[inline]
     fn div(self, rhs: Self) -> Self {
-        self * rhs.recip()
+        self.mul_recip(rhs)
     }
 }
 

@@ -142,9 +142,9 @@ mod tests {
         let g: Vec<Complex64> = (0..n).map(|i| Complex64::new((i as f64).cos(), 0.0)).collect();
         let h: Vec<Complex64> = (0..n).map(|j| Complex64::new(0.0, (j as f64).sin())).collect();
         let mut buf: Vec<Complex64> = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                buf.push(g[i] * h[j]);
+        for &gi in &g {
+            for &hj in &h {
+                buf.push(gi * hj);
             }
         }
         plan.forward(&mut buf);

@@ -99,10 +99,11 @@ mod tests {
                 .collect::<Vec<_>>(),
             l,
         );
-        for i in 0..n {
+        assert_eq!(d.len(), n);
+        for (i, di) in d.iter().enumerate() {
             let x = -8.0 + l * i as f64 / n as f64;
             let want = -2.0 * x * (-x * x).exp();
-            assert!((d[i].re - want).abs() < 1e-8, "at {x}: {} vs {want}", d[i].re);
+            assert!((di.re - want).abs() < 1e-8, "at {x}: {} vs {want}", di.re);
         }
     }
 }

@@ -103,29 +103,27 @@ pub fn show_report(rec: &RunRecord) -> String {
         }
     }
     // Last epoch line's per-layer stats: the barren-plateau snapshot.
-    if let Some(grad) = rec
+    if let Some(Json::Obj(layers)) = rec
         .series
         .iter()
         .rev()
         .find(|l| l.get("kind").and_then(|k| k.as_str()) == Some("epoch"))
         .and_then(|l| l.get("grad").cloned())
     {
-        if let Json::Obj(layers) = grad {
-            if !layers.is_empty() {
-                let mut table = TextTable::new(&["layer", "grad norm", "grad var"]);
-                for (name, stats) in &layers {
-                    let num = |k: &str| {
-                        stats
-                            .get(k)
-                            .and_then(|v| v.as_num())
-                            .map(|v| format!("{v:.3e}"))
-                            .unwrap_or_else(|| "-".into())
-                    };
-                    table.row(&[name.clone(), num("norm"), num("var")]);
-                }
-                out.push_str("\nlast-interval gradient stats:\n");
-                out.push_str(&table.render());
+        if !layers.is_empty() {
+            let mut table = TextTable::new(&["layer", "grad norm", "grad var"]);
+            for (name, stats) in &layers {
+                let num = |k: &str| {
+                    stats
+                        .get(k)
+                        .and_then(|v| v.as_num())
+                        .map(|v| format!("{v:.3e}"))
+                        .unwrap_or_else(|| "-".into())
+                };
+                table.row(&[name.clone(), num("norm"), num("var")]);
             }
+            out.push_str("\nlast-interval gradient stats:\n");
+            out.push_str(&table.render());
         }
     }
     let events: Vec<String> = rec

@@ -7,6 +7,10 @@
 //! Wolfe conditions, and the standard `γ = sᵀy/yᵀy` initial Hessian
 //! scaling.
 
+/// The objective [`Lbfgs::minimize`] evaluates: value and gradient at a
+/// point.
+type Objective<'a> = dyn FnMut(&[f64]) -> (f64, Vec<f64>) + 'a;
+
 /// Configuration for [`Lbfgs`].
 #[derive(Clone, Debug)]
 pub struct LbfgsConfig {
@@ -166,7 +170,7 @@ impl Lbfgs {
                 1.0
             };
             let eval =
-                |alpha: f64, x: &[f64], d: &[f64], f: &mut dyn FnMut(&[f64]) -> (f64, Vec<f64>)| {
+                |alpha: f64, x: &[f64], d: &[f64], f: &mut Objective<'_>| {
                     let xt: Vec<f64> = x.iter().zip(d).map(|(xi, di)| xi + alpha * di).collect();
                     let (ft, gt) = f(&xt);
                     let dphit = dot(&gt, d);

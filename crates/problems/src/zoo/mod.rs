@@ -172,6 +172,15 @@ pub trait PdeProblem: Send + Sync {
     fn orthogonal_to(&self) -> Vec<&dyn RefSolution> {
         Vec::new()
     }
+    /// Whether the solution is defined only up to its sign, as a
+    /// stationary state is when no condition fixes the sign (`−ψ` meets
+    /// the same residual, edges and norm), so that a trained field is
+    /// scored against `±` the reference, whichever is closer. False (the
+    /// default) for every registered family, `eigen-harmonic` included:
+    /// its amplitude anchors target `+ψ₀`.
+    fn sign_invariant(&self) -> bool {
+        false
+    }
 }
 
 /// Error returned by [`lookup`] for an unregistered key.

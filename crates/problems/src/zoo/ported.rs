@@ -719,7 +719,7 @@ impl PdeProblem for EigenZoo {
     fn conditions(&self, n: usize) -> Vec<Condition> {
         // Dirichlet edges plus amplitude anchors: without an amplitude
         // pin, ψ ≡ 0 solves residual + BC exactly.
-        let anchors = uniform(-1.0, 1.0, n.max(3).min(9), false);
+        let anchors = uniform(-1.0, 1.0, n.clamp(3, 9), false);
         vec![
             dirichlet_edges(&self.inner),
             Condition {
@@ -840,6 +840,9 @@ impl PdeProblem for EigenstateZoo {
     }
     fn orthogonal_to(&self) -> Vec<&dyn RefSolution> {
         self.lower.iter().map(|s| s as &dyn RefSolution).collect()
+    }
+    fn sign_invariant(&self) -> bool {
+        true
     }
 }
 

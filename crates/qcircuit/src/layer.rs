@@ -110,14 +110,14 @@ impl QuantumLayer {
                 let theta_c: Vec<Dual64> = theta.iter().map(|&t| Dual::constant(t)).collect();
                 let mut ja: Vec<Vec<f64>> = Vec::with_capacity(nq);
                 let mut e = Vec::new();
-                for j in 0..nq {
+                for (j, &aj) in a[..nq].iter().enumerate() {
                     let angles: Vec<Dual64> = base_angles
                         .iter()
                         .enumerate()
                         .map(|(i, &ang)| {
                             if i == j {
                                 // seed dθ/da through the scaling chain rule
-                                Dual::new(ang, self.scaling.dangle(a[j]))
+                                Dual::new(ang, self.scaling.dangle(aj))
                             } else {
                                 Dual::constant(ang)
                             }

@@ -102,8 +102,9 @@ mod tests {
             s.expectation_z(1)
         };
         let shift_grad = parameter_shift_gradient(&f, &theta);
+        assert_eq!(shift_grad.len(), n);
         // dual-number gradient, one direction at a time
-        for i in 0..n {
+        for (i, &want) in shift_grad.iter().enumerate() {
             let td: Vec<Dual64> = theta
                 .iter()
                 .enumerate()
@@ -119,10 +120,9 @@ mod tests {
             ansatz.apply(&mut s, layers, &td);
             let e = s.expectation_z(1);
             assert!(
-                (e.eps - shift_grad[i]).abs() < 1e-11,
-                "param {i}: dual {} vs shift {}",
-                e.eps,
-                shift_grad[i]
+                (e.eps - want).abs() < 1e-11,
+                "param {i}: dual {} vs shift {want}",
+                e.eps
             );
             assert!((e.value() - f(&theta)).abs() < 1e-12);
         }
@@ -161,7 +161,8 @@ mod tests {
             s.expectation_z(1)
         };
         let four = controlled_shift_gradient(&f, &theta);
-        for i in 0..n {
+        assert_eq!(four.len(), n);
+        for (i, &want) in four.iter().enumerate() {
             let td: Vec<Dual64> = theta
                 .iter()
                 .enumerate()
@@ -174,10 +175,9 @@ mod tests {
             ansatz.apply(&mut s, layers, &td);
             let e = s.expectation_z(1);
             assert!(
-                (e.eps - four[i]).abs() < 1e-11,
-                "param {i}: dual {} vs 4-term {}",
-                e.eps,
-                four[i]
+                (e.eps - want).abs() < 1e-11,
+                "param {i}: dual {} vs 4-term {want}",
+                e.eps
             );
         }
     }

@@ -193,7 +193,7 @@ impl Batcher {
         trace: &TraceCtx,
     ) -> Result<mpsc::Receiver<JobResult>, SubmitError> {
         let arity = self.model.net.n_coords();
-        if arity == 0 || coords.len() % arity != 0 || coords.is_empty() {
+        if arity == 0 || !coords.len().is_multiple_of(arity) || coords.is_empty() {
             return Err(SubmitError::BadShape {
                 expected_arity: arity,
             });

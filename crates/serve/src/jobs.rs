@@ -494,7 +494,7 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(180);
         loop {
             let (doc, failed) = jobs.progress_json(&id).unwrap();
-            assert!(!failed, "zoo job failed: {}", doc.to_string());
+            assert!(!failed, "zoo job failed: {}", doc);
             if doc.get("state").unwrap().as_str() == Some("completed") {
                 break;
             }
@@ -533,7 +533,7 @@ mod tests {
         loop {
             let (doc, failed) = jobs.progress_json(&id).unwrap();
             let state = doc.get("state").unwrap().as_str().unwrap().to_string();
-            assert!(!failed, "job failed: {}", doc.to_string());
+            assert!(!failed, "job failed: {}", doc);
             if state == "completed" {
                 assert_eq!(doc.get("version").unwrap().as_num(), Some(1.0));
                 break;

@@ -64,8 +64,8 @@ pub fn helmholtz_fd_solve(
     let mut a = Dense::zeros(n);
     let mut b = vec![0.0; n];
     let (cx, cy) = (1.0 / (dx * dx), 1.0 / (dy * dy));
-    for i in 1..nx {
-        for j in 1..ny {
+    for (i, &xi) in xs[..nx].iter().enumerate().skip(1) {
+        for (j, &yj) in ys[..ny].iter().enumerate().skip(1) {
             let r = idx(i, j);
             a.set(r, r, -2.0 * cx - 2.0 * cy + k * k);
             if i > 1 {
@@ -80,7 +80,7 @@ pub fn helmholtz_fd_solve(
             if j < ny - 1 {
                 a.set(r, idx(i, j + 1), cy);
             }
-            b[r] = f(xs[i], ys[j]);
+            b[r] = f(xi, yj);
         }
     }
     let sol = solve_dense(&a, &b);

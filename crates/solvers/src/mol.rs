@@ -278,7 +278,7 @@ where
             }
             plan.forward(&mut buf);
             for (b, &d) in buf.iter_mut().zip(&decay[c]) {
-                *b = *b * Complex64::new(d, 0.0);
+                *b *= Complex64::new(d, 0.0);
             }
             plan.inverse(&mut buf);
             for i in 0..n {

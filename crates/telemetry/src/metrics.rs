@@ -101,9 +101,8 @@ impl Default for Histogram {
 impl Histogram {
     /// An empty histogram.
     pub const fn new() -> Self {
-        const ZERO: AtomicU64 = AtomicU64::new(0);
         Histogram {
-            buckets: [ZERO; HIST_BUCKETS],
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),

@@ -248,8 +248,8 @@ mod tests {
     fn write_errors_are_counted_and_taken_once() {
         let before = crate::registry::counter("telemetry.write_errors").get();
         let _ = take_write_error(); // clear any residue from other tests
-        let e1 = std::io::Error::new(std::io::ErrorKind::Other, "disk full");
-        let e2 = std::io::Error::new(std::io::ErrorKind::Other, "still full");
+        let e1 = std::io::Error::other("disk full");
+        let e2 = std::io::Error::other("still full");
         note_write_error("jsonl sink /tmp/a.jsonl", &e1);
         note_write_error("jsonl sink /tmp/a.jsonl", &e2);
         assert_eq!(

@@ -16,8 +16,16 @@
 //!   registers and load each row of the shared operand once per tile;
 //!   `nt` transposes its (small) right operand once per call and
 //!   vectorizes across output columns with eight lane accumulators each;
+//! * with fewer than [`SKINNY`] output columns a tile would fall back to
+//!   scalar one-column tiles, so `tn` computes `Bᵀ·A` and transposes it
+//!   (products commute exactly and the ascending-row sum is unchanged),
+//!   and `nt` calls `vdot` per element, which vectorizes along the
+//!   contraction with the association `nt` already has (when that
+//!   contraction is at least [`SKINNY`] long);
 //! * work above [`crate::tune::PAR_FLOPS`] is parallelized over
 //!   [`crate::tune::ROW_BLOCK`]-row output blocks on the real rayon pool;
+//!   [`gemm_tn_blocks`] runs the `tn` products of several row blocks of
+//!   a stack as one parallel operation;
 //! * `nn` and `tn` stream the contraction in [`crate::tune::K_BLOCK`]
 //!   panels so the shared panel stays in L1/L2 while the task's rows
 //!   accumulate against it.
@@ -34,6 +42,11 @@ use crate::simd::PanelSeed;
 use crate::tune::{K_BLOCK, PAR_FLOPS, ROW_BLOCK};
 use crate::{pool, simd, Tensor};
 use rayon::prelude::*;
+
+/// Output columns below which `tn` and `nt` leave the register tiles: one
+/// AVX-512 vector is eight columns, and a narrower output runs through
+/// scalar one-column tiles.
+pub(crate) const SKINNY: usize = 8;
 
 /// Run `body(block_index, rows)` over `ROW_BLOCK`-row chunks of `out`
 /// (`ld` elements per row), in parallel when the product is large enough.
@@ -110,29 +123,94 @@ pub fn gemm_nn(
 /// Panics when a slice is shorter than its extents.
 pub fn gemm_tn(a: &[f64], b: &[f64], (m, k, n): (usize, usize, usize), out: &mut [f64]) {
     assert!(a.len() >= m * k && b.len() >= m * n && out.len() >= k * n, "gemm_tn extents");
+    gemm_tn_blocks(a, b, (m, k, n), &mut [out]);
+}
+
+/// `outs[s] = a_sᵀ · b_s` for the consecutive `m`-row blocks `a_s` of
+/// `a[·, k]` and `b_s` of `b[·, n]`, one block per entry of `outs`. The
+/// blocks run as one parallel operation whose chunks are every block's
+/// `ROW_BLOCK`-row output blocks (a whole block below [`SKINNY`]
+/// columns), not one operation per block; a block's bits do not depend
+/// on the others.
+///
+/// # Panics
+/// Panics when a slice is shorter than its extents.
+pub(crate) fn gemm_tn_blocks<O: AsMut<[f64]> + Send>(
+    a: &[f64],
+    b: &[f64],
+    (m, k, n): (usize, usize, usize),
+    outs: &mut [O],
+) {
+    let blocks = outs.len();
+    assert!(
+        a.len() >= blocks * m * k && b.len() >= blocks * m * n && outs.iter_mut().all(|o| o.as_mut().len() >= k * n),
+        "gemm_tn_blocks extents"
+    );
     if k == 0 || n == 0 {
         return;
     }
-    let out = &mut out[..k * n];
-    if m == 0 {
-        out.fill(0.0);
-        return;
-    }
-    // C[p, q] = Σ_i A[i, p] B[i, q]: blocks of output rows p in parallel,
-    // the reduction over i panelled so the B panel is reused across the
-    // block. Ascending-i accumulation order is preserved.
-    let body = |blk: usize, out_blk: &mut [f64]| {
-        let p0 = blk * ROW_BLOCK;
-        let rows = out_blk.len() / n;
-        let mut ib0 = 0;
-        while ib0 < m {
-            let ib1 = (ib0 + K_BLOCK).min(m);
-            let seed = if ib0 > 0 { PanelSeed::Out } else { PanelSeed::Zero };
-            simd::axpy_panel(&a[ib0 * k + p0..], 1, k, ib1 - ib0, &b[ib0 * n..], n, n, out_blk, n, rows, seed);
-            ib0 = ib1;
+    let skinny = tn_is_skinny(k, n);
+    let task_rows = if skinny { k } else { ROW_BLOCK };
+    let tasks: Vec<(usize, usize, &mut [f64])> = outs
+        .iter_mut()
+        .enumerate()
+        .flat_map(|(s, out)| {
+            out.as_mut()[..k * n]
+                .chunks_mut(task_rows * n)
+                .enumerate()
+                .map(move |(blk, chunk)| (s, blk, chunk))
+        })
+        .collect();
+    let body = |(s, blk, out_blk): (usize, usize, &mut [f64])| {
+        let (a, b) = (&a[s * m * k..(s + 1) * m * k], &b[s * m * n..(s + 1) * m * n]);
+        if m == 0 {
+            out_blk.fill(0.0);
+        } else if skinny {
+            tn_transposed(a, b, (m, k, n), out_blk);
+        } else {
+            tn_rows(a, b, (m, k, n), blk, out_blk);
         }
     };
-    for_row_blocks(out, n, m * k * n >= PAR_FLOPS && k > ROW_BLOCK, body);
+    if blocks * m * k * n >= PAR_FLOPS && tasks.len() > 1 {
+        tasks.into_par_iter().for_each(body);
+    } else {
+        tasks.into_iter().for_each(body);
+    }
+}
+
+/// Whether `aᵀ·b` with `k` rows and `n` columns runs as `(bᵀ·a)ᵀ`.
+fn tn_is_skinny(k: usize, n: usize) -> bool {
+    n < SKINNY && k >= SKINNY
+}
+
+/// Output rows `[blk·ROW_BLOCK, …)` of `aᵀ·b` (`m > 0`) into `out_blk`:
+/// `C[p, q] = Σ_i A[i, p] B[i, q]`, the reduction over `i` panelled so the
+/// B panel is reused across the block, in ascending `i`.
+fn tn_rows(a: &[f64], b: &[f64], (m, k, n): (usize, usize, usize), blk: usize, out_blk: &mut [f64]) {
+    let p0 = blk * ROW_BLOCK;
+    let rows = out_blk.len() / n;
+    let mut ib0 = 0;
+    while ib0 < m {
+        let ib1 = (ib0 + K_BLOCK).min(m);
+        let seed = if ib0 > 0 { PanelSeed::Out } else { PanelSeed::Zero };
+        simd::axpy_panel(&a[ib0 * k + p0..], 1, k, ib1 - ib0, &b[ib0 * n..], n, n, out_blk, n, rows, seed);
+        ib0 = ib1;
+    }
+}
+
+/// All of `aᵀ·b` (`m > 0`) as the transpose of `bᵀ·a`, whose `k ≥ SKINNY`
+/// columns fill the register tiles. Every element is the same ascending
+/// chain of the same products (`b·a = a·b` exactly), so the bits are those
+/// of the direct product.
+fn tn_transposed(a: &[f64], b: &[f64], (m, k, n): (usize, usize, usize), out: &mut [f64]) {
+    let mut t = pool::take_uninit(n * k);
+    tn_rows(b, a, (m, n, k), 0, &mut t);
+    for (q, row) in t.chunks_exact(k).enumerate() {
+        for (p, &v) in row.iter().enumerate() {
+            out[p * n + q] = v;
+        }
+    }
+    pool::recycle(Tensor::from_vec([n * k], t));
 }
 
 /// `out[m,k] = a[m,n] · bᵀ[n,k]` for `b[k,n]`. Every element of `out` is
@@ -146,6 +224,22 @@ pub fn gemm_nt(a: &[f64], b: &[f64], (m, n, k): (usize, usize, usize), out: &mut
         return;
     }
     let out = &mut out[..m * k];
+    let par = m * n * k >= PAR_FLOPS && m > ROW_BLOCK;
+    if k < SKINNY && n >= SKINNY {
+        // C[i, p] = A[i, ·] · B[p, ·], one `vdot` per element. A shorter
+        // contraction leaves `vdot` nothing to vectorize, and the tiles
+        // below run it without a call per element.
+        for_row_blocks(out, k, par, |blk, out_blk| {
+            let i0 = blk * ROW_BLOCK;
+            for (r, orow) in out_blk.chunks_exact_mut(k).enumerate() {
+                let arow = &a[(i0 + r) * n..(i0 + r + 1) * n];
+                for (p, o) in orow.iter_mut().enumerate() {
+                    *o = simd::vdot(arow, &b[p * n..(p + 1) * n]);
+                }
+            }
+        });
+        return;
+    }
     // C[i, p] = Σ_j A[i, j] B[p, j]. Transposing the right operand once
     // lets the kernel vectorize across output columns p while keeping the
     // per-element association of a row dot.
@@ -160,7 +254,7 @@ pub fn gemm_nt(a: &[f64], b: &[f64], (m, n, k): (usize, usize, usize), out: &mut
         let rows = out_blk.len() / k;
         simd::dot_rows(&a[i0 * n..], n, &bt, k, out_blk, rows);
     };
-    for_row_blocks(out, k, m * n * k >= PAR_FLOPS && m > ROW_BLOCK, body);
+    for_row_blocks(out, k, par, body);
     pool::recycle(Tensor::from_vec([n * k], bt));
 }
 
@@ -329,7 +423,8 @@ mod tests {
         // nn and tn: seed 0 then `+ a·b` in ascending contraction order,
         // exactly the naive triple loop; nt: every element is the `vdot`
         // of its two rows. Shapes overhang every register tile and one
-        // contraction panel.
+        // contraction panel, and the last three have fewer than SKINNY
+        // output columns in tn and nt.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(13);
         let mut rand_t = |m: usize, n: usize| {
@@ -339,7 +434,7 @@ mod tests {
             )
         };
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (m, k, n) in [(37, 19, 45), (6, K_BLOCK + 9, 33), (21, 8, 7)] {
+        for (m, k, n) in [(37, 19, 45), (6, K_BLOCK + 9, 33), (21, 8, 7), (40, 64, 2), (33, K_BLOCK + 44, 4)] {
             let a = rand_t(m, k);
             let b = rand_t(k, n);
             assert_eq!(bits(&a.matmul(&b)), bits(&naive(&a, &b)), "nn {m}x{k}x{n}");

@@ -209,9 +209,13 @@ mod tests {
         assert_eq!(take(16).capacity(), 100);
         assert_eq!(take(900).capacity(), 1024);
         assert_eq!(take(1000).capacity(), 4096);
+        // The list is empty now, so the next take allocates. The counters
+        // are process-wide and other tests' threads move them too, so the
+        // exact check reads this thread's list and the fresh buffer.
+        assert_eq!(held(), (0, 0), "list is empty now");
         let before = stats();
-        let _ = take(20);
-        assert_eq!(stats().allocated, before.allocated + 1, "list is empty now");
+        assert_eq!(take(20).capacity(), 20);
+        assert!(stats().allocated > before.allocated);
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //! block, `Xₛᵀ·Gₛ` from the last block to the first, for the tape to add
 //! to the weight's gradient one at a time: a single `Xᵀ·G` over the whole
 //! stack, or a pre-summed one, would reassociate the sum once the weight
-//! also collects gradient from another pass.
+//! also collects gradient from another pass. The per-block products still
+//! run as one parallel operation, and the input gradient as one `G·Wᵀ`
+//! over the whole stack (its rows are independent).
 
-use crate::matmul::{gemm_nn, gemm_nt, gemm_tn};
+use crate::matmul::{gemm_nn, gemm_nt, gemm_tn_blocks};
 use crate::tune::CHUNK;
 use crate::{pool, simd, Tensor, PAR_THRESHOLD};
 use rayon::prelude::*;
@@ -166,10 +168,11 @@ impl Tensor {
     }
 
     /// Backward of [`Tensor::jet_affine`] on the stack `self` of `blocks`
-    /// blocks, given the output gradient `g`. Per block, from the last to
-    /// the first: `∂Xₛ = Gₛ·Wᵀ` and the weight contribution `Xₛᵀ·Gₛ`; the
-    /// bias gradient is the column sum of the value block. `want` selects
-    /// `(x, w, b)`.
+    /// blocks, given the output gradient `g`: `∂X = G·Wᵀ` over the whole
+    /// stack, the weight contributions `Xₛᵀ·Gₛ` of every block in one
+    /// parallel operation (returned from the last block to the first), and
+    /// the bias gradient as the column sum of the value block. `want`
+    /// selects `(x, w, b)`.
     pub fn jet_affine_backward(
         &self,
         w: &Tensor,
@@ -180,21 +183,24 @@ impl Tensor {
         let (rows, fi) = (self.shape().nrows(), self.shape().ncols());
         let fo = w.shape().ncols();
         assert_eq!(g.shape().dims(), &[rows, fo], "jet_affine_backward gradient shape");
+        assert!(
+            rows.is_multiple_of(blocks),
+            "jet_affine_backward: {rows} rows do not split into {blocks} blocks"
+        );
         let n = rows / blocks;
         let (xd, gd) = (self.data(), g.data());
-        let mut dx = want.0.then(|| pool::take_uninit(rows * fi));
-        let mut dw = Vec::new();
-        for s in (0..blocks).rev() {
-            let gs = &gd[s * n * fo..(s + 1) * n * fo];
-            if let Some(dx) = dx.as_mut() {
-                gemm_nt(gs, w.data(), (n, fo, fi), &mut dx[s * n * fi..(s + 1) * n * fi]);
-            }
-            if want.1 {
-                let mut d = pool::take_uninit(fi * fo);
-                gemm_tn(&xd[s * n * fi..(s + 1) * n * fi], gs, (n, fi, fo), &mut d);
-                dw.push(Tensor::from_vec([fi, fo], d));
-            }
-        }
+        let dx = want.0.then(|| {
+            let mut d = pool::take_uninit(rows * fi);
+            gemm_nt(gd, w.data(), (rows, fo, fi), &mut d);
+            Tensor::from_vec([rows, fi], d)
+        });
+        let dw = if want.1 {
+            let mut d: Vec<Vec<f64>> = (0..blocks).map(|_| pool::take_uninit(fi * fo)).collect();
+            gemm_tn_blocks(xd, gd, (n, fi, fo), &mut d);
+            d.into_iter().rev().map(|d| Tensor::from_vec([fi, fo], d)).collect()
+        } else {
+            Vec::new()
+        };
         let db = want.2.then(|| {
             let mut b = pool::take(fo);
             for row in gd[..n * fo].chunks_exact(fo) {
@@ -202,11 +208,7 @@ impl Tensor {
             }
             Tensor::from_vec([fo], b)
         });
-        JetAffineGrads {
-            x: dx.map(|d| Tensor::from_vec([rows, fi], d)),
-            w: dw,
-            b: db,
-        }
+        JetAffineGrads { x: dx, w: dw, b: db }
     }
 
     /// Tanh over a jet stack with `k` coordinates and `k2` second
@@ -346,5 +348,76 @@ impl Tensor {
             });
         }
         Tensor::from_vec([rows, w], dz)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::matmul::{gemm_nt, gemm_tn};
+    use crate::simd::{with_width, WIDTH_LOCK};
+    use crate::Tensor;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The per-block loop the stacked backward replaced: from the last
+    /// block to the first, `∂Xₛ = Gₛ·Wᵀ` and `Xₛᵀ·Gₛ`, one `gemm_nt` and
+    /// one `gemm_tn` each.
+    fn per_block(x: &Tensor, w: &Tensor, g: &Tensor, blocks: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let (rows, fi) = (x.shape().nrows(), x.shape().ncols());
+        let fo = w.shape().ncols();
+        let n = rows / blocks;
+        let (xd, gd) = (x.data(), g.data());
+        let mut dx = vec![0.0; rows * fi];
+        let mut dw = Vec::new();
+        for s in (0..blocks).rev() {
+            let gs = &gd[s * n * fo..(s + 1) * n * fo];
+            gemm_nt(gs, w.data(), (n, fo, fi), &mut dx[s * n * fi..(s + 1) * n * fi]);
+            let mut d = vec![0.0; fi * fo];
+            gemm_tn(&xd[s * n * fi..(s + 1) * n * fi], gs, (n, fi, fo), &mut d);
+            dw.push(d);
+        }
+        (dx, dw)
+    }
+
+    #[test]
+    fn stacked_backward_matches_the_per_block_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut rand_t = |r: usize, c: usize| {
+            Tensor::from_vec([r, c], (0..r * c).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<_>>())
+        };
+        let _g = WIDTH_LOCK.lock().unwrap();
+        for blocks in [1, 4, 5] {
+            for (fi, fo) in [(4, 32), (64, 32), (32, 2), (1, 1)] {
+                for n in [37, 1024] {
+                    let x = rand_t(blocks * n, fi);
+                    let w = rand_t(fi, fo);
+                    let g = rand_t(blocks * n, fo);
+                    for simd in [1, 4, 8] {
+                        for threads in [1, 2] {
+                            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                            let run = || {
+                                pool.install(|| {
+                                    let want = per_block(&x, &w, &g, blocks);
+                                    let got = x.jet_affine_backward(&w, &g, blocks, (true, true, false));
+                                    (want, got)
+                                })
+                            };
+                            let Some(((dx, dw), got)) = with_width(simd, run) else {
+                                continue;
+                            };
+                            let at = format!("{blocks} blocks, {fi}→{fo}, n {n}, width {simd}, {threads} threads");
+                            assert_eq!(bits(got.x.as_ref().unwrap().data()), bits(&dx), "∂X, {at}");
+                            assert_eq!(got.w.len(), blocks, "{at}");
+                            for (s, (got, want)) in got.w.iter().zip(&dw).enumerate() {
+                                assert_eq!(bits(got.data()), bits(want), "Xₛᵀ·Gₛ {s} from the end, {at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

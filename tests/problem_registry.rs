@@ -44,7 +44,7 @@ fn interior_indices(len: usize, cap: usize) -> Vec<usize> {
         return Vec::new();
     }
     let (lo, hi) = (2, len - 2);
-    let stride = ((hi - lo) + cap - 1) / cap;
+    let stride = (hi - lo).div_ceil(cap);
     (lo..hi).step_by(stride.max(1)).collect()
 }
 

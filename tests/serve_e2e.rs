@@ -87,7 +87,7 @@ fn poll_to_completion(addr: SocketAddr, job_id: &str) -> Json {
         assert!(
             status.contains("200"),
             "progress poll failed: {status} {}",
-            doc.to_string()
+            doc
         );
         let state = doc.get("state").unwrap().as_str().unwrap().to_string();
         if doc.get("epoch").unwrap().as_num().unwrap() > 0.0 {
@@ -97,7 +97,7 @@ fn poll_to_completion(addr: SocketAddr, job_id: &str) -> Json {
             assert!(saw_progress, "never observed a live epoch count while polling");
             return doc;
         }
-        assert_ne!(state, "failed", "job failed: {}", doc.to_string());
+        assert_ne!(state, "failed", "job failed: {}", doc);
         assert!(Instant::now() < deadline, "job did not finish in time");
         std::thread::sleep(Duration::from_millis(25));
     }
@@ -144,7 +144,7 @@ fn train_poll_eval_matches_in_process_training_bitwise() {
     let (_, models) = http(addr, "GET", "/v1/models", None);
     let rows = match models.get("models").unwrap() {
         Json::Arr(rows) => rows,
-        other => panic!("models is not an array: {}", other.to_string()),
+        other => panic!("models is not an array: {}", other),
     };
     assert!(rows
         .iter()
@@ -180,11 +180,11 @@ fn train_poll_eval_matches_in_process_training_bitwise() {
             r#"{{"model":"e2e@latest","points":[{points_json}]}}"#
         )),
     );
-    assert!(status.contains("200 OK"), "{status} {}", reply.to_string());
+    assert!(status.contains("200 OK"), "{status} {}", reply);
     assert_eq!(reply.get("version").unwrap().as_num(), Some(1.0));
     let values = match reply.get("values").unwrap() {
         Json::Arr(rows) => rows,
-        other => panic!("values is not an array: {}", other.to_string()),
+        other => panic!("values is not an array: {}", other),
     };
     assert_eq!(values.len(), pts.len());
     // JSON carries f64s through Rust's shortest-roundtrip formatting and
@@ -376,7 +376,7 @@ fn enospc_during_publish_degrades_without_corrupting_served_models() {
     let job1 = accepted.get("job_id").unwrap().as_str().unwrap().to_string();
     poll_to_completion(addr, &job1);
     let (status, reply) = http(addr, "POST", "/v1/eval", Some(r#"{"model":"dura","points":[[0.5,0.1]]}"#));
-    assert!(status.contains("200 OK"), "{status} {}", reply.to_string());
+    assert!(status.contains("200 OK"), "{status} {}", reply);
 
     // Second job trains fine but hits a full disk at publish time.
     let _fp = qpinn::testkit::arm("fs.enospc", qpinn::testkit::Trigger::Always);
@@ -401,7 +401,7 @@ fn enospc_during_publish_degrades_without_corrupting_served_models() {
 
     // Version 1 is still intact, still resolvable, still serving.
     let (status, reply) = http(addr, "POST", "/v1/eval", Some(r#"{"model":"dura@1","points":[[0.5,0.1]]}"#));
-    assert!(status.contains("200 OK"), "{status} {}", reply.to_string());
+    assert!(status.contains("200 OK"), "{status} {}", reply);
     let (_, models) = http(addr, "GET", "/v1/models", None);
     let Json::Arr(rows) = models.get("models").unwrap() else { panic!() };
     let dura: Vec<_> = rows
@@ -455,7 +455,7 @@ fn publish_race(publishers: usize) {
             while !stop.load(Ordering::Relaxed) {
                 let (status, reply) =
                     http(addr, "POST", "/v1/eval", Some(r#"{"model":"race","points":[[0.5,0.1]]}"#));
-                assert!(status.contains("200 OK"), "{status} {}", reply.to_string());
+                assert!(status.contains("200 OK"), "{status} {}", reply);
                 seen.push(reply.get("version").unwrap().as_num().unwrap() as u64);
             }
             seen
@@ -581,10 +581,10 @@ fn gray_scott_trains_persists_and_serves_bit_exactly() {
             r#"{{"model":"gs-e2e@latest","points":[{points_json}]}}"#
         )),
     );
-    assert!(status.contains("200 OK"), "{status} {}", reply.to_string());
+    assert!(status.contains("200 OK"), "{status} {}", reply);
     let values = match reply.get("values").unwrap() {
         Json::Arr(rows) => rows,
-        other => panic!("values is not an array: {}", other.to_string()),
+        other => panic!("values is not an array: {}", other),
     };
     assert_eq!(values.len(), pts.len());
     let mut idx = 0usize;
@@ -606,7 +606,7 @@ fn gray_scott_trains_persists_and_serves_bit_exactly() {
     let (_, models) = http(addr, "GET", "/v1/models", None);
     let rows = match models.get("models").unwrap() {
         Json::Arr(rows) => rows,
-        other => panic!("models is not an array: {}", other.to_string()),
+        other => panic!("models is not an array: {}", other),
     };
     let gs = rows
         .iter()
@@ -679,7 +679,7 @@ fn progress_follows_in_process_training_with_no_hook_and_no_sink() {
     assert_eq!(last, 10);
     let (status, doc) = http(addr, "GET", "/progress", None);
     assert!(status.contains("200 OK"), "{status}");
-    assert_eq!(doc.get("training"), Some(&Json::Bool(true)), "{}", doc.to_string());
+    assert_eq!(doc.get("training"), Some(&Json::Bool(true)), "{}", doc);
     assert_eq!(doc.get("epoch").and_then(Json::as_num), Some(last as f64));
     assert_eq!(doc.get("epochs_total").and_then(Json::as_num), Some(13.0));
     serve.stop();
@@ -802,9 +802,9 @@ fn runs_routes_serve_the_configured_store() {
     let (status, doc) = http(addr, "GET", "/v1/runs", None);
     assert!(status.contains("200 OK"), "{status}");
     let Some(Json::Arr(runs)) = doc.get("runs") else {
-        panic!("no runs array: {}", doc.to_string())
+        panic!("no runs array: {}", doc)
     };
-    assert_eq!(runs.len(), 1, "{}", doc.to_string());
+    assert_eq!(runs.len(), 1, "{}", doc);
     assert_eq!(runs[0].get("run_id").and_then(Json::as_str), Some(run_id.as_str()));
     assert_eq!(runs[0].get("task").and_then(Json::as_str), Some("e2e/runs-route"));
 
@@ -821,7 +821,7 @@ fn runs_routes_serve_the_configured_store() {
     for bad in ["/v1/runs/../x", "/v1/runs/"] {
         let (status, doc) = http(addr, "GET", bad, None);
         assert!(status.starts_with("HTTP/1.1 400"), "{bad}: {status}");
-        assert!(doc.get("error").is_some(), "{bad}: {}", doc.to_string());
+        assert!(doc.get("error").is_some(), "{bad}: {}", doc);
     }
     let (status, _) = http(addr, "GET", "/v1/runs/0123456789abcdef", None);
     assert!(status.starts_with("HTTP/1.1 404"), "{status}");
@@ -902,16 +902,16 @@ fn failed_thread_spawns_answer_503_and_the_server_recovers() {
     {
         let _fp = testkit::arm("serve.thread_spawn", Trigger::Always);
         let (status, doc) = http(addr, "POST", "/v1/train", Some(TRAIN_BODY));
-        assert!(status.contains("503"), "{status} {}", doc.to_string());
+        assert!(status.contains("503"), "{status} {}", doc);
         let (status, doc) = http(addr, "POST", "/v1/eval", Some(EVAL));
-        assert!(status.contains("503"), "{status} {}", doc.to_string());
+        assert!(status.contains("503"), "{status} {}", doc);
         let (status, _) = http(addr, "GET", "/v1/jobs/job-1/progress", None);
         assert!(status.contains("404"), "{status}");
     }
     assert_eq!(telemetry::counter(names::SERVE_JOBS_STARTED).get(), jobs_started);
 
     let (status, reply) = http(addr, "POST", "/v1/eval", Some(EVAL));
-    assert!(status.contains("200 OK"), "{status} {}", reply.to_string());
+    assert!(status.contains("200 OK"), "{status} {}", reply);
     let (status, accepted) = http(addr, "POST", "/v1/train", Some(TRAIN_BODY));
     assert!(status.contains("202"), "{status}");
     let job_id = accepted.get("job_id").unwrap().as_str().unwrap().to_string();

@@ -198,17 +198,16 @@ fn every_request_lands_in_the_access_log_exactly_once() {
         assert_eq!(r.get("v").unwrap().as_str(), Some("qpinn-access-v1"));
         let status = num(r, "status");
         let total = num(r, "total_ns");
-        assert!(total > 0, "zero total_ns: {}", r.to_string());
+        assert!(total > 0, "zero total_ns: {r}");
         let decomposed = num(r, "queue_ns") + num(r, "batch_ns") + num(r, "compute_ns");
         assert!(
             decomposed <= total,
-            "stage sum {decomposed} exceeds total {total}: {}",
-            r.to_string()
+            "stage sum {decomposed} exceeds total {total}: {r}"
         );
         if r.get("route").unwrap().as_str() == Some("/v1/eval") && status == 200 {
             served_evals += 1;
             assert_eq!(r.get("model").unwrap().as_str(), Some("traced@1"));
-            assert!(num(r, "compute_ns") > 0, "no compute time: {}", r.to_string());
+            assert!(num(r, "compute_ns") > 0, "no compute time: {r}");
             assert!(num(r, "batch") >= 1);
             assert_eq!(num(r, "points"), 3);
         }

@@ -112,7 +112,7 @@ fn jsonl_stream_has_stable_schema_and_phase_spans() {
         "epoch/checkpoint",
     ] {
         assert!(
-            span_paths.iter().any(|p| *p == want),
+            span_paths.contains(&want),
             "missing span path {want:?}; saw {span_paths:?}"
         );
     }
