@@ -34,7 +34,7 @@ enum Op {
     Div(usize, usize),
     Neg(usize),
     Scale(usize, f64),
-    AddScalar(usize, #[allow(dead_code)] f64),
+    AddScalar(usize),
     Matmul(usize, usize),
     AddBias(usize, usize),
     Tanh(usize),
@@ -233,7 +233,7 @@ impl Graph {
     pub fn add_scalar(&mut self, a: Var, c: f64) -> Var {
         let v = self.value(a).add_scalar(c);
         let ng = self.ng(a.0);
-        self.push(Op::AddScalar(a.0, c), v, ng)
+        self.push(Op::AddScalar(a.0), v, ng)
     }
 
     /// Matrix product `a · b`.
@@ -574,7 +574,7 @@ impl Graph {
                     Self::accumulate(&mut g[*a], out_grad.scale(*c));
                     Some(out_grad)
                 }
-                Op::AddScalar(a, _) => {
+                Op::AddScalar(a) => {
                     Self::accumulate(&mut g[*a], out_grad);
                     None
                 }

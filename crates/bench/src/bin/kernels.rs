@@ -1,186 +1,58 @@
 //! **Kernel microbenchmarks.** Plain-`Instant` timings for the hot tensor
-//! kernels at the shapes the trainers actually hit: the three matmul
-//! variants (forward, `Wᵀ·δ` weight gradient, `δ·Wᵀ` input gradient),
-//! fused elementwise chains, and the ordered parallel `Tensor::sum`.
+//! kernels at the shapes the trainers actually hit ([`kernel_suite`]): the
+//! three matmul variants (forward, `Wᵀ·δ` weight gradient, `δ·Wᵀ` input
+//! gradient), a tanh → mul → axpy elementwise chain, and the ordered
+//! parallel `Tensor::sum`.
 //!
-//! Methodology: per kernel, a warm-up run (pool spin-up + page touch)
-//! followed by `reps` timed runs; the reported figure is the **trimmed
-//! mean** (min and max dropped) so a stray scheduler hiccup cannot skew a
-//! short series. GFLOP/s counts 2·m·k·n for matmuls and one flop per
-//! element per fused op for the rest.
+//! Each kernel is one run with no epochs in the run store,
+//! `kernels/<kernel>`, with metrics `ms` (trimmed-mean milliseconds),
+//! `gflops` at the dispatched SIMD width and `gflops_w1` with the dispatch
+//! forced to scalar (`QPINN_SIMD=scalar` equivalent), so `runs regress`
+//! gates a kernel against its own earlier run. Stdout is exactly what
+//! `qpinn-obs runs table` renders for those runs; the pool's
+//! work-stealing balance goes to stderr.
 //!
-//! Run with `--full` for more repetitions, and under
-//! `RAYON_NUM_THREADS=<n>` (or inside `ThreadPool::install`) to probe a
-//! specific pool width — kernels produce bit-identical results at every
-//! width, so only the timings move. The suite also runs once with the
-//! SIMD dispatch forced to scalar (`QPINN_SIMD=scalar` equivalent) and
-//! reports the per-kernel speedup the vector paths buy; the record
-//! carries both series under `gflops_w1` / `gflops_w<dispatched>` keys.
+//! Run with `--full` for larger operands and more repetitions, and under
+//! `RAYON_NUM_THREADS=<n>` to probe a specific pool width — kernels produce
+//! bit-identical results at every width, so only the timings move.
 
-use qpinn_bench::{banner, save, RunOpts};
+use qpinn_bench::{banner, kernel_suite, print_session_tables, record_measurement, RunOpts};
 use qpinn_core::report::{Json, TextTable};
-use qpinn_tensor::Tensor;
-use std::time::Instant;
-
-/// Warm up once, time `reps` runs, return the trimmed-mean seconds.
-fn time_trimmed(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warm-up: pool spin-up, allocator, caches
-    let mut samples: Vec<f64> = (0..reps.max(3))
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let trimmed = &samples[1..samples.len() - 1];
-    trimmed.iter().sum::<f64>() / trimmed.len() as f64
-}
-
-fn filled(m: usize, n: usize, seed: f64) -> Tensor {
-    Tensor::from_vec(
-        [m, n],
-        (0..m * n)
-            .map(|i| ((i as f64) * 0.618 + seed).sin())
-            .collect::<Vec<_>>(),
-    )
-}
-
-struct Row {
-    name: &'static str,
-    secs: f64,
-    gflops: f64,
-}
-
-/// Run the full kernel suite at whatever SIMD width is currently
-/// dispatched and return one row per kernel.
-fn run_suite(opts: &RunOpts) -> Vec<Row> {
-    let reps = opts.pick(5, 20);
-    let mut rows: Vec<Row> = Vec::new();
-
-    // Trainer shapes: a [batch, hidden] activation against [hidden, hidden]
-    // weights — batch = collocation count (2048 quick / 8192 full).
-    let (m, k, n) = (opts.pick(2048, 8192), 32, 32);
-    let a = filled(m, k, 0.0);
-    let b = filled(k, n, 1.0);
-    let delta = filled(m, n, 2.0); // upstream grad for matmul_tn: aᵀ·δ
-    let bt = filled(n, k, 3.0); // for matmul_nt: a·bᵀ with b stored [n, k]
-    let mm_flops = (2 * m * k * n) as f64;
-
-    let secs = time_trimmed(reps, || {
-        let _ = a.matmul(&b);
-    });
-    rows.push(Row {
-        name: "matmul      (forward)",
-        secs,
-        gflops: mm_flops / secs / 1e9,
-    });
-
-    let secs = time_trimmed(reps, || {
-        let _ = a.matmul_tn(&delta);
-    });
-    rows.push(Row {
-        name: "matmul_tn   (weight grad)",
-        secs,
-        gflops: mm_flops / secs / 1e9,
-    });
-
-    let secs = time_trimmed(reps, || {
-        let _ = a.matmul_nt(&bt);
-    });
-    rows.push(Row {
-        name: "matmul_nt   (input grad)",
-        secs,
-        gflops: mm_flops / secs / 1e9,
-    });
-
-    // Fused elementwise at activation size: tanh → hadamard → axpy is the
-    // backprop inner pattern for a dense+tanh layer.
-    let len = opts.pick(1 << 16, 1 << 20);
-    let x = filled(len, 1, 0.5);
-    let y = filled(len, 1, 1.5);
-    let secs = time_trimmed(reps, || {
-        let t = x.tanh();
-        let h = t.mul(&y);
-        let mut acc = h;
-        acc.axpy(0.5, &x);
-    });
-    rows.push(Row {
-        name: "tanh+mul+axpy (fused ew)",
-        secs,
-        gflops: (3 * len) as f64 / secs / 1e9,
-    });
-
-    // The fused dense-layer kernel: bias-seeded matmul with the activation
-    // applied in place, one pass instead of matmul → add_bias → tanh.
-    let bias = qpinn_tensor::Tensor::from_vec([n], vec![4.0; n]);
-    let secs = time_trimmed(reps, || {
-        let _ = a.affine_act(&b, &bias, qpinn_tensor::FusedAct::Tanh);
-    });
-    rows.push(Row {
-        name: "affine_act  (dense+tanh)",
-        secs,
-        gflops: mm_flops / secs / 1e9,
-    });
-
-    // Ordered parallel reduction at loss-vector size.
-    let secs = time_trimmed(reps, || {
-        let _ = x.sum();
-    });
-    rows.push(Row {
-        name: "sum         (reduction)",
-        secs,
-        gflops: len as f64 / secs / 1e9,
-    });
-    rows
-}
+use qpinn_core::runs::Metric;
 
 fn main() {
     let opts = RunOpts::from_args();
     banner("KERNELS", "tensor kernel microbenchmarks", &opts);
     let simd_w = qpinn_tensor::simd::width();
-    println!(
-        "pool width: {} thread(s), simd dispatch width: {simd_w}\n",
+    eprintln!(
+        "pool width: {} thread(s), simd dispatch width: {simd_w}",
         rayon::current_num_threads()
     );
 
-    // Suite at the dispatched SIMD width, then forced scalar for the
-    // speedup column. Outputs are bit-identical either way; the dispatch
-    // layer only moves the clock.
-    let rows = run_suite(&opts);
-    let scalar_rows = if simd_w > 1 {
+    // The suite at the dispatched SIMD width, then forced scalar. Outputs
+    // are bit-identical either way; the dispatch layer only moves the
+    // clock.
+    let rows = kernel_suite(&opts);
+    let scalar = (simd_w > 1).then(|| {
         qpinn_tensor::simd::set_width(1);
-        let r = run_suite(&opts);
+        let rows = kernel_suite(&opts);
         qpinn_tensor::simd::set_width(simd_w);
-        Some(r)
-    } else {
-        None
-    };
-
-    let mut table = TextTable::new(&[
-        "kernel",
-        "ms (trimmed mean)",
-        "GFLOP/s",
-        "scalar GF/s",
-        "simd speedup",
-    ]);
+        rows
+    });
     for (i, r) in rows.iter().enumerate() {
-        let (scalar, speedup) = match &scalar_rows {
-            Some(s) => (
-                format!("{:.2}", s[i].gflops),
-                format!("{:.2}×", r.gflops / s[i].gflops),
-            ),
-            None => ("-".into(), "-".into()),
-        };
-        table.row(&[
-            r.name.to_string(),
-            format!("{:.3}", r.secs * 1e3),
-            format!("{:.2}", r.gflops),
-            scalar,
-            speedup,
-        ]);
+        let gflops_w1 = scalar.as_ref().map_or(r.gflops, |s| s[i].gflops);
+        record_measurement(
+            &opts,
+            &format!("kernels/{}", r.name),
+            Json::obj(vec![("full", Json::Bool(opts.full))]),
+            f64::NAN,
+            vec![
+                ("ms", Metric::Scalar(r.secs * 1e3)),
+                ("gflops", Metric::Scalar(r.gflops)),
+                ("gflops_w1", Metric::Scalar(gflops_w1)),
+            ],
+        );
     }
-    println!("{}", table.render());
 
     // Work-stealing balance over the whole run: a healthy pool shows tasks
     // spread evenly across workers with steals well below tasks.
@@ -200,42 +72,10 @@ fn main() {
         format!("{}", stats.launcher_steals),
         "-".into(),
     ]);
-    println!(
+    eprintln!(
         "pool activity ({} parallel set(s) launched):\n{}",
         stats.sets_launched,
         pool_table.render()
     );
-
-    let (m, k, n) = (opts.pick(2048, 8192), 32, 32);
-    let len = opts.pick(1 << 16, 1 << 20);
-    let mut record = Json::obj(vec![
-        ("id", Json::Str("KERNELS".into())),
-        ("threads", Json::Num(rayon::current_num_threads() as f64)),
-        ("simd_width", Json::Num(simd_w as f64)),
-        ("matmul_shape", Json::nums(&[m as f64, k as f64, n as f64])),
-        ("elementwise_len", Json::Num(len as f64)),
-        (
-            "ms",
-            Json::nums(&rows.iter().map(|r| r.secs * 1e3).collect::<Vec<_>>()),
-        ),
-        (
-            "gflops",
-            Json::nums(&rows.iter().map(|r| r.gflops).collect::<Vec<_>>()),
-        ),
-    ]);
-    // Per-width GFLOP/s under width-suffixed keys (`gflops_w1`,
-    // `gflops_w4`, ...) so regression tooling can compare dispatch paths.
-    if let Json::Obj(pairs) = &mut record {
-        pairs.push((
-            format!("gflops_w{simd_w}"),
-            Json::nums(&rows.iter().map(|r| r.gflops).collect::<Vec<_>>()),
-        ));
-        if let Some(s) = &scalar_rows {
-            pairs.push((
-                "gflops_w1".to_string(),
-                Json::nums(&s.iter().map(|r| r.gflops).collect::<Vec<_>>()),
-            ));
-        }
-    }
-    save("kernels", &record);
+    print_session_tables(&opts, "kernels");
 }

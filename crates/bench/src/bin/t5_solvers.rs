@@ -2,9 +2,16 @@
 //! Crank–Nicolson and split-step propagators against the closed-form free
 //! Gaussian packet, and the FD eigensolver against exact spectra. This
 //! grounds every PINN error number in the other tables.
+//!
+//! Each row is one run with no epochs in the run store,
+//! `t5/<solver>/<resolution>`: its final error is the solver's rel-L2
+//! against the analytic answer, and from a series' second row on its
+//! metric `order` is the observed order `log2(e_prev / e)`. Stdout is
+//! exactly what `qpinn-obs runs table` renders for those runs.
 
-use qpinn_bench::{banner, save, RunOpts};
-use qpinn_core::report::{Json, TextTable};
+use qpinn_bench::{banner, print_session_tables, record_measurement, RunOpts};
+use qpinn_core::report::Json;
+use qpinn_core::runs::Metric;
 use qpinn_dual::Complex64;
 use qpinn_problems::{EigenProblem, GaussianPacket};
 use qpinn_solvers::{bound_states, crank_nicolson_tdse, split_step_evolve, Grid1d, Nonlinearity};
@@ -80,87 +87,58 @@ fn field_error(grid: &Grid1d, slice: &[Complex64], p: &GaussianPacket, t: f64) -
     (num / den).sqrt()
 }
 
+/// Record one solver's refinement series: a run per resolution (its
+/// `(name, value)` pairs), the error as final error, and from the second
+/// row on the observed order against the row before.
+fn record_series(opts: &RunOpts, solver: &str, rows: Vec<(Vec<(&str, usize)>, f64)>) {
+    let mut prev: Option<f64> = None;
+    for (resolution, e) in rows {
+        let label: Vec<String> = resolution.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let mut config = vec![("solver", Json::Str(solver.to_string()))];
+        config.extend(resolution.iter().map(|&(k, v)| (k, Json::Num(v as f64))));
+        let order = prev.map(|p| ("order", Metric::Scalar((p / e).log2())));
+        record_measurement(
+            opts,
+            &format!("t5/{solver}/{}", label.join(",")),
+            Json::obj(config),
+            e,
+            order.into_iter().collect(),
+        );
+        prev = Some(e);
+    }
+}
+
 fn main() {
     let opts = RunOpts::from_args();
     banner("T5", "reference-solver convergence validation", &opts);
-
-    let mut table = TextTable::new(&["solver", "resolution", "rel-L2 vs analytic", "order est."]);
-    let mut records = Vec::new();
+    eprintln!(
+        "(expected: free split-step at machine precision — splitting exact for V=0;\n \
+         harmonic split-step order ≈ 2 in dt; CN ≈ 2; eigensolver ≈ 2 in dx)"
+    );
 
     // Split-step: spectral in space; halve dt to expose O(dt²).
-    let mut prev: Option<f64> = None;
-    for &nt in &[125usize, 250, 500, 1000] {
-        let e = packet_error_split_step(512, nt);
-        let order = prev.map(|p| (p / e).log2()).unwrap_or(f64::NAN);
-        table.row(&[
-            "split-step".into(),
-            format!("nx=512, nt={nt}"),
-            format!("{e:.3e}"),
-            if order.is_nan() {
-                "—".into()
-            } else {
-                format!("{order:.2}")
-            },
-        ]);
-        records.push(Json::obj(vec![
-            ("solver", Json::Str("split-step".into())),
-            ("nt", Json::Num(nt as f64)),
-            ("error", Json::Num(e)),
-        ]));
-        prev = Some(e);
-    }
+    let rows = [125, 250, 500, 1000].map(|nt| {
+        (
+            vec![("nx", 512), ("nt", nt)],
+            packet_error_split_step(512, nt),
+        )
+    });
+    record_series(&opts, "split-step", rows.into());
 
     // Split-step with a potential: the Strang O(dt²) error is visible.
-    prev = None;
-    for &nt in &[25usize, 50, 100, 200] {
-        let e = coherent_error_split_step(nt);
-        let order = prev.map(|p| (p / e).log2()).unwrap_or(f64::NAN);
-        table.row(&[
-            "split-step (harmonic)".into(),
-            format!("nx=256, nt={nt}"),
-            format!("{e:.3e}"),
-            if order.is_nan() {
-                "—".into()
-            } else {
-                format!("{order:.2}")
-            },
-        ]);
-        records.push(Json::obj(vec![
-            ("solver", Json::Str("split-step-harmonic".into())),
-            ("nt", Json::Num(nt as f64)),
-            ("error", Json::Num(e)),
-        ]));
-        prev = Some(e);
-    }
+    let rows =
+        [25, 50, 100, 200].map(|nt| (vec![("nx", 256), ("nt", nt)], coherent_error_split_step(nt)));
+    record_series(&opts, "split-step-harmonic", rows.into());
 
     // Crank–Nicolson: refine space and time together (both 2nd order).
-    prev = None;
-    for &(nx, nt) in &[(256usize, 250usize), (512, 500), (1024, 1000)] {
-        let e = packet_error_cn(nx, nt);
-        let order = prev.map(|p| (p / e).log2()).unwrap_or(f64::NAN);
-        table.row(&[
-            "crank-nicolson".into(),
-            format!("nx={nx}, nt={nt}"),
-            format!("{e:.3e}"),
-            if order.is_nan() {
-                "—".into()
-            } else {
-                format!("{order:.2}")
-            },
-        ]);
-        records.push(Json::obj(vec![
-            ("solver", Json::Str("crank-nicolson".into())),
-            ("nx", Json::Num(nx as f64)),
-            ("error", Json::Num(e)),
-        ]));
-        prev = Some(e);
-    }
+    let rows = [(256, 250), (512, 500), (1024, 1000)]
+        .map(|(nx, nt)| (vec![("nx", nx), ("nt", nt)], packet_error_cn(nx, nt)));
+    record_series(&opts, "crank-nicolson", rows.into());
 
     // FD eigensolver: worst eigenvalue error over the first 4 states.
     for problem in [EigenProblem::infinite_well(), EigenProblem::harmonic(1.0)] {
         let exact = problem.exact_energies().unwrap();
-        prev = None;
-        for &nx in &[201usize, 401, 801] {
+        let rows = [201, 401, 801].map(|nx| {
             let grid = problem.grid(nx);
             let v = problem.potential;
             let states = bound_states(&grid, &move |x| v.eval(x), 4);
@@ -169,33 +147,10 @@ fn main() {
                 .zip(&exact)
                 .map(|(s, want)| ((s.energy - want) / want).abs())
                 .fold(0.0, f64::max);
-            let order = prev.map(|p: f64| (p / e).log2()).unwrap_or(f64::NAN);
-            table.row(&[
-                format!("eigensolver[{}]", problem.name),
-                format!("nx={nx}"),
-                format!("{e:.3e}"),
-                if order.is_nan() {
-                    "—".into()
-                } else {
-                    format!("{order:.2}")
-                },
-            ]);
-            records.push(Json::obj(vec![
-                ("solver", Json::Str(format!("eigensolver-{}", problem.name))),
-                ("nx", Json::Num(nx as f64)),
-                ("error", Json::Num(e)),
-            ]));
-            prev = Some(e);
-        }
+            (vec![("nx", nx)], e)
+        });
+        record_series(&opts, &format!("eigensolver-{}", problem.name), rows.into());
     }
 
-    println!("\n{}", table.render());
-    println!("(expected: free split-step at machine precision — splitting exact for V=0;\n harmonic split-step order ≈ 2 in dt; CN ≈ 2; eigensolver ≈ 2 in dx)");
-    save(
-        "t5_solvers",
-        &Json::obj(vec![
-            ("id", Json::Str("T5".into())),
-            ("rows", Json::Arr(records)),
-        ]),
-    );
+    print_session_tables(&opts, "t5_solvers");
 }

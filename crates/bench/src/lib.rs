@@ -10,24 +10,27 @@
 //! the tables `qpinn-obs runs table` renders from the runs they recorded
 //! ([`print_session_tables`]). The figure binaries record their figure's
 //! arrays; F1 and `flagship_nls` print `qpinn-obs runs show` for their
-//! run ([`show_convergence`]). Only the binaries that train nothing —
-//! `t5_solvers`, `f5_scaling` and `kernels` — write a JSON record to
-//! `target/experiments/<id>.json` ([`save`]). Default settings are sized
-//! for a quick laptop run; pass `--full` for paper-scale settings.
+//! run ([`show_convergence`]). The binaries that train nothing —
+//! `t5_solvers`, `f5_scaling` and `kernels` — record each measurement as a
+//! run with no epochs ([`record_measurement`]); `kernels` and F5 time the
+//! same [`kernel_suite`]. Default settings are sized for a quick laptop
+//! run; pass `--full` for paper-scale settings.
 
 #![deny(missing_docs)]
 
 use qpinn_core::model::CoordSpec;
 use qpinn_core::report::Json;
-use qpinn_core::runs::Metric;
+use qpinn_core::runs::{Metric, RunOutcome, RunRecorder};
 use qpinn_core::trainer::TrainLog;
 use qpinn_core::{FieldNetConfig, ZooTask, ZooTaskConfig};
 use qpinn_nn::ParamSet;
 use qpinn_problems::{zoo, NlsProblem, PdeProblem};
 use qpinn_qcircuit::QuantumLayer;
 use qpinn_telemetry as telemetry;
+use qpinn_tensor::Tensor;
 use rand::{rngs::StdRng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Harness-wide run options parsed from the command line.
 #[derive(Clone, Debug)]
@@ -70,8 +73,9 @@ pub struct RunOpts {
     /// run the experiment performs writes a durable manifest + epoch
     /// series under `DIR/<run_id>/` (via [`RunOpts::run_cfg`]), the
     /// experiment's measurements land in those manifests
-    /// ([`record_metrics`]), and `--serve` jobs record there too. Inspect
-    /// with `qpinn-obs runs list/show/diff/regress/table`.
+    /// ([`record_metrics`]), a measurement that trains nothing records a
+    /// run of its own ([`record_measurement`]), and `--serve` jobs record
+    /// there too. Inspect with `qpinn-obs runs list/show/diff/regress/table`.
     pub runs: PathBuf,
 }
 
@@ -237,82 +241,137 @@ pub fn banner(id: &str, title: &str, opts: &RunOpts) {
     }
 }
 
-/// The git revision the binary runs from, read straight from
-/// `.git/HEAD` (resolving one level of `ref:` indirection) walking up
-/// from the working directory — no `git` subprocess. `None` outside a
-/// checkout or on an unborn branch.
-pub fn git_rev() -> Option<String> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let head = dir.join(".git").join("HEAD");
-        if let Ok(text) = std::fs::read_to_string(&head) {
-            let text = text.trim();
-            let rev = match text.strip_prefix("ref: ") {
-                Some(refname) => std::fs::read_to_string(dir.join(".git").join(refname.trim()))
-                    .ok()
-                    .map(|s| s.trim().to_string())
-                    // Packed refs: fall back to scanning .git/packed-refs.
-                    .or_else(|| {
-                        let packed =
-                            std::fs::read_to_string(dir.join(".git").join("packed-refs")).ok()?;
-                        packed.lines().find_map(|l| {
-                            l.strip_suffix(refname.trim())
-                                .map(|hash| hash.trim().to_string())
-                        })
-                    })?,
-                None => text.to_string(),
-            };
-            return (!rev.is_empty()).then_some(rev);
-        }
-        if !dir.pop() {
-            return None;
-        }
+/// Record a measurement that trains nothing (a T5 row, one kernel's
+/// timing, the F5 figure) as a run with no epochs: the run opens under
+/// `task` with `config` as its configuration and seed 0, finalizes at
+/// once as `converged` after 0 epochs with no final loss and
+/// `final_error` (NaN, recorded as `null`, when the measurement has no
+/// error), and then carries `metrics` ([`qpinn_core::runs::record_metrics`]).
+/// The manifest records the pool and SIMD widths current at the call. A
+/// failed write is a warning.
+pub fn record_measurement<K: Into<String>>(
+    opts: &RunOpts,
+    task: &str,
+    config: Json,
+    final_error: f64,
+    metrics: Vec<(K, Metric)>,
+) {
+    // `runs table` orders rows by their first run's start, a wall-clock
+    // millisecond: open each measurement in a later millisecond than the
+    // last, so the rendering keeps the order they were measured in.
+    static LAST_OPEN_MS: AtomicU64 = AtomicU64::new(0);
+    let last = LAST_OPEN_MS.load(Ordering::Relaxed);
+    while unix_ms() <= last {
+        std::thread::sleep(std::time::Duration::from_micros(100));
+    }
+    let cfg = opts.run_cfg(task, 0, config);
+    let recorded = RunRecorder::begin(&cfg, 0, Json::Null).and_then(|mut run| {
+        LAST_OPEN_MS.store(unix_ms(), Ordering::Relaxed);
+        run.finalize(RunOutcome::Converged, 0, f64::NAN, final_error)?;
+        qpinn_core::runs::record_metrics(&opts.runs, run.run_id(), metrics)
+    });
+    if let Err(e) = recorded {
+        let msg = telemetry::warn(
+            "run_record_write_failed",
+            format!("could not record {task}: {e}"),
+        );
+        eprintln!("[{msg}]");
     }
 }
 
-/// Build-provenance stamp attached to every experiment record: git
-/// revision, resolved SIMD dispatch width, and work-stealing pool
-/// width — so a committed `BENCH_*.json` entry is attributable to the
-/// code and machine shape that produced it. The keys deliberately
-/// carry no perf-direction suffix, so `qpinn-obs check` never gates on
-/// them.
-pub fn provenance() -> Json {
-    Json::obj(vec![
-        (
-            "git_rev",
-            git_rev().map(Json::Str).unwrap_or(Json::Null),
-        ),
-        ("simd", Json::Num(qpinn_tensor::simd::width() as f64)),
-        ("threads", Json::Num(rayon::current_num_threads() as f64)),
-    ])
+fn unix_ms() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis() as u64)
 }
 
-/// Persist the record of a binary that trains nothing (`t5_solvers`,
-/// `f5_scaling`, `kernels`) under `target/experiments/<id>.json` and
-/// report the path. Top-level object records gain a `provenance` stamp
-/// ([`provenance`]). Then [`finish_telemetry`].
-pub fn save(id: &str, value: &Json) {
-    let stamped;
-    let value = match value {
-        Json::Obj(fields) if !fields.iter().any(|(k, _)| k == "provenance") => {
-            let mut fields = fields.clone();
-            fields.push(("provenance".to_string(), provenance()));
-            stamped = Json::Obj(fields);
-            &stamped
-        }
-        other => other,
+/// One kernel of [`kernel_suite`]: its name in the run store
+/// (`kernels/<name>`, F5's `<name>_gflops`), trimmed-mean seconds and
+/// GFLOP/s.
+pub struct KernelTiming {
+    /// Kernel name: `matmul`, `matmul_tn`, `matmul_nt`, `tanh_mul_axpy`
+    /// or `sum`.
+    pub name: &'static str,
+    /// Trimmed-mean seconds per call.
+    pub secs: f64,
+    /// GFLOP/s: 2·m·k·n per matmul, one flop per element per
+    /// elementwise op and per summand.
+    pub gflops: f64,
+}
+
+/// Warm up once, time `reps` runs (at least 3), and return the mean
+/// seconds with the fastest and slowest run dropped, so one scheduler
+/// hiccup cannot skew a short series.
+fn time_trimmed(reps: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warm-up: pool spin-up, allocator, caches
+    let mut samples: Vec<f64> = (0..reps.max(3))
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(|a, b| a.total_cmp(b));
+    let trimmed = &samples[1..samples.len() - 1];
+    trimmed.iter().sum::<f64>() / trimmed.len() as f64
+}
+
+fn filled(m: usize, n: usize, seed: f64) -> Tensor {
+    Tensor::from_vec(
+        [m, n],
+        (0..m * n)
+            .map(|i| ((i as f64) * 0.618 + seed).sin())
+            .collect::<Vec<_>>(),
+    )
+}
+
+/// Time the hot tensor kernels at the shapes the trainers hit, at the
+/// current pool and SIMD width: the three matmul variants of a
+/// `[m, 32]·[32, 32]` dense layer (forward, `Aᵀ·δ` weight gradient,
+/// `A·Bᵀ` input gradient; m = 2048 quick, 8192 full), a
+/// tanh → mul → axpy chain, the backprop inner pattern of a dense+tanh
+/// layer, and the ordered parallel `sum`, both over 2¹⁶ (quick) or 2²⁰
+/// (full) elements. 5 timed runs per kernel (20 with `--full`). Results
+/// are bit-identical at every width; only the clock moves.
+pub fn kernel_suite(opts: &RunOpts) -> Vec<KernelTiming> {
+    let reps = opts.pick(5, 20);
+    let (m, k, n) = (opts.pick(2048, 8192), 32, 32);
+    let a = filled(m, k, 0.0);
+    let b = filled(k, n, 1.0);
+    let delta = filled(m, n, 2.0);
+    let bt = filled(n, k, 3.0);
+    let mm_flops = (2 * m * k * n) as f64;
+    let len = opts.pick(1 << 16, 1 << 20);
+    let x = filled(len, 1, 0.5);
+    let y = filled(len, 1, 1.5);
+    let timing = |name, flops: f64, secs: f64| KernelTiming {
+        name,
+        secs,
+        gflops: flops / secs / 1e9,
     };
-    match qpinn_core::report::write_experiment_json(id, value) {
-        Ok(p) => println!("\n[written {}]", p.display()),
-        Err(e) => {
-            let msg = telemetry::warn(
-                "experiment_record_write_failed",
-                format!("could not write record for {id}: {e}"),
-            );
-            eprintln!("\n[{msg}]");
-        }
-    }
-    finish_telemetry(id);
+    let matmul = time_trimmed(reps, || {
+        let _ = a.matmul(&b);
+    });
+    let matmul_tn = time_trimmed(reps, || {
+        let _ = a.matmul_tn(&delta);
+    });
+    let matmul_nt = time_trimmed(reps, || {
+        let _ = a.matmul_nt(&bt);
+    });
+    let tanh_mul_axpy = time_trimmed(reps, || {
+        let mut acc = x.tanh().mul(&y);
+        acc.axpy(0.5, &x);
+    });
+    let sum = time_trimmed(reps, || {
+        let _ = x.sum();
+    });
+    vec![
+        timing("matmul", mm_flops, matmul),
+        timing("matmul_tn", mm_flops, matmul_tn),
+        timing("matmul_nt", mm_flops, matmul_nt),
+        timing("tanh_mul_axpy", (3 * len) as f64, tanh_mul_axpy),
+        timing("sum", len as f64, sum),
+    ]
 }
 
 /// Record `metrics` in the manifest of the run `log` came from

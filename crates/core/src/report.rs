@@ -1,6 +1,7 @@
 //! Reporting: aligned text tables (the harness prints the same rows the
-//! reconstructed paper tables contain) and a minimal JSON writer for
-//! machine-readable experiment records.
+//! reconstructed paper tables contain) and a minimal JSON parser and
+//! writer for the machine-readable records (run manifests, metrics
+//! snapshots, request bodies).
 
 use qpinn_telemetry::event::{write_json_num, write_json_str};
 
@@ -384,16 +385,6 @@ impl Parser<'_> {
             }
         }
     }
-}
-
-/// Write an experiment record under `target/experiments/<id>.json`,
-/// creating the directory if needed. Returns the path written.
-pub fn write_experiment_json(id: &str, value: &Json) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("target").join("experiments");
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{id}.json"));
-    std::fs::write(&path, value.to_string())?;
-    Ok(path)
 }
 
 /// Format a mean ± std pair compactly.

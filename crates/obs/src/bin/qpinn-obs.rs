@@ -1,25 +1,26 @@
-//! Trace analysis and perf-gate CLI over qpinn telemetry artifacts.
+//! Trace analysis and regression-gate CLI over qpinn telemetry artifacts
+//! and run records.
 //!
 //! ```text
 //! qpinn-obs trace RUN.jsonl [-o OUT.json]   # Chrome trace for Perfetto
 //! qpinn-obs flame RUN.jsonl [--top N]       # per-phase self/total time
 //! qpinn-obs pool  RUN.jsonl                 # work-stealing balance
-//! qpinn-obs check --baseline B.json --current C.json [--threshold PCT]
 //! qpinn-obs requests ACCESS.jsonl           # per-route RED table
 //! qpinn-obs slo ACCESS.jsonl --objective '/v1/eval p99_ms<=50'
 //! qpinn-obs runs list [--dir DIR]           # run-record table
 //! qpinn-obs runs diff A B [--dir DIR]       # config + metric delta
+//! qpinn-obs runs regress RUN --baseline ID  # the regression gate
 //! qpinn-obs runs table [--dir DIR]          # experiment tables from the store
 //! ```
 //!
-//! Exit codes: 0 success, 1 perf regression / SLO violation / corrupt
-//! snapshot, 2 usage or I/O/parse error.
+//! Exit codes: 0 success, 1 regression / SLO violation / corrupt
+//! snapshot, 2 usage or I/O/parse error, or runs not comparable.
 
 use qpinn_core::report::Json;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-qpinn-obs: telemetry trace analysis and perf-regression gate
+qpinn-obs: telemetry trace analysis and run-regression gate
 
 USAGE:
     qpinn-obs trace RUN.jsonl [-o OUT.json]
@@ -33,11 +34,6 @@ USAGE:
 
     qpinn-obs pool RUN.jsonl
         Work-stealing pool balance from the last pool_stats sample.
-
-    qpinn-obs check --baseline BASE.json --current CUR.json [--threshold PCT]
-        Compare benchmark records; exit 1 if any perf metric regressed
-        beyond the threshold (default 10%), exit 2 (refuse) when both
-        records carry host_cpus or simd_width and they differ.
 
     qpinn-obs snapshots DIR [--recursive]
         List the .qps snapshots in a checkpoint or model-registry
@@ -78,7 +74,14 @@ USAGE:
     qpinn-obs runs regress RUN --baseline ID [--dir DIR] [--threshold PCT]
         Gate RUN against a baseline run: final loss / final error must
         not grow beyond the threshold (default 20%), and a run whose
-        baseline converged must itself converge. Exit 1 on regression.
+        baseline converged must itself converge. Every metric both runs
+        record whose name has a performance direction (higher is better:
+        *gflops*, *per_s*, *speedup*; lower: ms, *_ms, s_per_epoch,
+        *wall*, *_ns) must not move against it by more than the
+        threshold, arrays element by element; zero baselines are
+        skipped. Exit 1 on regression, exit 2 (refuse) when such a
+        metric would be compared between runs whose pool width
+        (threads) or SIMD width (simd) differ.
 
     qpinn-obs runs table [--dir DIR]
         The experiment tables (T1, T2, ..., F4, sweep) rendered from the
@@ -90,9 +93,10 @@ USAGE:
 
 EXIT CODES:
     0  success / no regression
-    1  perf regression (check / runs regress), corrupt snapshot
-       (snapshots), or SLO violation (slo)
-    2  usage, I/O, or parse error
+    1  regression (runs regress), corrupt snapshot (snapshots), or SLO
+       violation (slo)
+    2  usage, I/O, or parse error; runs regress refusing runs measured
+       at different pool or SIMD widths
 ";
 
 fn main() -> ExitCode {
@@ -115,7 +119,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "trace" => cmd_trace(&args[1..]),
         "flame" => cmd_flame(&args[1..]),
         "pool" => cmd_pool(&args[1..]),
-        "check" => cmd_check(&args[1..]),
         "snapshots" => cmd_snapshots(&args[1..]),
         "requests" => cmd_requests(&args[1..]),
         "slo" => cmd_slo(&args[1..]),
@@ -273,49 +276,6 @@ fn cmd_slo(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
-    let mut baseline: Option<&str> = None;
-    let mut current: Option<&str> = None;
-    let mut threshold = 10.0f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => baseline = Some(it.next().ok_or("--baseline needs a path")?),
-            "--current" => current = Some(it.next().ok_or("--current needs a path")?),
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .ok_or("--threshold needs a percentage")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?;
-                if !threshold.is_finite() || threshold < 0.0 {
-                    return Err("--threshold must be a non-negative percentage".into());
-                }
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    let baseline = baseline.ok_or("check needs --baseline BASE.json")?;
-    let current = current.ok_or("check needs --current CUR.json")?;
-    let base = Json::parse(&read_file(baseline)?).map_err(|e| format!("parsing {baseline}: {e}"))?;
-    let cur = Json::parse(&read_file(current)?).map_err(|e| format!("parsing {current}: {e}"))?;
-    let mismatch = qpinn_obs::check::provenance_mismatch(&base, &cur);
-    if !mismatch.is_empty() {
-        eprintln!("refusing to compare: the records were measured on different set-ups");
-        for m in mismatch {
-            eprintln!("  {m}");
-        }
-        return Ok(ExitCode::from(2));
-    }
-    let report = qpinn_obs::check::compare(&base, &cur, threshold);
-    print!("{}", report.render());
-    Ok(if report.passed() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
-}
-
 fn cmd_runs(args: &[String]) -> Result<ExitCode, String> {
     let Some(sub) = args.first() else {
         return Err("runs needs a subcommand: list | show | diff | regress | table".into());
@@ -385,6 +345,13 @@ fn cmd_runs(args: &[String]) -> Result<ExitCode, String> {
             let baseline = baseline.ok_or("runs regress needs --baseline ID")?;
             let report =
                 qpinn_obs::runs::regress(&load(id)?, &load(baseline)?, threshold.unwrap_or(20.0));
+            if !report.refused.is_empty() {
+                eprintln!("refusing to compare: the runs were measured on different set-ups");
+                for r in &report.refused {
+                    eprintln!("  {r}");
+                }
+                return Ok(ExitCode::from(2));
+            }
             print!("{}", report.render());
             Ok(if report.passed() {
                 ExitCode::SUCCESS

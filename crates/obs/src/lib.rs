@@ -13,10 +13,6 @@
 //!   stream (flame table, per-epoch breakdown).
 //! * [`pool`] — work-stealing pool balance report from `pool_stats`
 //!   events.
-//! * [`check`] — the perf regression gate behind `qpinn-obs check`:
-//!   diffs a current benchmark record (GFLOP/s, s/epoch, circuits/s)
-//!   against a committed baseline such as `BENCH_parallel.json` and
-//!   fails on regressions beyond a threshold.
 //! * [`snapshots`] — checkpoint-directory inspection (`qpinn-obs
 //!   snapshots DIR`): id/version/epoch/bytes/CRC status per `.qps` file
 //!   without decoding full tensors.
@@ -26,19 +22,20 @@
 //!   the recorded samples.
 //! * [`slo`] — declarative latency / error-budget objectives
 //!   (`qpinn-obs slo`) evaluated against an access log, with
-//!   pass/violated exit codes mirroring [`check`].
-//! * [`runs`] — cross-run training forensics (`qpinn-obs runs
+//!   pass/violated exit codes mirroring `runs regress`.
+//! * [`runs`] — cross-run forensics (`qpinn-obs runs
 //!   {list,show,diff,regress,table}`) over the durable `qpinn-run-v1`
 //!   store written by `qpinn_core::runs`: run tables, trajectory views,
-//!   config/metric diffs, a regression gate against a baseline run, and
-//!   every experiment table the bench harness prints.
+//!   config/metric diffs, the one regression gate (a run against a
+//!   baseline run: its final loss and error, and every performance
+//!   metric both record), and every experiment table the bench harness
+//!   prints.
 //!
 //! The `qpinn-obs` binary exposes each of them as a subcommand; see its
 //! `--help`.
 
 #![deny(missing_docs)]
 
-pub mod check;
 pub mod flame;
 pub mod pool;
 pub mod requests;
@@ -46,8 +43,6 @@ pub mod runs;
 pub mod slo;
 pub mod snapshots;
 pub mod trace;
-
-pub use check::{compare, CheckReport, Direction, MetricDelta};
 
 use qpinn_core::report::Json;
 

@@ -1,5 +1,5 @@
-//! Cross-run training forensics over the `qpinn-run-v1` store: the
-//! `qpinn-obs runs {list,show,diff,regress}` subcommands.
+//! Cross-run forensics over the `qpinn-run-v1` store: the
+//! `qpinn-obs runs {list,show,diff,regress,table}` subcommands.
 //!
 //! * `list` — one row per run: id, task, seed, final loss, outcome.
 //! * `show` — manifest + loss/gradient trajectories for one run, and the
@@ -9,8 +9,10 @@
 //!   bit-identical (ordered reductions make training deterministic at a
 //!   fixed thread count); a nonzero metric delta under an identical
 //!   setup is therefore flagged as a determinism violation.
-//! * `regress` — threshold gate of a run against a baseline run, with
-//!   the same 0/1/2 exit-code contract as `check`.
+//! * `regress` — threshold gate of a run against a baseline run: the
+//!   final loss and error, and every metric both runs record whose name
+//!   gives it a performance direction. Exit 0 pass, 1 regression, 2 when
+//!   a performance metric would be compared across pool or SIMD widths.
 //! * `table` — every experiment table (any label of the form
 //!   `<table>/<row>`): the final error's mean ± std over seeds per row,
 //!   plus a column per scalar metric the table's runs recorded, rendered
@@ -379,12 +381,18 @@ pub struct RegressReport {
     /// Violations that are not per-metric (outcome changes, missing
     /// finals).
     pub violations: Vec<String>,
+    /// Why the runs cannot be compared: the pool or SIMD widths they ran
+    /// at, as `field: baseline B vs current C`, when they differ and a
+    /// performance metric would be gated. Empty when comparable.
+    pub refused: Vec<String>,
 }
 
 impl RegressReport {
-    /// True when nothing regressed.
+    /// True when the runs are comparable and nothing regressed.
     pub fn passed(&self) -> bool {
-        self.violations.is_empty() && self.rows.iter().all(|r| !r.regressed)
+        self.refused.is_empty()
+            && self.violations.is_empty()
+            && self.rows.iter().all(|r| !r.regressed)
     }
 
     /// Human-readable report.
@@ -407,6 +415,9 @@ impl RegressReport {
         for v in &self.violations {
             out.push_str(&format!("VIOLATION: {v}\n"));
         }
+        for r in &self.refused {
+            out.push_str(&format!("REFUSED: {r}\n"));
+        }
         out.push_str(if self.passed() {
             "runs-regress: PASS\n"
         } else {
@@ -416,9 +427,48 @@ impl RegressReport {
     }
 }
 
+/// Which way a performance metric is allowed to move.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Direction {
+    HigherIsBetter,
+    LowerIsBetter,
+}
+
+/// The performance direction a metric name declares, or `None` for a
+/// metric that is no performance figure (`threads`, `qubits`, `order`,
+/// `e_error`, `omega`, ...):
+/// * higher is better: `*gflops*`, `*per_s*` (`circuits_per_s`),
+///   `*speedup*`;
+/// * lower is better: `ms` or `*_ms` (kernel times), `s_per_epoch`,
+///   `*wall*`, `*_ns`.
+fn direction_of(name: &str) -> Option<Direction> {
+    let k = name.to_ascii_lowercase();
+    if k.contains("gflops") || k.contains("per_s") || k.contains("speedup") {
+        return Some(Direction::HigherIsBetter);
+    }
+    if k == "ms"
+        || k.ends_with("_ms")
+        || k == "s_per_epoch"
+        || k.contains("wall")
+        || k.ends_with("_ns")
+    {
+        return Some(Direction::LowerIsBetter);
+    }
+    None
+}
+
 /// Gate `current` against `baseline`: the final loss and final error
 /// (both lower-is-better) must not grow by more than `threshold_pct`
 /// percent, and a run whose baseline converged must itself converge.
+///
+/// Every metric both manifests carry whose name has a performance
+/// direction (`direction_of`) is gated by the same threshold against
+/// its grain: a scalar as one row, arrays of equal length element by
+/// element (`name[i]`). A zero or non-finite baseline value, or a
+/// non-finite current one, is skipped. Such a metric means nothing
+/// between runs at different pool or SIMD widths, so when one would be
+/// gated and the manifests' `threads` or `simd` differ the report is
+/// [`RegressReport::refused`].
 pub fn regress(current: &RunRecord, baseline: &RunRecord, threshold_pct: f64) -> RegressReport {
     let mut rows = Vec::new();
     let mut violations = Vec::new();
@@ -468,6 +518,49 @@ pub fn regress(current: &RunRecord, baseline: &RunRecord, threshold_pct: f64) ->
             _ => {}
         }
     }
+    let mut gates_performance = false;
+    for (name, base) in &baseline.manifest.metrics {
+        let Some(direction) = direction_of(name) else {
+            continue;
+        };
+        let Some((_, cur)) = current.manifest.metrics.iter().find(|(k, _)| k == name) else {
+            continue;
+        };
+        let values: Vec<(String, f64, f64)> = match (base, cur) {
+            (Metric::Scalar(b), Metric::Scalar(c)) => vec![(name.clone(), *b, *c)],
+            (Metric::Series(bs), Metric::Series(cs)) if bs.len() == cs.len() => bs
+                .iter()
+                .zip(cs)
+                .enumerate()
+                .map(|(i, (b, c))| (format!("{name}[{i}]"), *b, *c))
+                .collect(),
+            _ => continue,
+        };
+        gates_performance = true;
+        for (metric, b, c) in values {
+            if b == 0.0 || !b.is_finite() || !c.is_finite() {
+                continue;
+            }
+            let delta_pct = (c - b) / b.abs() * 100.0;
+            let regressed = match direction {
+                Direction::HigherIsBetter => delta_pct < -threshold_pct,
+                Direction::LowerIsBetter => delta_pct > threshold_pct,
+            };
+            rows.push(RegressRow {
+                metric,
+                baseline: b,
+                current: c,
+                delta_pct,
+                regressed,
+            });
+        }
+    }
+    let (b, c) = (&baseline.manifest, &current.manifest);
+    let refused = [("threads", b.threads, c.threads), ("simd", b.simd, c.simd)]
+        .into_iter()
+        .filter(|&(_, b, c)| gates_performance && b != c)
+        .map(|(field, b, c)| format!("{field}: baseline {b} vs current {c}"))
+        .collect();
     RegressReport {
         runs: (
             current.manifest.run_id.clone(),
@@ -476,6 +569,7 @@ pub fn regress(current: &RunRecord, baseline: &RunRecord, threshold_pct: f64) ->
         threshold_pct,
         rows,
         violations,
+        refused,
     }
 }
 
@@ -596,8 +690,9 @@ pub fn table_rows(manifests: &[Manifest]) -> Vec<TableRow> {
 }
 
 /// Render rows as one aligned table per table id, in the order each
-/// table's first row appears: row, final error (mean±std), best, params,
-/// epochs, s/run and seeds (the runs the row holds), then one column per
+/// table's first row appears: row, final error (mean±std), best (both `-`
+/// when no run of the row recorded a final error), params, epochs, s/run
+/// and seeds (the runs the row holds), then one column per
 /// scalar metric any of the table's rows carries, in first-seen order: its
 /// mean, ± std when more than one run carries it, `-` when none does.
 pub fn render_tables(rows: &[TableRow]) -> String {
@@ -630,10 +725,17 @@ pub fn render_tables(rows: &[TableRow]) -> String {
         header.extend(&names);
         let mut table = TextTable::new(&header);
         for row in rows {
+            // A row none of whose runs recorded a final error (a kernel
+            // timing, the F5 figure) shows none.
+            let (error, best) = if row.errors.iter().all(|e| e.is_nan()) {
+                ("-".to_string(), "-".to_string())
+            } else {
+                (mean_std(row.mean, row.std), format!("{:.3e}", row.best))
+            };
             let mut cells = vec![
                 row.label().to_string(),
-                mean_std(row.mean, row.std),
-                format!("{:.3e}", row.best),
+                error,
+                best,
                 row.n_params
                     .map(|n| n.to_string())
                     .unwrap_or_else(|| "-".into()),
@@ -875,6 +977,17 @@ mod tests {
         let rows = table_rows(&runs);
         assert!(rows[0].mean.is_nan());
         assert_eq!(rows[0].best, 0.1);
+        // A row whose runs recorded no final error at all (a measurement
+        // that trains nothing) shows `-` in both error columns.
+        let text = render_tables(&table_rows(&runs[1..]));
+        let cells: Vec<&str> = text
+            .lines()
+            .nth(3)
+            .unwrap()
+            .split('|')
+            .map(str::trim)
+            .collect();
+        assert_eq!(cells[..3], ["free", "-", "-"], "{text}");
     }
 
     #[test]
@@ -1005,5 +1118,149 @@ mod tests {
         unfinished.manifest.final_loss = None;
         unfinished.manifest.outcome = RunOutcome::Incomplete;
         assert!(!regress(&unfinished, &base, 20.0).passed());
+        // Metrics without a performance direction (T2's `e_error`, T7's
+        // `omega`, T5's `order`) are not gated, whatever they do or
+        // whichever widths the runs had: the gate stays final loss and
+        // final error.
+        let undirected = |mut r: RunRecord, v: f64, threads: usize| {
+            r.manifest.metrics = ["e_error", "omega", "order", "threads", "qubits"]
+                .iter()
+                .map(|k| (k.to_string(), Metric::Scalar(v)))
+                .collect();
+            r.manifest.threads = threads;
+            r
+        };
+        let cases = [
+            (record("cur", 7, 1e-3, 1.05e-4, &[1.0]), true),
+            (record("cur", 7, 1e-1, 1e-2, &[1.0]), false),
+        ];
+        for (cur, pass) in cases {
+            let plain = regress(&cur, &base, 20.0);
+            let rep = regress(
+                &undirected(cur, 9.0, 4),
+                &undirected(base.clone(), 1.0, 1),
+                20.0,
+            );
+            assert_eq!(rep.passed(), pass, "{}", rep.render());
+            let metrics =
+                |r: &RegressReport| r.rows.iter().map(|r| r.metric.clone()).collect::<Vec<_>>();
+            assert_eq!(metrics(&rep), ["final_loss", "final_error"]);
+            assert_eq!(metrics(&rep), metrics(&plain));
+            assert!(rep.refused.is_empty());
+        }
+    }
+
+    #[test]
+    fn regress_gates_every_performance_metric_both_runs_carry() {
+        let with = |metrics: Vec<(&str, Metric)>, threads: usize, simd: usize| {
+            let mut r = record("run", 0, 1e-3, 1e-4, &[1.0]);
+            r.manifest.metrics = metrics.into_iter().map(|(k, m)| (k.into(), m)).collect();
+            r.manifest.threads = threads;
+            r.manifest.simd = simd;
+            r
+        };
+        let kernel = |ms: f64, gflops: f64| {
+            with(
+                vec![
+                    ("ms", Metric::Scalar(ms)),
+                    ("gflops", Metric::Scalar(gflops)),
+                ],
+                2,
+                8,
+            )
+        };
+        let base = kernel(1.0, 8.0);
+        let rows = |rep: &RegressReport| {
+            rep.rows
+                .iter()
+                .filter(|r| r.regressed)
+                .map(|r| r.metric.clone())
+                .collect::<Vec<_>>()
+        };
+        // Within the threshold, or faster: pass.
+        for cur in [kernel(1.05, 7.7), kernel(0.5, 8.0), kernel(1.0, 16.0)] {
+            let rep = regress(&cur, &base, 10.0);
+            assert!(rep.passed(), "{}", rep.render());
+            assert!(rep.rows.iter().any(|r| r.metric == "gflops"));
+        }
+        // A 50% GFLOP/s drop and a 50% rise in ms each regress.
+        assert_eq!(rows(&regress(&kernel(1.0, 4.0), &base, 10.0)), ["gflops"]);
+        assert_eq!(rows(&regress(&kernel(1.5, 8.0), &base, 10.0)), ["ms"]);
+        assert!(!regress(&kernel(1.0, 4.0), &base, 10.0).passed());
+        // Every direction the rule knows.
+        for (name, better, worse) in [
+            ("circuits_per_s", 2.0, 0.5),
+            ("speedup", 2.0, 0.5),
+            ("s_per_epoch", 0.5, 2.0),
+            ("wall_s", 0.5, 2.0),
+            ("epoch_ms", 0.5, 2.0),
+            ("flush_ns", 0.5, 2.0),
+        ] {
+            let one = |v: f64| with(vec![(name, Metric::Scalar(v))], 2, 8);
+            assert!(regress(&one(better), &one(1.0), 10.0).passed(), "{name}");
+            assert_eq!(
+                rows(&regress(&one(worse), &one(1.0), 10.0)),
+                [name],
+                "{name}"
+            );
+        }
+        // Series are compared element by element; a series of another
+        // length is not compared at all.
+        let series = |vs: &[f64]| with(vec![("matmul_gflops", Metric::Series(vs.to_vec()))], 2, 8);
+        let rep = regress(&series(&[8.0, 4.0, 2.0]), &series(&[8.0, 8.0, 2.0]), 10.0);
+        assert_eq!(rows(&rep), ["matmul_gflops[1]"]);
+        assert_eq!(rep.rows.len(), 2 + 3, "{}", rep.render());
+        let rep = regress(&series(&[1.0, 1.0]), &series(&[8.0, 8.0, 2.0]), 10.0);
+        assert!(rep.passed() && rep.rows.len() == 2, "{}", rep.render());
+        // A zero baseline is skipped, and the skip hides nothing else.
+        let two = |warm: f64, mm: f64| {
+            with(
+                vec![
+                    ("warm_gflops", Metric::Scalar(warm)),
+                    ("gflops", Metric::Scalar(mm)),
+                ],
+                2,
+                8,
+            )
+        };
+        let rep = regress(&two(4.0, 7.9), &two(0.0, 8.0), 10.0);
+        assert!(rep.passed(), "{}", rep.render());
+        assert!(!rep.rows.iter().any(|r| r.metric == "warm_gflops"));
+        assert!(!rep.render().contains("inf"), "{}", rep.render());
+        assert_eq!(
+            rows(&regress(&two(4.0, 2.0), &two(0.0, 8.0), 10.0)),
+            ["gflops"]
+        );
+        // A metric only one run carries is ignored.
+        let only = |name: &str| with(vec![(name, Metric::Scalar(1.0))], 2, 8);
+        let rep = regress(&only("alpha_gflops"), &only("beta_gflops"), 10.0);
+        assert!(rep.passed() && rep.rows.len() == 2, "{}", rep.render());
+        // A performance metric between runs at other pool or SIMD widths
+        // is refused, not gated; without one, widths do not matter.
+        for (cur, field) in [
+            (
+                with(vec![("ms", Metric::Scalar(1.0))], 4, 8),
+                "threads: baseline 2 vs current 4",
+            ),
+            (
+                with(vec![("ms", Metric::Scalar(1.0))], 2, 1),
+                "simd: baseline 8 vs current 1",
+            ),
+        ] {
+            let rep = regress(&cur, &with(vec![("ms", Metric::Scalar(1.0))], 2, 8), 10.0);
+            assert_eq!(rep.refused, [field]);
+            assert!(!rep.passed());
+            assert!(
+                rep.render().contains(&format!("REFUSED: {field}")),
+                "{}",
+                rep.render()
+            );
+        }
+        let rep = regress(
+            &only("alpha_gflops"),
+            &with(vec![("beta_gflops", Metric::Scalar(1.0))], 4, 1),
+            10.0,
+        );
+        assert!(rep.passed() && rep.refused.is_empty(), "{}", rep.render());
     }
 }

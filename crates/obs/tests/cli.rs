@@ -18,48 +18,6 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-const BASELINE: &str = r#"{"id":"F5_SCALING","host_cpus":4,"threads":[1,2],
-  "s_per_epoch":[0.138,0.116],"speedup":[1.0,1.19],
-  "matmul_gflops":[7.66,7.41],"circuits_per_s":[1504534.9,525605.9]}"#;
-
-#[test]
-fn check_exits_zero_when_within_threshold() {
-    let base = tmp("base-ok.json", BASELINE);
-    let cur = tmp(
-        "cur-ok.json",
-        &BASELINE.replace("7.66", "7.40"), // −3.4%, inside 10%
-    );
-    let out = bin()
-        .args(["check", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&cur)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", stdout(&out));
-    assert!(stdout(&out).contains("PASS"), "{}", stdout(&out));
-}
-
-#[test]
-fn check_exits_nonzero_on_injected_regression() {
-    let base = tmp("base-reg.json", BASELINE);
-    // Halve matmul throughput: an unambiguous regression.
-    let cur = tmp("cur-reg.json", &BASELINE.replace("7.66", "3.83"));
-    let out = bin()
-        .args(["check", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&cur)
-        .args(["--threshold", "10"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    let text = stdout(&out);
-    assert!(text.contains("REGRESSED"), "{text}");
-    assert!(text.contains("matmul_gflops[0]"), "{text}");
-    assert!(text.contains("FAIL"), "{text}");
-}
-
 #[test]
 fn usage_and_io_errors_exit_two() {
     // No arguments → usage on stderr, exit 2.
@@ -72,142 +30,19 @@ fn usage_and_io_errors_exit_two() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
-    // Unknown command → exit 2.
-    let out = bin().args(["frobnicate"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn check_exits_two_on_empty_record_files() {
-    // An empty file is a parse error, not a silent pass: exit 2.
-    let empty = tmp("empty.json", "");
-    let base = tmp("base-vs-empty.json", BASELINE);
-    for (b, c) in [(&empty, &base), (&base, &empty)] {
+    // Unknown command → exit 2; `check` is gone (`runs regress` gates
+    // benchmark records now).
+    for cmd in ["frobnicate", "check"] {
         let out = bin()
-            .args(["check", "--baseline"])
-            .arg(b)
-            .arg("--current")
-            .arg(c)
+            .args([cmd, "--baseline", "a.json", "--current", "b.json"])
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(2), "empty input must exit 2");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown command"),
+            "{cmd}"
+        );
     }
-}
-
-#[test]
-fn check_with_disjoint_keys_reports_nothing_comparable_and_passes() {
-    // No key appears in both records: nothing regressed, nothing proven —
-    // the gate passes (exit 0) but says so explicitly.
-    let base = tmp("base-disjoint.json", r#"{"alpha_gflops":[5.0]}"#);
-    let cur = tmp("cur-disjoint.json", r#"{"beta_gflops":[9.0]}"#);
-    let out = bin()
-        .args(["check", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&cur)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    let text = stdout(&out);
-    assert!(text.contains("no comparable perf metrics"), "{text}");
-    assert!(!text.contains("REGRESSED"), "{text}");
-}
-
-#[test]
-fn check_skips_zero_baseline_metrics_instead_of_dividing() {
-    // A 0.0 baseline would make the relative delta infinite; the gate must
-    // skip that entry (no division by zero) and judge only the rest.
-    let base = tmp(
-        "base-zero.json",
-        r#"{"warm_gflops":[0.0],"matmul_gflops":[8.0]}"#,
-    );
-    let cur = tmp(
-        "cur-zero.json",
-        r#"{"warm_gflops":[4.0],"matmul_gflops":[7.9]}"#,
-    );
-    let out = bin()
-        .args(["check", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&cur)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
-    let text = stdout(&out);
-    assert!(!text.contains("inf"), "zero baseline leaked a division: {text}");
-    assert!(text.contains("PASS"), "{text}");
-
-    // Same zero baseline, but the surviving metric genuinely regressed:
-    // the skip must not mask a real regression elsewhere.
-    let cur_bad = tmp(
-        "cur-zero-bad.json",
-        r#"{"warm_gflops":[4.0],"matmul_gflops":[2.0]}"#,
-    );
-    let out = bin()
-        .args(["check", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&cur_bad)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-}
-
-#[test]
-fn check_usage_errors_exit_two() {
-    // Missing --current.
-    let base = tmp("base-lonely.json", BASELINE);
-    let out = bin()
-        .args(["check", "--baseline"])
-        .arg(&base)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    // Malformed threshold.
-    let out = bin()
-        .args(["check", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(&base)
-        .args(["--threshold", "-5"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn check_refuses_records_from_different_hosts() {
-    // Same perf numbers, different provenance: no delta is meaningful, so
-    // the gate refuses with exit 2 and names the field instead of printing
-    // a table.
-    let base = tmp("base-host.json", &BASELINE.replace(r#""host_cpus":4"#, r#""host_cpus":1,"simd_width":8"#));
-    for (name, field, cur) in [
-        ("cpus", "host_cpus", BASELINE.replace(r#""host_cpus":4"#, r#""host_cpus":2,"simd_width":8"#)),
-        ("simd", "simd_width", BASELINE.replace(r#""host_cpus":4"#, r#""host_cpus":1,"simd_width":4"#)),
-    ] {
-        let cur = tmp(&format!("cur-host-{name}.json"), &cur);
-        let out = bin()
-            .args(["check", "--baseline"])
-            .arg(&base)
-            .arg("--current")
-            .arg(&cur)
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("refusing to compare") && err.contains(field), "{err}");
-        assert!(!stdout(&out).contains("PASS"), "{}", stdout(&out));
-    }
-    // A field only one record carries is not a mismatch.
-    let out = bin()
-        .args(["check", "--baseline"])
-        .arg(&base)
-        .arg("--current")
-        .arg(tmp("cur-host-bare.json", &BASELINE.replace(r#""host_cpus":4,"#, "")))
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
 }
 
 #[test]
@@ -355,7 +190,112 @@ fn runs_regress_exit_codes_follow_the_check_contract() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
 
+    // Measurement runs (no epochs, numbers in the metrics block) gate on
+    // every performance metric both carry.
+    let regress = |cur: &str, base: &str, extra: &[&str]| {
+        bin()
+            .args(["runs", "regress", cur, "--baseline", base])
+            .args(extra)
+            .arg("--dir")
+            .arg(&dir)
+            .output()
+            .unwrap()
+    };
+    let kernel = |id: &str, threads: usize, simd: usize, ms: f64, gflops: f64| {
+        measurement_run(
+            &dir,
+            id,
+            threads,
+            simd,
+            &format!(r#"{{"ms":{ms},"gflops":{gflops},"gflops_w1":0,"order":{ms}}}"#),
+        );
+    };
+    kernel("k000000000000000", 2, 8, 1.0, 8.0);
+    kernel("k000000000000001", 2, 8, 1.05, 7.7); // within 10%
+    kernel("k000000000000002", 2, 8, 1.0, 4.0); // GFLOP/s −50%
+    kernel("k000000000000003", 2, 8, 1.5, 8.0); // ms +50%
+    kernel("k000000000000004", 2, 8, 0.5, 8.0); // faster
+    kernel("k000000000000005", 4, 8, 1.0, 8.0); // another pool width
+    kernel("k000000000000006", 2, 1, 1.0, 8.0); // another SIMD width
+    for (cur, code, regressed) in [
+        ("k000000000000001", 0, None),
+        ("k000000000000002", 1, Some("gflops ")),
+        ("k000000000000003", 1, Some("ms ")),
+        ("k000000000000004", 0, None),
+    ] {
+        let out = regress(cur, "k000000000000000", &["--threshold", "10"]);
+        let text = stdout(&out);
+        assert_eq!(out.status.code(), Some(code), "{cur}: {text}");
+        // The zero `gflops_w1` baseline is skipped, `order` has no
+        // direction, and no run records a final loss.
+        for absent in ["gflops_w1", "order", "final_loss"] {
+            assert!(!text.contains(absent), "{cur}: {text}");
+        }
+        let bad: Vec<&str> = text.lines().filter(|l| l.contains("REGRESSED")).collect();
+        match regressed {
+            None => assert!(bad.is_empty() && text.contains("PASS"), "{cur}: {text}"),
+            Some(metric) => assert!(
+                bad.len() == 1 && bad[0].starts_with(metric),
+                "{cur}: {text}"
+            ),
+        }
+    }
+    for (cur, field) in [
+        ("k000000000000005", "threads"),
+        ("k000000000000006", "simd"),
+    ] {
+        let out = regress(cur, "k000000000000000", &[]);
+        assert_eq!(out.status.code(), Some(2), "{cur}: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("refusing to compare") && err.contains(field),
+            "{err}"
+        );
+        assert!(!stdout(&out).contains("PASS"), "{}", stdout(&out));
+    }
+    // A malformed threshold, or a manifest that does not parse: exit 2.
+    let out = regress(
+        "k000000000000001",
+        "k000000000000000",
+        &["--threshold", "-5"],
+    );
+    assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+    std::fs::create_dir_all(dir.join("e000000000000000")).unwrap();
+    std::fs::write(dir.join("e000000000000000/manifest.json"), "").unwrap();
+    for (cur, base) in [
+        ("e000000000000000", "k000000000000000"),
+        ("k000000000000000", "e000000000000000"),
+    ] {
+        let out = regress(cur, base, &[]);
+        assert_eq!(out.status.code(), Some(2), "{}", stdout(&out));
+        assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
+    }
+
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Write a finalized run with no epochs under `dir/id`, as a benchmark
+/// that trains nothing records it: no final loss or error, the given
+/// pool and SIMD widths, and `metrics` (a JSON object) as its metrics
+/// block.
+fn measurement_run(dir: &std::path::Path, id: &str, threads: usize, simd: usize, metrics: &str) {
+    let run_dir = dir.join(id);
+    std::fs::create_dir_all(&run_dir).unwrap();
+    let manifest = format!(
+        concat!(
+            r#"{{"schema":"qpinn-run-v1","run_id":"{id}","task":"kernels/matmul","seed":0,"#,
+            r#""config":{{"task":{{"full":false}},"train":null}},"config_hash":"00000000000000aa","#,
+            r#""threads":{threads},"simd":{simd},"env":{{}},"trace":"","start_unix_ms":1000,"#,
+            r#""end_unix_ms":1000,"outcome":"converged","epochs_planned":0,"epochs_run":0,"#,
+            r#""final_loss":null,"final_error":null,"metrics":{metrics}}}"#
+        ),
+        id = id,
+        threads = threads,
+        simd = simd,
+        metrics = metrics,
+    );
+    std::fs::write(run_dir.join("manifest.json"), manifest).unwrap();
+    std::fs::write(run_dir.join("series.jsonl"), "").unwrap();
 }
 
 #[test]

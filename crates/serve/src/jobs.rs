@@ -52,13 +52,18 @@ pub struct TrainRequest {
 
 impl TrainRequest {
     /// Parse from a JSON body; everything except `model_id` has serving
-    /// defaults sized so a smoke-test job finishes in seconds.
+    /// defaults sized so a smoke-test job finishes in seconds. The model id
+    /// must pass the registry's id rule, and the sizes must stay within
+    /// the serving limits (depth at most 16), so a request the job could
+    /// not publish, or whose network would not fit in memory, is refused
+    /// before any thread starts.
     pub fn from_json(body: &Json) -> Result<TrainRequest, String> {
         let model_id = body
             .get("model_id")
             .and_then(|v| v.as_str())
             .ok_or("missing required string field `model_id`")?
             .to_string();
+        crate::registry::check_id(&model_id).map_err(|e| e.to_string())?;
         let num = |key: &str, default: f64| -> Result<f64, String> {
             match body.get(key) {
                 None => Ok(default),
@@ -94,7 +99,7 @@ impl TrainRequest {
         if req.epochs == 0 || req.width == 0 || req.depth == 0 || req.n_collocation == 0 {
             return Err("epochs, width, depth, n_collocation must be positive".into());
         }
-        if req.epochs > 100_000 || req.width > 512 || req.n_collocation > 65_536 {
+        if req.epochs > 100_000 || req.width > 512 || req.depth > 16 || req.n_collocation > 65_536 {
             return Err("train request exceeds serving limits".into());
         }
         if !(req.lr.is_finite() && req.lr > 0.0) {

@@ -149,7 +149,7 @@ impl std::fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// Validate a model id so ids stay safe to use as directory names.
-fn check_id(id: &str) -> Result<(), RegistryError> {
+pub(crate) fn check_id(id: &str) -> Result<(), RegistryError> {
     let ok = !id.is_empty()
         && id.len() <= 64
         && id

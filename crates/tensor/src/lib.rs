@@ -49,7 +49,6 @@ pub mod simd;
 mod stack;
 mod tensor;
 
-pub use fused::FusedAct;
 pub use matmul::{gemm_nn, gemm_nt, gemm_tn};
 pub use shape::Shape;
 pub use stack::JetAffineGrads;

@@ -149,9 +149,9 @@ impl Tensor {
     }
 
     /// Dense layer over a jet stack: `self · w` for every row, with `bias`
-    /// seeded into the first `value_rows` rows (the value block, as
-    /// [`Tensor::affine_act`] seeds it) and the derivative rows starting
-    /// from zero (as [`Tensor::matmul`] does).
+    /// seeded into the output accumulator of the first `value_rows` rows
+    /// (the value block) and the derivative rows starting from zero (as
+    /// [`Tensor::matmul`] does).
     ///
     /// # Panics
     /// Panics when shapes are incompatible.

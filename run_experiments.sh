@@ -5,8 +5,8 @@
 # --runs DIR) with every number its experiment measured: the final error
 # and the run's metrics block. The table binaries print the store's
 # rendering of their own runs, and the last step renders every table from
-# the store. Only t5_solvers and f5_scaling, which train nothing, write
-# target/experiments/<id>.json.
+# the store. t5_solvers, f5_scaling and kernels, which train nothing,
+# record each measurement as a run with no epochs in the same store.
 set -e
 store=target/runs
 prev=
@@ -21,7 +21,7 @@ echo "=== tables ==="
 echo
 
 for bin in t2_eigen t5_solvers t6_hybrid t7_inverse \
-           f1_convergence f2_slices f4_norm_drift f5_scaling f6_tdse2d; do
+           f1_convergence f2_slices f4_norm_drift f5_scaling f6_tdse2d kernels; do
   echo "=== $bin ==="
   ./target/release/$bin "$@"
   echo
@@ -38,7 +38,7 @@ done
 
 # Every recorded run as a table row: every table above again, now from
 # the store — the final error of each run, and a column per scalar
-# metric (T2's energies, T6's energy error, T7's recovered omega, F4's
-# drift).
+# metric (T2's energies, T5's convergence orders, T6's energy error, T7's
+# recovered omega, F4's drift, the kernels' ms and GFLOP/s).
 echo "=== runs table ($store) ==="
 ./target/release/qpinn-obs runs table --dir "$store"

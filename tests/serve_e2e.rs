@@ -340,6 +340,23 @@ fn admission_and_error_mapping() {
     assert!(status.contains("404"), "{status}");
     let (status, _) = http(addr, "POST", "/v1/train", Some(r#"{"problem":"harmonic"}"#));
     assert!(status.contains("400"), "{status}");
+    // Sizes past the serving limits and ids the registry would refuse at
+    // publish are refused at the door: no job, no training thread.
+    let jobs_started = telemetry::counter(names::SERVE_JOBS_STARTED).get();
+    for body in [
+        r#"{"model_id":"m","depth":17}"#,
+        r#"{"model_id":"m","depth":4294967295}"#,
+        r#"{"model_id":"../x"}"#,
+    ] {
+        let (status, doc) = http(addr, "POST", "/v1/train", Some(body));
+        assert!(status.contains("400"), "{body}: {status} {doc}");
+    }
+    assert_eq!(
+        telemetry::counter(names::SERVE_JOBS_STARTED).get(),
+        jobs_started
+    );
+    let deepest = TrainRequest::from_json(&Json::parse(r#"{"model_id":"m","depth":16}"#).unwrap());
+    assert_eq!(deepest.map(|r| r.depth), Ok(16));
     let (status, _) = http(addr, "DELETE", "/v1/models", None);
     assert!(status.contains("405"), "{status}");
 
