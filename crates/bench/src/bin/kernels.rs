@@ -1,8 +1,10 @@
 //! **Kernel microbenchmarks.** Plain-`Instant` timings for the hot tensor
 //! kernels at the shapes the trainers actually hit ([`kernel_suite`]): the
 //! three matmul variants (forward, `Wᵀ·δ` weight gradient, `δ·Wᵀ` input
-//! gradient), a tanh → mul → axpy elementwise chain, and the ordered
-//! parallel `Tensor::sum`.
+//! gradient), a tanh → mul → axpy elementwise chain, the ordered
+//! parallel `Tensor::sum`, and the reference solver's 256-point forward +
+//! inverse FFT (`fft256`) and full-resolution `nls-soliton` split-step
+//! propagation (`split_step_nls`).
 //!
 //! Each kernel is one run with no epochs in the run store,
 //! `kernels/<kernel>`, with metrics `ms` (trimmed-mean milliseconds),

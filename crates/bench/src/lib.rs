@@ -23,6 +23,8 @@ use qpinn_core::report::Json;
 use qpinn_core::runs::{Metric, RunOutcome, RunRecorder};
 use qpinn_core::trainer::TrainLog;
 use qpinn_core::{FieldNetConfig, ZooTask, ZooTaskConfig};
+use qpinn_dual::Complex64;
+use qpinn_fft::FftPlan;
 use qpinn_nn::ParamSet;
 use qpinn_problems::{zoo, NlsProblem, PdeProblem};
 use qpinn_qcircuit::QuantumLayer;
@@ -289,13 +291,15 @@ fn unix_ms() -> u64 {
 /// (`kernels/<name>`, F5's `<name>_gflops`), trimmed-mean seconds and
 /// GFLOP/s.
 pub struct KernelTiming {
-    /// Kernel name: `matmul`, `matmul_tn`, `matmul_nt`, `tanh_mul_axpy`
-    /// or `sum`.
+    /// Kernel name: `matmul`, `matmul_tn`, `matmul_nt`, `tanh_mul_axpy`,
+    /// `sum`, `fft256` or `split_step_nls`.
     pub name: &'static str,
-    /// Trimmed-mean seconds per call.
+    /// Trimmed-mean seconds per call (for `fft256`, per forward + inverse
+    /// pair).
     pub secs: f64,
     /// GFLOP/s: 2·m·k·n per matmul, one flop per element per
-    /// elementwise op and per summand.
+    /// elementwise op and per summand, 5·n·log₂n per FFT of length n
+    /// (for `split_step_nls`, only its two FFTs per step).
     pub gflops: f64,
 }
 
@@ -331,7 +335,11 @@ fn filled(m: usize, n: usize, seed: f64) -> Tensor {
 /// `A·Bᵀ` input gradient; m = 2048 quick, 8192 full), a
 /// tanh → mul → axpy chain, the backprop inner pattern of a dense+tanh
 /// layer, and the ordered parallel `sum`, both over 2¹⁶ (quick) or 2²⁰
-/// (full) elements. 5 timed runs per kernel (20 with `--full`). Results
+/// (full) elements; then the reference solver's kernels, single
+/// threaded: a 256-point forward + inverse FFT (`fft256`, timed over
+/// batches of 1000 pairs) and the full-resolution `nls-soliton`
+/// propagation (`split_step_nls`: 256 points × 2000 Strang steps with
+/// the cubic kick). 5 timed runs per kernel (20 with `--full`). Results
 /// are bit-identical at every width; only the clock moves.
 pub fn kernel_suite(opts: &RunOpts) -> Vec<KernelTiming> {
     let reps = opts.pick(5, 20);
@@ -365,12 +373,31 @@ pub fn kernel_suite(opts: &RunOpts) -> Vec<KernelTiming> {
     let sum = time_trimmed(reps, || {
         let _ = x.sum();
     });
+    let (fft_n, fft_batch) = (256, 1000);
+    let plan = FftPlan::new(fft_n);
+    let mut signal: Vec<Complex64> = (0..fft_n)
+        .map(|i| Complex64::new((i as f64 * 0.618).sin(), (i as f64 * 0.382).cos()))
+        .collect();
+    let fft256 = time_trimmed(reps, || {
+        for _ in 0..fft_batch {
+            plan.forward(&mut signal);
+            plan.inverse(&mut signal);
+        }
+    }) / fft_batch as f64;
+    let fft_flops = 5.0 * (fft_n * fft_n.trailing_zeros() as usize) as f64;
+    let soliton = NlsProblem::bright_soliton(1.0);
+    let (nls_n, nls_steps) = (256, 2000);
+    let split_step_nls = time_trimmed(reps, || {
+        std::hint::black_box(soliton.reference(nls_n, nls_steps, 64));
+    });
     vec![
         timing("matmul", mm_flops, matmul),
         timing("matmul_tn", mm_flops, matmul_tn),
         timing("matmul_nt", mm_flops, matmul_nt),
         timing("tanh_mul_axpy", (3 * len) as f64, tanh_mul_axpy),
         timing("sum", len as f64, sum),
+        timing("fft256", 2.0 * fft_flops, fft256),
+        timing("split_step_nls", (2 * nls_steps) as f64 * fft_flops, split_step_nls),
     ]
 }
 

@@ -312,8 +312,12 @@ impl ZooTask {
             .conservation
             .then(|| Conservation::new(problem.as_ref(), &coords, t_idx));
 
-        let reference = problem.reference(cfg.fidelity);
+        let reference = {
+            let _span = qpinn_telemetry::span("reference");
+            problem.reference(cfg.fidelity)
+        };
         // Tensor evaluation grid: spread the budget evenly over the axes.
+        let eval_span = qpinn_telemetry::span("eval_grid");
         let per_axis = (cfg.eval_budget as f64)
             .powf(1.0 / coords.len() as f64)
             .round()
@@ -334,6 +338,7 @@ impl ZooTask {
             .iter()
             .flat_map(|p| reference.sample(p))
             .collect();
+        drop(eval_span);
 
         ZooTask {
             problem,

@@ -1,8 +1,20 @@
 //! # qpinn-fft
 //!
-//! A self-contained radix-2 fast Fourier transform over
-//! [`qpinn_dual::Complex64`], plus the spectral helpers the split-step
-//! Schrödinger propagator needs (wavenumber grids, spectral derivatives).
+//! A radix-2 fast Fourier transform over [`qpinn_dual::Complex64`], plus
+//! the spectral helpers the split-step Schrödinger propagator needs
+//! (wavenumber grids, spectral derivatives).
+//!
+//! An [`FftPlan`] holds stage-major twiddle tables; the transform itself
+//! is the split-complex kernel of `qpinn_tensor::simd` (real and
+//! imaginary parts in separate arrays; the bit reversal as vector
+//! transposes, then the butterflies; one algorithm over the scalar, AVX2
+//! and AVX-512 lane types), which gives every output the bits of the
+//! scalar `Complex64` butterfly loop at every dispatch width. The
+//! interleaved entry points ([`fft`], [`ifft`], [`FftPlan::forward`],
+//! [`FftPlan::inverse`], [`Fft2Plan`]) split their buffer into a
+//! thread-local scratch pair and join the result back; the split-step
+//! propagator keeps its field split and passes [`FftPlan::tables`] to the
+//! kernels directly.
 //!
 //! Conventions: `fft` computes `X[k] = Σ_n x[n]·e^{-2πikn/N}` (unnormalized
 //! forward transform); `ifft` divides by `N` so `ifft(fft(x)) = x`.

@@ -1,17 +1,57 @@
-//! Iterative radix-2 Cooley–Tukey FFT with precomputed twiddles and
-//! bit-reversal permutation, reusable across transforms of the same length
-//! (the split-step propagator calls it thousands of times).
+//! Iterative radix-2 Cooley–Tukey FFT with precomputed twiddles, reusable
+//! across transforms of the same length (the split-step propagator calls
+//! it thousands of times).
+//!
+//! The plan stores its twiddles stage-major — the stage of butterfly span
+//! `h` reads `h` consecutive entries from offset `h − 1` — in three
+//! tables: real parts, forward imaginary parts and conjugated (inverse)
+//! imaginary parts. The transform runs split-complex, real and imaginary
+//! parts in separate arrays, through [`qpinn_tensor::simd::fft`]: the
+//! bit-reversal permutation as vector transposes, then the butterflies,
+//! one algorithm over the scalar, AVX2 and AVX-512 lane types that gives
+//! every element the IEEE operations of a scalar `Complex64` butterfly
+//! loop, so the outputs are the same bits at every width.
+//! [`FftPlan::forward`] and [`FftPlan::inverse`] split the interleaved
+//! buffer into a thread-local scratch pair, transform it into a second
+//! pair and join that back; callers that keep their data split (the
+//! split-step propagator) pass [`FftPlan::tables`] to the kernels
+//! directly.
 
 use qpinn_dual::Complex64;
+use qpinn_tensor::simd::{self, Radix2};
+use std::cell::RefCell;
 
 /// Precomputed tables for transforms of a fixed power-of-two length.
 #[derive(Clone, Debug)]
 pub struct FftPlan {
     n: usize,
-    // Twiddle factors e^{-2πik/N} for k < N/2.
-    twiddles: Vec<Complex64>,
-    // Bit-reversal permutation.
-    rev: Vec<u32>,
+    // Stage-major twiddles e^{-2πik/2h}: real, imaginary, conjugated
+    // imaginary parts, `n − 1` entries each.
+    tw_re: Vec<f64>,
+    tw_im: Vec<f64>,
+    tw_im_conj: Vec<f64>,
+}
+
+thread_local! {
+    /// The split source and destination pairs of the interleaved entry
+    /// points.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Twiddle factors `e^{-2πik/N}` for `k < N/2`.
+fn twiddles(n: usize) -> Vec<Complex64> {
+    (0..n / 2)
+        .map(|k| Complex64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+        .collect()
+}
+
+/// Bit-reversal permutation of `0..n`.
+#[cfg(test)]
+fn bit_reverse(n: usize) -> Vec<u32> {
+    let bits = n.trailing_zeros();
+    (0..n as u32)
+        .map(|i| if bits == 0 { 0 } else { i.reverse_bits() >> (32 - bits) })
+        .collect()
 }
 
 impl FftPlan {
@@ -21,21 +61,20 @@ impl FftPlan {
     /// Panics unless `n` is a power of two and ≥ 1.
     pub fn new(n: usize) -> Self {
         assert!(n.is_power_of_two() && n >= 1, "FFT length {n} not 2^k");
-        let half = n / 2;
-        let twiddles = (0..half)
-            .map(|k| Complex64::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
-        let bits = n.trailing_zeros();
-        let rev = (0..n as u32)
-            .map(|i| {
-                if bits == 0 {
-                    0
-                } else {
-                    i.reverse_bits() >> (32 - bits)
-                }
-            })
-            .collect();
-        FftPlan { n, twiddles, rev }
+        let tw = twiddles(n);
+        let mut staged = Vec::with_capacity(n - 1);
+        let mut h = 1;
+        while h < n {
+            let stride = n / (2 * h);
+            staged.extend((0..h).map(|k| tw[k * stride]));
+            h <<= 1;
+        }
+        FftPlan {
+            n,
+            tw_re: staged.iter().map(|w| w.re).collect(),
+            tw_im: staged.iter().map(|w| w.im).collect(),
+            tw_im_conj: staged.iter().map(|w| w.conj().im).collect(),
+        }
     }
 
     /// Transform length.
@@ -46,6 +85,67 @@ impl FftPlan {
     /// True for the degenerate length-1 plan.
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// The plan's tables for the split-complex kernels of
+    /// [`qpinn_tensor::simd`] ([`simd::fft`], [`simd::split_step`]).
+    pub fn tables(&self) -> Radix2<'_> {
+        Radix2::new(&self.tw_re, &self.tw_im, &self.tw_im_conj)
+    }
+
+    fn run(&self, buf: &mut [Complex64], inverse: bool) {
+        assert_eq!(buf.len(), self.n, "buffer length vs plan");
+        SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            s.resize(4 * self.n, 0.0);
+            let (src, dst) = s.split_at_mut(2 * self.n);
+            let (sr, si) = src.split_at_mut(self.n);
+            let (dr, di) = dst.split_at_mut(self.n);
+            for ((r, i), c) in sr.iter_mut().zip(si.iter_mut()).zip(buf.iter()) {
+                *r = c.re;
+                *i = c.im;
+            }
+            simd::fft(self.tables(), sr, si, dr, di, inverse);
+            for ((c, &r), &i) in buf.iter_mut().zip(dr.iter()).zip(di.iter()) {
+                *c = Complex64::new(r, i);
+            }
+        });
+    }
+
+    /// In-place forward transform.
+    ///
+    /// # Panics
+    /// Panics on a length mismatch with the plan.
+    pub fn forward(&self, buf: &mut [Complex64]) {
+        self.run(buf, false);
+    }
+
+    /// In-place inverse transform (normalized by `1/N`).
+    ///
+    /// # Panics
+    /// Panics on a length mismatch with the plan.
+    pub fn inverse(&self, buf: &mut [Complex64]) {
+        self.run(buf, true);
+    }
+}
+
+/// The scalar radix-2 loop over interleaved `Complex64` the split-complex
+/// kernels replaced, kept as their bit-for-bit oracle.
+#[cfg(test)]
+pub(crate) struct Radix2Oracle {
+    n: usize,
+    twiddles: Vec<Complex64>,
+    rev: Vec<u32>,
+}
+
+#[cfg(test)]
+impl Radix2Oracle {
+    pub(crate) fn new(n: usize) -> Self {
+        Radix2Oracle {
+            n,
+            twiddles: twiddles(n),
+            rev: bit_reverse(n),
+        }
     }
 
     fn permute(&self, buf: &mut [Complex64]) {
@@ -79,22 +179,12 @@ impl FftPlan {
         }
     }
 
-    /// In-place forward transform.
-    ///
-    /// # Panics
-    /// Panics on a length mismatch with the plan.
-    pub fn forward(&self, buf: &mut [Complex64]) {
-        assert_eq!(buf.len(), self.n, "buffer length vs plan");
+    pub(crate) fn forward(&self, buf: &mut [Complex64]) {
         self.permute(buf);
         self.butterflies(buf, false);
     }
 
-    /// In-place inverse transform (normalized by `1/N`).
-    ///
-    /// # Panics
-    /// Panics on a length mismatch with the plan.
-    pub fn inverse(&self, buf: &mut [Complex64]) {
-        assert_eq!(buf.len(), self.n, "buffer length vs plan");
+    pub(crate) fn inverse(&self, buf: &mut [Complex64]) {
         self.permute(buf);
         self.butterflies(buf, true);
         let inv = 1.0 / self.n as f64;

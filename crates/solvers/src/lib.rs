@@ -9,7 +9,8 @@
 //!   equation (Dirichlet or periodic boundaries);
 //! * [`split_step`] — Strang-split spectral propagation for periodic
 //!   problems, including the cubic nonlinearity of the nonlinear
-//!   Schrödinger equation;
+//!   Schrödinger equation, run as one dispatch of the split-complex SIMD
+//!   loop in `qpinn_tensor::simd`;
 //! * [`eigensolver`] — finite-difference bound states of
 //!   `−½∂²/∂x² + V(x)` via Sturm bisection + inverse iteration;
 //! * [`observables`] — norms, energies and expectation values used by the

@@ -20,15 +20,21 @@
 //! * elementwise kernels are per-element IEEE operations with no fused
 //!   multiply-add anywhere (explicit mul-then-add intrinsics), so a lane
 //!   computes exactly what the scalar expression computes;
-//! * the transcendental kernels (`vtanh`/`vexp` and friends) use one
-//!   branch-free polynomial algorithm shared verbatim by all three paths —
-//!   the scalar fallback runs the same Cephes-style code one element at a
-//!   time rather than calling libm, so even `tanh`/`exp` results do not
-//!   depend on the dispatch width. They agree with libm to a few ulp
-//!   (≪ 1e-12) on finite inputs; NaN payloads are not preserved.
+//! * the transcendental kernels (`vtanh`/`vexp`, the split step's `sincos`
+//!   and friends) use one branch-free polynomial algorithm shared verbatim
+//!   by all three paths — the scalar fallback runs the same Cephes-style
+//!   code one element at a time rather than calling libm, so even
+//!   `tanh`/`exp`/`sin`/`cos` results do not depend on the dispatch
+//!   width. They agree with libm to a few ulp (≪ 1e-12) on finite inputs;
+//!   NaN payloads are not preserved;
+//! * the split-complex FFT butterflies and the split-step loop
+//!   ([`fft`], [`split_step`]) give every element the IEEE operations of
+//!   the scalar `Complex64` loop; only their schedule depends on the
+//!   width.
 //!
 //! Width selection happens once and is cached in a relaxed atomic; the
-//! per-kernel cost of dispatch is one load and a two-arm match.
+//! per-kernel cost of dispatch is one load and a two-arm match
+//! ([`split_step`] pays it once per propagation, not per step).
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 
@@ -36,11 +42,13 @@ use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 use std::arch::x86_64::*;
 
 mod jet;
+mod spectral;
 mod tile;
 
 pub(crate) use jet::{
     sin_jet_bwd, sin_jet_fwd, sincos_jet_bwd, sincos_jet_fwd, tanh_jet_bwd, tanh_jet_fwd,
 };
+pub use spectral::{fft, split_step, Kick, Radix2, SplitStep, Store};
 pub(crate) use tile::{axpy_panel, dot_rows, PanelSeed};
 
 /// Cached dispatch width in f64 lanes (0 = not yet initialised).
@@ -156,6 +164,15 @@ pub(crate) trait Lanes: Copy {
     /// via two half-exponent scalings so `2¹⁰²⁴` never has to exist as a
     /// single factor.
     unsafe fn ldexp(self, n: Self) -> Self;
+    /// Swap `S`-lane blocks between two packs (`S < W`, a power of two):
+    /// lane `l` of the first result is `l mod 2S < S ? self[l] : o[l − S]`,
+    /// of the second `l mod 2S < S ? self[l + S] : o[l]`. It is its own
+    /// inverse. On `2W` consecutive elements it splits them into the first
+    /// and second halves of their radix-2 butterflies of span `S`, lane
+    /// for lane, lane `l` holding twiddle `l mod S`; applied to row pairs
+    /// `S` apart for `S = 1, 2, …, W/2` it transposes a `W × W` block.
+    /// Only the vector packs implement it (one lane has no block to swap).
+    unsafe fn exchange<const S: usize>(self, o: Self) -> (Self, Self);
 }
 
 impl Lanes for f64 {
@@ -257,6 +274,9 @@ impl Lanes for f64 {
         let s1 = f64::from_bits(((n1 + 1023) << 52) as u64);
         let s2 = f64::from_bits(((n2 + 1023) << 52) as u64);
         self * s1 * s2
+    }
+    unsafe fn exchange<const S: usize>(self, _o: Self) -> (Self, Self) {
+        unreachable!("a one-lane pack has no block to exchange")
     }
 }
 
@@ -363,8 +383,39 @@ impl Lanes for V4 {
         )));
         V4(_mm256_mul_pd(_mm256_mul_pd(self.0, s1), s2))
     }
+    #[inline(always)]
+    unsafe fn exchange<const S: usize>(self, o: Self) -> (Self, Self) {
+        match S {
+            1 => (
+                V4(_mm256_unpacklo_pd(self.0, o.0)),
+                V4(_mm256_unpackhi_pd(self.0, o.0)),
+            ),
+            2 => (
+                V4(_mm256_permute2f128_pd::<0x20>(self.0, o.0)),
+                V4(_mm256_permute2f128_pd::<0x31>(self.0, o.0)),
+            ),
+            _ => unreachable!("4-lane block exchange of {S}"),
+        }
+    }
 }
 
+/// `_mm512_permutex2var_pd` indices of [`Lanes::exchange`] on 8 lanes for
+/// the first (`second = false`) or second result (indices 8–15 name the
+/// second operand).
+const fn exchange_idx(s: usize, second: bool) -> [i64; 8] {
+    let mut idx = [0i64; 8];
+    let mut l = 0;
+    while l < 8 {
+        idx[l] = match (l % (2 * s) < s, second) {
+            (true, false) => l,
+            (false, false) => 8 + l - s,
+            (true, true) => l + s,
+            (false, true) => 8 + l,
+        } as i64;
+        l += 1;
+    }
+    idx
+}
 /// 8 × f64 via AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
@@ -480,6 +531,15 @@ impl Lanes for V8 {
         )));
         V8(_mm512_mul_pd(_mm512_mul_pd(self.0, s1), s2))
     }
+    #[inline(always)]
+    unsafe fn exchange<const S: usize>(self, o: Self) -> (Self, Self) {
+        let i0 = _mm512_loadu_epi64(const { exchange_idx(S, false) }.as_ptr());
+        let i1 = _mm512_loadu_epi64(const { exchange_idx(S, true) }.as_ptr());
+        (
+            V8(_mm512_permutex2var_pd(self.0, i0, o.0)),
+            V8(_mm512_permutex2var_pd(self.0, i1, o.0)),
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -580,6 +640,84 @@ unsafe fn tanh_l<L: Lanes>(x: L) -> L {
         .sub(L::splat(2.0).mul(z).div(L::splat(1.0).add(z)))
         .or(sign);
     L::select(a.lt(L::splat(TANH_CUT)), small, large)
+}
+
+/// `4/π`.
+const FOPI: f64 = 1.2732395447351628;
+/// π/4 in three parts. The first two carry 23 and 22 significant bits, so
+/// `y·SINCOS_DP1` and `y·SINCOS_DP2` are exact for integral `y < 2³⁰`.
+const SINCOS_DP1: f64 = 0.7853981256484985;
+const SINCOS_DP2: f64 = 3.774894707930798e-8;
+const SINCOS_DP3: f64 = 2.6951514290790595e-15;
+/// Cephes `sincof` and `coscof`, highest power first.
+const SIN_P: [f64; 6] = [
+    1.5896230157654656e-10,
+    -2.5050747762857807e-8,
+    2.7557313621385722e-6,
+    -0.0001984126982958954,
+    0.008333333333322118,
+    -0.1666666666666663,
+];
+const COS_P: [f64; 6] = [
+    -1.1358536521387682e-11,
+    2.087570084197473e-9,
+    -2.755731417929674e-7,
+    2.4801587288851704e-5,
+    -0.0013888888888873056,
+    0.041666666666666595,
+];
+/// The largest `|x|` `sincos_l` reduces: with `|x| ≤ 2²⁹` the octant
+/// count stays below `2³⁰`, where the reduction's first two products are
+/// exact. Larger arguments give NaN.
+const SINCOS_MAX: f64 = 536_870_912.0;
+
+#[inline(always)]
+unsafe fn horner<L: Lanes>(c: &[f64; 6], x: L) -> L {
+    let mut p = L::splat(c[0]);
+    for &ci in &c[1..] {
+        p = p.mul(x).add(L::splat(ci));
+    }
+    p
+}
+
+/// `(sin x, cos x)`, Cephes `sin`/`cos` made branch-free: the octant
+/// `y = ⌊|x|·4/π⌋` rounded up to even, the Cody–Waite residual
+/// `z = ((|x| − y·DP1) − y·DP2) − y·DP3` in `[−π/4, π/4]`, both
+/// polynomials on `z²`, then a per-lane swap and sign flips picked by
+/// `y mod 8` instead of Cephes' branches. Every path runs this exact
+/// operation sequence, so the bits do not depend on the width. It agrees
+/// with libm to 2 ulp where `|sin|`, `|cos| ≥ 2⁻¹⁰` and to 2⁻⁶¹ absolute
+/// nearer their zeros, for `|x| ≤ SINCOS_MAX`; beyond it, and at ±∞ and
+/// NaN, it gives NaN.
+#[inline(always)]
+pub(crate) unsafe fn sincos_l<L: Lanes>(x: L) -> (L, L) {
+    let neg0 = L::splat(-0.0);
+    let zero = L::splat(0.0);
+    let one = L::splat(1.0);
+    let half = L::splat(0.5);
+    let sign = x.and(neg0);
+    let a = neg0.andnot(x);
+    let y = a.mul(L::splat(FOPI)).floor();
+    let y = y.add(y.sub(L::splat(2.0).mul(y.mul(half).floor())));
+    let z = a
+        .sub(y.mul(L::splat(SINCOS_DP1)))
+        .sub(y.mul(L::splat(SINCOS_DP2)))
+        .sub(y.mul(L::splat(SINCOS_DP3)));
+    // y mod 8 ∈ {0, 2, 4, 6}: the quadrant of |x| is j/2.
+    let j = y.sub(L::splat(8.0).mul(y.mul(L::splat(0.125)).floor()));
+    let zz = z.mul(z);
+    let ps = z.add(z.mul(zz.mul(horner(&SIN_P, zz))));
+    let pc = one.sub(zz.mul(half)).add(zz.mul(zz).mul(horner(&COS_P, zz)));
+    // Odd quadrants swap the polynomials; quadrants 2–3 negate the sine,
+    // quadrants 1–2 the cosine.
+    let swap = one.lt(j.sub(L::splat(4.0).mul(j.mul(L::splat(0.25)).floor())));
+    let flip_s = L::select(L::splat(3.0).lt(j), neg0, zero);
+    let flip_c = flip_s.xor(L::select(swap, neg0, zero));
+    let s = L::select(swap, pc, ps).xor(flip_s).xor(sign);
+    let c = L::select(swap, ps, pc).xor(flip_c);
+    let out = L::splat(SINCOS_MAX).lt(a);
+    let nan = L::splat(f64::NAN);
+    (L::select(out, nan, s), L::select(out, nan, c))
 }
 
 // ---------------------------------------------------------------------------
@@ -1136,6 +1274,185 @@ mod tests {
         for w in [4usize, 8] {
             if let Some(got) = run(w) {
                 assert_eq!(got, want, "width {w} diverged from scalar bits");
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn sincos_drive<L: Lanes>(x: &[f64], s: &mut [f64], c: &mut [f64]) {
+        let w = L::W;
+        let main = x.len() - x.len() % w;
+        for ((xc, sc), cc) in x[..main]
+            .chunks_exact(w)
+            .zip(s[..main].chunks_exact_mut(w))
+            .zip(c[..main].chunks_exact_mut(w))
+        {
+            let (sv, cv) = sincos_l(L::load(xc));
+            sv.store(sc);
+            cv.store(cc);
+        }
+        if L::W > 1 {
+            sincos_drive::<f64>(&x[main..], &mut s[main..], &mut c[main..]);
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sincos_w4(x: &[f64], s: &mut [f64], c: &mut [f64]) {
+        sincos_drive::<V4>(x, s, c)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn sincos_w8(x: &[f64], s: &mut [f64], c: &mut [f64]) {
+        sincos_drive::<V8>(x, s, c)
+    }
+
+    /// `s[i] = sin x[i]`, `c[i] = cos x[i]` through `sincos_l` at the
+    /// dispatched width.
+    fn sincos(x: &[f64], s: &mut [f64], c: &mut [f64]) {
+        match width() {
+            #[cfg(target_arch = "x86_64")]
+            4 => unsafe { sincos_w4(x, s, c) },
+            #[cfg(target_arch = "x86_64")]
+            8 => unsafe { sincos_w8(x, s, c) },
+            _ => unsafe { sincos_drive::<f64>(x, s, c) },
+        }
+    }
+
+    /// The distance from `|x|` to the next larger double.
+    fn ulp(x: f64) -> f64 {
+        let a = x.abs();
+        f64::from_bits(a.to_bits() + 1) - a
+    }
+
+    #[test]
+    fn sincos_is_width_invariant_and_within_two_ulp_of_libm() {
+        let _g = WIDTH_LOCK.lock().unwrap();
+        let quarter = std::f64::consts::FRAC_PI_4;
+        let mut xs: Vec<f64> = (-4096..=4096).map(|k| k as f64 * quarter).collect();
+        xs.extend([
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            -1e-310,
+            1e-8,
+            SINCOS_MAX,
+            -SINCOS_MAX,
+            SINCOS_MAX - 0.5,
+            1e5 * std::f64::consts::PI,
+        ]);
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        for i in 0..120_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let u = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            xs.push(u * [8.0, 200.0, 2e4, 2.0 * SINCOS_MAX][i % 4]);
+        }
+        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, SINCOS_MAX * 1.0000001, -1e300];
+        xs.extend(special);
+        let run = |w: usize| {
+            with_width(w, || {
+                let (mut sn, mut cs) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
+                sincos(&xs, &mut sn, &mut cs);
+                (sn, cs)
+            })
+        };
+        let (sn, cs) = run(1).expect("scalar always available");
+        for w in [4usize, 8] {
+            if let Some((s2, c2)) = run(w) {
+                let b = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!((b(&s2), b(&c2)), (b(&sn), b(&cs)), "width {w} diverged from scalar bits");
+            }
+        }
+        let n = xs.len() - special.len();
+        for ((&x, &s), &c) in xs.iter().zip(&sn).zip(&cs).take(n) {
+            for (got, want, f) in [(s, x.sin(), "sin"), (c, x.cos(), "cos")] {
+                let tol = 2.0 * ulp(want.abs().max(2f64.powi(-10)));
+                assert!(
+                    (got - want).abs() <= tol,
+                    "{f}({x:e}) = {got:e}, libm {want:e}: {} ulp",
+                    (got - want).abs() / ulp(want)
+                );
+            }
+            assert_eq!(s.to_bits() >> 63, x.sin().to_bits() >> 63, "sign of sin({x:e})");
+        }
+        for ((&x, &s), &c) in xs.iter().zip(&sn).zip(&cs).skip(n) {
+            assert!(s.is_nan() && c.is_nan(), "sincos({x:e}) = ({s}, {c})");
+        }
+    }
+
+    #[test]
+    fn block_exchange_pairs_butterflies_and_transposes() {
+        // On 2W consecutive elements, `exchange::<S>` must yield lanes of
+        // (index, index + S) butterfly pairs with twiddle index l mod S and
+        // undo itself; S = 1, 2, … rounds over rows S apart transpose.
+        fn check<L: Lanes, const S: usize>() {
+            let e: Vec<f64> = (0..2 * L::W).map(|i| i as f64).collect();
+            let (mut a, mut b) = (vec![0.0; L::W], vec![0.0; L::W]);
+            let (mut lo, mut hi) = (vec![0.0; L::W], vec![0.0; L::W]);
+            // SAFETY: callers run this only at widths the host reports.
+            unsafe {
+                let (va, vb) = L::load(&e).exchange::<S>(L::load(&e[L::W..]));
+                va.store(&mut a);
+                vb.store(&mut b);
+                let (vl, vh) = va.exchange::<S>(vb);
+                vl.store(&mut lo);
+                vh.store(&mut hi);
+            }
+            for l in 0..L::W {
+                let i = a[l] as usize;
+                assert!(i % (2 * S) < S, "W{} S{S} lane {l}: {i}", L::W);
+                assert_eq!(b[l] as usize, i + S, "W{} S{S} lane {l}", L::W);
+                assert_eq!(i % S, l % S, "W{} S{S} lane {l}: twiddle of {i}", L::W);
+            }
+            assert_eq!([lo, hi].concat(), e);
+        }
+        fn transposes<L: Lanes>() {
+            let w = L::W;
+            let m: Vec<f64> = (0..w * w).map(|i| i as f64).collect();
+            let mut t = vec![0.0; w * w];
+            // SAFETY: as above.
+            unsafe {
+                let mut rows = [L::splat(0.0); 8];
+                for (r, row) in rows.iter_mut().zip(m.chunks_exact(w)) {
+                    *r = L::load(row);
+                }
+                spectral::transpose(&mut rows);
+                for (r, o) in rows.iter().zip(t.chunks_exact_mut(w)) {
+                    r.store(o);
+                }
+            }
+            for (i, v) in t.iter().enumerate() {
+                assert_eq!(*v as usize, (i % w) * w + i / w, "W{w} element {i}");
+            }
+        }
+        let _g = WIDTH_LOCK.lock().unwrap();
+        transposes::<f64>();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if clamp_width(4) == 4 {
+                #[target_feature(enable = "avx2")]
+                unsafe fn w4() {
+                    check::<V4, 1>();
+                    check::<V4, 2>();
+                    transposes::<V4>();
+                }
+                unsafe { w4() }
+            }
+            if clamp_width(8) == 8 {
+                #[target_feature(enable = "avx512f")]
+                unsafe fn w8() {
+                    check::<V8, 1>();
+                    check::<V8, 2>();
+                    check::<V8, 4>();
+                    transposes::<V8>();
+                }
+                unsafe { w8() }
             }
         }
     }

@@ -141,6 +141,31 @@ fn jsonl_stream_has_stable_schema_and_phase_spans() {
 }
 
 #[test]
+fn each_task_build_opens_one_reference_and_one_eval_grid_span() {
+    let _guard = SINK_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mem = std::sync::Arc::new(telemetry::MemorySink::default());
+    telemetry::shutdown();
+    telemetry::install(mem.clone());
+    let _nls = tiny_nls(1);
+    let mut rng = StdRng::seed_from_u64(3);
+    let quick = ZooTaskConfig::quick();
+    let _tdse = ZooTask::from_key("tdse-free", &quick, &mut ParamSet::new(), &mut rng).unwrap();
+    telemetry::shutdown();
+
+    // Other tests here build tasks on their own threads while the sink
+    // is installed; count this thread's spans only.
+    let me = std::thread::current().name().unwrap_or("?").to_string();
+    let events = mem.events.lock().unwrap();
+    for name in ["reference", "eval_grid"] {
+        let n = events
+            .iter()
+            .filter(|e| e.kind == telemetry::Kind::Span && e.name == name && e.thread == me)
+            .count();
+        assert_eq!(n, 2, "`{name}` spans over two task builds");
+    }
+}
+
+#[test]
 fn registry_counts_training_work() {
     // Counters are always on (no sink required) and only ever increase.
     let grad_before = telemetry::counter("train.grad_evals").get();
