@@ -2,7 +2,8 @@
 //! kernels at the shapes the trainers actually hit ([`kernel_suite`]): the
 //! three matmul variants (forward, `Wᵀ·δ` weight gradient, `δ·Wᵀ` input
 //! gradient), a tanh → mul → axpy elementwise chain, the ordered
-//! parallel `Tensor::sum`, and the reference solver's 256-point forward +
+//! parallel `Tensor::sum`, the sin|cos jet of the RFF layer (`sin_cos`),
+//! and the reference solver's 256-point forward +
 //! inverse FFT (`fft256`) and full-resolution `nls-soliton` split-step
 //! propagation (`split_step_nls`).
 //!

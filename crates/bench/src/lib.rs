@@ -292,14 +292,15 @@ fn unix_ms() -> u64 {
 /// GFLOP/s.
 pub struct KernelTiming {
     /// Kernel name: `matmul`, `matmul_tn`, `matmul_nt`, `tanh_mul_axpy`,
-    /// `sum`, `fft256` or `split_step_nls`.
+    /// `sum`, `sin_cos`, `fft256` or `split_step_nls`.
     pub name: &'static str,
     /// Trimmed-mean seconds per call (for `fft256`, per forward + inverse
     /// pair).
     pub secs: f64,
     /// GFLOP/s: 2·m·k·n per matmul, one flop per element per
-    /// elementwise op and per summand, 5·n·log₂n per FFT of length n
-    /// (for `split_step_nls`, only its two FFTs per step).
+    /// elementwise op and per summand, one per output element of
+    /// `sin_cos`, 5·n·log₂n per FFT of length n (for `split_step_nls`,
+    /// only its two FFTs per step).
     pub gflops: f64,
 }
 
@@ -335,7 +336,9 @@ fn filled(m: usize, n: usize, seed: f64) -> Tensor {
 /// `A·Bᵀ` input gradient; m = 2048 quick, 8192 full), a
 /// tanh → mul → axpy chain, the backprop inner pattern of a dense+tanh
 /// layer, and the ordered parallel `sum`, both over 2¹⁶ (quick) or 2²⁰
-/// (full) elements; then the reference solver's kernels, single
+/// (full) elements; `sin_cos`, the `jet_sin_cos(2, 1)` of the
+/// `train-classical` RFF layer (4 blocks × 1024 rows × 32 angles into
+/// `[sin | cos]` rows); then the reference solver's kernels, single
 /// threaded: a 256-point forward + inverse FFT (`fft256`, timed over
 /// batches of 1000 pairs) and the full-resolution `nls-soliton`
 /// propagation (`split_step_nls`: 256 points × 2000 Strang steps with
@@ -373,6 +376,10 @@ pub fn kernel_suite(opts: &RunOpts) -> Vec<KernelTiming> {
     let sum = time_trimmed(reps, || {
         let _ = x.sum();
     });
+    let rff = filled(4 * 1024, 32, 2.5).scale(3.0);
+    let sin_cos = time_trimmed(reps, || {
+        let _ = rff.jet_sin_cos(2, 1);
+    });
     let (fft_n, fft_batch) = (256, 1000);
     let plan = FftPlan::new(fft_n);
     let mut signal: Vec<Complex64> = (0..fft_n)
@@ -396,6 +403,7 @@ pub fn kernel_suite(opts: &RunOpts) -> Vec<KernelTiming> {
         timing("matmul_nt", mm_flops, matmul_nt),
         timing("tanh_mul_axpy", (3 * len) as f64, tanh_mul_axpy),
         timing("sum", len as f64, sum),
+        timing("sin_cos", (2 * rff.len()) as f64, sin_cos),
         timing("fft256", 2.0 * fft_flops, fft256),
         timing("split_step_nls", (2 * nls_steps) as f64 * fft_flops, split_step_nls),
     ]

@@ -4,26 +4,71 @@
 //! (AVX-512) across ragged shapes whose tails do not divide the lane count.
 
 use crate::simd::{with_width, WIDTH_LOCK};
-use crate::Tensor;
+use crate::{Tensor, PAR_THRESHOLD};
 use proptest::prelude::*;
 
 /// Run `f` at forced-scalar width and at every wider width the host
 /// supports, asserting the results are bit-identical to the scalar
 /// reference (which also bounds them within the 1e-12 contract).
 fn assert_width_invariant(f: impl Fn() -> Vec<f64>) {
+    assert_width_and_pool_invariant(&[0], f)
+}
+
+/// [`assert_width_invariant`] in a pool of each of the `threads` widths
+/// (`0` is the default pool): every SIMD width at every pool width must
+/// give the bits of the scalar path in the first pool.
+fn assert_width_and_pool_invariant(threads: &[usize], f: impl Fn() -> Vec<f64>) {
     let _g = WIDTH_LOCK.lock().unwrap();
-    let want = with_width(1, &f).expect("scalar always available");
-    for w in [4usize, 8] {
-        if let Some(got) = with_width(w, &f) {
-            assert_eq!(got.len(), want.len());
-            for (i, (g, s)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    g.to_bits() == s.to_bits(),
-                    "width {w} diverged from scalar at [{i}]: {g} vs {s}"
-                );
+    let at = |t: usize, w: usize| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(t).build().unwrap();
+        pool.install(|| with_width(w, &f))
+    };
+    let want = at(threads[0], 1).expect("scalar always available");
+    for &t in threads {
+        for w in [1usize, 4, 8] {
+            if let Some(got) = at(t, w) {
+                assert_eq!(got.len(), want.len());
+                for (i, (g, s)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        g.to_bits() == s.to_bits(),
+                        "width {w}, pool {t} diverged from scalar at [{i}]: {g} vs {s}"
+                    );
+                }
             }
         }
     }
+}
+
+/// Strategy: `len` arguments in ±50 with every 97th scaled by 1e9, so
+/// some fall past the reduction's range.
+fn angles(len: usize) -> impl Strategy<Value = Tensor> {
+    proptest::collection::vec(-50.0..50.0f64, len).prop_map(|v| {
+        let v: Vec<f64> = v
+            .iter()
+            .enumerate()
+            .map(|(i, x)| if i % 97 == 5 { x * 1e9 } else { *x })
+            .collect();
+        Tensor::from_slice(&v)
+    })
+}
+
+/// Strategy: a jet stack of row width 1, 3, 7, 8, 33 or 72 with `k` of
+/// 0–3 coordinates and `k2` of 0–`k` second derivatives, either 1–40 rows
+/// per block or enough that the sin|cos output reaches the pool, plus a
+/// gradient stack of the same rows and twice the width.
+fn sine_stack() -> impl Strategy<Value = (usize, usize, Tensor, Tensor)> {
+    (0usize..=3, 0usize..6, 1usize..=40, 0usize..2)
+        .prop_flat_map(|(k, wi, n, big)| (Just(k), 0..=k, Just(wi), Just(n), Just(big)))
+        .prop_flat_map(|(k, k2, wi, n, big)| {
+            let w = [1, 3, 7, 8, 33, 72][wi];
+            let blocks = 1 + k + k2;
+            let n = if big == 1 { PAR_THRESHOLD.div_ceil(2 * w * blocks) + n } else { n };
+            let rows = blocks * n;
+            let g = proptest::collection::vec(-2.0..2.0f64, 2 * rows * w);
+            (Just(k), Just(k2), angles(rows * w), g).prop_map(move |(k, k2, z, g)| {
+                (k, k2, z.reshape([rows, w]), Tensor::from_vec([rows, 2 * w], g))
+            })
+        })
 }
 
 /// Strategy: operand pairs that fill and overhang the register tiles —
@@ -292,6 +337,41 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn simd_sin_cos_width_and_pool_invariant(
+        x in (0usize..2, 1usize..67, 0usize..200).prop_flat_map(|(big, small, extra)| {
+            // Lengths on both sides of the parallel cutoff, ragged against
+            // every lane count and the chunk size.
+            angles(if big == 1 { PAR_THRESHOLD - 100 + extra } else { small })
+        }),
+    ) {
+        assert_width_and_pool_invariant(&[1, 2], || {
+            let mut out = x.sin().into_vec();
+            out.extend_from_slice(x.cos().data());
+            out
+        });
+    }
+
+    #[test]
+    fn simd_sine_jets_width_and_pool_invariant((k, k2, z, g2) in sine_stack()) {
+        let (rows, w) = (z.shape().nrows(), z.shape().ncols());
+        let g = Tensor::from_vec(
+            [rows, w],
+            g2.data().chunks(2 * w).flat_map(|r| r[..w].to_vec()).collect::<Vec<_>>(),
+        );
+        assert_width_and_pool_invariant(&[1, 2], || {
+            let mut out = Vec::new();
+            let (s, c) = z.jet_sin(k, k2);
+            out.extend_from_slice(s.data());
+            out.extend_from_slice(c.data());
+            out.extend_from_slice(z.jet_sin_backward(&s, &c, &g, k, k2).data());
+            let sc = z.jet_sin_cos(k, k2);
+            out.extend_from_slice(sc.data());
+            out.extend_from_slice(z.jet_sin_cos_backward(&sc, &g2, k, k2).data());
+            out
+        });
+    }
 
     #[test]
     fn simd_matmul_tiles_width_invariant((a, b) in tile_pair()) {

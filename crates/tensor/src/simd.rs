@@ -20,13 +20,16 @@
 //! * elementwise kernels are per-element IEEE operations with no fused
 //!   multiply-add anywhere (explicit mul-then-add intrinsics), so a lane
 //!   computes exactly what the scalar expression computes;
-//! * the transcendental kernels (`vtanh`/`vexp`, the split step's `sincos`
-//!   and friends) use one branch-free polynomial algorithm shared verbatim
-//!   by all three paths — the scalar fallback runs the same Cephes-style
-//!   code one element at a time rather than calling libm, so even
+//! * the transcendental kernels (`tanh`, `exp`, and the `sincos` that the
+//!   network's sine, cosine, sin|cos embeddings and the split step's kick
+//!   share) use one branch-free polynomial algorithm shared verbatim by all
+//!   three paths — the scalar fallback runs the same Cephes-style code one
+//!   element at a time rather than calling libm, so even
 //!   `tanh`/`exp`/`sin`/`cos` results do not depend on the dispatch
 //!   width. They agree with libm to a few ulp (≪ 1e-12) on finite inputs;
-//!   NaN payloads are not preserved;
+//!   NaN payloads are not preserved. The one exception is `sincos` past
+//!   `|x| = 2²⁹`, beyond its reduction: those lanes get libm's bits, which
+//!   do not depend on the width either;
 //! * the split-complex FFT butterflies and the split-step loop
 //!   ([`fft`], [`split_step`]) give every element the IEEE operations of
 //!   the scalar `Complex64` loop; only their schedule depends on the
@@ -158,6 +161,8 @@ pub(crate) trait Lanes: Copy {
     /// `(!self) & o` — the `andnot_pd` operand order.
     unsafe fn andnot(self, o: Self) -> Self;
     unsafe fn lt(self, o: Self) -> Self::Mask;
+    /// Whether any lane of `m` is set.
+    unsafe fn any(m: Self::Mask) -> bool;
     /// Per-lane `m ? t : f`.
     unsafe fn select(m: Self::Mask, t: Self, f: Self) -> Self;
     /// `self · 2ⁿ` for `n` holding exact integral values in `[-1022, 1024]`,
@@ -257,6 +262,10 @@ impl Lanes for f64 {
     #[inline(always)]
     unsafe fn lt(self, o: Self) -> bool {
         self < o
+    }
+    #[inline(always)]
+    unsafe fn any(m: bool) -> bool {
+        m
     }
     #[inline(always)]
     unsafe fn select(m: bool, t: Self, f: Self) -> Self {
@@ -362,6 +371,10 @@ impl Lanes for V4 {
     #[inline(always)]
     unsafe fn lt(self, o: Self) -> __m256d {
         _mm256_cmp_pd::<_CMP_LT_OQ>(self.0, o.0)
+    }
+    #[inline(always)]
+    unsafe fn any(m: __m256d) -> bool {
+        _mm256_movemask_pd(m) != 0
     }
     #[inline(always)]
     unsafe fn select(m: __m256d, t: Self, f: Self) -> Self {
@@ -510,6 +523,10 @@ impl Lanes for V8 {
     #[inline(always)]
     unsafe fn lt(self, o: Self) -> __mmask8 {
         _mm512_cmp_pd_mask::<_CMP_LT_OQ>(self.0, o.0)
+    }
+    #[inline(always)]
+    unsafe fn any(m: __mmask8) -> bool {
+        m != 0
     }
     #[inline(always)]
     unsafe fn select(m: __mmask8, t: Self, f: Self) -> Self {
@@ -668,7 +685,7 @@ const COS_P: [f64; 6] = [
 ];
 /// The largest `|x|` `sincos_l` reduces: with `|x| ≤ 2²⁹` the octant
 /// count stays below `2³⁰`, where the reduction's first two products are
-/// exact. Larger arguments give NaN.
+/// exact. Larger arguments go to libm.
 const SINCOS_MAX: f64 = 536_870_912.0;
 
 #[inline(always)]
@@ -687,8 +704,10 @@ unsafe fn horner<L: Lanes>(c: &[f64; 6], x: L) -> L {
 /// `y mod 8` instead of Cephes' branches. Every path runs this exact
 /// operation sequence, so the bits do not depend on the width. It agrees
 /// with libm to 2 ulp where `|sin|`, `|cos| ≥ 2⁻¹⁰` and to 2⁻⁶¹ absolute
-/// nearer their zeros, for `|x| ≤ SINCOS_MAX`; beyond it, and at ±∞ and
-/// NaN, it gives NaN.
+/// nearer their zeros, for `|x| ≤ SINCOS_MAX`. A vector with a lane past
+/// `SINCOS_MAX` takes the one branch: those lanes are recomputed by libm
+/// (so a finite argument keeps a finite result, and ±∞ gives NaN); NaN
+/// gives NaN.
 #[inline(always)]
 pub(crate) unsafe fn sincos_l<L: Lanes>(x: L) -> (L, L) {
     let neg0 = L::splat(-0.0);
@@ -715,9 +734,27 @@ pub(crate) unsafe fn sincos_l<L: Lanes>(x: L) -> (L, L) {
     let flip_c = flip_s.xor(L::select(swap, neg0, zero));
     let s = L::select(swap, pc, ps).xor(flip_s).xor(sign);
     let c = L::select(swap, ps, pc).xor(flip_c);
-    let out = L::splat(SINCOS_MAX).lt(a);
-    let nan = L::splat(f64::NAN);
-    (L::select(out, nan, s), L::select(out, nan, c))
+    if L::any(L::splat(SINCOS_MAX).lt(a)) {
+        let (mut xa, mut sa, mut ca) = ([0.0; 8], [0.0; 8], [0.0; 8]);
+        x.store(&mut xa);
+        s.store(&mut sa);
+        c.store(&mut ca);
+        sincos_past_range(&xa[..L::W], &mut sa[..L::W], &mut ca[..L::W]);
+        return (L::load(&sa), L::load(&ca));
+    }
+    (s, c)
+}
+
+/// libm's `sin` and `cos` of the arguments past `SINCOS_MAX`, over the
+/// lanes `sincos_l` stored; other lanes keep the polynomial's values.
+#[cold]
+#[inline(never)]
+fn sincos_past_range(x: &[f64], s: &mut [f64], c: &mut [f64]) {
+    for ((&x, s), c) in x.iter().zip(s).zip(c) {
+        if x.abs() > SINCOS_MAX {
+            (*s, *c) = (x.sin(), x.cos());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -779,6 +816,8 @@ map_op!(OpRecipOf, |c, x| c.div(x));
 map_op!(OpConstMinusSquare, |c, x| c.sub(x.mul(x)));
 map_op!(OpTanh, |_c, x| tanh_l(x));
 map_op!(OpExp, |_c, x| exp_l(x));
+map_op!(OpSin, |_c, x| sincos_l(x).0);
+map_op!(OpCos, |_c, x| sincos_l(x).1);
 
 #[inline(always)]
 unsafe fn map_drive<L: Lanes, O: MapOp>(c: f64, src: &[f64], dst: &mut [f64]) {
@@ -843,6 +882,62 @@ unsafe fn axpy_drive<L: Lanes>(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// The sine and cosine of `x`, read as rows of `w` elements, into rows
+/// `stride` apart: element `j` of row `r` goes to `s[r·stride + j]` and
+/// `c[r·stride + j]`. A row at least one vector wide runs by vectors along
+/// the row, its tail on the f64 lane; narrower rows (the one-column
+/// embeddings) run `L::W` consecutive elements per vector, across row
+/// ends, and scatter them, the last `len mod W` on the f64 lane.
+///
+/// # Safety
+/// `w > 0` divides `x.len()`, and for every row `r` the `w` elements at
+/// `s + r·stride` and at `c + r·stride` are writable.
+#[inline(always)]
+unsafe fn sincos_drive<L: Lanes>(x: &[f64], w: usize, s: *mut f64, c: *mut f64, stride: usize) {
+    let xp = x.as_ptr();
+    if w >= L::W {
+        let main = w - w % L::W;
+        for r in 0..x.len() / w {
+            let (xr, sr, cr) = (xp.add(r * w), s.add(r * stride), c.add(r * stride));
+            let mut j = 0;
+            while j < main {
+                let (sv, cv) = sincos_l(L::ld(xr.add(j)));
+                sv.st(sr.add(j));
+                cv.st(cr.add(j));
+                j += L::W;
+            }
+            while j < w {
+                (*sr.add(j), *cr.add(j)) = sincos_l(*xr.add(j));
+                j += 1;
+            }
+        }
+    } else {
+        let main = x.len() - x.len() % L::W;
+        let (mut sa, mut ca) = ([0.0; 8], [0.0; 8]);
+        // The next element goes to column `j` of the row at offset `row`.
+        let (mut e, mut row, mut j) = (0, 0, 0);
+        while e < x.len() {
+            let n = if e < main {
+                let (sv, cv) = sincos_l(L::ld(xp.add(e)));
+                sv.store(&mut sa);
+                cv.store(&mut ca);
+                L::W
+            } else {
+                (sa[0], ca[0]) = sincos_l(*xp.add(e));
+                1
+            };
+            for (&sv, &cv) in sa[..n].iter().zip(&ca[..n]) {
+                (*s.add(row + j), *c.add(row + j)) = (sv, cv);
+                j += 1;
+                if j == w {
+                    (row, j) = (row + stride, 0);
+                }
+            }
+            e += n;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Target-feature shims: the only unsafe boundary. Dispatch guarantees a
 // shim is entered only when its feature was detected.
@@ -896,6 +991,18 @@ unsafe fn axpy_w8(alpha: f64, x: &[f64], y: &mut [f64]) {
     axpy_drive::<V8>(alpha, x, y)
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sincos_w4(x: &[f64], w: usize, s: *mut f64, c: *mut f64, stride: usize) {
+    sincos_drive::<V4>(x, w, s, c, stride)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sincos_w8(x: &[f64], w: usize, s: *mut f64, c: *mut f64, stride: usize) {
+    sincos_drive::<V8>(x, w, s, c, stride)
+}
+
 // ---------------------------------------------------------------------------
 // Dispatched kernels (crate-internal API).
 // ---------------------------------------------------------------------------
@@ -945,6 +1052,49 @@ pub(crate) fn vaxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         8 => unsafe { axpy_w8(alpha, x, y) },
         _ => unsafe { axpy_drive::<f64>(alpha, x, y) },
+    }
+}
+
+/// [`sincos_drive`] at the dispatched width.
+///
+/// # Safety
+/// The contract of [`sincos_drive`].
+unsafe fn sincos_k(x: &[f64], w: usize, s: *mut f64, c: *mut f64, stride: usize) {
+    match width() {
+        #[cfg(target_arch = "x86_64")]
+        4 => sincos_w4(x, w, s, c, stride),
+        #[cfg(target_arch = "x86_64")]
+        8 => sincos_w8(x, w, s, c, stride),
+        _ => sincos_drive::<f64>(x, w, s, c, stride),
+    }
+}
+
+/// `s[i] = sin x[i]` and `c[i] = cos x[i]` through [`sincos_l`].
+pub(crate) fn sincos(x: &[f64], s: &mut [f64], c: &mut [f64]) {
+    assert!(s.len() == x.len() && c.len() == x.len(), "sincos: extents");
+    if !x.is_empty() {
+        // SAFETY: one row of `x.len()` elements into `s` and `c`, which
+        // hold as many (checked above); the dispatch runs a wide path only
+        // on a host that reports its feature.
+        unsafe { sincos_k(x, x.len(), s.as_mut_ptr(), c.as_mut_ptr(), 0) }
+    }
+}
+
+/// `[sin x | cos x]` rows through [`sincos_l`]: `x` holds rows of `w`
+/// angles, and the matching `2w`-wide row of `out` gets their sines, then
+/// their cosines (the value block of `Tensor::jet_sin_cos`).
+pub(crate) fn sincos_rows(x: &[f64], w: usize, out: &mut [f64]) {
+    assert!(
+        w > 0 && x.len().is_multiple_of(w) && out.len() == 2 * x.len(),
+        "sincos_rows: extents"
+    );
+    if !x.is_empty() {
+        let o = out.as_mut_ptr();
+        // SAFETY: `w` divides `x.len()`, and row `r` writes
+        // `out[2w·r .. 2w·r + 2w]`, inside `out` (checked above); the
+        // dispatch runs a wide path only on a host that reports its
+        // feature.
+        unsafe { sincos_k(x, w, o, o.add(w), 2 * w) }
     }
 }
 
@@ -1278,48 +1428,6 @@ mod tests {
         }
     }
 
-    #[inline(always)]
-    unsafe fn sincos_drive<L: Lanes>(x: &[f64], s: &mut [f64], c: &mut [f64]) {
-        let w = L::W;
-        let main = x.len() - x.len() % w;
-        for ((xc, sc), cc) in x[..main]
-            .chunks_exact(w)
-            .zip(s[..main].chunks_exact_mut(w))
-            .zip(c[..main].chunks_exact_mut(w))
-        {
-            let (sv, cv) = sincos_l(L::load(xc));
-            sv.store(sc);
-            cv.store(cc);
-        }
-        if L::W > 1 {
-            sincos_drive::<f64>(&x[main..], &mut s[main..], &mut c[main..]);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn sincos_w4(x: &[f64], s: &mut [f64], c: &mut [f64]) {
-        sincos_drive::<V4>(x, s, c)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn sincos_w8(x: &[f64], s: &mut [f64], c: &mut [f64]) {
-        sincos_drive::<V8>(x, s, c)
-    }
-
-    /// `s[i] = sin x[i]`, `c[i] = cos x[i]` through `sincos_l` at the
-    /// dispatched width.
-    fn sincos(x: &[f64], s: &mut [f64], c: &mut [f64]) {
-        match width() {
-            #[cfg(target_arch = "x86_64")]
-            4 => unsafe { sincos_w4(x, s, c) },
-            #[cfg(target_arch = "x86_64")]
-            8 => unsafe { sincos_w8(x, s, c) },
-            _ => unsafe { sincos_drive::<f64>(x, s, c) },
-        }
-    }
-
     /// The distance from `|x|` to the next larger double.
     fn ulp(x: f64) -> f64 {
         let a = x.abs();
@@ -1346,15 +1454,20 @@ mod tests {
             1e5 * std::f64::consts::PI,
         ]);
         let mut s = 0x2545_f491_4f6c_dd1du64;
-        for i in 0..120_000 {
+        for i in 0..150_000 {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
             let u = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
-            xs.push(u * [8.0, 200.0, 2e4, 2.0 * SINCOS_MAX][i % 4]);
+            xs.push(u * [8.0, 200.0, 2e4, 2.0 * SINCOS_MAX, 2e12][i % 5]);
         }
-        let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, SINCOS_MAX * 1.0000001, -1e300];
-        xs.extend(special);
+        // Past the reduction's range, spread so they share vectors with
+        // in-range lanes; then the non-finite arguments.
+        let past = [SINCOS_MAX * 1.0000001, -1e300, 1e10, -1e10, f64::MAX, 6.2e15 + 1.0];
+        for (i, &x) in past.iter().enumerate() {
+            xs[1009 * i + 3] = x;
+        }
+        xs.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
         let run = |w: usize| {
             with_width(w, || {
                 let (mut sn, mut cs) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
@@ -1369,21 +1482,30 @@ mod tests {
                 assert_eq!((b(&s2), b(&c2)), (b(&sn), b(&cs)), "width {w} diverged from scalar bits");
             }
         }
-        let n = xs.len() - special.len();
-        for ((&x, &s), &c) in xs.iter().zip(&sn).zip(&cs).take(n) {
-            for (got, want, f) in [(s, x.sin(), "sin"), (c, x.cos(), "cos")] {
-                let tol = 2.0 * ulp(want.abs().max(2f64.powi(-10)));
-                assert!(
-                    (got - want).abs() <= tol,
-                    "{f}({x:e}) = {got:e}, libm {want:e}: {} ulp",
-                    (got - want).abs() / ulp(want)
+        let mut libm_lanes = 0;
+        for ((&x, &s), &c) in xs.iter().zip(&sn).zip(&cs) {
+            if !x.is_finite() {
+                assert!(s.is_nan() && c.is_nan(), "sincos({x:e}) = ({s}, {c})");
+            } else if x.abs() > SINCOS_MAX {
+                assert_eq!(
+                    (s.to_bits(), c.to_bits()),
+                    (x.sin().to_bits(), x.cos().to_bits()),
+                    "sincos({x:e}) past the reduction is libm's"
                 );
+                libm_lanes += 1;
+            } else {
+                for (got, want, f) in [(s, x.sin(), "sin"), (c, x.cos(), "cos")] {
+                    let tol = 2.0 * ulp(want.abs().max(2f64.powi(-10)));
+                    assert!(
+                        (got - want).abs() <= tol,
+                        "{f}({x:e}) = {got:e}, libm {want:e}: {} ulp",
+                        (got - want).abs() / ulp(want)
+                    );
+                }
+                assert_eq!(s.to_bits() >> 63, x.sin().to_bits() >> 63, "sign of sin({x:e})");
             }
-            assert_eq!(s.to_bits() >> 63, x.sin().to_bits() >> 63, "sign of sin({x:e})");
         }
-        for ((&x, &s), &c) in xs.iter().zip(&sn).zip(&cs).skip(n) {
-            assert!(s.is_nan() && c.is_nan(), "sincos({x:e}) = ({s}, {c})");
-        }
+        assert!(libm_lanes > 20_000, "{libm_lanes} arguments past the reduction");
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! several contributions into one gradient slot, the first contribution
 //! is assigned and later ones are added in the same order. No kernel uses
 //! a fused multiply-add, so the vector paths agree bit for bit with the
-//! scalar path. libm `sin`/`cos` are not here: the callers evaluate them
-//! once per element and pass the values in.
+//! scalar path. The sine and cosine themselves are not here: the callers
+//! evaluate them once per value element with [`super::sincos`] or
+//! [`super::sincos_rows`] and pass the values in.
 //!
 //! **Safety.** Every `unsafe fn` here reads and writes whole lane vectors
 //! by raw offset. Its caller guarantees that each block slice holds

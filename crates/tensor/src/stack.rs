@@ -251,8 +251,9 @@ impl Tensor {
     }
 
     /// Sine over a jet stack: `u = sin z`, `σ' = cos z`, `σ'' = −sin z`.
-    /// libm runs once per value element; returns the stack and `cos z` of
-    /// the value block, which the backward pass reuses.
+    /// The SIMD `sincos` runs once per value element (the bits of
+    /// [`Tensor::sin`] and [`Tensor::cos`]); returns the stack and `cos z`
+    /// of the value block, which the backward pass reuses.
     pub fn jet_sin(&self, k: usize, k2: usize) -> (Tensor, Tensor) {
         let (rows, w, n) = stack_dims(self, k, k2);
         let mut out = pool::take_uninit(rows * w);
@@ -265,10 +266,7 @@ impl Tensor {
                 .zip(cos.chunks_mut(r * w))
                 .collect();
             run(tasks, rows * w, |((z, mut o), c)| {
-                for ((s, c), &x) in o[0].iter_mut().zip(c.iter_mut()).zip(z[0]) {
-                    *s = x.sin();
-                    *c = x.cos();
-                }
+                simd::sincos(z[0], o[0], c);
                 simd::sin_jet_fwd(c, &z, &mut o, k, k2)
             });
         }
@@ -305,8 +303,9 @@ impl Tensor {
 
     /// Sine and cosine jets of a `[(1+k+k2)·n, w]` stack side by side:
     /// every output row is `[sin part | cos part]`, `2w` wide — the layout
-    /// of a per-block `hstack` of the two. libm runs once per value
-    /// element.
+    /// of a per-block `hstack` of the two. The SIMD `sincos` runs once per
+    /// value element, on whole vectors even for rows narrower than one, so
+    /// the value rows hold the bits of [`Tensor::sin`] and [`Tensor::cos`].
     pub fn jet_sin_cos(&self, k: usize, k2: usize) -> Tensor {
         let (rows, w, _) = stack_dims(self, k, k2);
         let mut out = pool::take_uninit(rows * 2 * w);
@@ -317,13 +316,7 @@ impl Tensor {
                 .zip(by_chunk_mut(&mut out, b, 2 * w, r))
                 .collect();
             run(tasks, rows * 2 * w, |(z, mut o)| {
-                for (orow, zrow) in o[0].chunks_exact_mut(2 * w).zip(z[0].chunks_exact(w)) {
-                    let (s, c) = orow.split_at_mut(w);
-                    for ((s, c), &x) in s.iter_mut().zip(c.iter_mut()).zip(zrow) {
-                        *s = x.sin();
-                        *c = x.cos();
-                    }
-                }
+                simd::sincos_rows(z[0], w, o[0]);
                 simd::sincos_jet_fwd(&z, &mut o, k, k2, w)
             });
         }
@@ -380,6 +373,47 @@ mod tests {
             dw.push(d);
         }
         (dx, dw)
+    }
+
+    #[test]
+    fn sine_jet_values_are_the_elementwise_sin_and_cos() {
+        // The per-slot jet oracle builds `sin z` and `cos z` of the value
+        // block with `Tensor::sin`/`cos`: the stacked kernels must give
+        // those bits, past the reduction's range as well.
+        let _g = WIDTH_LOCK.lock().unwrap();
+        // (row width, k, k2): rows narrower than a vector, and wider ones
+        // with and without a ragged tail.
+        let shapes = [(1, 2, 1), (2, 0, 0), (3, 1, 0), (7, 0, 0), (8, 1, 1), (9, 2, 2), (33, 3, 2), (72, 2, 0)];
+        for simd in [1, 4, 8] {
+            with_width(simd, || {
+                for (w, k, k2) in shapes {
+                    let n = 37;
+                    let rows = (1 + k + k2) * n;
+                    let z = Tensor::from_vec(
+                        [rows, w],
+                        (0..rows * w)
+                            .map(|i| (i as f64 * 0.61).sin() * if i % 29 == 3 { 3e9 } else { 9.0 })
+                            .collect::<Vec<_>>(),
+                    );
+                    let v = z.rows(0, n);
+                    let (sin, cos) = (v.sin(), v.cos());
+                    let at = format!("width {simd}, rows of {w}, k {k}, k2 {k2}");
+                    let (s, c) = z.jet_sin(k, k2);
+                    assert_eq!(bits(&s.data()[..n * w]), bits(sin.data()), "jet_sin value, {at}");
+                    assert_eq!(bits(c.data()), bits(cos.data()), "jet_sin saved cos, {at}");
+                    let sc = z.jet_sin_cos(k, k2);
+                    let want: Vec<f64> = sin
+                        .data()
+                        .chunks(w)
+                        .zip(cos.data().chunks(w))
+                        .flat_map(|(s, c)| s.iter().chain(c))
+                        .copied()
+                        .collect();
+                    let got = bits(&sc.data()[..2 * n * w]);
+                    assert_eq!(got, bits(&want), "jet_sin_cos value rows, {at}");
+                }
+            });
+        }
     }
 
     #[test]

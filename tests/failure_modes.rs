@@ -110,7 +110,8 @@ fn collect_grads_is_total_even_for_untouched_params() {
 #[test]
 fn predictions_stay_finite_for_extreme_inputs() {
     // tanh saturation + periodic wrapping must keep outputs finite far
-    // outside the training box.
+    // outside the training box, also where the embeddings' angles pass
+    // the SIMD sincos reduction's 2²⁹ range.
     use qpinn::core::{FieldNet, FieldNetConfig};
     use rand::{rngs::StdRng, SeedableRng};
     let mut params = ParamSet::new();
@@ -123,7 +124,7 @@ fn predictions_stay_finite_for_extreme_inputs() {
     );
     let out = net.predict(
         &params,
-        &[vec![1e6, 1e6], vec![-1e6, -42.0], vec![0.0, 1e3]],
+        &[vec![1e6, 1e6], vec![-1e6, -42.0], vec![0.0, 1e3], vec![1e10, -1e12]],
     );
     assert!(out.all_finite());
 }
