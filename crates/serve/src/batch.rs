@@ -1,16 +1,20 @@
 //! Micro-batching: coalesce concurrent eval requests for the same model
 //! version into one forward pass.
 //!
-//! One [`Batcher`] (and one dispatch thread) exists per resolved
-//! `(model id, version)`. Requests enqueue an [`EvalJob`] and block on a
-//! channel. The dispatcher is work-conserving: as soon as it is free it
-//! drains whatever is queued, up to [`MAX_BATCH_REQUESTS`] requests and
-//! [`MAX_BATCH_POINTS`] points, runs a
-//! single [`FieldNet::predict_batch`] over the concatenated coordinates,
-//! and scatters each request's rows back through its channel. Nothing
-//! is held back to wait for companions; requests that arrive while a
-//! flush computes coalesce into the next one, so batches grow exactly
-//! when the model is busy.
+//! One [`Batcher`] serves every model through one FIFO, drained by one
+//! flush thread that the server starts with its other threads. Requests
+//! enqueue an [`EvalJob`] carrying the model version they resolved to and
+//! block on a channel. The flush thread is work-conserving: as soon as it
+//! is free it takes the head job and the queued jobs of the same model
+//! behind it, up to [`MAX_BATCH_REQUESTS`] requests and
+//! [`MAX_BATCH_POINTS`] points, runs a single
+//! [`FieldNet::predict_batch`] over the concatenated coordinates, and
+//! scatters each request's rows back through its channel. Other models'
+//! jobs keep their places, so a flush never mixes models. Nothing is
+//! held back to wait for companions; requests that arrive while a flush
+//! computes coalesce into a later one, so batches grow exactly when the
+//! server is busy. Flushes of different models run one after another: a
+//! request's queue wait includes any other model's flush ahead of it.
 //!
 //! Batching is *transparent*: `predict_batch` evaluates each row with
 //! the same fixed-order dot products regardless of what else shares the
@@ -73,8 +77,9 @@ type JobResult = Result<(Vec<f64>, EvalTiming), String>;
 /// in the batch (a request cannot finish before its batch does).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EvalTiming {
-    /// Wait from enqueue until the dispatcher began draining the batch,
-    /// including any time spent behind a flush that was still running.
+    /// Wait from enqueue until the flush thread began draining the
+    /// batch, including any time spent behind a flush that was still
+    /// running, of this model or another.
     pub queue_ns: u64,
     /// Forming and draining the batch: from the start of the drain to
     /// the hand-off to the forward pass. The same for every request in
@@ -101,7 +106,8 @@ pub struct EvalOutput {
 /// Why a submission was refused without being queued.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The per-model queue is at capacity — shed (`429 Retry-After`).
+    /// The model's queued requests are at capacity — shed
+    /// (`429 Retry-After`).
     QueueFull,
     /// Coordinate count is not a multiple of the model's input arity.
     BadShape {
@@ -113,72 +119,49 @@ pub enum SubmitError {
 }
 
 struct Queue {
-    jobs: VecDeque<EvalJob>,
+    /// Every model's queued jobs in arrival order, each beside the model
+    /// it evaluates.
+    jobs: VecDeque<(Arc<LoadedModel>, EvalJob)>,
     closed: bool,
 }
 
-/// Per-model-version batching front end. Cheap to clone via `Arc`.
+/// The batching front end every model version shares: the flush thread
+/// runs [`Batcher::run`], connection workers call [`Batcher::eval`].
 pub struct Batcher {
-    model: Arc<LoadedModel>,
     cfg: BatchConfig,
     queue: Mutex<Queue>,
-    /// Signals the dispatch thread that jobs arrived (or shutdown).
+    /// Signals the flush thread that jobs arrived (or shutdown).
     signal: Condvar,
 }
 
 impl Batcher {
-    /// Spawn a batcher (and its dispatch thread) for `model`. Returns
-    /// the handle plus the thread's `JoinHandle` for clean shutdown, or
-    /// the error of a failed thread spawn (failpoint
-    /// `serve.thread_spawn`).
-    pub fn spawn(
-        model: Arc<LoadedModel>,
-        cfg: BatchConfig,
-    ) -> std::io::Result<(Arc<Batcher>, std::thread::JoinHandle<()>)> {
-        let batcher = Arc::new(Batcher {
-            model,
+    /// An open batcher with an empty queue. Nothing is flushed until a
+    /// thread runs [`Batcher::run`].
+    pub fn new(cfg: BatchConfig) -> Batcher {
+        Batcher {
             cfg,
             queue: Mutex::new(Queue {
                 jobs: VecDeque::new(),
                 closed: false,
             }),
             signal: Condvar::new(),
-        });
-        let worker = batcher.clone();
-        qpinn_testkit::fail_io("serve.thread_spawn")?;
-        let join = std::thread::Builder::new()
-            .name(format!(
-                "qpinn-batch-{}@{}",
-                worker.model.id, worker.model.version
-            ))
-            .spawn(move || worker.run())?;
-        Ok((batcher, join))
+        }
     }
 
-    /// The model this batcher evaluates.
-    pub fn model(&self) -> &Arc<LoadedModel> {
-        &self.model
-    }
-
-    /// Submit `coords` (row-major, `n_points * arity`) for evaluation.
+    /// Evaluate `coords` (row-major, `n_points * arity`) on `model`.
     /// Blocks the calling (connection-worker) thread until the batch
     /// containing this request is dispatched and returns this request's
-    /// output rows, `n_points * n_fields` long.
-    pub fn eval(&self, coords: Vec<f64>) -> Result<Vec<f64>, SubmitError> {
-        self.eval_traced(coords, &TraceCtx::disabled())
-            .map(|out| out.rows)
-    }
-
-    /// Like [`Batcher::eval`] but carries the request's [`TraceCtx`]
-    /// into the queue and returns the latency decomposition alongside
-    /// the rows. The trace id rides the job through the dispatcher
-    /// flush, so the flush span event can name every request it served.
-    pub fn eval_traced(
+    /// output rows, `n_points * n_fields` long, with their latency
+    /// decomposition. The request's [`TraceCtx`] id rides the job through
+    /// the flush, so the flush span event can name every request it
+    /// served.
+    pub fn eval(
         &self,
+        model: &Arc<LoadedModel>,
         coords: Vec<f64>,
         trace: &TraceCtx,
     ) -> Result<EvalOutput, SubmitError> {
-        match self.submit(coords, trace)?.recv() {
+        match self.submit(model, coords, trace)?.recv() {
             Ok(Ok((rows, timing))) => Ok(EvalOutput { rows, timing }),
             // An eval failure surfaces as a 500 on this request only.
             Ok(Err(_msg)) => Err(SubmitError::Closed),
@@ -186,13 +169,15 @@ impl Batcher {
         }
     }
 
-    /// Queue `coords` and return the channel its result arrives on.
+    /// Queue `coords` for `model` and return the channel its result
+    /// arrives on.
     fn submit(
         &self,
+        model: &Arc<LoadedModel>,
         coords: Vec<f64>,
         trace: &TraceCtx,
     ) -> Result<mpsc::Receiver<JobResult>, SubmitError> {
-        let arity = self.model.net.n_coords();
+        let arity = model.net.n_coords();
         if arity == 0 || !coords.len().is_multiple_of(arity) || coords.is_empty() {
             return Err(SubmitError::BadShape {
                 expected_arity: arity,
@@ -205,24 +190,26 @@ impl Batcher {
             if q.closed {
                 return Err(SubmitError::Closed);
             }
-            if q.jobs.len() >= self.cfg.queue_cap {
+            let queued = q.jobs.iter().filter(|(m, _)| Arc::ptr_eq(m, model)).count();
+            if queued >= self.cfg.queue_cap {
                 qpinn_telemetry::counter(names::SERVE_SHED).inc();
                 return Err(SubmitError::QueueFull);
             }
-            q.jobs.push_back(EvalJob {
+            let job = EvalJob {
                 coords,
                 n_points,
                 trace: if trace.on { trace.id.clone() } else { String::new() },
                 enq_ns: now_ns(),
                 tx,
-            });
+            };
+            q.jobs.push_back((model.clone(), job));
             qpinn_telemetry::gauge(names::SERVE_QUEUE_DEPTH).set(q.jobs.len() as f64);
         }
         self.signal.notify_one();
         Ok(rx)
     }
 
-    /// Stop the dispatch thread once the queue drains. Pending jobs are
+    /// Stop the flush loop once the queue drains. Pending jobs are
     /// still dispatched; new submissions fail with [`SubmitError::Closed`].
     pub fn close(&self) {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -231,45 +218,51 @@ impl Batcher {
         self.signal.notify_all();
     }
 
-    /// Dispatch loop: wait for work → drain → one forward pass →
-    /// scatter. Never waits while jobs are queued.
-    fn run(&self) {
+    /// The flush loop, run by one thread until [`Batcher::close`]: wait
+    /// for work → drain one model's batch → one forward pass → scatter.
+    /// Never waits while jobs are queued.
+    pub fn run(&self) {
         loop {
-            let (batch, drain_start_ns, drain_ns) = {
+            let (model, batch, drain_start_ns, drain_ns) = {
                 let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-                while q.jobs.is_empty() {
+                let (model, first) = loop {
+                    if let Some(head) = q.jobs.pop_front() {
+                        break head;
+                    }
                     if q.closed {
                         return;
                     }
                     q = self.signal.wait(q).unwrap_or_else(|e| e.into_inner());
-                }
+                };
                 // Everything a queued job waited before this point, idle
-                // wake-up or a previous flush, is its queue_ns.
+                // wake-up or an earlier flush, is its queue_ns.
                 let drain_start_ns = now_ns();
-                // Drain up to the caps (first job always ships).
-                let mut batch: Vec<EvalJob> = Vec::new();
-                let mut points = 0usize;
-                while let Some(job) = q.jobs.front() {
-                    if !batch.is_empty()
-                        && (batch.len() >= MAX_BATCH_REQUESTS
-                            || points + job.n_points > MAX_BATCH_POINTS)
+                // The head job always ships; its model's later jobs join
+                // it in arrival order up to the caps, and other models'
+                // jobs stay queued.
+                let mut points = first.n_points;
+                let mut batch = vec![first];
+                let mut i = 0;
+                while let Some((m, job)) = q.jobs.get(i) {
+                    if !Arc::ptr_eq(m, &model) {
+                        i += 1;
+                        continue;
+                    }
+                    if batch.len() >= MAX_BATCH_REQUESTS || points + job.n_points > MAX_BATCH_POINTS
                     {
                         break;
                     }
                     points += job.n_points;
-                    batch.push(q.jobs.pop_front().unwrap());
+                    batch.extend(q.jobs.remove(i).map(|(_, job)| job));
                 }
                 qpinn_telemetry::gauge(names::SERVE_QUEUE_DEPTH).set(q.jobs.len() as f64);
-                (batch, drain_start_ns, now_ns())
+                (model, batch, drain_start_ns, now_ns())
             };
-            self.dispatch(batch, drain_start_ns, drain_ns);
+            Self::dispatch(model, batch, drain_start_ns, drain_ns);
         }
     }
 
-    fn dispatch(&self, batch: Vec<EvalJob>, drain_start_ns: u64, drain_ns: u64) {
-        if batch.is_empty() {
-            return;
-        }
+    fn dispatch(model: Arc<LoadedModel>, batch: Vec<EvalJob>, drain_start_ns: u64, drain_ns: u64) {
         // Chaos hook: a stalled flush delays this batch's responses and
         // backs up the queue, which the next batch's `queue_ns` must
         // expose. The queue lock is NOT held here, so admission control
@@ -282,14 +275,14 @@ impl Batcher {
         qpinn_telemetry::histogram(names::SERVE_BATCH_SIZE).record(batch.len() as u64);
         qpinn_telemetry::histogram(names::SERVE_BATCH_POINTS).record(total_points as u64);
         qpinn_telemetry::counter(names::SERVE_BATCH_FLUSHES).inc();
-        let arity = self.model.net.n_coords();
+        let arity = model.net.n_coords();
         let mut coords = Vec::with_capacity(total_points * arity);
         for job in &batch {
             coords.extend_from_slice(&job.coords);
         }
         let compute_start_ns = now_ns();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.model.net.predict_batch(&self.model.params, &coords)
+            model.net.predict_batch(&model.params, &coords)
         }));
         // Batch sizes vary from flush to flush, so a kept buffer free list
         // would pin the largest batch's buffers; hand them back instead.
@@ -301,7 +294,7 @@ impl Batcher {
             let mut e = Event::new(Kind::Span, "serve_flush")
                 .field("path", "serve_flush")
                 .field("dur_ns", compute_end_ns.saturating_sub(drain_start_ns))
-                .field("model", self.model.qualified_name())
+                .field("model", model.qualified_name())
                 .field("batch", batch.len() as u64)
                 .field("points", total_points as u64);
             let traces: Vec<&str> = batch
@@ -314,6 +307,9 @@ impl Batcher {
             }
             qpinn_telemetry::emit(e);
         }
+        // Let go of the model before the first reply: a caller holding its
+        // answer never finds the flush pinning a version the registry evicted.
+        drop(model);
         let batch_size = batch.len() as u64;
         let timing_for = move |job: &EvalJob| EvalTiming {
             queue_ns: drain_start_ns.saturating_sub(job.enq_ns),
@@ -354,8 +350,16 @@ mod tests {
     use qpinn_nn::ParamSet;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
-    fn resident_model(tag: &str) -> (Arc<LoadedModel>, std::path::PathBuf) {
+    /// The stall failpoint and the queue-depth gauge are process-global;
+    /// keep the tests that arm or read them from overlapping.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn resident_model(tag: &str, net: FieldNetConfig) -> (Arc<LoadedModel>, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "qpinn-serve-batch-{tag}-{}",
             std::process::id()
@@ -366,7 +370,7 @@ mod tests {
             name: "tdse".into(),
             seed: 7,
             problem: String::new(),
-            net: FieldNetConfig::standard_wave(12.0, 1.0, 8, 1),
+            net,
         };
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(spec.seed);
@@ -383,10 +387,22 @@ mod tests {
         (reg.resolve("m").unwrap(), dir)
     }
 
+    fn wave_model(tag: &str) -> (Arc<LoadedModel>, std::path::PathBuf) {
+        resident_model(tag, FieldNetConfig::standard_wave(12.0, 1.0, 8, 1))
+    }
+
+    /// Run `batcher`'s flush thread.
+    fn start(batcher: &Arc<Batcher>) -> std::thread::JoinHandle<()> {
+        let flusher = batcher.clone();
+        std::thread::spawn(move || flusher.run())
+    }
+
     #[test]
     fn coalesced_results_are_bit_identical_to_solo() {
-        let (model, dir) = resident_model("coalesce");
-        let (batcher, join) = Batcher::spawn(model.clone(), BatchConfig::default()).unwrap();
+        let _serial = serial();
+        let (model, dir) = wave_model("coalesce");
+        let batcher = Arc::new(Batcher::new(BatchConfig::default()));
+        let join = start(&batcher);
         // Solo reference for each request, straight through the net.
         let reqs: Vec<Vec<f64>> = (0..4)
             .map(|i| {
@@ -403,18 +419,18 @@ mod tests {
             .iter()
             .map(|c| model.net.predict_batch(&model.params, c).data().to_vec())
             .collect();
-        // Keep the dispatcher busy: every flush stalls 25 ms with the
+        // Keep the flush thread busy: every flush stalls 25 ms with the
         // queue unlocked. Once it has drained the first request, the
         // four queued behind that flush coalesce into the next one.
         let off = TraceCtx::disabled();
         let _stall = qpinn_testkit::arm("serve.flush_stall", qpinn_testkit::Trigger::Always);
-        let first = batcher.submit(vec![0.0, 0.1], &off).unwrap();
+        let first = batcher.submit(&model, vec![0.0, 0.1], &off).unwrap();
         while !batcher.queue.lock().unwrap().jobs.is_empty() {
             std::thread::yield_now();
         }
         let replies: Vec<_> = reqs
             .iter()
-            .map(|c| batcher.submit(c.clone(), &off).unwrap())
+            .map(|c| batcher.submit(&model, c.clone(), &off).unwrap())
             .collect();
         assert_eq!(first.recv().unwrap().unwrap().1.batch_size, 1);
         let mut largest = 0;
@@ -432,23 +448,104 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Two models of different arity share the one queue. Queued
+    /// interleaved while no flush runs, the queue-depth gauge counts both
+    /// models' requests; drained, each flush serves one model, its
+    /// requests coalesce past the other model's, and every reply equals
+    /// the solo forward pass bit for bit.
+    #[test]
+    fn two_models_share_the_queue_but_never_a_flush() {
+        let _serial = serial();
+        let (wave, wave_dir) = wave_model("mix-wave");
+        let (plain, plain_dir) = resident_model("mix-plain", FieldNetConfig::plain(3, 8, 1, 1));
+        assert_ne!(wave.net.n_coords(), plain.net.n_coords());
+        let reqs: Vec<(&Arc<LoadedModel>, Vec<f64>)> = (0..6)
+            .map(|i| {
+                let model = if i % 2 == 0 { &wave } else { &plain };
+                let len = (i + 1) * model.net.n_coords();
+                (
+                    model,
+                    (0..len).map(|j| -2.0 + 0.37 * (7 * i + j) as f64).collect(),
+                )
+            })
+            .collect();
+        // The flush thread starts only once every request is queued, so
+        // the interleaving does not depend on scheduling.
+        let batcher = Arc::new(Batcher::new(BatchConfig::default()));
+        let off = TraceCtx::disabled();
+        let replies: Vec<_> = reqs
+            .iter()
+            .map(|(model, coords)| batcher.submit(model, coords.clone(), &off).unwrap())
+            .collect();
+        let depth = qpinn_telemetry::gauge(names::SERVE_QUEUE_DEPTH).get();
+        assert_eq!(
+            depth,
+            reqs.len() as f64,
+            "queue depth is not both models' sum"
+        );
+        let join = start(&batcher);
+        // Requests that shared a flush share its end stamp.
+        let mut flushes: BTreeMap<u64, Vec<(*const LoadedModel, u64)>> = BTreeMap::new();
+        for ((model, coords), reply) in reqs.iter().zip(replies) {
+            let (got, timing) = reply
+                .recv_timeout(Duration::from_secs(60))
+                .expect("no reply: the flush thread is gone")
+                .unwrap();
+            let solo = model.net.predict_batch(&model.params, coords);
+            assert_eq!(got.len(), solo.data().len());
+            for (a, b) in got.iter().zip(solo.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "batched row differs from solo");
+            }
+            flushes
+                .entry(timing.compute_end_ns)
+                .or_default()
+                .push((Arc::as_ptr(model), timing.batch_size));
+        }
+        assert_eq!(flushes.len(), 2, "{flushes:?}");
+        for members in flushes.values() {
+            assert!(
+                members.iter().all(|m| m.0 == members[0].0),
+                "a flush mixed models"
+            );
+            assert!(members.iter().all(|m| m.1 == members.len() as u64));
+        }
+        batcher.close();
+        join.join().unwrap();
+        let _ = std::fs::remove_dir_all(&wave_dir);
+        let _ = std::fs::remove_dir_all(&plain_dir);
+    }
+
     #[test]
     fn queue_cap_sheds_and_shapes_are_checked() {
-        let (model, dir) = resident_model("shed");
-        let (batcher, join) = Batcher::spawn(model, BatchConfig { queue_cap: 1 }).unwrap();
+        let _serial = serial();
+        let (model, dir) = wave_model("shed");
+        let batcher = Arc::new(Batcher::new(BatchConfig { queue_cap: 1 }));
+        let join = start(&batcher);
+        let off = TraceCtx::disabled();
+        let eval = |coords| batcher.eval(&model, coords, &off).map(|out| out.rows);
         assert_eq!(
-            batcher.eval(vec![1.0, 2.0, 3.0]).unwrap_err(),
+            eval(vec![1.0, 2.0, 3.0]).unwrap_err(),
             SubmitError::BadShape { expected_arity: 2 }
         );
         assert!(matches!(
-            batcher.eval(vec![]).unwrap_err(),
+            eval(vec![]).unwrap_err(),
             SubmitError::BadShape { .. }
         ));
         // A well-formed request still works (1 point × 2 fields).
-        assert_eq!(batcher.eval(vec![0.1, 0.2]).unwrap().len(), 2);
+        assert_eq!(eval(vec![0.1, 0.2]).unwrap().len(), 2);
+        // The cap counts each model's queued requests: with no flush
+        // running, one model's second request sheds while another
+        // model's first still queues.
+        let (plain, plain_dir) = resident_model("shed-plain", FieldNetConfig::plain(3, 8, 1, 1));
+        let idle = Batcher::new(BatchConfig { queue_cap: 1 });
+        idle.submit(&model, vec![0.1, 0.2], &off).unwrap();
+        let shed = idle.submit(&model, vec![0.1, 0.2], &off).unwrap_err();
+        assert_eq!(shed, SubmitError::QueueFull);
+        idle.submit(&plain, vec![0.1, 0.2, 0.3], &off).unwrap();
         batcher.close();
-        assert_eq!(batcher.eval(vec![0.1, 0.2]).unwrap_err(), SubmitError::Closed);
+        assert_eq!(eval(vec![0.1, 0.2]).unwrap_err(), SubmitError::Closed);
         join.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&plain_dir);
     }
 }

@@ -1,6 +1,7 @@
-//! Train-job submission: `POST /v1/train` accepts a job, a background
-//! thread runs the trainer, and `GET /v1/jobs/<id>/progress` streams
-//! live epoch/loss/ETA read from the existing [`ProgressHook`] plumbing.
+//! Train-job submission: `POST /v1/train` queues a job, one runner
+//! thread trains the queued jobs one at a time in submit order, and
+//! `GET /v1/jobs/<id>/progress` streams live epoch/loss/ETA read from
+//! the existing [`ProgressHook`] plumbing.
 //!
 //! On success the trained parameters are published to the
 //! [`ModelRegistry`] as the next version of the requested model id; the
@@ -25,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// A parsed `POST /v1/train` body.
 #[derive(Clone, Debug)]
@@ -56,7 +57,7 @@ impl TrainRequest {
     /// must pass the registry's id rule, and the sizes must stay within
     /// the serving limits (depth at most 16), so a request the job could
     /// not publish, or whose network would not fit in memory, is refused
-    /// before any thread starts.
+    /// before it is queued.
     pub fn from_json(body: &Json) -> Result<TrainRequest, String> {
         let model_id = body
             .get("model_id")
@@ -164,7 +165,7 @@ pub fn job_train_config(req: &TrainRequest, hook: Option<ProgressHook>) -> Train
 /// Life stages of a submitted job.
 #[derive(Clone, Debug)]
 pub enum JobStatus {
-    /// Accepted, thread not yet training.
+    /// Accepted, waiting for the runner.
     Queued,
     /// Training.
     Running,
@@ -182,7 +183,7 @@ pub enum JobStatus {
     },
 }
 
-/// Mutable state of one job, shared with its training thread.
+/// Mutable state of one job, shared with the runner.
 struct JobEntry {
     model_id: String,
     /// Trace id of the submitting HTTP request (empty when tracing was
@@ -197,22 +198,37 @@ struct JobEntry {
     progress: Progress,
 }
 
-/// Owns job state and training threads.
+/// A submitted job waiting for the runner.
+struct QueuedJob {
+    id: String,
+    entry: Arc<Mutex<JobEntry>>,
+    req: TrainRequest,
+    trace: String,
+    run: Option<qpinn_core::runs::RunConfig>,
+}
+
+/// Owns job state and the queue the runner trains from.
 pub struct JobManager {
     registry: Arc<ModelRegistry>,
     jobs: Mutex<HashMap<String, Arc<Mutex<JobEntry>>>>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The queue's sending end; `None` once closed.
+    queue: Mutex<Option<mpsc::Sender<QueuedJob>>>,
+    /// The queue's receiving end, held by the runner.
+    queued: Mutex<mpsc::Receiver<QueuedJob>>,
     next_id: AtomicU64,
     runs: Option<std::path::PathBuf>,
 }
 
 impl JobManager {
-    /// Manager publishing into `registry`.
+    /// Manager publishing into `registry`. Jobs train once a thread runs
+    /// [`JobManager::run`].
     pub fn new(registry: Arc<ModelRegistry>) -> Self {
+        let (tx, rx) = mpsc::channel();
         JobManager {
             registry,
             jobs: Mutex::new(HashMap::new()),
-            handles: Mutex::new(Vec::new()),
+            queue: Mutex::new(Some(tx)),
+            queued: Mutex::new(rx),
             next_id: AtomicU64::new(1),
             runs: None,
         }
@@ -226,12 +242,12 @@ impl JobManager {
         self
     }
 
-    /// Start a training thread for `req`; returns the job id to poll.
-    /// The submitting request's [`TraceCtx`] (if tracing is on) is
-    /// stored on the job and stamped onto its `train_job` span. A failed
-    /// thread spawn (failpoint `serve.thread_spawn`) returns its error
-    /// and leaves no job behind.
-    pub fn submit(&self, req: TrainRequest, ctx: &TraceCtx) -> std::io::Result<String> {
+    /// Queue `req` for the runner; returns the job id to poll. The job
+    /// reports `queued` until the runner takes it (for good, once the
+    /// manager is closed). The submitting request's [`TraceCtx`] (if
+    /// tracing is on) is stored on the job and stamped onto its
+    /// `train_job` span.
+    pub fn submit(&self, req: TrainRequest, ctx: &TraceCtx) -> String {
         let id = format!("job-{}", self.next_id.fetch_add(1, Ordering::Relaxed));
         let trace = if ctx.on { ctx.id.clone() } else { String::new() };
         // Pre-mint the run id so the progress document can point at the
@@ -259,23 +275,38 @@ impl JobManager {
             status: JobStatus::Queued,
             progress: Progress::default(),
         }));
-        let registry = self.registry.clone();
-        let job = entry.clone();
-        let thread_id = id.clone();
-        qpinn_testkit::fail_io("serve.thread_spawn")?;
-        let handle = std::thread::Builder::new()
-            .name(format!("qpinn-train-{thread_id}"))
-            .spawn(move || run_job(registry, job, req, thread_id, trace, run))?;
         self.jobs
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(id.clone(), entry);
+            .insert(id.clone(), entry.clone());
         qpinn_telemetry::counter(names::SERVE_JOBS_STARTED).inc();
-        self.handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
-        Ok(id)
+        let job = QueuedJob {
+            id: id.clone(),
+            entry,
+            req,
+            trace,
+            run,
+        };
+        if let Some(tx) = &*self.queue.lock().unwrap_or_else(|e| e.into_inner()) {
+            let _ = tx.send(job);
+        }
+        id
+    }
+
+    /// The runner loop, run by one thread: train queued jobs one at a
+    /// time in submit order, and return once [`JobManager::close`] was
+    /// called and the queue is empty.
+    pub fn run(&self) {
+        let queued = self.queued.lock().unwrap_or_else(|e| e.into_inner());
+        while let Ok(job) = queued.recv() {
+            run_job(&self.registry, job);
+        }
+    }
+
+    /// Let the runner return once the queued jobs have trained (clean
+    /// server shutdown; jobs are not cancelled, they finish).
+    pub fn close(&self) {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner()).take();
     }
 
     /// Render a job's progress document, with the HTTP status it should
@@ -333,20 +364,6 @@ impl JobManager {
         }
         Some((Json::obj(fields), failed))
     }
-
-    /// Block until every submitted job's thread has exited (clean server
-    /// shutdown; jobs are not cancelled, they finish).
-    pub fn join_all(&self) {
-        let handles: Vec<_> = self
-            .handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-    }
 }
 
 fn fail(entry: &Arc<Mutex<JobEntry>>, error: String) {
@@ -354,19 +371,13 @@ fn fail(entry: &Arc<Mutex<JobEntry>>, error: String) {
     entry.lock().unwrap_or_else(|e| e.into_inner()).status = JobStatus::Failed { error };
 }
 
-fn run_job(
-    registry: Arc<ModelRegistry>,
-    entry: Arc<Mutex<JobEntry>>,
-    req: TrainRequest,
-    job_id: String,
-    trace: String,
-    run: Option<qpinn_core::runs::RunConfig>,
-) {
+fn run_job(registry: &ModelRegistry, job: QueuedJob) {
+    let QueuedJob { id, entry, req, trace, run } = job;
     // The whole job runs under one span: the trainer's epoch/step spans
     // nest inside it, and the trace id (when the submitting request was
     // traced) lets a timeline tie the training track to that request.
     let mut job_span = qpinn_telemetry::span("train_job");
-    job_span.field("job", job_id).field("model", req.model_id.clone());
+    job_span.field("job", id).field("model", req.model_id.clone());
     if !trace.is_empty() {
         job_span.field("trace", trace);
     }
@@ -495,18 +506,22 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let id = jobs.submit(req, &TraceCtx::disabled()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(180);
-        loop {
-            let (doc, failed) = jobs.progress_json(&id).unwrap();
-            assert!(!failed, "zoo job failed: {}", doc);
-            if doc.get("state").unwrap().as_str() == Some("completed") {
-                break;
+        let id = jobs.submit(req, &TraceCtx::disabled());
+        // Closed, the runner trains what is queued and returns.
+        jobs.close();
+        std::thread::scope(|s| {
+            s.spawn(|| jobs.run());
+            let deadline = std::time::Instant::now() + Duration::from_secs(180);
+            loop {
+                let (doc, failed) = jobs.progress_json(&id).unwrap();
+                assert!(!failed, "zoo job failed: {}", doc);
+                if doc.get("state").unwrap().as_str() == Some("completed") {
+                    break;
+                }
+                assert!(std::time::Instant::now() < deadline, "zoo job did not finish");
+                std::thread::sleep(Duration::from_millis(20));
             }
-            assert!(std::time::Instant::now() < deadline, "zoo job did not finish");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        jobs.join_all();
+        });
         let model = registry.resolve("gs").unwrap();
         assert_eq!(model.spec.problem, "gray-scott");
         assert_eq!(model.net.n_fields(), 2);
@@ -532,21 +547,24 @@ mod tests {
         let registry =
             Arc::new(ModelRegistry::open(RegistryConfig::new(&dir)).unwrap());
         let jobs = JobManager::new(registry.clone());
-        let id = jobs.submit(tiny_request("served"), &TraceCtx::disabled()).unwrap();
-        // Poll to completion.
-        let deadline = std::time::Instant::now() + Duration::from_secs(120);
-        loop {
-            let (doc, failed) = jobs.progress_json(&id).unwrap();
-            let state = doc.get("state").unwrap().as_str().unwrap().to_string();
-            assert!(!failed, "job failed: {}", doc);
-            if state == "completed" {
-                assert_eq!(doc.get("version").unwrap().as_num(), Some(1.0));
-                break;
+        let id = jobs.submit(tiny_request("served"), &TraceCtx::disabled());
+        jobs.close();
+        std::thread::scope(|s| {
+            s.spawn(|| jobs.run());
+            // Poll to completion.
+            let deadline = std::time::Instant::now() + Duration::from_secs(120);
+            loop {
+                let (doc, failed) = jobs.progress_json(&id).unwrap();
+                let state = doc.get("state").unwrap().as_str().unwrap().to_string();
+                assert!(!failed, "job failed: {}", doc);
+                if state == "completed" {
+                    assert_eq!(doc.get("version").unwrap().as_num(), Some(1.0));
+                    break;
+                }
+                assert!(std::time::Instant::now() < deadline, "job did not finish");
+                std::thread::sleep(Duration::from_millis(20));
             }
-            assert!(std::time::Instant::now() < deadline, "job did not finish");
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        jobs.join_all();
+        });
         // The published model resolves and evaluates.
         let model = registry.resolve("served").unwrap();
         assert_eq!(model.version, 1);
@@ -555,6 +573,35 @@ mod tests {
             .predict_batch(&model.params, &[0.1, 0.2])
             .all_finite());
         assert!(jobs.progress_json("job-999").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Jobs wait as `queued` until the runner takes them, and the runner
+    /// trains them one at a time in submit order: two jobs for one model
+    /// id publish versions 1 and 2 in the order they were submitted.
+    #[test]
+    fn queued_jobs_train_in_submit_order() {
+        let dir = tmp_dir("order");
+        let registry = Arc::new(ModelRegistry::open(RegistryConfig::new(&dir)).unwrap());
+        let jobs = JobManager::new(registry.clone());
+        let ids: Vec<String> = (0..2)
+            .map(|_| jobs.submit(tiny_request("order"), &TraceCtx::disabled()))
+            .collect();
+        let state = |id: &str| {
+            let (doc, _) = jobs.progress_json(id).unwrap();
+            (doc.get("state").unwrap().as_str().unwrap().to_string(), doc)
+        };
+        for id in &ids {
+            assert_eq!(state(id).0, "queued");
+        }
+        jobs.close();
+        jobs.run();
+        for (id, version) in ids.iter().zip([1.0, 2.0]) {
+            let (state, doc) = state(id);
+            assert_eq!(state, "completed", "{doc}");
+            assert_eq!(doc.get("version").unwrap().as_num(), Some(version), "{id}");
+        }
+        assert_eq!(registry.resolve("order").unwrap().version, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,18 +17,19 @@
 //! * **Batching engine** ([`batch`]) — concurrent `POST /v1/eval`
 //!   requests for the same model version coalesce into one
 //!   `predict_batch` forward pass through the work-stealing pool
-//!   (size-bounded, work-conserving micro-batches: the dispatcher
-//!   drains whatever queued while it was busy), then scatter per
-//!   request.
+//!   (size-bounded, work-conserving micro-batches: one flush thread
+//!   serves every model from one queue, draining the head request's
+//!   model whenever it is free), then scatter per request.
 //!   Row-wise determinism makes batching invisible: responses are
 //!   bit-identical to solo evaluation.
-//! * **Admission control** ([`batch`], [`server`]) — bounded per-model
-//!   eval queues and a bounded connection queue; both shed with
+//! * **Admission control** ([`batch`], [`server`]) — per-model caps on
+//!   queued eval requests and a bounded connection queue; both shed with
 //!   `429 Too Many Requests` + `Retry-After` instead of queueing
-//!   without bound. A dispatcher or train-job thread that cannot be
-//!   spawned answers `503 Service Unavailable`.
-//! * **Train-job API** ([`jobs`]) — `POST /v1/train` runs the real
-//!   trainer on a background thread, streams epoch/loss/ETA through the
+//!   without bound. The server's threads all start with it; no request
+//!   starts one.
+//! * **Train-job API** ([`jobs`]) — `POST /v1/train` queues a job for
+//!   the one runner thread, which runs the real trainer on one job at a
+//!   time in submit order, streams epoch/loss/ETA through the
 //!   existing `ProgressHook` plumbing at
 //!   `GET /v1/jobs/<id>/progress`, and publishes the result into the
 //!   registry (atomically — a failed publish degrades to `503` and

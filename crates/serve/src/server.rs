@@ -9,6 +9,13 @@
 //! `429 Too Many Requests` + `Retry-After` instead of letting latency
 //! grow unbounded (per-model eval queues shed the same way).
 //!
+//! Every thread the server runs starts in [`ServeServer::start`] and no
+//! request starts one: the accept thread, the connection workers, one
+//! flush thread for every model's evals ([`crate::batch`]) and one runner
+//! for every train job ([`crate::jobs`]). Start-up is all or nothing: if
+//! one spawn fails, the threads already started are stopped and the
+//! port is released before `start` returns the error.
+//!
 //! | route                      | method | body                               |
 //! |----------------------------|--------|------------------------------------|
 //! | `/v1/models`               | GET    | registry listing                   |
@@ -29,7 +36,7 @@
 //! `x-qpinn-trace` header, else generating a fresh id — echoed back as
 //! an `x-qpinn-trace` response header. The context rides through body
 //! parsing and registry resolution (each a span event), the batch queue,
-//! and the dispatcher flush; on
+//! and the flush; on
 //! completion the request's latency decomposition (queue wait, batch
 //! drain, compute, serialization) lands in the
 //! `serve.latency.{queue,batch,compute,total}_ns` histograms, in span
@@ -43,12 +50,12 @@
 use crate::batch::{BatchConfig, Batcher, SubmitError};
 use crate::http::{read_request, ReadError, Request, Response};
 use crate::jobs::{JobManager, TrainRequest};
-use crate::registry::{ModelRegistry, RegistryConfig, RegistryError};
+use crate::registry::{LoadedModel, ModelRegistry, RegistryConfig, RegistryError};
 use crate::routes::{metrics_routes, runs_routes};
 use qpinn_core::report::Json;
 use qpinn_telemetry::event::{now_ns, write_json_num, write_json_str};
 use qpinn_telemetry::{access, names, AccessRecord, Event, Kind, TraceCtx};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -123,9 +130,7 @@ struct ConnQueue {
 struct Shared {
     registry: Arc<ModelRegistry>,
     jobs: JobManager,
-    batch_cfg: BatchConfig,
-    batchers: Mutex<HashMap<(String, u64), Arc<Batcher>>>,
-    batcher_joins: Mutex<Vec<JoinHandle<()>>>,
+    batcher: Batcher,
     started: Instant,
     runs_dir: std::path::PathBuf,
     queue: Mutex<ConnQueue>,
@@ -139,11 +144,15 @@ pub struct ServeServer {
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    /// The flush thread and the job runner.
+    engines: Vec<JoinHandle<()>>,
 }
 
 impl ServeServer {
     /// Bind `addr` (port 0 picks a free port), open the registry, and
-    /// start the accept thread + worker pool. No telemetry sink is
+    /// start the server's threads: the flush thread, the job runner, the
+    /// worker pool and the accept thread. A failed spawn stops the
+    /// threads already started and returns its error. No telemetry sink is
     /// installed: `/progress` reads the trainer's progress gauges, so it
     /// follows any training this process runs (including submitted train
     /// jobs) while the event layer stays dormant.
@@ -170,9 +179,7 @@ impl ServeServer {
         let shared = Arc::new(Shared {
             jobs: JobManager::new(registry.clone()).record_runs(cfg.runs.clone()),
             registry,
-            batch_cfg: cfg.batch,
-            batchers: Mutex::new(HashMap::new()),
-            batcher_joins: Mutex::new(Vec::new()),
+            batcher: Batcher::new(cfg.batch),
             started: Instant::now(),
             runs_dir: cfg
                 .runs
@@ -184,30 +191,46 @@ impl ServeServer {
             }),
             signal: Condvar::new(),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let shared = shared.clone();
-            let shutdown = shutdown.clone();
-            let cap = cfg.pending_cap;
-            std::thread::Builder::new()
-                .name("qpinn-serve-accept".into())
-                .spawn(move || accept_loop(listener, shared, shutdown, cap))?
-        };
-        let workers = (0..cfg.workers.max(1))
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("qpinn-serve-worker-{i}"))
-                    .spawn(move || worker_loop(shared))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(ServeServer {
+        let mut server = ServeServer {
             addr: local,
             shared,
-            shutdown,
-            accept: Some(accept),
-            workers,
-        })
+            shutdown: Arc::new(AtomicBool::new(false)),
+            accept: None,
+            workers: Vec::new(),
+            engines: Vec::new(),
+        };
+        if let Err(e) = server.spawn_threads(listener, cfg.workers.max(1), cfg.pending_cap) {
+            server.stop();
+            return Err(e);
+        }
+        Ok(server)
+    }
+
+    /// Start the server's threads, the accept thread last so that no
+    /// connection is taken before the rest run. On an error the threads
+    /// started so far stay in `self` for [`ServeServer::stop`], and an
+    /// unstarted accept thread's listener is dropped with its closure.
+    fn spawn_threads(
+        &mut self,
+        listener: TcpListener,
+        workers: usize,
+        pending_cap: usize,
+    ) -> std::io::Result<()> {
+        let shared = self.shared.clone();
+        let flush = spawn("qpinn-serve-flush".into(), move || shared.batcher.run())?;
+        self.engines.push(flush);
+        let shared = self.shared.clone();
+        let runner = spawn("qpinn-serve-jobs".into(), move || shared.jobs.run())?;
+        self.engines.push(runner);
+        for i in 0..workers {
+            let shared = self.shared.clone();
+            let name = format!("qpinn-serve-worker-{i}");
+            self.workers.push(spawn(name, move || worker_loop(shared))?);
+        }
+        let (shared, shutdown) = (self.shared.clone(), self.shutdown.clone());
+        let accept = move || accept_loop(listener, shared, shutdown, pending_cap);
+        self.accept = Some(spawn("qpinn-serve-accept".into(), accept)?);
+        Ok(())
     }
 
     /// The bound address (useful with port 0).
@@ -221,13 +244,13 @@ impl ServeServer {
     }
 
     /// Drain and stop: close the listener loop, finish queued
-    /// connections, join workers and per-model batchers, and wait for
-    /// any submitted train jobs to finish.
+    /// connections, join the workers, then let the flush thread drain
+    /// and the job runner finish the queued jobs, and join both.
     pub fn stop(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock accept() with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept.take() {
+            // Unblock accept() with a throwaway connection.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
         {
@@ -238,30 +261,21 @@ impl ServeServer {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        let batchers: Vec<Arc<Batcher>> = self
-            .shared
-            .batchers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain()
-            .map(|(_, b)| b)
-            .collect();
-        for b in &batchers {
-            b.close();
+        self.shared.batcher.close();
+        self.shared.jobs.close();
+        for h in self.engines.drain(..) {
+            let _ = h.join();
         }
-        let joins: Vec<_> = self
-            .shared
-            .batcher_joins
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
-        for j in joins {
-            let _ = j.join();
-        }
-        self.shared.jobs.join_all();
         access::flush();
     }
+}
+
+/// Spawn one of the server's threads. Every thread the server runs
+/// starts here, from [`ServeServer::start`]; the `serve.thread_spawn`
+/// failpoint fails the spawn.
+fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
+    qpinn_testkit::fail_io("serve.thread_spawn")?;
+    std::thread::Builder::new().name(name).spawn(body)
 }
 
 fn accept_loop(
@@ -334,7 +348,7 @@ fn worker_loop(shared: Arc<Shared>) {
 
 /// What a route learned about its request, accumulated for the latency
 /// histograms and the access record. Zeros mean "stage did not apply"
-/// (only eval requests reach a batcher).
+/// (only eval requests reach the batcher).
 #[derive(Default)]
 struct ReqMeta {
     /// `id@version` once a model resolved, else empty.
@@ -620,15 +634,6 @@ fn problems_route() -> Response {
     Response::json(DOC.get_or_init(|| qpinn_core::problems_doc().to_string()).clone())
 }
 
-/// A thread the request needed (a model's dispatcher, a train job) could
-/// not be spawned: refuse this request and keep the connection worker.
-fn spawn_failed(e: std::io::Error) -> Response {
-    err_json(
-        "503 Service Unavailable",
-        &format!("cannot start a thread: {e}"),
-    )
-}
-
 fn registry_error_response(e: RegistryError) -> Response {
     match e {
         RegistryError::NotFound(m) => err_json("404 Not Found", &m),
@@ -653,32 +658,15 @@ fn emit_stage(ctx: &TraceCtx, name: &str, path: &str, dur_ns: u64, ok: bool) {
     }
 }
 
-/// Fetch (or lazily spawn) the batcher for a resolved model version.
-/// With tracing on, registry resolution gets its own span event tied
-/// to the request's trace id (cache hits and cold loads both).
-fn batcher_for(
-    shared: &Shared,
-    model_ref: &str,
-    ctx: &TraceCtx,
-) -> Result<Arc<Batcher>, Response> {
+/// Resolve a model reference through the registry. With tracing on,
+/// resolution gets its own span event tied to the request's trace id
+/// (cache hits and cold loads both).
+fn resolve(shared: &Shared, model_ref: &str, ctx: &TraceCtx) -> Result<Arc<LoadedModel>, Response> {
     let resolve_start = now_ns();
     let resolved = shared.registry.resolve(model_ref);
     let resolve_ns = now_ns().saturating_sub(resolve_start);
     emit_stage(ctx, "request_resolve", "request/resolve", resolve_ns, resolved.is_ok());
-    let model = resolved.map_err(registry_error_response)?;
-    let key = (model.id.clone(), model.version);
-    let mut map = shared.batchers.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(b) = map.get(&key) {
-        return Ok(b.clone());
-    }
-    let (b, join) = Batcher::spawn(model, shared.batch_cfg.clone()).map_err(spawn_failed)?;
-    shared
-        .batcher_joins
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(join);
-    map.insert(key, b.clone());
-    Ok(b)
+    resolved.map_err(registry_error_response)
 }
 
 /// `POST /v1/eval`. The `request_parse` stage runs from the body to the
@@ -709,15 +697,15 @@ fn eval_route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta
             return err_json("400 Bad Request", msg);
         }
     };
-    let batcher = match batcher_for(shared, model_ref, ctx) {
-        Ok(b) => b,
+    let model = match resolve(shared, model_ref, ctx) {
+        Ok(m) => m,
         Err(resp) => return resp,
     };
-    meta.model = batcher.model().qualified_name();
-    meta.model_key = names::model_key(&batcher.model().id, batcher.model().version);
+    meta.model = model.qualified_name();
+    meta.model_key = names::model_key(&model.id, model.version);
     meta.points = points.len() as u64;
-    let arity = batcher.model().net.n_coords();
-    let n_fields = batcher.model().net.n_fields();
+    let arity = model.net.n_coords();
+    let n_fields = model.net.n_fields();
     let rows_start = now_ns();
     let mut coords = Vec::with_capacity(points.len() * arity);
     let bad_row = points.iter().position(|row| match row {
@@ -734,14 +722,13 @@ fn eval_route(req: &Request, shared: &Shared, ctx: &TraceCtx, meta: &mut ReqMeta
             &format!("points[{i}] must be an array of {arity} numbers"),
         );
     }
-    match batcher.eval_traced(coords, ctx) {
+    match shared.batcher.eval(&model, coords, ctx) {
         Ok(out) => {
             meta.queue_ns = out.timing.queue_ns;
             meta.batch_ns = out.timing.batch_ns;
             meta.compute_ns = out.timing.compute_ns;
             meta.compute_end_ns = out.timing.compute_end_ns;
             meta.batch = out.timing.batch_size;
-            let model = batcher.model();
             Response::json(eval_body(&model.id, model.version, n_fields, &out.rows))
         }
         Err(SubmitError::QueueFull) => {
@@ -797,10 +784,7 @@ fn train_route(req: &Request, shared: &Shared, ctx: &TraceCtx) -> Response {
     match parsed {
         Ok(train) => {
             let model_id = train.model_id.clone();
-            let job_id = match shared.jobs.submit(train, ctx) {
-                Ok(id) => id,
-                Err(e) => return spawn_failed(e),
-            };
+            let job_id = shared.jobs.submit(train, ctx);
             Response::json_status(
                 "202 Accepted",
                 Json::obj(vec![

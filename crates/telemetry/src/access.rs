@@ -67,10 +67,11 @@ pub struct AccessRecord {
     pub batch: u64,
     /// Evaluation points carried by this request (0 for non-eval routes).
     pub points: u64,
-    /// Time spent queued before the dispatcher began draining its batch,
-    /// including any wait behind a flush that was still running.
+    /// Time spent queued before the flush thread began draining its
+    /// batch, including any wait behind a flush that was still running,
+    /// of this model or another.
     pub queue_ns: u64,
-    /// Time the dispatcher spent forming and draining the batch.
+    /// Time the flush thread spent forming and draining the batch.
     pub batch_ns: u64,
     /// Forward-pass wall time of the dispatched batch (shared by every
     /// request in it, attributed whole to each).

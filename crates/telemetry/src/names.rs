@@ -32,18 +32,20 @@ pub const SERVE_BATCH_POINTS: &str = "serve.batch.points";
 /// Counter: forward-pass batches dispatched.
 pub const SERVE_BATCH_FLUSHES: &str = "serve.batch.flushes";
 
-/// Gauge: eval requests queued (all models) at last batch dispatch.
+/// Gauge: eval requests queued, all models together, as of the last
+/// enqueue or batch drain.
 pub const SERVE_QUEUE_DEPTH: &str = "serve.queue.depth";
 
-/// Histogram: nanoseconds an eval request waited in the per-model batch
-/// queue before the dispatcher began forming its batch. Per-route /
+/// Histogram: nanoseconds an eval request waited in the batch queue
+/// (one for every model) before the flush thread began forming its
+/// batch, including any other model's flush ahead of it. Per-route /
 /// per-model variants append `.by_route.<route>` / `.by_model.<id.vN>`
 /// to this and the other `serve.latency.*` bases (see
 /// [`route_key`] / [`model_key`]).
 pub const SERVE_LAT_QUEUE_NS: &str = "serve.latency.queue_ns";
 
-/// Histogram: nanoseconds the dispatcher spent forming and draining the
-/// batch that served a request (it never waits for companions).
+/// Histogram: nanoseconds the flush thread spent forming and draining
+/// the batch that served a request (it never waits for companions).
 pub const SERVE_LAT_BATCH_NS: &str = "serve.latency.batch_ns";
 
 /// Histogram: forward-pass wall time of the batch that served a request,

@@ -3,7 +3,7 @@
 //! A [`TraceCtx`] is minted once per HTTP request (or inherited from an
 //! inbound `x-qpinn-trace` header for cross-process propagation) and
 //! carried by value through registry resolution, the batching queue, the
-//! dispatcher flush, and `predict_batch`. The id ties together the span
+//! flush, and `predict_batch`. The id ties together the span
 //! events, the access-log record, and the response header for one
 //! request, so a timeline or a log line can be joined back to the exact
 //! HTTP exchange that produced it.

@@ -17,8 +17,8 @@
 //! | `persist.bitflip`     | persist store, post-publish   | one byte flipped in the published snapshot (silent corruption) |
 //! | `telemetry.sink_err`  | JSONL sink record path        | write skipped, counted via `telemetry.write_errors` |
 //! | `pool.steal_stall`    | rayon worker loop             | worker sleeps 2 ms before running a claimed task |
-//! | `serve.flush_stall`   | serve batcher, before a flush | dispatcher sleeps 25 ms before `predict_batch`; admission keeps shedding, the stall shows up in the next batch's `serve.latency.queue_ns` |
-//! | `serve.thread_spawn`  | serve batcher and train-job thread spawns | the spawn fails with an I/O error; the request gets `503` and no dispatcher or job is left behind |
+//! | `serve.flush_stall`   | serve batcher, before a flush | the flush thread sleeps 25 ms before `predict_batch`; admission keeps shedding, the stall shows up in the next batch's `serve.latency.queue_ns` |
+//! | `serve.thread_spawn`  | each thread spawn of `ServeServer::start` | the spawn fails with an I/O error; `start` stops the threads already started, releases the port and returns the error |
 //!
 //! ## Arming
 //!

@@ -894,14 +894,13 @@ fn route_histograms_are_keyed_by_route_not_path() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A thread spawn that fails answers `503` and costs the server nothing.
-/// With `serve.thread_spawn` armed, a train job and the first eval of a
-/// published model (which has to start the model's dispatcher) are
-/// refused, and the refused job leaves no entry and no started count.
-/// Disarmed, the same single-worker server trains and evaluates: the
-/// failure did not take its connection worker down.
+/// No request starts a thread, so a failing spawn refuses none. With
+/// `serve.thread_spawn` armed on a running one-worker server, the first
+/// eval of a published version answers `200`, and a train job is
+/// accepted with `202` and completes; no request even reaches the
+/// failpoint.
 #[test]
-fn failed_thread_spawns_answer_503_and_the_server_recovers() {
+fn requests_start_no_thread_so_failing_spawns_refuse_none() {
     let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp_dir("spawn");
     let mut cfg = ServeConfig::new(&dir);
@@ -918,22 +917,179 @@ fn failed_thread_spawns_answer_503_and_the_server_recovers() {
 
     {
         let _fp = testkit::arm("serve.thread_spawn", Trigger::Always);
-        let (status, doc) = http(addr, "POST", "/v1/train", Some(TRAIN_BODY));
-        assert!(status.contains("503"), "{status} {}", doc);
-        let (status, doc) = http(addr, "POST", "/v1/eval", Some(EVAL));
-        assert!(status.contains("503"), "{status} {}", doc);
-        let (status, _) = http(addr, "GET", "/v1/jobs/job-1/progress", None);
-        assert!(status.contains("404"), "{status}");
+        let (status, reply) = http(addr, "POST", "/v1/eval", Some(EVAL));
+        assert!(status.contains("200 OK"), "{status} {}", reply);
+        let (status, accepted) = http(addr, "POST", "/v1/train", Some(TRAIN_BODY));
+        assert!(status.contains("202"), "{status} {}", accepted);
+        let job_id = accepted
+            .get("job_id")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        poll_to_completion(addr, &job_id);
+        assert_eq!(
+            testkit::hits("serve.thread_spawn"),
+            0,
+            "a request tried to start a thread"
+        );
     }
-    assert_eq!(telemetry::counter(names::SERVE_JOBS_STARTED).get(), jobs_started);
+    assert_eq!(
+        telemetry::counter(names::SERVE_JOBS_STARTED).get(),
+        jobs_started + 1
+    );
 
-    let (status, reply) = http(addr, "POST", "/v1/eval", Some(EVAL));
-    assert!(status.contains("200 OK"), "{status} {}", reply);
-    let (status, accepted) = http(addr, "POST", "/v1/train", Some(TRAIN_BODY));
-    assert!(status.contains("202"), "{status}");
-    let job_id = accepted.get("job_id").unwrap().as_str().unwrap().to_string();
-    poll_to_completion(addr, &job_id);
-    assert_eq!(telemetry::counter(names::SERVE_JOBS_STARTED).get(), jobs_started + 1);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Server threads among this process's, read from
+/// `/proc/self/task/*/comm`: every thread the workspace names (`qpinn-*`)
+/// except the work-stealing pool's (`qpinn-rayon-*`), and of those the
+/// flush threads (`comm` keeps the first 15 bytes of a name). `None`
+/// where that path does not exist.
+fn serve_threads() -> Option<(usize, usize)> {
+    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .ok()?
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .filter(|name| name.starts_with("qpinn-") && !name.starts_with("qpinn-rayon-"))
+        .collect();
+    let flush = names
+        .iter()
+        .filter(|n| n.as_str() == &"qpinn-serve-flush"[..15])
+        .count();
+    Some((names.len(), flush))
+}
+
+/// Wait until [`serve_threads`] reads `want` (or `/proc` is missing). A
+/// new thread names itself once it runs, and a joined one can stay
+/// listed for a moment, so a count taken right after a start or a stop
+/// may still move.
+fn await_serve_threads(want: (usize, usize)) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while let Some(got) = serve_threads() {
+        if got == want {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "server threads {got:?}, expected {want:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Start-up is all or nothing. A server with `W` workers starts `W + 3`
+/// threads (accept, workers, flush, job runner), every one through the
+/// `serve.thread_spawn` failpoint. When the n-th of them fails to spawn,
+/// for each n, `start` returns the error, no server thread is left
+/// running, and the address can be bound again; one spawn past the
+/// count, the server starts with exactly those threads.
+#[test]
+fn a_start_whose_nth_spawn_fails_stops_its_threads_and_frees_the_port() {
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("start");
+    const WORKERS: usize = 2;
+    let threads = WORKERS + 3;
+    await_serve_threads((0, 0));
+    for n in 1..=threads + 1 {
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let mut cfg = ServeConfig::new(&dir);
+        cfg.workers = WORKERS;
+        let started = {
+            let _fp = testkit::arm("serve.thread_spawn", Trigger::Nth(n as u64));
+            let started = ServeServer::start(addr, cfg);
+            assert_eq!(testkit::hits("serve.thread_spawn"), n.min(threads) as u64);
+            started
+        };
+        if n <= threads {
+            assert!(started.is_err(), "start succeeded with spawn {n} failing");
+            await_serve_threads((0, 0));
+            std::net::TcpListener::bind(addr)
+                .unwrap_or_else(|e| panic!("spawn {n} failed and left {addr} bound: {e}"));
+        } else {
+            let server = started.unwrap();
+            await_serve_threads((threads, 1));
+            let (status, _) = http(server.local_addr(), "GET", "/healthz", None);
+            assert!(status.contains("200 OK"), "{status}");
+            server.stop();
+            await_serve_threads((0, 0));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Evaluating many versions pins none and starts no thread. Under a
+/// registry budget of one and a half models, `m@1 … m@N` are evaluated
+/// in turn (each resolve evicts the one before), then the last is
+/// evicted over HTTP. Once its evals have answered, every version's
+/// handle is held by the test alone, and the server runs the same
+/// threads, one flush thread among them, throughout.
+#[test]
+fn evaluated_versions_stay_unpinned_and_share_one_flush_thread() {
+    use qpinn::serve::{ModelRegistry, RegistryConfig};
+    use std::sync::Arc;
+    const N: u64 = 10;
+    const WORKERS: usize = 2;
+    let _guard = SERVE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("unpinned");
+    let (spec, params) = small_model(5);
+    let publisher = ModelRegistry::open(RegistryConfig::new(&dir)).unwrap();
+    for v in 1..=N {
+        assert_eq!(
+            publisher
+                .publish("m", &spec, &params, Default::default(), 1, 0.0)
+                .unwrap(),
+            v
+        );
+    }
+    let bytes = publisher.list()[0].bytes;
+    let mut cfg = ServeConfig::new(&dir);
+    cfg.registry.max_bytes = bytes + bytes / 2;
+    cfg.workers = WORKERS;
+    let server = ServeServer::start("127.0.0.1:0", cfg).unwrap();
+    let addr = server.local_addr();
+    let registry = server.registry();
+    let threads = (WORKERS + 3, 1);
+    await_serve_threads(threads);
+
+    let mut handles = Vec::new();
+    for v in 1..=N {
+        // Resolved first, the handle is the copy the server evaluates.
+        let handle = registry.resolve(&format!("m@{v}")).unwrap();
+        let body = format!(r#"{{"model":"m@{v}","points":[[0.5,0.1],[-1.0,0.2]]}}"#);
+        for _ in 0..3 {
+            let (status, reply) = http(addr, "POST", "/v1/eval", Some(&body));
+            assert!(status.contains("200 OK"), "{status} {}", reply);
+            assert_eq!(reply.get("version").unwrap().as_num(), Some(v as f64));
+        }
+        assert_eq!(registry.resident_count(), 1, "the budget holds one model");
+        if let Some(got) = serve_threads() {
+            assert_eq!(got, threads, "server threads after evaluating m@{v}");
+        }
+        handles.push(handle);
+    }
+    let (status, doc) = http(
+        addr,
+        "POST",
+        "/v1/evict",
+        Some(&format!(r#"{{"model":"m@{N}"}}"#)),
+    );
+    assert!(status.contains("200 OK"), "{status} {}", doc);
+    assert_eq!(doc.get("evicted").unwrap(), &Json::Bool(true));
+    assert_eq!(registry.resident_count(), 0);
+    for (v, handle) in (1..=N).zip(&handles) {
+        assert_eq!(
+            Arc::strong_count(handle),
+            1,
+            "evicted m@{v} is still pinned"
+        );
+    }
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
